@@ -2,7 +2,10 @@
 
 A transient fault is an X-pulse: a pair of external events driving a signal to
 X and, a pulse width later, back to its fault-free value.  The circuit is
-susceptible to a fault if the fault makes a monitored signal attain X.
+susceptible to a fault if the fault makes a monitored signal attain X before
+T + settle, where T is the horizon and settle = |C|·max(ε, d_max) gives a
+fault near T time to cross the circuit.  Every verdict (``is_susceptible``,
+``analyze``, ``analyze_naive``) comes from ``_ProbeContext.probe``.
 
 Susceptible times are located per value region of the fault-free execution
 (the interval between two consecutive value-switching times): within a region
@@ -17,10 +20,13 @@ import bisect as _bisect_mod
 import math
 import random
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
+from multiprocessing import get_context
 from typing import Iterable, Mapping, Sequence
 
-from .prs import Circuit, InputTraces, SignalTrace, Value, check_input_traces, trace_value_at
+from .prs import Circuit, InputTraces, Value, check_input_traces, trace_value_at
 from .sim import (
     Execution,
     ExternalEvent,
@@ -86,6 +92,7 @@ class SensitivityReport:
     epsilon: float
     gamma: float
     delta: float
+    settle: float
     monitored: tuple[str, ...]
     injected: tuple[str, ...]
     fault_kind: str
@@ -93,10 +100,6 @@ class SensitivityReport:
     p_fail: float
     p_per_signal: Mapping[str, float]
     simulations: int
-
-
-def trace_has_x(trace: SignalTrace) -> bool:
-    return trace.initial is Value.X or any(v is Value.X for _, v in trace.transitions)
 
 
 # --- fault construction -------------------------------------------------------
@@ -142,21 +145,20 @@ def is_susceptible(
     glitch: Glitch,
     config: SimConfig,
 ) -> bool:
-    """True iff the glitched execution assigns X to a monitored signal."""
-    monitored = sorted(monitored)
-    if not monitored:
-        raise ValueError("monitored set must not be empty")
-    unknown = [m for m in monitored if m not in circuit.signals]
-    if unknown:
-        raise ValueError(f"monitored signals not in circuit: {', '.join(unknown)}")
+    """True iff the glitch makes a monitored signal attain X before T + settle.
+
+    The verdict is the one ``analyze`` finds for the same pulse.
+    """
+    if glitch.width <= 0:
+        raise ValueError(f"pulse width must be positive, got {glitch.width}")
     if glitch.at < 0 or glitch.at + glitch.width > config.horizon:
         raise ValueError(
             f"glitch [{glitch.at}, {glitch.at + glitch.width}) not within [0, {config.horizon}]"
         )
-    base = execute(circuit, inputs, config)
-    events = make_transient(glitch.signal, glitch.at, glitch.width, glitch.kind, base)
-    faulty = execute(circuit, inputs, config, events)
-    return any(trace_has_x(faulty.traces[m]) for m in monitored)
+    if glitch.signal not in circuit.signals:
+        raise ValueError(f"glitch signal {glitch.signal!r} not in circuit")
+    ctx = _ProbeContext(circuit, inputs, config, monitored, fault_kind=glitch.kind)
+    return ctx.probe(glitch.signal, glitch.at, glitch.width)
 
 
 # --- value regions --------------------------------------------------------------
@@ -179,14 +181,25 @@ def _regions_from_times(times: Iterable[float], horizon: float) -> list[ValueReg
 # --- probe engine ----------------------------------------------------------------
 
 
+def _settle(circuit: Circuit, config: SimConfig) -> float:
+    """How long past the horizon a probe runs: |C|·max(ε, d_max)."""
+    return circuit.size * max(config.epsilon, circuit.d_max)
+
+
+# The benchmark in bench/ wraps _ProbeContext.probe(signal, at, width) and
+# reads its positional arguments, wraps _ProbeContext.matches, the module
+# global _kernel, analyze, is_susceptible, value_regions, cli._GENERATORS and
+# cli.main, and counts PostfixViolationWarning: keep these names and call
+# shapes.
 class _ProbeContext:
     """Shared state for fault probes against one (circuit, inputs, config).
 
-    Runs the fault-free execution once, keeping per-visit state snapshots.  A
-    probe then resumes from the snapshot preceding the pulse and stops as soon
-    as a monitored signal attains X (susceptible) or the state re-converges to
-    the fault-free run with no X left in flight (masked).  Verdicts are
-    identical to re-running the full execution with the pulse overlaid.
+    Runs the fault-free execution to T + settle once, keeping per-visit state
+    snapshots.  A probe then resumes from the snapshot preceding the pulse
+    and stops as soon as a monitored signal attains X (susceptible) or the
+    state re-converges to the fault-free run with no X left in flight
+    (masked).  Verdicts are identical to re-running the full execution to
+    T + settle with the pulse overlaid.
     """
 
     def __init__(
@@ -195,7 +208,6 @@ class _ProbeContext:
         inputs: InputTraces,
         config: SimConfig,
         monitored: Iterable[str],
-        settle: float | None = None,
         fault_kind: str = X_PULSE,
     ):
         self.circuit = circuit
@@ -203,16 +215,16 @@ class _ProbeContext:
         self.monitored = sorted(monitored)
         if not self.monitored:
             raise ValueError("monitored set must not be empty")
+        if fault_kind not in (X_PULSE, FLIP_PULSE):
+            raise ValueError(f"unknown pulse kind {fault_kind!r}")
         self.fault_kind = fault_kind
         comp = _compiled(circuit)
         self.comp = comp
         unknown = [m for m in self.monitored if m not in comp.idx]
         if unknown:
             raise ValueError(f"monitored signals not in circuit: {', '.join(unknown)}")
-        if settle is None:
-            settle = circuit.size * max(config.epsilon, circuit.d_max)
-        self.settle = settle
-        self.t_end = config.horizon + settle
+        self.settle = _settle(circuit, config)
+        self.t_end = config.horizon + self.settle
 
         inputs = dict(inputs or {})
         check_input_traces(circuit, inputs, config.horizon)
@@ -296,46 +308,35 @@ class _ProbeContext:
 # --- bisection -------------------------------------------------------------------
 
 
-def _locate_boundary(ctx: _ProbeContext, signal: str, region: ValueRegion, gamma: float, delta: float):
+def _locate_window(ctx: _ProbeContext, signal: str, region: ValueRegion, gamma: float, delta: float):
     """Endpoint classification plus bisection within one region.
 
-    Returns (boundary, kind) where kind is "postfix" (susceptible from the
-    boundary to the region end), or "prefix" for the anomalous orientation
-    (susceptible from the region start up to the boundary).
+    Returns the susceptible part (start, end) of the region, empty when
+    start == end.  It is a postfix unless the region start is susceptible and
+    its end masked: the postfix shape does not hold at these finite pulse
+    parameters, and the part is the prefix up to the boundary.
     """
     r0, r1 = region.start, region.end
     hi_cap = r1 - gamma
     if hi_cap <= r0:
-        return (r0 if ctx.probe(signal, r0, gamma) else r1), "postfix"
+        return (r0, r1) if ctx.probe(signal, r0, gamma) else (r1, r1)
     lo_sus = ctx.probe(signal, r0, gamma)
     hi_sus = ctx.probe(signal, hi_cap, gamma)
-    if lo_sus and hi_sus:
-        return r0, "postfix"
-    if not lo_sus and not hi_sus:
-        return r1, "postfix"
-    if not lo_sus and hi_sus:
-        lo, hi = r0, hi_cap
-        while hi - lo > delta:
-            mid = (lo + hi) / 2.0
-            if ctx.probe(signal, mid, gamma):
-                hi = mid
-            else:
-                lo = mid
-        return hi, "postfix"
-    # susceptible on the left, masked on the right: the postfix shape does not
-    # hold at these finite pulse parameters; report the prefix boundary
-    warnings.warn(
-        f"susceptible times in region [{r0}, {r1}) at {signal} do not form a postfix",
-        PostfixViolationWarning,
-    )
+    if lo_sus == hi_sus:
+        return (r0, r1) if lo_sus else (r1, r1)
+    if not hi_sus:
+        warnings.warn(
+            f"susceptible times in region [{r0}, {r1}) at {signal} do not form a postfix",
+            PostfixViolationWarning,
+        )
     lo, hi = r0, hi_cap
     while hi - lo > delta:
         mid = (lo + hi) / 2.0
-        if ctx.probe(signal, mid, gamma):
-            lo = mid
-        else:
+        if ctx.probe(signal, mid, gamma) == hi_sus:
             hi = mid
-    return hi, "prefix"
+        else:
+            lo = mid
+    return (hi, r1) if hi_sus else (r0, hi)
 
 
 def bisect_region(
@@ -354,53 +355,32 @@ def bisect_region(
 
     Probes are X-pulses of width gamma, clamped to end at the region boundary.
     If both endpoint probes classify identically no interior probe is run and
-    the boundary is the region start (all susceptible) or end (none).
+    the boundary is the region start (all susceptible) or end (none).  A
+    susceptible prefix is summarized as the closest postfix: the whole region.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if ctx is None:
         ctx = _ProbeContext(circuit, inputs, config, monitored)
-    boundary, kind = _locate_boundary(ctx, signal, region, gamma, delta)
-    if kind == "prefix":
-        # the caller sees the closest postfix summary: everything susceptible
-        return region.start if boundary > region.start else region.end
-    return boundary
+    start, end = _locate_window(ctx, signal, region, gamma, delta)
+    return start if start < end else region.end
 
 
 def _windows_for_signal(
-    ctx: _ProbeContext, signal: str, gamma: float, delta: float, mode: str
+    ctx: _ProbeContext, signal: str, gamma: float, delta: float
 ) -> list[SensitivityWindow]:
     out: list[SensitivityWindow] = []
     for region in ctx.regions:
-        boundary, kind = _locate_boundary(ctx, signal, region, gamma, delta)
-        if kind == "postfix":
-            if boundary < region.end:
-                out.append(SensitivityWindow(signal, boundary, region.end, delta))
-        elif mode == "exhaustive":
-            out.extend(_grid_scan_region(ctx, signal, region, gamma, delta))
-        elif boundary > region.start:
-            out.append(SensitivityWindow(signal, region.start, boundary, delta))
+        start, end = _locate_window(ctx, signal, region, gamma, delta)
+        if start < end:
+            out.append(SensitivityWindow(signal, start, end, delta))
     return out
 
 
-def _grid_scan_region(
-    ctx: _ProbeContext, signal: str, region: ValueRegion, gamma: float, delta: float
-) -> list[SensitivityWindow]:
-    """Exhaustive fallback: classify the region on a delta grid."""
-    count = max(1, math.ceil(region.length / delta))
-    edges = [region.start + i * delta for i in range(count)]
-    verdicts = [ctx.probe(signal, t, gamma) for t in edges]
-    out: list[SensitivityWindow] = []
-    start = None
-    for i, sus in enumerate(verdicts):
-        if sus and start is None:
-            start = edges[i]
-        if not sus and start is not None:
-            out.append(SensitivityWindow(signal, start, edges[i], delta))
-            start = None
-    if start is not None:
-        out.append(SensitivityWindow(signal, start, region.end, delta))
-    return out
+def _windows_for_signals(ctx_args: tuple, signals: Sequence[str], gamma: float, delta: float):
+    """Windows of each signal from one probe context, and its probe count."""
+    ctx = _ProbeContext(*ctx_args)
+    return [_windows_for_signal(ctx, s, gamma, delta) for s in signals], ctx.simulations
 
 
 # --- full analyses ----------------------------------------------------------------
@@ -418,6 +398,41 @@ def _resolve_injection(circuit, monitored, injection_set, include_monitored):
     return sorted(circuit.signals - frozenset(monitored))
 
 
+def _report(
+    per_signal: Mapping[str, Sequence[SensitivityWindow]],
+    monitored: Sequence[str],
+    config: SimConfig,
+    settle: float,
+    gamma: float,
+    delta: float,
+    fault_kind: str,
+    simulations: int,
+) -> SensitivityReport:
+    """Report on the windows of each injected signal, in injection order."""
+    T = config.horizon
+    windows = tuple(w for sig_windows in per_signal.values() for w in sig_windows)
+    p_per_signal = {
+        s: math.fsum(w.length for w in sig_windows) / T if T > 0 else 0.0
+        for s, sig_windows in per_signal.items()
+    }
+    total = math.fsum(w.length for w in windows)
+    p_fail = total / (len(per_signal) * T) if per_signal and T > 0 else 0.0
+    return SensitivityReport(
+        horizon=T,
+        epsilon=config.epsilon,
+        gamma=gamma,
+        delta=delta,
+        settle=settle,
+        monitored=tuple(monitored),
+        injected=tuple(per_signal),
+        fault_kind=fault_kind,
+        windows=windows,
+        p_fail=p_fail,
+        p_per_signal=p_per_signal,
+        simulations=simulations,
+    )
+
+
 def analyze(
     circuit: Circuit,
     inputs: InputTraces,
@@ -428,8 +443,7 @@ def analyze(
     injection_set: Iterable[str] | None = None,
     include_monitored: bool = False,
     fault_kind: str = X_PULSE,
-    mode: str = "default",
-    settle: float | None = None,
+    jobs: int = 1,
 ) -> SensitivityReport:
     """Locate all sensitivity windows by per-region bisection and report the
     failure probability under a uniform single-fault distribution.
@@ -437,37 +451,32 @@ def analyze(
     The injection set defaults to every signal except the monitored ones.
     A monitored signal in the injection set is susceptible at every time by
     definition (the pulse itself drives it to X), so it contributes a full
-    window without probing.
+    window without probing.  With ``jobs > 1`` the signals are bisected on a
+    process pool, one probe context per worker; the report is the same.  The
+    workers are spawned, so a script calling this with ``jobs > 1`` needs an
+    ``if __name__ == "__main__":`` guard.
     """
     monitored = sorted(monitored)
     injected = _resolve_injection(circuit, monitored, injection_set, include_monitored)
-    ctx = _ProbeContext(circuit, inputs, config, monitored, settle=settle, fault_kind=fault_kind)
+    probed = [s for s in injected if s not in monitored]
+    ctx_args = (circuit, inputs, config, monitored, fault_kind)
+    # one probe context per worker; signals are dealt out in turn, so that
+    # neighbouring signals, often of similar cost, land on different workers
+    workers = max(1, min(jobs, len(probed)))
+    chunks = [probed[k::workers] for k in range(workers)]
+    if workers > 1:
+        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+            results = list(
+                pool.map(_windows_for_signals, repeat(ctx_args), chunks, repeat(gamma), repeat(delta))
+            )
+    else:
+        results = [_windows_for_signals(ctx_args, probed, gamma, delta)]
+    found = {s: w for chunk, (windows, _) in zip(chunks, results) for s, w in zip(chunk, windows)}
+    simulations = sum(sims for _, sims in results)
     T = config.horizon
-    windows: list[SensitivityWindow] = []
-    p_per_signal: dict[str, float] = {}
-    for s in injected:
-        if s in monitored:
-            windows.append(SensitivityWindow(s, 0.0, T, delta))
-            p_per_signal[s] = 1.0
-            continue
-        sig_windows = _windows_for_signal(ctx, s, gamma, delta, mode)
-        windows.extend(sig_windows)
-        p_per_signal[s] = math.fsum(w.length for w in sig_windows) / T if T > 0 else 0.0
-    total = math.fsum(w.length for w in windows)
-    p_fail = total / (len(injected) * T) if injected and T > 0 else 0.0
-    return SensitivityReport(
-        horizon=T,
-        epsilon=ctx.config.epsilon,
-        gamma=gamma,
-        delta=delta,
-        monitored=tuple(monitored),
-        injected=tuple(injected),
-        fault_kind=fault_kind,
-        windows=tuple(windows),
-        p_fail=p_fail,
-        p_per_signal=p_per_signal,
-        simulations=ctx.simulations,
-    )
+    per_signal = {s: [SensitivityWindow(s, 0.0, T, delta)] if s in monitored else found[s] for s in injected}
+    settle = _settle(circuit, config)
+    return _report(per_signal, monitored, config, settle, gamma, delta, fault_kind, simulations)
 
 
 def analyze_naive(
@@ -480,7 +489,6 @@ def analyze_naive(
     injection_set: Iterable[str] | None = None,
     include_monitored: bool = False,
     fault_kind: str = X_PULSE,
-    settle: float | None = None,
 ) -> SensitivityReport:
     """Grid-scan reference: one pulse at every multiple of the step, for every
     injection signal.  Exactly |injected| * ceil(T/step) simulations."""
@@ -488,15 +496,13 @@ def analyze_naive(
         raise ValueError(f"step must be positive, got {step}")
     monitored = sorted(monitored)
     injected = _resolve_injection(circuit, monitored, injection_set, include_monitored)
-    ctx = _ProbeContext(circuit, inputs, config, monitored, settle=settle, fault_kind=fault_kind)
+    ctx = _ProbeContext(circuit, inputs, config, monitored, fault_kind=fault_kind)
     T = config.horizon
     npoints = math.ceil(T / step)
-    windows: list[SensitivityWindow] = []
-    p_per_signal: dict[str, float] = {}
+    per_signal: dict[str, list[SensitivityWindow]] = {}
     for s in injected:
         start = None
-        sig_len = 0.0
-        sig_windows = []
+        sig_windows = per_signal[s] = []
         for k in range(npoints):
             t = k * step
             sus = ctx.probe(s, t, gamma)
@@ -507,23 +513,7 @@ def analyze_naive(
                 start = None
         if start is not None:
             sig_windows.append(SensitivityWindow(s, start, T, step))
-        windows.extend(sig_windows)
-        p_per_signal[s] = math.fsum(w.length for w in sig_windows) / T if T > 0 else 0.0
-    total = math.fsum(w.length for w in windows)
-    p_fail = total / (len(injected) * T) if injected and T > 0 else 0.0
-    return SensitivityReport(
-        horizon=T,
-        epsilon=ctx.config.epsilon,
-        gamma=gamma,
-        delta=step,
-        monitored=tuple(monitored),
-        injected=tuple(injected),
-        fault_kind=fault_kind,
-        windows=tuple(windows),
-        p_fail=p_fail,
-        p_per_signal=p_per_signal,
-        simulations=ctx.simulations,
-    )
+    return _report(per_signal, monitored, config, ctx.settle, gamma, step, fault_kind, ctx.simulations)
 
 
 def p_fail_weighted(report: SensitivityReport, weights: Mapping[str, float]) -> float:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -125,29 +124,13 @@ def cmd_inject(args) -> int:
     signal, at, width = _parse_at(args.at)
     config = SimConfig(horizon=args.until, epsilon=args.epsilon)
     glitch = analysis.Glitch(signal, at, width, args.kind)
-    base = execute(circuit, traces, config)
-    events = analysis.make_transient(signal, at, width, args.kind, base)
-    faulty = execute(circuit, traces, config, events)
-    hit = any(analysis.trace_has_x(faulty.traces[m]) for m in monitored)
+    hit = analysis.is_susceptible(circuit, traces, monitored, glitch, config)
     if args.out_svg:
+        base = execute(circuit, traces, config)
+        faulty = execute(circuit, traces, config, analysis.make_transient(signal, at, width, args.kind, base))
         _write(args.out_svg, waveform.render_waveform(faulty, monitored=monitored))
     print("SUSCEPTIBLE" if hit else "MASKED")
     return 0
-
-
-def _analyze_one_signal(netlist_text, monitored, signal, gamma, delta, until, epsilon, fault_kind):
-    circuit, _ = netlist.parse_circuit(netlist_text)
-    report = analysis.analyze(
-        circuit,
-        {},
-        monitored,
-        gamma=gamma,
-        delta=delta,
-        config=SimConfig(horizon=until, epsilon=epsilon),
-        injection_set=[signal],
-        fault_kind=fault_kind,
-    )
-    return signal, report.windows, report.p_per_signal[signal], report.simulations
 
 
 def cmd_analyze(args) -> int:
@@ -162,10 +145,8 @@ def cmd_analyze(args) -> int:
     )
     if args.naive_step:
         report = analysis.analyze_naive(circuit, traces, monitored, step=args.naive_step, **common)
-    elif args.jobs > 1 and not traces:
-        report = _analyze_parallel(args, circuit, monitored)
     else:
-        report = analysis.analyze(circuit, traces, monitored, delta=args.delta, **common)
+        report = analysis.analyze(circuit, traces, monitored, delta=args.delta, jobs=args.jobs, **common)
     if args.out_json:
         _write(args.out_json, netlist.write_report(report))
     if args.out_svg:
@@ -176,48 +157,6 @@ def cmd_analyze(args) -> int:
         weights = _parse_weights(_read(args.weights))
         print(f"P(fail, weighted) = {analysis.p_fail_weighted(report, weights)!r}")
     return 0
-
-
-def _analyze_parallel(args, circuit, monitored):
-    """Per-signal analyses on a process pool, assembled in signal order."""
-    injected = analysis._resolve_injection(circuit, sorted(monitored), None, args.include_monitored)
-    text = netlist.serialize_circuit(circuit, monitored)
-    tasks = [
-        (text, sorted(monitored), s, args.gamma, args.delta, args.until, args.epsilon, analysis.X_PULSE)
-        for s in injected
-        if s not in monitored
-    ]
-    results = {}
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        for signal, windows, p, sims in pool.map(_analyze_one_signal, *zip(*tasks)):
-            results[signal] = (windows, p, sims)
-    windows = []
-    p_per_signal = {}
-    simulations = 0
-    for s in injected:
-        if s in monitored:
-            windows.append(analysis.SensitivityWindow(s, 0.0, args.until, args.delta))
-            p_per_signal[s] = 1.0
-            continue
-        w, p, sims = results[s]
-        windows.extend(w)
-        p_per_signal[s] = p
-        simulations += sims
-    total = math.fsum(w.length for w in windows)
-    p_fail = total / (len(injected) * args.until) if injected and args.until > 0 else 0.0
-    return analysis.SensitivityReport(
-        horizon=args.until,
-        epsilon=args.epsilon,
-        gamma=args.gamma,
-        delta=args.delta,
-        monitored=tuple(sorted(monitored)),
-        injected=tuple(injected),
-        fault_kind=analysis.X_PULSE,
-        windows=tuple(windows),
-        p_fail=p_fail,
-        p_per_signal=p_per_signal,
-        simulations=simulations,
-    )
 
 
 def _parse_weights(text: str) -> dict:

@@ -326,6 +326,7 @@ def report_to_dict(report: SensitivityReport) -> dict:
             "epsilon": report.epsilon,
             "gamma": report.gamma,
             "delta": report.delta,
+            "settle": report.settle,
             "monitored": list(report.monitored),
             "injected": list(report.injected),
             "fault_kind": report.fault_kind,
@@ -352,6 +353,7 @@ def read_report(text: str) -> SensitivityReport:
         epsilon=cfg["epsilon"],
         gamma=cfg["gamma"],
         delta=cfg["delta"],
+        settle=cfg["settle"],
         monitored=tuple(cfg["monitored"]),
         injected=tuple(cfg["injected"]),
         fault_kind=cfg["fault_kind"],

@@ -45,18 +45,6 @@ _VALUE_BY_TEXT = {"0": Value.ZERO, "1": Value.ONE, "X": Value.X, "x": Value.X}
 SIGNAL_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
 
 
-def v_not(a: Value) -> Value:
-    return Value(1.0 - a.value)
-
-
-def v_and(*args: Value) -> Value:
-    return Value(min(a.value for a in args))
-
-
-def v_or(*args: Value) -> Value:
-    return Value(max(a.value for a in args))
-
-
 # --- guard expressions -----------------------------------------------------
 
 

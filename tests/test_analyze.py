@@ -7,8 +7,10 @@ import pytest
 
 from faultscope import Circuit, Not, ProductionRule, SignalRef, SimConfig, Value, execute, make_trace
 from faultscope.analysis import (
+    Glitch,
     analyze,
     analyze_naive,
+    is_susceptible,
     p_fail_weighted,
     value_regions,
 )
@@ -57,6 +59,16 @@ def test_per_signal_pinned(report):
 
 def test_injection_set_excludes_monitored_by_default(report):
     assert set(report.injected) == {"src", "c2", "en1", "en2", "en3"}
+
+
+def test_verdict_near_horizon_agrees_with_analyze(pipeline, report):
+    """One definition of susceptible: a pulse at en2@31.5 reaches a monitored
+    signal only after T = 32, within the settle time that analyze's probes
+    run for, so is_susceptible says so too and the pulse lies in the window."""
+    circuit, monitored = pipeline
+    assert is_susceptible(circuit, {}, monitored, Glitch("en2", 31.5, 0.1), CFG)
+    assert any(w.signal == "en2" and w.start <= 31.5 < w.end for w in report.windows)
+    assert report.settle == circuit.size * max(CFG.epsilon, circuit.d_max)
 
 
 def test_p_fail_formula(report):

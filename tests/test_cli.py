@@ -2,9 +2,11 @@
 
 import json
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from faultscope import analysis
 from faultscope.cli import main
 
 INVERTER = """\
@@ -18,6 +20,24 @@ monitor o
 """
 
 TRACE_B = "signal,time,value\ni,0,0\ni,1,1\ni,1.5,0\n"
+
+# an inverter into an AND gate: an input-driven circuit with three injection
+# signals, where j low masks faults on a and i
+GATE = """\
+circuit gate
+inputs i j
+locals a
+outputs o
+init a = 1
+init o = 0
+rule i -> a = 0 [1.0]
+rule !i -> a = 1 [1.0]
+rule a & j -> o = 1 [1.0]
+rule !a | !j -> o = 0 [1.0]
+monitor o
+"""
+
+TRACE_GATE = "signal,time,value\ni,0,0\ni,3,1\ni,7,0\nj,0,0\nj,5,1\nj,10,0\n"
 
 
 @pytest.fixture()
@@ -96,6 +116,29 @@ def test_inject_landmarks(lin3_file, capsys):
     assert code == 0 and out.strip() == "SUSCEPTIBLE"
     code, out, _ = run(capsys, "inject", "--circuit", lin3_file, "--at", "c2@22:0.1", "--until", "32")
     assert code == 0 and out.strip() == "MASKED"
+
+
+def test_inject_near_horizon_agrees_with_analyze(lin3_file, capsys):
+    # X from this pulse reaches c3 after T; analyze reports en2 [31, 32)
+    code, out, _ = run(capsys, "inject", "--circuit", lin3_file, "--at", "en2@31.5:0.1", "--until", "32")
+    assert code == 0 and out.strip() == "SUSCEPTIBLE"
+
+
+def test_inject_past_horizon_exit_3(lin3_file, capsys):
+    code, out, err = run(capsys, "inject", "--circuit", lin3_file, "--at", "en2@31.95:0.1", "--until", "32")
+    assert code == 3 and out == "" and "not within" in err
+
+
+def test_inject_unknown_signal_exit_3(lin3_file, capsys):
+    code, _, err = run(capsys, "inject", "--circuit", lin3_file, "--at", "zz@10:0.1", "--until", "32")
+    assert code == 3 and "zz" in err
+
+
+def test_inject_svg(lin3_file, tmp_path, capsys):
+    svg = tmp_path / "fault.svg"
+    code, out, _ = run(capsys, "inject", "--circuit", lin3_file, "--at", "c2@10:0.1", "--until", "32", "--out-svg", str(svg))
+    assert code == 0 and out.strip() == "SUSCEPTIBLE"
+    assert svg.read_text().startswith("<svg")
 
 
 def test_inject_on_monitored(lin3_file, capsys):
@@ -210,16 +253,35 @@ def test_sweep_single_point_equals_analyze(lin3_file, tmp_path, capsys):
     assert p_sweep == float(out_a.split("=")[1])
 
 
-def test_analyze_jobs_deterministic(lin3_file, tmp_path, capsys):
-    reports = []
-    for jobs in ("1", "2"):
-        rep = tmp_path / f"rep{jobs}.json"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = main(["analyze", "--circuit", lin3_file, "--until", "32", "--jobs", jobs, "--out-json", str(rep)])
-        assert code == 0
-        reports.append(rep.read_bytes())
-    assert reports[0] == reports[1]
+def test_analyze_jobs_deterministic(lin3_file, tmp_path, capsys, monkeypatch):
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", CountingPool)
+    gate = tmp_path / "gate.prs"
+    gate.write_text(GATE)
+    traces = tmp_path / "gate.csv"
+    traces.write_text(TRACE_GATE)
+    cases = {
+        "lin3": [lin3_file, "--until", "32"],
+        "traces": [str(gate), "--traces", str(traces), "--until", "12"],
+    }
+    for name, argv in cases.items():
+        reports = []
+        for jobs in ("1", "2"):
+            rep = tmp_path / f"{name}{jobs}.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main(["analyze", "--circuit", *argv, "--jobs", jobs, "--out-json", str(rep)])
+            assert code == 0
+            reports.append(rep.read_bytes())
+        assert reports[0] == reports[1], name
+    # both --jobs 2 analyses ran on a pool, the one with --traces included
+    assert len(pools) == 2
 
 
 def test_help_documents_defaults(capsys):

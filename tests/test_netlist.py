@@ -180,7 +180,8 @@ def report():
 def test_report_schema(report):
     obj = json.loads(write_report(report))
     assert set(obj) == {"config", "p_fail", "p_per_signal", "windows", "simulations"}
-    assert set(obj["config"]) == {"T", "epsilon", "gamma", "delta", "monitored", "injected", "fault_kind"}
+    assert set(obj["config"]) == {"T", "epsilon", "gamma", "delta", "settle", "monitored", "injected", "fault_kind"}
+    assert obj["config"]["settle"] == report.settle
     assert obj["p_fail"] == report.p_fail
     assert all(set(w) == {"signal", "start", "end"} for w in obj["windows"])
 
@@ -195,6 +196,7 @@ def test_report_roundtrip(report):
     assert again.p_fail == report.p_fail
     assert again.windows == report.windows
     assert again.p_per_signal == dict(report.p_per_signal)
+    assert again.settle == report.settle
     assert write_report(again) == write_report(report)
 
 
