@@ -21,9 +21,8 @@ import math
 import random
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
-from multiprocessing import get_context
 from typing import Iterable, Mapping, Sequence
 
 from .prs import Circuit, InputTraces, Value, check_input_traces, trace_value_at
@@ -159,6 +158,19 @@ def is_susceptible(
         raise ValueError(f"glitch signal {glitch.signal!r} not in circuit")
     ctx = _ProbeContext(circuit, inputs, config, monitored, fault_kind=glitch.kind)
     return ctx.probe(glitch.signal, glitch.at, glitch.width)
+
+
+def faulty_execution(
+    circuit: Circuit, inputs: InputTraces, glitch: Glitch, config: SimConfig
+) -> Execution:
+    """The full execution a verdict on the glitch is taken from: run to
+    T + settle with the inputs held past T and the pulse overlaid."""
+    t_end = config.horizon + _settle(circuit, config)
+    long = replace(config, horizon=t_end)
+    inputs = {name: replace(trace, horizon=t_end) for name, trace in (inputs or {}).items()}
+    base = execute(circuit, inputs, long)
+    pulse = make_transient(glitch.signal, glitch.at, glitch.width, glitch.kind, base)
+    return execute(circuit, inputs, long, pulse)
 
 
 # --- value regions --------------------------------------------------------------
@@ -377,10 +389,25 @@ def _windows_for_signal(
     return out
 
 
-def _windows_for_signals(ctx_args: tuple, signals: Sequence[str], gamma: float, delta: float):
-    """Windows of each signal from one probe context, and its probe count."""
-    ctx = _ProbeContext(*ctx_args)
-    return [_windows_for_signal(ctx, s, gamma, delta) for s in signals], ctx.simulations
+# a pool worker's probe context, built at its first task so that a bad
+# argument raises in that task, as it does without a pool
+_worker_args: tuple = ()
+_worker_ctx: _ProbeContext | None = None
+
+
+def _init_worker(ctx_args: tuple) -> None:
+    global _worker_args, _worker_ctx
+    _worker_args, _worker_ctx = ctx_args, None
+
+
+def _worker_windows(signal: str, gamma: float, delta: float):
+    """Windows of one signal from the worker's probe context, and its probe count."""
+    global _worker_ctx
+    if _worker_ctx is None:
+        _worker_ctx = _ProbeContext(*_worker_args)
+    before = _worker_ctx.simulations
+    windows = _windows_for_signal(_worker_ctx, signal, gamma, delta)
+    return windows, _worker_ctx.simulations - before
 
 
 # --- full analyses ----------------------------------------------------------------
@@ -452,27 +479,23 @@ def analyze(
     A monitored signal in the injection set is susceptible at every time by
     definition (the pulse itself drives it to X), so it contributes a full
     window without probing.  With ``jobs > 1`` the signals are bisected on a
-    process pool, one probe context per worker; the report is the same.  The
-    workers are spawned, so a script calling this with ``jobs > 1`` needs an
-    ``if __name__ == "__main__":`` guard.
+    process pool, one signal per task and one probe context per worker; the
+    report is the same.
     """
     monitored = sorted(monitored)
     injected = _resolve_injection(circuit, monitored, injection_set, include_monitored)
     probed = [s for s in injected if s not in monitored]
-    ctx_args = (circuit, inputs, config, monitored, fault_kind)
-    # one probe context per worker; signals are dealt out in turn, so that
-    # neighbouring signals, often of similar cost, land on different workers
-    workers = max(1, min(jobs, len(probed)))
-    chunks = [probed[k::workers] for k in range(workers)]
+    workers = min(jobs, len(probed))
     if workers > 1:
-        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
-            results = list(
-                pool.map(_windows_for_signals, repeat(ctx_args), chunks, repeat(gamma), repeat(delta))
-            )
+        ctx_args = (circuit, inputs, config, monitored, fault_kind)
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(ctx_args,)) as pool:
+            results = list(pool.map(_worker_windows, probed, repeat(gamma), repeat(delta)))
+        found = {s: windows for s, (windows, _) in zip(probed, results)}
+        simulations = sum(sims for _, sims in results)
     else:
-        results = [_windows_for_signals(ctx_args, probed, gamma, delta)]
-    found = {s: w for chunk, (windows, _) in zip(chunks, results) for s, w in zip(chunk, windows)}
-    simulations = sum(sims for _, sims in results)
+        ctx = _ProbeContext(circuit, inputs, config, monitored, fault_kind=fault_kind)
+        found = {s: _windows_for_signal(ctx, s, gamma, delta) for s in probed}
+        simulations = ctx.simulations
     T = config.horizon
     per_signal = {s: [SensitivityWindow(s, 0.0, T, delta)] if s in monitored else found[s] for s in injected}
     settle = _settle(circuit, config)

@@ -126,8 +126,7 @@ def cmd_inject(args) -> int:
     glitch = analysis.Glitch(signal, at, width, args.kind)
     hit = analysis.is_susceptible(circuit, traces, monitored, glitch, config)
     if args.out_svg:
-        base = execute(circuit, traces, config)
-        faulty = execute(circuit, traces, config, analysis.make_transient(signal, at, width, args.kind, base))
+        faulty = analysis.faulty_execution(circuit, traces, glitch, config)
         _write(args.out_svg, waveform.render_waveform(faulty, monitored=monitored))
     print("SUSCEPTIBLE" if hit else "MASKED")
     return 0

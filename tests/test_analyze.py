@@ -189,5 +189,7 @@ def test_weighted_errors(report):
 
 def test_empty_monitored_rejected(pipeline):
     circuit, _ = pipeline
-    with pytest.raises(ValueError):
-        analyze(circuit, {}, frozenset(), 0.1, 0.01, CFG)
+    # on a pool too, the error is the one the serial analysis raises
+    for jobs in (1, 2):
+        with pytest.raises(ValueError):
+            analyze(circuit, {}, frozenset(), 0.1, 0.01, CFG, jobs=jobs)

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, determinism across --jobs."""
 
 import json
+import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -8,6 +9,7 @@ import pytest
 
 from faultscope import analysis
 from faultscope.cli import main
+from faultscope.waveform import WAVE_H, X_FILL
 
 INVERTER = """\
 circuit inv
@@ -134,11 +136,24 @@ def test_inject_unknown_signal_exit_3(lin3_file, capsys):
     assert code == 3 and "zz" in err
 
 
-def test_inject_svg(lin3_file, tmp_path, capsys):
+def _x_on_monitored(svg: str) -> bool:
+    """Whether the lane of some monitored signal (label marked " *") has an
+    X interval drawn in it."""
+    labels = re.findall(r'<text x="[^"]*" y="([^"]*)" text-anchor="end">[^<]* \*</text>', svg)
+    x_rects = re.findall(rf'<rect x="[^"]*" y="([^"]*)" width="[^"]*" height="[^"]*" fill="{X_FILL}"', svg)
+    return any(float(y) - WAVE_H in {float(r) for r in x_rects} for y in labels)
+
+
+# the second pulse reaches a monitored signal only after T
+@pytest.mark.parametrize("at", ["c2@10:0.1", "en2@31.5:0.1"])
+def test_inject_svg(lin3_file, tmp_path, capsys, at):
     svg = tmp_path / "fault.svg"
-    code, out, _ = run(capsys, "inject", "--circuit", lin3_file, "--at", "c2@10:0.1", "--until", "32", "--out-svg", str(svg))
+    code, out, _ = run(capsys, "inject", "--circuit", lin3_file, "--at", at, "--until", "32", "--out-svg", str(svg))
     assert code == 0 and out.strip() == "SUSCEPTIBLE"
-    assert svg.read_text().startswith("<svg")
+    text = svg.read_text()
+    assert text.startswith("<svg")
+    # the picture shows the run the verdict came from
+    assert _x_on_monitored(text)
 
 
 def test_inject_on_monitored(lin3_file, capsys):
