@@ -255,33 +255,29 @@ class _ProbeContext:
         self.visit_times = base.visit_times
         self.snapshots = base.snapshots
         self.mon_ids = frozenset(comp.idx[m] for m in self.monitored)
-        self.base_mon_x = any(
-            fv == 0.5 for sid in self.mon_ids for _, fv in base.trace_lists[sid]
-        ) or any(base.initial_values[sid] == 0.5 for sid in self.mon_ids)
 
         # per-signal transition lists for O(log n) value lookups
-        self._times = [tuple(t for t, _ in lst) for lst in base.trace_lists]
-        self._vals = [tuple(v for _, v in lst) for lst in base.trace_lists]
-        self.regions = _regions_from_times(
-            (t for lst in base.trace_lists for t, _ in lst), config.horizon
+        self._times = [[] for _ in range(comp.n)]
+        self._vals = [[] for _ in range(comp.n)]
+        for t, sid, fv, _ in base.events:
+            self._times[sid].append(t)
+            self._vals[sid].append(fv)
+        self.base_mon_x = any(
+            base.initial_values[sid] == 0.5 or 0.5 in self._vals[sid] for sid in self.mon_ids
         )
+        self.regions = _regions_from_times((ev[0] for ev in base.events), config.horizon)
         self.simulations = 0
 
     def base_value(self, sid: int, t: float) -> float:
         i = _bisect_mod.bisect_right(self._times[sid], t)
         return self._vals[sid][i - 1] if i else self.base.initial_values[sid]
 
-    def matches(self, t: float, values, pend, pend_x, done) -> bool:
+    def matches(self, t: float, values, pend, pend_x) -> bool:
         i = _bisect_mod.bisect_right(self.visit_times, t) - 1
         if i < 0:
             return False
         snap = self.snapshots[i]
-        return (
-            snap.done == done
-            and snap.pend == tuple(sorted(pend.items()))
-            and snap.pend_x == tuple(sorted(pend_x.items()))
-            and list(snap.values) == values
-        )
+        return snap.pend == pend and snap.pend_x == pend_x and snap.values == values
 
     def pulse_events(self, sid: int, at: float, width: float):
         end = at + width

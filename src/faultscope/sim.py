@@ -9,11 +9,16 @@ An execution advances through visited time points. At each visit:
     pending Boolean action whose guard no longer evaluates to true while the
     target does not yet hold the action's value is canceled and the target is
     driven to X immediately (the gate was mid-switching and its drive got
-    corrupted);
+    corrupted).  This runs to a fixpoint over the dirty pending rules only,
+    those that read or drive a signal changed since the last fixpoint, in
+    passes of ascending rule id;
 4.  rules are (re)evaluated: a fresh guard edge to 1 schedules the rule's
     action after its delay; a guard at X with the target neither at X nor at
     the rule's value schedules an X on the target after the small propagation
-    delay epsilon;
+    delay epsilon.  The kernel keeps every rule's last guard value, so only
+    the guards that read a changed signal are evaluated again; a rule acts
+    when its guard value changed, or when its guard stays at X and its
+    target changed;
 5.  time advances to the earliest pending action, input transition, or
     external event; the run stops at the horizon.
 
@@ -25,14 +30,20 @@ order, so identical arguments always produce identical executions.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .prs import (
+    And,
     Circuit,
     InputTraces,
+    Not,
+    Or,
+    SignalRef,
     SignalTrace,
     Value,
     check_input_traces,
@@ -41,6 +52,7 @@ from .prs import (
 )
 
 X = 0.5  # numeric encoding used throughout the kernel
+_VALUES = {v.value: v for v in Value}
 
 
 class CircuitInvalid(ValueError):
@@ -94,79 +106,84 @@ def count_events(execution: Execution) -> int:
 # --- compiled circuit -------------------------------------------------------
 
 
-def _guard_source(expr, idx) -> str:
-    from .prs import And, Not, Or, SignalRef
-
+def _guard_source(expr, idx, temps) -> str:
+    """Python expression for a guard over the value list ``v``: Kleene min
+    and max as conditional expressions, sub-results held in walrus
+    temporaries drawn from ``temps``."""
     if isinstance(expr, SignalRef):
         return f"v[{idx[expr.name]}]"
     if isinstance(expr, Not):
-        return f"(1.0-{_guard_source(expr.child, idx)})"
-    if isinstance(expr, And):
-        return f"min({','.join(_guard_source(c, idx) for c in expr.children)})"
-    if isinstance(expr, Or):
-        return f"max({','.join(_guard_source(c, idx) for c in expr.children)})"
+        return f"(1.0-{_guard_source(expr.child, idx, temps)})"
+    if isinstance(expr, (And, Or)):
+        op = "<" if isinstance(expr, And) else ">"
+        acc = _guard_source(expr.children[0], idx, temps)
+        for child in expr.children[1:]:
+            a, b = f"_{next(temps)}", f"_{next(temps)}"
+            acc = f"({a} if ({a}:={acc}) {op} ({b}:={_guard_source(child, idx, temps)}) else {b})"
+        return acc
     raise TypeError(f"not a guard expression: {expr!r}")
 
 
-class _CompiledRule:
-    __slots__ = ("rid", "target", "bval", "delay", "fn", "support", "label")
-
-    def __init__(self, rid, target, bval, delay, fn, support, label):
-        self.rid = rid
-        self.target = target
-        self.bval = bval
-        self.delay = delay
-        self.fn = fn
-        self.support = support
-        self.label = label
-
-
 class _Compiled:
-    """Index-based form of a circuit shared by all runs."""
+    """Index-based form of a circuit shared by all runs.
+
+    Rules are numbered in (target, up-rule first) order, so rule id order is
+    target order.  Per rule: guard function ``fns`` (compiled under the file
+    name ``<guard LABEL>`` so that profiles tell guards apart), target
+    signal id, action value, delay and label.  Per signal: ``fan``, the rules
+    whose guard reads it, ``own``, the rules that drive it, and ``affected``,
+    both as a bitmask over rule ids.
+    """
 
     __slots__ = (
         "names",
         "idx",
         "n",
-        "rules",
+        "fns",
+        "targets",
+        "bvals",
+        "delays",
+        "labels",
+        "fan",
+        "own",
         "affected",
-        "input_ids",
         "initial",
         "d_min",
-        "validated",
     )
 
     def __init__(self, circuit: Circuit):
         violations = validate_circuit(circuit)
         if violations:
             raise CircuitInvalid(violations)
-        self.validated = True
         self.names = sorted(circuit.signals)
-        self.idx = {s: i for i, s in enumerate(self.names)}
+        idx = self.idx = {s: i for i, s in enumerate(self.names)}
         self.n = len(self.names)
-        self.input_ids = frozenset(self.idx[s] for s in circuit.inputs)
 
-        ordered = sorted(circuit.rules, key=lambda r: (r.target, -r.value))
-        self.rules = []
-        for rid, rule in enumerate(ordered):
-            fn = eval(compile(f"lambda v: {_guard_source(rule.guard, self.idx)}", "<guard>", "eval"))
-            support = tuple(sorted(self.idx[s] for s in guard_signals(rule.guard)))
+        fns, targets, bvals, delays, labels = [], [], [], [], []
+        fan: list[list[int]] = [[] for _ in range(self.n)]
+        own: list[list[int]] = [[] for _ in range(self.n)]
+        for rid, rule in enumerate(sorted(circuit.rules, key=lambda r: (r.target, -r.value))):
             label = f"{rule.target}{'+' if rule.value else '-'}"
-            self.rules.append(
-                _CompiledRule(rid, self.idx[rule.target], float(rule.value), rule.delay, fn, support, label)
-            )
-        self.d_min = min(r.delay for r in self.rules) if self.rules else float("inf")
-
-        affected: list[set] = [set() for _ in range(self.n)]
-        for r in self.rules:
-            affected[r.target].add(r.rid)
-            for s in r.support:
-                affected[s].add(r.rid)
-        self.affected = [tuple(sorted(a)) for a in affected]
+            source = f"lambda v: {_guard_source(rule.guard, idx, itertools.count())}"
+            fns.append(eval(compile(source, f"<guard {label}>", "eval")))
+            targets.append(idx[rule.target])
+            bvals.append(float(rule.value))
+            delays.append(rule.delay)
+            labels.append(label)
+            own[idx[rule.target]].append(rid)
+            for s in guard_signals(rule.guard):
+                fan[idx[s]].append(rid)
+        self.fns, self.targets, self.bvals = tuple(fns), tuple(targets), tuple(bvals)
+        self.delays, self.labels = tuple(delays), tuple(labels)
+        self.fan = tuple(map(tuple, fan))
+        self.own = tuple(map(tuple, own))
+        # a rule whose guard reads its own target is in both lists
+        self.affected = tuple(sum(1 << rid for rid in set(f + o)) for f, o in zip(fan, own))
+        self.d_min = min(delays) if delays else float("inf")
 
         self.initial = [X] * self.n
         for s, v in circuit.initial.items():
-            self.initial[self.idx[s]] = v.value
+            self.initial[idx[s]] = v.value
 
 
 def _compiled(circuit: Circuit) -> _Compiled:
@@ -179,32 +196,59 @@ def _compiled(circuit: Circuit) -> _Compiled:
 
 # --- kernel -----------------------------------------------------------------
 
-_IN, _BOOL, _XACT, _EXT = 0, 1, 2, 3
+_BOOL, _XACT = 1, 2  # heap entry tags: a rule's Boolean action, an X action
+_INF = float("inf")
 
 
 class _Seed:
-    """Kernel state captured after one visit, for resuming a run mid-way."""
+    """Kernel state at the end of one visit, for resuming a run mid-way.
 
-    __slots__ = ("time", "values", "pend", "pend_x", "done")
+    ``pend`` maps rule ids and ``pend_x`` signal ids to the due times of
+    their pending actions.  The rest of the kernel state follows from these
+    and is built on the first resume: the guard values, which equal every
+    guard evaluated on ``values``, the event heap of the pending actions and
+    the bitmask of the pending rules.
+    """
 
-    def __init__(self, time, values, pend, pend_x, done):
+    __slots__ = ("time", "values", "pend", "pend_x", "_gv", "_heap", "_pend_mask")
+
+    def __init__(self, time, values, pend, pend_x):
         self.time = time
-        self.values = values  # tuple of floats
-        self.pend = pend  # tuple of (rule_id, due)
-        self.pend_x = pend_x  # tuple of (signal_id, due)
-        self.done = done  # bitmask over rules
+        self.values = values  # list of floats
+        self.pend = pend  # dict rule id -> due
+        self.pend_x = pend_x  # dict signal id -> due
+        self._gv = None
+        self._heap = None
+        self._pend_mask = 0
+
+    def resume(self, fns) -> tuple[list, list, int]:
+        """Fresh copies of the guard values and the event heap, and the
+        bitmask of the pending rules."""
+        if self._gv is None:
+            values = self.values
+            # kept for every later resume, so hold the three shared floats,
+            # not the new float a negated guard returns
+            self._gv = [_VALUES[fn(values)].value for fn in fns]
+            heap = [(due, _BOOL, rid) for rid, due in self.pend.items()]
+            heap += [(due, _XACT, sid) for sid, due in self.pend_x.items()]
+            heapq.heapify(heap)
+            self._heap = heap
+            self._pend_mask = sum(1 << rid for rid in self.pend)
+        return self._gv[:], self._heap[:], self._pend_mask
 
 
 class _Run:
-    """One kernel run; collects traces, events, and optional snapshots."""
+    """One kernel run: final values, raw events and optional snapshots.
+
+    A recorded event is the tuple (time, signal id, value, cause)."""
 
     __slots__ = (
         "comp",
         "horizon",
         "epsilon",
         "values",
+        "gv",
         "initial_values",
-        "trace_lists",
         "events",
         "watch_hit",
         "snapshots",
@@ -216,8 +260,8 @@ class _Run:
         self.horizon = horizon
         self.epsilon = epsilon
         self.values = None
+        self.gv = None
         self.initial_values = None
-        self.trace_lists = None
         self.events = None
         self.watch_hit = False
         self.snapshots = None
@@ -238,7 +282,8 @@ def _kernel(
     seed: _Seed | None = None,
     base=None,
 ) -> _Run:
-    """Run the five-step loop. All sequences are sorted; times are exact floats.
+    """Run the five-step loop. Input transitions and externals are sorted
+    (time, signal id, value) triples; times are exact floats.
 
     ``watch`` signals flag the run as hit when they attain X; with
     ``stop_on_watch`` the run returns at that point.  ``base`` enables the
@@ -246,221 +291,215 @@ def _kernel(
     and the state matches the fault-free run at the same time, the suffix is
     known to be identical and the run stops.
     """
-    rules = comp.rules
-    affected = comp.affected
-    n = comp.n
+    fns, targets, bvals, delays, labels = comp.fns, comp.targets, comp.bvals, comp.delays, comp.labels
+    fan, own, affected = comp.fan, comp.own, comp.affected
     run = _Run(comp, horizon, epsilon)
-
-    heap: list[tuple[float, int, int]] = []
-    pend: dict[int, float] = {}  # rule id -> due time of its Boolean action
-    pend_x: dict[int, float] = {}  # signal id -> due time of an X action
-    ext_by_key: dict[tuple[float, int], float] = {}
-    in_by_key: dict[tuple[float, int], float] = {}
 
     if seed is None:
         values = list(comp.initial)
         for i, fv in input_initial.items():
             values[i] = fv
-        done = 0
-        start_time = None
+        gv: list = [None] * len(fns)  # no guard value yet: every rule sees an edge at t=0
+        pend: dict[int, float] = {}  # rule id -> due time of its Boolean action
+        pend_x: dict[int, float] = {}  # signal id -> due time of an X action
+        heap: list[tuple[float, int, int]] = []
+        pend_mask = 0  # bitmask of the rule ids in pend
+        start = -_INF
     else:
-        values = list(seed.values)
-        done = seed.done
-        for rid, due in seed.pend:
-            pend[rid] = due
-            heapq.heappush(heap, (due, _BOOL, rid))
-        for sid, due in seed.pend_x:
-            pend_x[sid] = due
-            heapq.heappush(heap, (due, _XACT, sid))
-        start_time = seed.time
+        values = seed.values[:]
+        gv, heap, pend_mask = seed.resume(fns)
+        pend = seed.pend.copy()
+        pend_x = seed.pend_x.copy()
+        start = seed.time
 
-    run.initial_values = list(values)
-    num_x = sum(1 for fv in values if fv == X)
-    watch_hit = any(values[i] == X for i in watch)
-
-    for at, sid, fv in input_transitions:
-        if (start_time is None or at > start_time) and at < horizon:
-            in_by_key[(at, sid)] = fv
-            heapq.heappush(heap, (at, _IN, sid))
-    ext_last = 0.0
-    for at, sid, fv in externals:
-        if (start_time is None or at > start_time) and at < horizon:
-            ext_by_key[(at, sid)] = fv
-            heapq.heappush(heap, (at, _EXT, sid))
-            ext_last = max(ext_last, at)
-    ext_remaining = len(ext_by_key)
-
+    events = run.events = [] if record else None
     if record:
-        run.trace_lists = [[] for _ in range(n)]
-        run.events = []
+        run.initial_values = values[:]
     if keep_snapshots:
-        run.snapshots = []
-        run.visit_times = []
+        snapshots = run.snapshots = []
+        visit_times = run.visit_times = []
 
-    names = comp.names
-    events = run.events
-    trace_lists = run.trace_lists
-
+    watch_hit = any(values[i] == X for i in watch)
     if stop_on_watch and watch_hit:
-        run.values = values
-        run.watch_hit = True
+        run.values, run.gv, run.watch_hit = values, gv, True
         return run
 
-    dirty = [True] * len(rules)
-    changed: set = set()
+    # inputs and externals are consumed in order, from the first after start
+    ins = input_transitions
+    n_in = len(ins)
+    k_in = bisect.bisect_right(ins, (start, _INF))
+    t_in = ins[k_in][0] if k_in < n_in else _INF
+    exts = [e for e in externals if start < e[0] < horizon]
+    n_ext = len(exts)
+    k_ext = 0
+    t_ext = exts[0][0] if exts else _INF
 
-    def set_value(sid: int, fv: float, cause: str, t: float) -> None:
-        nonlocal num_x, watch_hit
-        old = values[sid]
-        if old == fv:
-            return
-        values[sid] = fv
-        if old == X:
-            num_x -= 1
-        if fv == X:
-            num_x += 1
-            if sid in watch:
-                watch_hit = True
-        changed.add(sid)
-        for rid in affected[sid]:
-            dirty[rid] = True
-        if record:
-            trace_lists[sid].append((t, fv))
-            events.append(Event(t, names[sid], Value(fv), cause))
-
+    changed: list[int] = []  # signals changed during the current visit
     t = 0.0
 
-    def cancel_unstable() -> None:
+    def set_value(sid: int, fv: float, cause: str) -> None:
+        nonlocal watch_hit
+        if values[sid] == fv:
+            return
+        values[sid] = fv
+        changed.append(sid)
+        if fv == X and sid in watch:
+            watch_hit = True
+        if record:
+            events.append((t, sid, fv, cause))
+
+    def cancel_unstable(seen: int) -> int:
         # A rule whose pending action no longer has a solidly true guard is
         # mid-switching with a degraded drive: cancel the action and corrupt
         # the target.  Runs to a fixpoint after every batch of value changes,
         # so X generation does not depend on when the next event happens to
-        # be scheduled.
-        progress = True
-        while progress:
-            progress = False
-            for rid in sorted(pend):
-                if not dirty[rid]:
-                    continue
-                rule = rules[rid]
-                dirty[rid] = False
-                if rule.fn(values) != 1.0 and values[rule.target] != rule.bval:
-                    del pend[rid]
-                    set_value(rule.target, X, "unstable " + rule.label, t)
-                    progress = True
+        # be scheduled.  Only pending rules that read or drive a signal
+        # changed since the last fixpoint (changed[seen:]) can cancel.  They
+        # are checked in passes of ascending rule id; a cancellation dirties
+        # the pending rules of its target, a higher id for this pass, a lower
+        # one for the next.  Returns the new fixpoint mark.
+        nonlocal pend_mask
+        dirty = 0
+        for sid in changed[seen:]:
+            dirty |= affected[sid]
+        todo = dirty & pend_mask  # this pass, as a bitmask over rule ids
+        later = 0  # the next pass
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            rid = bit.bit_length() - 1
+            tgt = targets[rid]
+            if fns[rid](values) != 1.0 and values[tgt] != bvals[rid]:
+                del pend[rid]
+                pend_mask ^= bit
+                if values[tgt] != X:
+                    set_value(tgt, X, "unstable " + labels[rid])
+                    dirty = affected[tgt] & pend_mask
+                    todo |= dirty & -(bit << 1)
+                    later |= dirty & (bit - 1)
+            if not todo:
+                todo, later = later, 0
+        return len(changed)
 
     first_visit = seed is None
 
     while True:
-        if first_visit:
-            t = 0.0
-            if t >= horizon:
-                break
-        else:
-            if not heap:
-                break
-            t = heap[0][0]
-            if t >= horizon:
-                break
+        if not first_visit:
+            t = heap[0][0] if heap else _INF
+            if t_in < t:
+                t = t_in
+            if t_ext < t:
+                t = t_ext
+        if t >= horizon:
+            break
 
-        # drain the batch at time t
+        # drain the actions due at t
         due_bool: list[int] = []
         due_x: list[int] = []
-        due_ext: list[int] = []
-        due_in: list[int] = []
         while heap and heap[0][0] == t:
             _, tag, key = heapq.heappop(heap)
             if tag == _BOOL:
-                if pend.get(key) == t:
-                    due_bool.append(key)
-            elif tag == _XACT:
-                if pend_x.get(key) == t:
-                    due_x.append(key)
-            elif tag == _EXT:
-                due_ext.append(key)
+                due_bool.append(key)
             else:
-                due_in.append(key)
+                due_x.append(key)
+        changed.clear()
+        seen = 0
 
-        changed = set()
+        # step 1: input-trace transitions at t, in signal order
+        while t_in == t:
+            _, sid, fv = ins[k_in]
+            set_value(sid, fv, "in")
+            k_in += 1
+            t_in = ins[k_in][0] if k_in < n_in else _INF
 
-        # step 1: input-trace transitions at t
-        for sid in sorted(due_in):
-            set_value(sid, in_by_key[(t, sid)], "in", t)
+        # step 2: unstable guards
+        if len(changed) > seen:
+            seen = cancel_unstable(seen)
 
-        # step 2: unstable guards (a no-op unless inputs just changed, since
-        # every earlier batch ran the same check)
-        cancel_unstable()
-
-        # step 3a: apply actions due at t (Boolean first, then X)
-        for rid in sorted(due_bool, key=lambda r: (rules[r].target, r)):
-            rule = rules[rid]
-            if pend.get(rid) == t:
-                del pend[rid]
-                set_value(rule.target, rule.bval, rule.label, t)
-        for sid in sorted(due_x):
-            if pend_x.get(sid) == t:
-                del pend_x[sid]
-                set_value(sid, X, "xprop", t)
-        cancel_unstable()
+        # step 3a: apply actions due at t (Boolean first, in target order,
+        # then X); a stale heap entry no longer matches its due time
+        if due_bool:
+            due_bool.sort()
+            for rid in due_bool:
+                if pend.get(rid) == t:
+                    del pend[rid]
+                    pend_mask ^= 1 << rid
+                    set_value(targets[rid], bvals[rid], labels[rid])
+        if due_x:
+            due_x.sort()
+            for sid in due_x:
+                if pend_x.get(sid) == t:
+                    del pend_x[sid]
+                    set_value(sid, X, "xprop")
+        if len(changed) > seen:
+            seen = cancel_unstable(seen)
 
         # step 3b: external events at t
-        for sid in sorted(due_ext):
-            set_value(sid, ext_by_key[(t, sid)], "ext", t)
-            ext_remaining -= 1
-        cancel_unstable()
+        while t_ext == t:
+            _, sid, fv = exts[k_ext]
+            set_value(sid, fv, "ext")
+            k_ext += 1
+            t_ext = exts[k_ext][0] if k_ext < n_ext else _INF
+        if len(changed) > seen:
+            seen = cancel_unstable(seen)
 
-        # step 4: schedule on fresh guard edges; propagate X
+        # step 4: re-evaluate the guards that read a changed signal; a fresh
+        # edge to 1 schedules the rule's action, a fresh X an X on its target
         if first_visit:
-            touched = range(len(rules))
             first_visit = False
+            touched = range(len(fns))
         else:
-            touched_set = set()
-            for sid in changed:
-                touched_set.update(affected[sid])
-            touched = sorted(touched_set)
+            touched = set().union(*[fan[sid] for sid in changed])
         for rid in touched:
-            rule = rules[rid]
-            g = rule.fn(values)
-            bit = 1 << rid
+            g = fns[rid](values)
+            if g == gv[rid]:
+                continue
+            gv[rid] = g
             if g == 1.0:
-                if not done & bit:
-                    done |= bit
-                    if values[rule.target] != rule.bval and rid not in pend:
-                        due = t + rule.delay
-                        pend[rid] = due
-                        dirty[rid] = False
-                        heapq.heappush(heap, (due, _BOOL, rid))
-            else:
-                done &= ~bit
-                if g == X:
-                    tgt = rule.target
-                    if values[tgt] != rule.bval and values[tgt] != X and tgt not in pend_x:
-                        due = t + epsilon
-                        pend_x[tgt] = due
-                        heapq.heappush(heap, (due, _XACT, tgt))
+                if values[targets[rid]] != bvals[rid] and rid not in pend:
+                    due = t + delays[rid]
+                    pend[rid] = due
+                    pend_mask |= 1 << rid
+                    heapq.heappush(heap, (due, _BOOL, rid))
+            elif g == X:
+                tgt = targets[rid]
+                cur = values[tgt]
+                if cur != bvals[rid] and cur != X and tgt not in pend_x:
+                    due = t + epsilon
+                    pend_x[tgt] = due
+                    heapq.heappush(heap, (due, _XACT, tgt))
+        # a changed target under a guard that stayed at X: propagate X
+        for sid in changed:
+            cur = values[sid]
+            if cur == X or sid in pend_x:
+                continue
+            for rid in own[sid]:
+                if gv[rid] == X and cur != bvals[rid]:
+                    due = t + epsilon
+                    pend_x[sid] = due
+                    heapq.heappush(heap, (due, _XACT, sid))
+                    break
 
         if stop_on_watch and watch_hit:
             break
 
         if keep_snapshots:
-            run.visit_times.append(t)
-            run.snapshots.append(
-                _Seed(t, tuple(values), tuple(sorted(pend.items())), tuple(sorted(pend_x.items())), done)
-            )
+            visit_times.append(t)
+            snapshots.append(_Seed(t, values[:], pend.copy(), pend_x.copy()))
 
-        # early convergence exit for probes: no X live or pending, externals
-        # consumed, and state equal to the fault-free run at this time
+        # early convergence exit for probes: externals consumed, no X live
+        # or pending, and state equal to the fault-free run at this time
         if (
             base is not None
-            and ext_remaining == 0
-            and num_x == 0
+            and k_ext == n_ext
             and not pend_x
-            and t >= ext_last
-            and base.matches(t, values, pend, pend_x, done)
+            and X not in values
+            and base.matches(t, values, pend, pend_x)
         ):
             break
 
     run.values = values
+    run.gv = gv
     run.watch_hit = watch_hit
     return run
 
@@ -536,8 +575,15 @@ def execute(
 
 
 def _build_execution(comp: _Compiled, run: _Run, horizon: float) -> Execution:
-    traces = {}
-    for sid, name in enumerate(comp.names):
-        transitions = tuple((t, Value(fv)) for t, fv in run.trace_lists[sid])
-        traces[name] = SignalTrace(Value(run.initial_values[sid]), transitions, horizon)
-    return Execution(traces, tuple(run.events), horizon)
+    names = comp.names
+    transitions: list[list] = [[] for _ in names]
+    events = []
+    for t, sid, fv, cause in run.events:
+        value = _VALUES[fv]
+        transitions[sid].append((t, value))
+        events.append(Event(t, names[sid], value, cause))
+    traces = {
+        name: SignalTrace(_VALUES[run.initial_values[sid]], tuple(transitions[sid]), horizon)
+        for sid, name in enumerate(names)
+    }
+    return Execution(traces, tuple(events), horizon)

@@ -1,0 +1,90 @@
+"""Invariants the incremental kernel relies on: rule numbering, the guard
+value cache, and compiled guards against the Kleene reference."""
+
+import random
+
+from hypothesis import given, strategies as st
+
+from faultscope import And, Circuit, Not, Or, ProductionRule, SignalRef, Value, eval_guard
+from faultscope.sim import _compiled, _kernel, _prepare_inputs
+from util import random_circuit, random_input_traces
+
+
+def _fresh_guards(circuit, comp, values):
+    """Every rule's guard by the reference evaluator, in rule id order."""
+    env = {name: Value(values[i]) for i, name in enumerate(comp.names)}
+    rule = {(r.target, float(r.value)): r for r in circuit.rules}
+    return [
+        eval_guard(rule[(comp.names[tgt], bval)].guard, env).value
+        for tgt, bval in zip(comp.targets, comp.bvals)
+    ]
+
+
+def test_rule_ids_ascend_with_target():
+    """Rule id order is (target, up-rule first) order, so sorting due rule
+    ids sorts them by target; each guard has its own profiler file name."""
+    rng = random.Random(30)
+    for _ in range(50):
+        comp = _compiled(random_circuit(rng, max_driven=8))
+        keys = [(tgt, -bval) for tgt, bval in zip(comp.targets, comp.bvals)]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+        for rid, fn in enumerate(comp.fns):
+            label = comp.names[comp.targets[rid]] + ("+" if comp.bvals[rid] else "-")
+            assert comp.labels[rid] == label
+            assert fn.__code__.co_filename == f"<guard {label}>"
+
+
+def test_guard_cache_matches_fresh_guards_at_every_visit():
+    """At the end of every visit of a base run with a pulse, the kernel's
+    cached guard values equal the guards evaluated afresh, for the run from
+    t=0 and for a run resumed from an earlier snapshot."""
+    rng = random.Random(31)
+    for _ in range(40):
+        circuit = random_circuit(rng, max_driven=8)
+        T = 30.0
+        comp = _compiled(circuit)
+        in_initial, in_transitions = _prepare_inputs(comp, random_input_traces(rng, circuit, T, allow_x=True), T)
+        sid, at = rng.randrange(comp.n), rng.uniform(0.0, T - 1.0)
+        pulse = [(at, sid, 0.5), (at + 0.3, sid, rng.choice((0.0, 1.0)))]
+        base = _kernel(comp, in_transitions, in_initial, T, 0.1, pulse, keep_snapshots=True)
+        ends = base.visit_times[1:] + [T]
+        for i, (snap, end) in enumerate(zip(base.snapshots, ends)):
+            # cut just after visit i
+            cut = _kernel(comp, in_transitions, in_initial, end, 0.1, pulse)
+            assert cut.values == snap.values
+            assert cut.gv == _fresh_guards(circuit, comp, cut.values)
+            seed = base.snapshots[rng.randrange(i + 1)]
+            resumed = _kernel(comp, in_transitions, in_initial, end, 0.1, pulse, seed=seed)
+            assert resumed.values == snap.values
+            assert resumed.gv == cut.gv
+
+
+NAMES = ("a", "b", "c", "d")
+
+
+def wide_guards():
+    leaf = st.sampled_from(NAMES).map(SignalRef)
+    return st.recursive(
+        leaf,
+        lambda sub: st.one_of(
+            sub.map(Not),
+            st.lists(sub, min_size=2, max_size=4).map(lambda cs: And(*cs)),
+            st.lists(sub, min_size=2, max_size=4).map(lambda cs: Or(*cs)),
+        ),
+        max_leaves=10,
+    )
+
+
+@given(wide_guards(), st.fixed_dictionaries({n: st.sampled_from(list(Value)) for n in NAMES}))
+def test_compiled_guard_matches_kleene(guard, env):
+    circuit = Circuit(
+        inputs=NAMES,
+        locals=(),
+        outputs={"o"},
+        initial={"o": Value.ZERO},
+        rules=[ProductionRule(guard, "o", 1, 1.0)],
+    )
+    comp = _compiled(circuit)
+    values = [env[name].value if name in env else 0.0 for name in comp.names]
+    assert comp.fns[0](values) == eval_guard(guard, env).value

@@ -5,8 +5,9 @@ import dataclasses
 import random
 import warnings
 
-from faultscope import ExternalEvent, SimConfig, Value, count_events, execute, trace_value_at
+from faultscope import ExternalEvent, SimConfig, Value, count_events, execute, make_trace, trace_value_at
 from faultscope.analysis import _ProbeContext, make_transient
+from faultscope.sim import _kernel
 from util import monitored_for, random_circuit, random_input_traces
 
 N_QUICK = 30
@@ -132,5 +133,38 @@ def test_probe_engine_seeding_matches_full_runs():
             monitored = monitored_for(rng, circuit)
             ctx = _ProbeContext(circuit, inputs, cfg, monitored)
             for at in (cfg.horizon * 0.55, cfg.horizon * 0.9):
+                signal = rng.choice(sorted(circuit.signals))
+                assert ctx.probe(signal, at, 0.1) == _full_run_verdict(ctx, inputs, signal, at, 0.1)
+
+
+def test_probe_engine_seeding_long_input_trace():
+    """A resumed run starts at the first input transition after its
+    snapshot: with hundreds of input transitions, a run resumed from a late
+    snapshot records the base run's suffix, and verdicts at late fault times
+    equal full-run verdicts."""
+    rng = random.Random(17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(6):
+            circuit = random_circuit(rng, n_inputs=2)
+            T = 150.0
+            inputs = {}
+            for name in sorted(circuit.inputs):
+                initial = value = rng.choice((Value.ZERO, Value.ONE))
+                t, steps = 0.0, []
+                while (t := t + rng.randrange(4, 12) / 16.0) < T:
+                    value = Value.ONE if value is Value.ZERO else Value.ZERO
+                    steps.append((t, value))
+                assert len(steps) >= 200
+                inputs[name] = make_trace(initial, steps, horizon=float("inf"))
+            cfg = SimConfig(T, 0.1)
+            monitored = monitored_for(rng, circuit)
+            ctx = _ProbeContext(circuit, inputs, cfg, monitored)
+            for seed in (ctx.snapshots[len(ctx.snapshots) // 2], ctx.snapshots[-2]):
+                resumed = _kernel(
+                    ctx.comp, ctx.in_transitions, ctx.in_initial, ctx.t_end, 0.1, (), record=True, seed=seed
+                )
+                assert resumed.events == [ev for ev in ctx.base.events if ev[0] > seed.time]
+            for at in (T * 0.55, T * 0.9, rng.uniform(0.0, T - 0.2), rng.uniform(0.0, T - 0.2)):
                 signal = rng.choice(sorted(circuit.signals))
                 assert ctx.probe(signal, at, 0.1) == _full_run_verdict(ctx, inputs, signal, at, 0.1)
