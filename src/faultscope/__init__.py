@@ -40,7 +40,6 @@ from .analysis import (
     ValueRegion,
     analyze,
     analyze_naive,
-    bisect_region,
     check_region_equivalence,
     is_susceptible,
     make_transient,
@@ -56,7 +55,6 @@ __all__ = [
     "ValueRegion",
     "analyze",
     "analyze_naive",
-    "bisect_region",
     "check_region_equivalence",
     "is_susceptible",
     "make_transient",

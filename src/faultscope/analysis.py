@@ -1,17 +1,21 @@
 """Transient-fault injection and sensitivity analysis.
 
 A transient fault is an X-pulse: a pair of external events driving a signal to
-X and, a pulse width later, back to its fault-free value.  The circuit is
-susceptible to a fault if the fault makes a monitored signal attain X before
-T + settle, where T is the horizon and settle = |C|·max(ε, d_max) gives a
-fault near T time to cross the circuit.  Every verdict (``is_susceptible``,
-``analyze``, ``analyze_naive``) comes from ``_ProbeContext.probe``.
+X and, a pulse width later, back to its fault-free value (``_pulse_rule`` is
+the one rule for X- and flip-pulses).  The circuit is susceptible to a fault if the
+fault makes a monitored signal attain X before T + settle, where T is the
+horizon and settle = |C|·max(ε, d_max) gives a fault near T time to cross the
+circuit.  Every verdict (``is_susceptible``, ``analyze``, ``analyze_naive``)
+comes from ``_ProbeContext.probe``, and the context is the one view of the
+fault-free run: it is set up and checked as ``execute`` is, so the analyses
+reject what ``execute`` rejects.
 
 Susceptible times are located per value region of the fault-free execution
 (the interval between two consecutive value-switching times): within a region
-the susceptible times form a postfix, so one bisection per region finds the
-boundary to the stated resolution, far cheaper than scanning a time grid.
-The grid scan is kept as ``analyze_naive`` and doubles as the test oracle.
+the susceptible times form a postfix, so one bisection per region
+(``_locate_window``) finds the boundary to the resolution δ, far cheaper than
+scanning a time grid.  The grid scan is kept as ``analyze_naive`` and doubles
+as the test oracle.
 """
 
 from __future__ import annotations
@@ -25,16 +29,8 @@ from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
-from .prs import Circuit, InputTraces, Value, check_input_traces, trace_value_at
-from .sim import (
-    Execution,
-    ExternalEvent,
-    SimConfig,
-    _compiled,
-    _kernel,
-    _prepare_inputs,
-    execute,
-)
+from .prs import Circuit, InputTraces, Value, trace_value_at
+from .sim import X, Execution, ExternalEvent, SimConfig, _kernel, _setup_run, execute
 
 DEFAULT_EPSILON = 0.1
 DEFAULT_GAMMA = 0.1
@@ -78,7 +74,6 @@ class SensitivityWindow:
     signal: str
     start: float
     end: float
-    resolution: float
 
     @property
     def length(self) -> float:
@@ -104,6 +99,35 @@ class SensitivityReport:
 # --- fault construction -------------------------------------------------------
 
 
+def _x_pulse(signal: str, at: float, end: float, value_at, horizon: float) -> tuple[float, float]:
+    return X, value_at(min(end, horizon))
+
+
+def _flip_pulse(signal: str, at: float, end: float, value_at, horizon: float) -> tuple[float, float]:
+    v = value_at(at)
+    if v == X:
+        raise ValueError(f"flip-pulse at {signal}@{at}: pre-fault value is X, nothing to flip")
+    return 1.0 - v, v
+
+
+def _pulse_rule(kind: str):
+    """The rule of a pulse kind: ``rule(signal, at, end, value_at, horizon)``
+    gives the drive and restore values of a pulse on the signal from ``at``
+    to ``end``, as kernel floats, where ``value_at(t)`` is the fault-free
+    value at t.
+
+    An X-pulse drives the signal to X and restores the value the fault-free
+    execution holds when the pulse ends (at the horizon if it ends later), so
+    outside the pulse the overlay tracks the fault-free trace even across a
+    switching time.  A flip-pulse drives the complement of the fault-free
+    value at the pulse start and restores that value afterwards.
+    """
+    rule = {X_PULSE: _x_pulse, FLIP_PULSE: _flip_pulse}.get(kind)
+    if rule is None:
+        raise ValueError(f"unknown pulse kind {kind!r}")
+    return rule
+
+
 def make_transient(
     signal: str,
     at: float,
@@ -111,30 +135,17 @@ def make_transient(
     kind: str,
     base_execution: Execution,
 ) -> tuple[ExternalEvent, ExternalEvent]:
-    """Two external events forming a pulse at the signal.
-
-    An X-pulse drives the signal to X and restores the value the fault-free
-    execution holds when the pulse ends, so outside the pulse the overlay
-    tracks the fault-free trace even across a switching time.  A flip-pulse
-    drives the complement of the fault-free value at the pulse start and
-    restores that value afterwards.
-    """
+    """Two external events forming a pulse at the signal, by the rule of the
+    pulse kind (``_pulse_rule``) on the fault-free execution's trace."""
     if at < 0:
         raise ValueError(f"pulse start must be nonnegative, got {at}")
     if width <= 0:
         raise ValueError(f"pulse width must be positive, got {width}")
     trace = base_execution.traces[signal]
     end = at + width
-    if kind == X_PULSE:
-        restore = trace_value_at(trace, min(end, trace.horizon))
-        return (ExternalEvent(at, signal, Value.X), ExternalEvent(end, signal, restore))
-    if kind == FLIP_PULSE:
-        v = trace_value_at(trace, at)
-        if not v.is_boolean:
-            raise ValueError(f"flip-pulse at {signal}@{at}: pre-fault value is X, nothing to flip")
-        flipped = Value.ONE if v is Value.ZERO else Value.ZERO
-        return (ExternalEvent(at, signal, flipped), ExternalEvent(end, signal, v))
-    raise ValueError(f"unknown pulse kind {kind!r}")
+    rule = _pulse_rule(kind)
+    drive, restore = rule(signal, at, end, lambda t: trace_value_at(trace, t).value, trace.horizon)
+    return (ExternalEvent(at, signal, Value(drive)), ExternalEvent(end, signal, Value(restore)))
 
 
 def is_susceptible(
@@ -195,23 +206,27 @@ def _regions_from_times(times: Iterable[float], horizon: float) -> list[ValueReg
 
 def _settle(circuit: Circuit, config: SimConfig) -> float:
     """How long past the horizon a probe runs: |C|·max(ε, d_max)."""
-    return circuit.size * max(config.epsilon, circuit.d_max)
+    return circuit.size * max([config.epsilon, *(r.delay for r in circuit.rules)])
 
 
 # The benchmark in bench/ wraps _ProbeContext.probe(signal, at, width) and
 # reads its positional arguments, wraps _ProbeContext.matches, the module
-# global _kernel, analyze, is_susceptible, value_regions, cli._GENERATORS and
-# cli.main, and counts PostfixViolationWarning: keep these names and call
-# shapes.
+# global _kernel (it tells probes by their record=False keyword), analyze,
+# is_susceptible and value_regions, counts PostfixViolationWarning, and
+# outside this module wraps sim.execute, cli._GENERATORS, cli.main and the
+# public generators, netlist, prs and waveform functions it runs: keep these
+# names and call shapes.
 class _ProbeContext:
-    """Shared state for fault probes against one (circuit, inputs, config).
+    """The fault layer's one view of the fault-free run of one (circuit,
+    inputs, config).
 
-    Runs the fault-free execution to T + settle once, keeping per-visit state
-    snapshots.  A probe then resumes from the snapshot preceding the pulse
-    and stops as soon as a monitored signal attains X (susceptible) or the
-    state re-converges to the fault-free run with no X left in flight
-    (masked).  Verdicts are identical to re-running the full execution to
-    T + settle with the pulse overlaid.
+    Runs the fault-free execution to T + settle once, with the checks and
+    input preparation of ``execute``, keeping a state snapshot per visit;
+    fault-free values are read from these snapshots.  A probe then resumes
+    from the snapshot preceding the pulse and stops as soon as a monitored
+    signal attains X (susceptible) or the state re-converges to the
+    fault-free run with no X left in flight (masked).  Verdicts are identical
+    to re-running the full execution to T + settle with the pulse overlaid.
     """
 
     def __init__(
@@ -227,21 +242,17 @@ class _ProbeContext:
         self.monitored = sorted(monitored)
         if not self.monitored:
             raise ValueError("monitored set must not be empty")
-        if fault_kind not in (X_PULSE, FLIP_PULSE):
-            raise ValueError(f"unknown pulse kind {fault_kind!r}")
         self.fault_kind = fault_kind
-        comp = _compiled(circuit)
+        self.pulse_rule = _pulse_rule(fault_kind)
+        self.settle = _settle(circuit, config)
+        self.t_end = config.horizon + self.settle
+        comp, self.in_initial, self.in_transitions = _setup_run(circuit, inputs, config, self.t_end)
         self.comp = comp
         unknown = [m for m in self.monitored if m not in comp.idx]
         if unknown:
             raise ValueError(f"monitored signals not in circuit: {', '.join(unknown)}")
-        self.settle = _settle(circuit, config)
-        self.t_end = config.horizon + self.settle
 
-        inputs = dict(inputs or {})
-        check_input_traces(circuit, inputs, config.horizon)
-        self.in_initial, self.in_transitions = _prepare_inputs(comp, inputs, self.t_end)
-        base = _kernel(
+        base = self.base = _kernel(
             comp,
             self.in_transitions,
             self.in_initial,
@@ -251,50 +262,40 @@ class _ProbeContext:
             record=True,
             keep_snapshots=True,
         )
-        self.base = base
         self.visit_times = base.visit_times
         self.snapshots = base.snapshots
         self.mon_ids = frozenset(comp.idx[m] for m in self.monitored)
-
-        # per-signal transition lists for O(log n) value lookups
-        self._times = [[] for _ in range(comp.n)]
-        self._vals = [[] for _ in range(comp.n)]
-        for t, sid, fv, _ in base.events:
-            self._times[sid].append(t)
-            self._vals[sid].append(fv)
-        self.base_mon_x = any(
-            base.initial_values[sid] == 0.5 or 0.5 in self._vals[sid] for sid in self.mon_ids
+        self.base_mon_x = any(base.initial_values[sid] == X for sid in self.mon_ids) or any(
+            fv == X and sid in self.mon_ids for _, sid, fv, _ in base.events
         )
         self.regions = _regions_from_times((ev[0] for ev in base.events), config.horizon)
         self.simulations = 0
 
-    def base_value(self, sid: int, t: float) -> float:
-        i = _bisect_mod.bisect_right(self._times[sid], t)
-        return self._vals[sid][i - 1] if i else self.base.initial_values[sid]
+    def _snapshot(self, t: float):
+        """Snapshot of the last fault-free visit at or before t, or None."""
+        i = _bisect_mod.bisect_right(self.visit_times, t) - 1
+        return self.snapshots[i] if i >= 0 else None
 
     def matches(self, t: float, values, pend, pend_x) -> bool:
-        i = _bisect_mod.bisect_right(self.visit_times, t) - 1
-        if i < 0:
-            return False
-        snap = self.snapshots[i]
-        return snap.pend == pend and snap.pend_x == pend_x and snap.values == values
+        snap = self._snapshot(t)
+        return snap is not None and snap.pend == pend and snap.pend_x == pend_x and snap.values == values
 
     def pulse_events(self, sid: int, at: float, width: float):
+        def value_at(t):
+            snap = self._snapshot(t)
+            return snap.values[sid] if snap is not None else self.base.initial_values[sid]
+
         end = at + width
-        if self.fault_kind == X_PULSE:
-            return ((at, sid, 0.5), (end, sid, self.base_value(sid, min(end, self.t_end))))
-        v = self.base_value(sid, at)
-        if v == 0.5:
-            raise ValueError("flip-pulse where the fault-free value is X")
-        return ((at, sid, 1.0 - v), (end, sid, v))
+        drive, restore = self.pulse_rule(self.comp.names[sid], at, end, value_at, self.t_end)
+        return ((at, sid, drive), (end, sid, restore))
 
     def probe(self, signal: str, at: float, width: float) -> bool:
         """Susceptibility verdict for one pulse; counts one simulation."""
         self.simulations += 1
-        if self.base_mon_x:
-            return True
         sid = self.comp.idx[signal]
         events = self.pulse_events(sid, at, width)
+        if self.base_mon_x:
+            return True
         i = _bisect_mod.bisect_left(self.visit_times, at) - 1
         seed = self.snapshots[i] if i >= 0 else None
         run = _kernel(
@@ -306,7 +307,6 @@ class _ProbeContext:
             events,
             record=False,
             watch=self.mon_ids,
-            stop_on_watch=True,
             seed=seed,
             base=self,
         )
@@ -347,33 +347,6 @@ def _locate_window(ctx: _ProbeContext, signal: str, region: ValueRegion, gamma: 
     return (hi, r1) if hi_sus else (r0, hi)
 
 
-def bisect_region(
-    circuit: Circuit,
-    inputs: InputTraces,
-    monitored: Iterable[str],
-    signal: str,
-    region: ValueRegion,
-    gamma: float,
-    delta: float,
-    config: SimConfig,
-    ctx: _ProbeContext | None = None,
-) -> float:
-    """Boundary between masked times (left) and susceptible times (right)
-    within the region, located to resolution delta.
-
-    Probes are X-pulses of width gamma, clamped to end at the region boundary.
-    If both endpoint probes classify identically no interior probe is run and
-    the boundary is the region start (all susceptible) or end (none).  A
-    susceptible prefix is summarized as the closest postfix: the whole region.
-    """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if ctx is None:
-        ctx = _ProbeContext(circuit, inputs, config, monitored)
-    start, end = _locate_window(ctx, signal, region, gamma, delta)
-    return start if start < end else region.end
-
-
 def _windows_for_signal(
     ctx: _ProbeContext, signal: str, gamma: float, delta: float
 ) -> list[SensitivityWindow]:
@@ -381,7 +354,7 @@ def _windows_for_signal(
     for region in ctx.regions:
         start, end = _locate_window(ctx, signal, region, gamma, delta)
         if start < end:
-            out.append(SensitivityWindow(signal, start, end, delta))
+            out.append(SensitivityWindow(signal, start, end))
     return out
 
 
@@ -407,6 +380,12 @@ def _worker_windows(signal: str, gamma: float, delta: float):
 
 
 # --- full analyses ----------------------------------------------------------------
+
+
+def _require_positive(**params: float) -> None:
+    for name, value in params.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _resolve_injection(circuit, monitored, injection_set, include_monitored):
@@ -476,8 +455,10 @@ def analyze(
     definition (the pulse itself drives it to X), so it contributes a full
     window without probing.  With ``jobs > 1`` the signals are bisected on a
     process pool, one signal per task and one probe context per worker; the
-    report is the same.
+    report is the same.  Rejects the configurations ``execute`` rejects, and
+    gamma <= 0 or delta <= 0.
     """
+    _require_positive(gamma=gamma, delta=delta)
     monitored = sorted(monitored)
     injected = _resolve_injection(circuit, monitored, injection_set, include_monitored)
     probed = [s for s in injected if s not in monitored]
@@ -493,7 +474,7 @@ def analyze(
         found = {s: _windows_for_signal(ctx, s, gamma, delta) for s in probed}
         simulations = ctx.simulations
     T = config.horizon
-    per_signal = {s: [SensitivityWindow(s, 0.0, T, delta)] if s in monitored else found[s] for s in injected}
+    per_signal = {s: [SensitivityWindow(s, 0.0, T)] if s in monitored else found[s] for s in injected}
     settle = _settle(circuit, config)
     return _report(per_signal, monitored, config, settle, gamma, delta, fault_kind, simulations)
 
@@ -511,8 +492,7 @@ def analyze_naive(
 ) -> SensitivityReport:
     """Grid-scan reference: one pulse at every multiple of the step, for every
     injection signal.  Exactly |injected| * ceil(T/step) simulations."""
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    _require_positive(gamma=gamma, step=step)
     monitored = sorted(monitored)
     injected = _resolve_injection(circuit, monitored, injection_set, include_monitored)
     ctx = _ProbeContext(circuit, inputs, config, monitored, fault_kind=fault_kind)
@@ -528,10 +508,10 @@ def analyze_naive(
             if sus and start is None:
                 start = t
             if not sus and start is not None:
-                sig_windows.append(SensitivityWindow(s, start, k * step, step))
+                sig_windows.append(SensitivityWindow(s, start, k * step))
                 start = None
         if start is not None:
-            sig_windows.append(SensitivityWindow(s, start, T, step))
+            sig_windows.append(SensitivityWindow(s, start, T))
     return _report(per_signal, monitored, config, ctx.settle, gamma, step, fault_kind, ctx.simulations)
 
 

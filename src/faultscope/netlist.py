@@ -31,6 +31,7 @@ from .prs import (
     Not,
     Or,
     ProductionRule,
+    SIGNAL_NAME_RE,
     SignalRef,
     SignalTrace,
     Value,
@@ -38,7 +39,6 @@ from .prs import (
     validate_circuit,
 )
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
 NUMBER_RE = re.compile(r"(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?\Z")
 
 
@@ -68,7 +68,6 @@ class NetlistDocument:
     inits: dict = field(default_factory=dict)
     rules: list[ProductionRule] = field(default_factory=list)
     monitored: list[str] = field(default_factory=list)
-    spans: dict = field(default_factory=dict)  # element key -> line number
 
     def to_circuit(self) -> Circuit:
         return Circuit(
@@ -136,7 +135,7 @@ class _ExprParser:
             self.expect(")")
             return inner
         self.take()
-        if not IDENT_RE.match(tok):
+        if not SIGNAL_NAME_RE.match(tok):
             raise NetlistError(f"expected signal name, got {tok!r}", self.line)
         return SignalRef(tok)
 
@@ -148,7 +147,7 @@ def _tokens(text: str, line: int) -> list[str]:
     out = []
     for m in _TOKEN_RE.finditer(text):
         tok = m.group(0)
-        if tok not in ("->", "!", "&", "|", "(", ")", "=", "[", "]") and not IDENT_RE.match(tok) and not NUMBER_RE.match(tok):
+        if tok not in ("->", "!", "&", "|", "(", ")", "=", "[", "]") and not SIGNAL_NAME_RE.match(tok) and not NUMBER_RE.match(tok):
             raise NetlistError(f"stray character {tok!r}", line, m.start() + 1)
         out.append(tok)
     return out
@@ -166,10 +165,10 @@ def parse_netlist(text: str) -> NetlistDocument:
         if doc is None:
             if head != "circuit" or len(words) != 2:
                 raise NetlistError("netlist must start with 'circuit <name>'", lineno)
-            if not IDENT_RE.match(words[1]):
+            if not SIGNAL_NAME_RE.match(words[1]):
                 raise NetlistError(f"bad circuit name {words[1]!r}", lineno)
             doc = NetlistDocument(name=words[1])
-            doc.spans["circuit"] = lineno
+            circuit_line = lineno
             continue
         if head in ("inputs", "locals", "outputs", "monitor"):
             if head in seen_sections:
@@ -177,25 +176,23 @@ def parse_netlist(text: str) -> NetlistDocument:
             seen_sections.add(head)
             names = words[1:]
             for n in names:
-                if not IDENT_RE.match(n):
+                if not SIGNAL_NAME_RE.match(n):
                     raise NetlistError(f"bad signal name {n!r}", lineno)
             if head == "monitor":
                 doc.monitored = names
             else:
                 setattr(doc, head, names)
-            doc.spans[head] = lineno
         elif head == "init":
             if len(words) != 4 or words[2] != "=":
                 raise NetlistError("expected 'init <signal> = 0|1|X'", lineno)
             name, value = words[1], words[3]
-            if not IDENT_RE.match(name):
+            if not SIGNAL_NAME_RE.match(name):
                 raise NetlistError(f"bad signal name {name!r}", lineno)
             if value not in ("0", "1", "X"):
                 raise NetlistError(f"bad initial value {value!r} (expected 0, 1 or X)", lineno)
             if name in doc.inits:
                 raise NetlistError(f"duplicate init for {name!r}", lineno)
             doc.inits[name] = Value.from_text(value)
-            doc.spans[("init", name)] = lineno
         elif head == "rule":
             toks = _tokens(line[len("rule"):], lineno)
             try:
@@ -207,7 +204,7 @@ def parse_netlist(text: str) -> NetlistDocument:
             if len(rest) != 6 or rest[1] != "=" or rest[3] != "[" or rest[5] != "]":
                 raise NetlistError("expected '<target> = 0|1 [<delay>]' after '->'", lineno)
             target, bit, delay_tok = rest[0], rest[2], rest[4]
-            if not IDENT_RE.match(target):
+            if not SIGNAL_NAME_RE.match(target):
                 raise NetlistError(f"bad target name {target!r}", lineno)
             if bit not in ("0", "1"):
                 raise NetlistError(f"rule action must be 0 or 1, got {bit!r}", lineno)
@@ -218,13 +215,12 @@ def parse_netlist(text: str) -> NetlistDocument:
                 raise NetlistError(f"delay must be positive, got {delay_tok}", lineno)
             rule = ProductionRule(guard, target, int(bit), delay)
             doc.rules.append(rule)
-            doc.spans[("rule", len(doc.rules) - 1)] = lineno
         else:
             raise NetlistError(f"unknown declaration {head!r}", lineno)
     if doc is None:
         raise NetlistError("empty netlist", 1)
     if not doc.outputs:
-        raise NetlistError("netlist declares no outputs", doc.spans.get("circuit", 1))
+        raise NetlistError("netlist declares no outputs", circuit_line)
     return doc
 
 
@@ -259,7 +255,7 @@ def serialize_circuit(circuit: Circuit, monitored=()) -> str:
     out.append("outputs " + " ".join(sorted(circuit.outputs)))
     for name in sorted(circuit.initial):
         out.append(f"init {name} = {circuit.initial[name]}")
-    for rule in sorted(circuit.rules, key=lambda r: (r.target, -r.value)):
+    for rule in circuit.rules:
         out.append(f"rule {rule.guard} -> {rule.target} = {rule.value} [{_fmt_num(rule.delay)}]")
     if monitored:
         out.append("monitor " + " ".join(sorted(monitored)))
@@ -281,7 +277,7 @@ def parse_traces(text: str) -> dict[str, SignalTrace]:
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'signal,time,value', got {row!r}")
         name, time_s, value_s = parts
-        if not IDENT_RE.match(name):
+        if not SIGNAL_NAME_RE.match(name):
             raise ValueError(f"line {lineno}: bad signal name {name!r}")
         try:
             t = float(time_s)
@@ -345,9 +341,7 @@ def write_report(report: SensitivityReport) -> str:
 def read_report(text: str) -> SensitivityReport:
     obj = json.loads(text)
     cfg = obj["config"]
-    windows = tuple(
-        SensitivityWindow(w["signal"], w["start"], w["end"], cfg["delta"]) for w in obj["windows"]
-    )
+    windows = tuple(SensitivityWindow(w["signal"], w["start"], w["end"]) for w in obj["windows"])
     return SensitivityReport(
         horizon=cfg["T"],
         epsilon=cfg["epsilon"],

@@ -317,10 +317,6 @@ class SignalTrace:
     def value_at(self, t: float) -> Value:
         return trace_value_at(self, t)
 
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.transitions)
-
 
 def make_trace(initial: Value, transitions=(), horizon: float = float("inf")) -> SignalTrace:
     """Build a trace, checking monotone times and real value changes."""

@@ -94,9 +94,6 @@ class Execution:
     events: tuple[Event, ...]
     horizon: float
 
-    def trace(self, signal: str) -> SignalTrace:
-        return self.traces[signal]
-
 
 def count_events(execution: Execution) -> int:
     """Total number of transitions across all signal traces."""
@@ -127,12 +124,12 @@ def _guard_source(expr, idx, temps) -> str:
 class _Compiled:
     """Index-based form of a circuit shared by all runs.
 
-    Rules are numbered in (target, up-rule first) order, so rule id order is
-    target order.  Per rule: guard function ``fns`` (compiled under the file
-    name ``<guard LABEL>`` so that profiles tell guards apart), target
-    signal id, action value, delay and label.  Per signal: ``fan``, the rules
-    whose guard reads it, ``own``, the rules that drive it, and ``affected``,
-    both as a bitmask over rule ids.
+    Rules are numbered in the circuit's canonical order (target, up-rule
+    first), so rule id order is target order.  Per rule: guard function
+    ``fns`` (compiled under the file name ``<guard LABEL>`` so that profiles
+    tell guards apart), target signal id, action value, delay and label.  Per
+    signal: ``fan``, the rules whose guard reads it, ``own``, the rules that
+    drive it, and ``affected``, both as a bitmask over rule ids.
     """
 
     __slots__ = (
@@ -162,7 +159,7 @@ class _Compiled:
         fns, targets, bvals, delays, labels = [], [], [], [], []
         fan: list[list[int]] = [[] for _ in range(self.n)]
         own: list[list[int]] = [[] for _ in range(self.n)]
-        for rid, rule in enumerate(sorted(circuit.rules, key=lambda r: (r.target, -r.value))):
+        for rid, rule in enumerate(circuit.rules):
             label = f"{rule.target}{'+' if rule.value else '-'}"
             source = f"lambda v: {_guard_source(rule.guard, idx, itertools.count())}"
             fns.append(eval(compile(source, f"<guard {label}>", "eval")))
@@ -242,23 +239,9 @@ class _Run:
 
     A recorded event is the tuple (time, signal id, value, cause)."""
 
-    __slots__ = (
-        "comp",
-        "horizon",
-        "epsilon",
-        "values",
-        "gv",
-        "initial_values",
-        "events",
-        "watch_hit",
-        "snapshots",
-        "visit_times",
-    )
+    __slots__ = ("values", "gv", "initial_values", "events", "watch_hit", "snapshots", "visit_times")
 
-    def __init__(self, comp, horizon, epsilon):
-        self.comp = comp
-        self.horizon = horizon
-        self.epsilon = epsilon
+    def __init__(self):
         self.values = None
         self.gv = None
         self.initial_values = None
@@ -277,7 +260,6 @@ def _kernel(
     externals: Sequence[tuple[float, int, float]],
     record: bool = True,
     watch: frozenset = frozenset(),
-    stop_on_watch: bool = False,
     keep_snapshots: bool = False,
     seed: _Seed | None = None,
     base=None,
@@ -285,15 +267,15 @@ def _kernel(
     """Run the five-step loop. Input transitions and externals are sorted
     (time, signal id, value) triples; times are exact floats.
 
-    ``watch`` signals flag the run as hit when they attain X; with
-    ``stop_on_watch`` the run returns at that point.  ``base`` enables the
+    The run stops as soon as a ``watch`` signal attains X and is flagged as
+    hit.  ``base`` enables the
     early convergence exit for fault probes: once no X is present or pending
     and the state matches the fault-free run at the same time, the suffix is
     known to be identical and the run stops.
     """
     fns, targets, bvals, delays, labels = comp.fns, comp.targets, comp.bvals, comp.delays, comp.labels
     fan, own, affected = comp.fan, comp.own, comp.affected
-    run = _Run(comp, horizon, epsilon)
+    run = _Run()
 
     if seed is None:
         values = list(comp.initial)
@@ -319,10 +301,10 @@ def _kernel(
         snapshots = run.snapshots = []
         visit_times = run.visit_times = []
 
-    watch_hit = any(values[i] == X for i in watch)
-    if stop_on_watch and watch_hit:
+    if any(values[i] == X for i in watch):
         run.values, run.gv, run.watch_hit = values, gv, True
         return run
+    watch_hit = False
 
     # inputs and externals are consumed in order, from the first after start
     ins = input_transitions
@@ -480,7 +462,7 @@ def _kernel(
                     heapq.heappush(heap, (due, _XACT, sid))
                     break
 
-        if stop_on_watch and watch_hit:
+        if watch_hit:
             break
 
         if keep_snapshots:
@@ -540,6 +522,22 @@ def _prepare_inputs(comp: _Compiled, inputs: InputTraces, horizon: float):
     return initial, transitions
 
 
+def _setup_run(circuit: Circuit, inputs: InputTraces | None, config: SimConfig, end: float):
+    """Compile the circuit, check 0 <= T and 0 < epsilon < d_min and that the
+    inputs cover T, and prepare the inputs up to ``end``.  Returns the
+    compiled circuit, the inputs' initial values and their transitions."""
+    comp = _compiled(circuit)
+    if config.horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {config.horizon}")
+    if not 0 < config.epsilon < comp.d_min:
+        raise ValueError(
+            f"epsilon must satisfy 0 < epsilon < d_min ({comp.d_min}), got {config.epsilon}"
+        )
+    inputs = inputs or {}
+    check_input_traces(circuit, inputs, config.horizon)
+    return (comp, *_prepare_inputs(comp, inputs, end))
+
+
 def execute(
     circuit: Circuit,
     inputs: InputTraces | None = None,
@@ -551,26 +549,9 @@ def execute(
     Identical arguments produce identical executions.  Extending the horizon
     only appends to the traces.
     """
-    comp = _compiled(circuit)
-    inputs = dict(inputs or {})
-    if config.horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {config.horizon}")
-    if not 0 < config.epsilon < comp.d_min:
-        raise ValueError(
-            f"epsilon must satisfy 0 < epsilon < d_min ({comp.d_min}), got {config.epsilon}"
-        )
-    check_input_traces(circuit, inputs, config.horizon)
-    in_initial, in_transitions = _prepare_inputs(comp, inputs, config.horizon)
+    comp, in_initial, in_transitions = _setup_run(circuit, inputs, config, config.horizon)
     exts = _prepare_externals(comp, externals, config.horizon)
-    run = _kernel(
-        comp,
-        in_transitions,
-        in_initial,
-        config.horizon,
-        config.epsilon,
-        exts,
-        record=True,
-    )
+    run = _kernel(comp, in_transitions, in_initial, config.horizon, config.epsilon, exts, record=True)
     return _build_execution(comp, run, config.horizon)
 
 

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from faultscope import Circuit, Not, ProductionRule, SignalRef, SimConfig, Value, execute, make_trace
+from faultscope import Circuit, CircuitInvalid, Not, ProductionRule, SignalRef, SimConfig, Value, execute, make_trace
 from faultscope.analysis import (
     Glitch,
     analyze,
@@ -193,3 +193,55 @@ def test_empty_monitored_rejected(pipeline):
     for jobs in (1, 2):
         with pytest.raises(ValueError):
             analyze(circuit, {}, frozenset(), 0.1, 0.01, CFG, jobs=jobs)
+
+
+# epsilon at or above d_min = 1, epsilon zero, a negative horizon
+@pytest.mark.parametrize(
+    "config", [SimConfig(32.0, 5.0), SimConfig(32.0, 0.0), SimConfig(-1.0, 0.1)], ids=["eps5", "eps0", "T-1"]
+)
+def test_analyses_reject_what_execute_rejects(pipeline, config):
+    circuit, monitored = pipeline
+    with pytest.raises(ValueError):
+        execute(circuit, {}, config)
+    with pytest.raises(ValueError):
+        analyze(circuit, {}, monitored, config=config)
+    with pytest.raises(ValueError):
+        analyze(circuit, {}, monitored, config=config, jobs=2)
+    with pytest.raises(ValueError):
+        analyze_naive(circuit, {}, monitored, config=config)
+    with pytest.raises(ValueError):
+        is_susceptible(circuit, {}, monitored, Glitch("c2", 0.0, 0.1), config)
+
+
+@pytest.mark.parametrize("kwargs", [{"gamma": 0.0}, {"gamma": -0.1}, {"gamma": math.nan}, {"delta": 0.0}, {"delta": -0.01}])
+def test_analyze_rejects_nonpositive_gamma_and_delta(pipeline, kwargs):
+    circuit, monitored = pipeline
+    with pytest.raises(ValueError, match="must be positive"):
+        analyze(circuit, {}, monitored, config=CFG, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"gamma": 0.0}, {"step": 0.0}])
+def test_naive_rejects_nonpositive_gamma_and_step(pipeline, kwargs):
+    circuit, monitored = pipeline
+    with pytest.raises(ValueError, match="must be positive"):
+        analyze_naive(circuit, {}, monitored, config=CFG, **kwargs)
+
+
+def test_invalid_circuit_without_rules_rejected_as_execute_does():
+    # no rules, so no d_max to size the settle window: the circuit check comes first
+    circuit = Circuit(inputs=(), locals=(), outputs={"o"}, initial={}, rules=())
+    with pytest.raises(CircuitInvalid):
+        execute(circuit, {}, CFG)
+    with pytest.raises(CircuitInvalid):
+        analyze(circuit, {}, {"o"}, config=CFG)
+
+
+def test_unknown_pulse_kind_rejected_without_probes(pipeline):
+    # at T=0, or with only monitored signals injected, no probe runs
+    circuit, monitored = pipeline
+    with pytest.raises(ValueError, match="unknown pulse kind"):
+        analyze(circuit, {}, monitored, config=SimConfig(0.0, 0.1), fault_kind="zap")
+    with pytest.raises(ValueError, match="unknown pulse kind"):
+        analyze(circuit, {}, monitored, config=CFG, injection_set=monitored, fault_kind="zap")
+    with pytest.raises(ValueError, match="unknown pulse kind"):
+        is_susceptible(circuit, {}, monitored, Glitch("c2", 10.0, 0.1, "zap"), CFG)

@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from faultscope import SimConfig
-from faultscope.analysis import _ProbeContext, ValueRegion, bisect_region, value_regions
+from faultscope.analysis import _ProbeContext, ValueRegion, _locate_window, analyze
 from faultscope.generators import PipelineSpec, linear_pipeline
 from util import monitored_for, random_circuit, random_input_traces
 
@@ -29,8 +29,7 @@ def test_fully_susceptible_region_two_probes(ctx):
     # [9, 13) for c2: both endpoint probes susceptible
     region = _region(ctx, 9.0)
     before = ctx.simulations
-    tau = bisect_region(None, None, None, "c2", region, GAMMA, DELTA, CFG, ctx=ctx)
-    assert tau == region.start
+    assert _locate_window(ctx, "c2", region, GAMMA, DELTA) == (region.start, region.end)
     assert ctx.simulations - before == 2
 
 
@@ -39,16 +38,15 @@ def test_fully_masked_region_two_probes(ctx):
     # its pull-down is blocked with the output already low
     region = _region(ctx, 0.0)
     before = ctx.simulations
-    tau = bisect_region(None, None, None, "en3", region, GAMMA, DELTA, CFG, ctx=ctx)
-    assert tau == region.end
+    assert _locate_window(ctx, "en3", region, GAMMA, DELTA) == (region.end, region.end)
     assert ctx.simulations - before == 2
 
 
 def test_region_shorter_than_pulse_single_probe(ctx):
     region = ValueRegion(9.0, 9.05, 99)
     before = ctx.simulations
-    tau = bisect_region(None, None, None, "c2", region, GAMMA, DELTA, CFG, ctx=ctx)
-    assert tau in (region.start, region.end)
+    window = _locate_window(ctx, "c2", region, GAMMA, DELTA)
+    assert window in ((region.start, region.end), (region.end, region.end))
     assert ctx.simulations - before == 1
 
 
@@ -58,7 +56,7 @@ def test_probe_budget_per_region(ctx):
             before = ctx.simulations
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                bisect_region(None, None, None, signal, region, GAMMA, DELTA, CFG, ctx=ctx)
+                _locate_window(ctx, signal, region, GAMMA, DELTA)
             used = ctx.simulations - before
             bound = 2 + max(0, math.ceil(math.log2(max(region.length, DELTA) / DELTA)))
             assert used <= bound
@@ -76,7 +74,8 @@ def test_mixed_region_matches_grid_scan():
     ctx = _ProbeContext(circuit, inputs, cfg, monitored)
     region = next(r for r in ctx.regions if r.start == 2.875)
     assert region.end == 4.9375
-    tau = bisect_region(None, None, None, "d0", region, GAMMA, DELTA, cfg, ctx=ctx)
+    tau, end = _locate_window(ctx, "d0", region, GAMMA, DELTA)
+    assert end == region.end
     grid_first_susceptible = 3.59  # frozen from the 0.005-step scan
     assert abs(tau - grid_first_susceptible) <= DELTA
     # probes left of the boundary are masked at twice the resolution
@@ -88,4 +87,4 @@ def test_mixed_region_matches_grid_scan():
 
 def test_delta_must_be_positive(ctx):
     with pytest.raises(ValueError):
-        bisect_region(None, None, None, "c2", ctx.regions[0], GAMMA, 0.0, CFG, ctx=ctx)
+        analyze(ctx.circuit, {}, ctx.monitored, GAMMA, 0.0, CFG)

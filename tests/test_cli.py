@@ -7,8 +7,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from faultscope import analysis
+from faultscope import SimConfig, analysis
 from faultscope.cli import main
+from faultscope.generators import PipelineSpec, linear_pipeline
 from faultscope.waveform import WAVE_H, X_FILL
 
 INVERTER = """\
@@ -156,6 +157,17 @@ def test_inject_svg(lin3_file, tmp_path, capsys, at):
     assert _x_on_monitored(text)
 
 
+@pytest.mark.parametrize("at", ["c2@10:0.1", "c2@22:0.1", "en2@31.5:0.1"])
+def test_inject_flip_agrees_with_library(lin3_file, capsys, at):
+    code, out, _ = run(capsys, "inject", "--circuit", lin3_file, "--at", at, "--until", "32", "--kind", "flip")
+    circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+    signal, rest = at.split("@")
+    start, width = map(float, rest.split(":"))
+    glitch = analysis.Glitch(signal, start, width, analysis.FLIP_PULSE)
+    hit = analysis.is_susceptible(circuit, {}, monitored, glitch, SimConfig(32.0, 0.1))
+    assert code == 0 and out.strip() == ("SUSCEPTIBLE" if hit else "MASKED")
+
+
 def test_inject_on_monitored(lin3_file, capsys):
     code, out, _ = run(capsys, "inject", "--circuit", lin3_file, "--at", "c1@7:0.1", "--until", "32")
     assert out.strip() == "SUSCEPTIBLE"
@@ -164,6 +176,30 @@ def test_inject_on_monitored(lin3_file, capsys):
 def test_inject_bad_at_syntax(lin3_file, capsys):
     code, _, err = run(capsys, "inject", "--circuit", lin3_file, "--at", "c2/10", "--until", "32")
     assert code == 1 and "SIGNAL@TIME:WIDTH" in err
+
+
+# rejected as simulate rejects epsilon 5 (d_min is 1), not hung or reported
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--delta", "0"),
+        ("--gamma", "0"),
+        ("--epsilon", "5"),
+        ("--epsilon", "5", "--jobs", "2"),
+        ("--naive-step", "0.5", "--gamma", "0"),
+        ("--naive-step", "0.5", "--epsilon", "5"),
+    ],
+)
+def test_analyze_bad_parameters_exit_3(lin3_file, capsys, flags):
+    code, out, err = run(capsys, "analyze", "--circuit", lin3_file, "--until", "32", *flags)
+    assert code == 3 and out == "" and err
+
+
+def test_inject_and_simulate_bad_epsilon_exit_3(lin3_file, capsys):
+    code, out, err = run(capsys, "inject", "--circuit", lin3_file, "--at", "c2@10:0.1", "--until", "32", "--epsilon", "5")
+    assert code == 3 and out == "" and "epsilon" in err
+    code, out, err = run(capsys, "simulate", "--circuit", lin3_file, "--until", "32", "--epsilon", "5")
+    assert code == 3 and out == "" and "epsilon" in err
 
 
 def test_analyze_prints_p_fail(lin3_file, tmp_path, capsys):

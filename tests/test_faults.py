@@ -2,8 +2,8 @@
 
 import pytest
 
-from faultscope import ExternalEvent, SimConfig, Value, execute, make_trace
-from faultscope.analysis import FLIP_PULSE, X_PULSE, Glitch, is_susceptible, make_transient
+from faultscope import And, Circuit, ExternalEvent, Not, ProductionRule, SignalRef, SimConfig, Value, execute, make_trace
+from faultscope.analysis import FLIP_PULSE, X_PULSE, Glitch, faulty_execution, is_susceptible, make_transient
 from faultscope.generators import PipelineSpec, linear_pipeline
 
 CFG = SimConfig(horizon=32.0, epsilon=0.1)
@@ -94,3 +94,47 @@ def test_empty_monitored_rejected(pipeline):
     circuit, _ = pipeline
     with pytest.raises(ValueError):
         is_susceptible(circuit, {}, frozenset(), Glitch("c2", 10.0, 0.1), CFG)
+
+
+def _attains_x(execution, signals) -> bool:
+    return any(
+        execution.traces[s].initial is Value.X or any(v is Value.X for _, v in execution.traces[s].transitions)
+        for s in signals
+    )
+
+
+# three susceptible and three masked flips; en2@31.5 reaches c3 only after T
+@pytest.mark.parametrize(
+    "signal,at", [("c2", 10.0), ("src", 17.3), ("en2", 31.5), ("c2", 22.0), ("en2", 5.0), ("en3", 30.0)]
+)
+def test_flip_verdict_matches_full_run(pipeline, signal, at):
+    circuit, monitored = pipeline
+    glitch = Glitch(signal, at, 0.1, FLIP_PULSE)
+    faulty = faulty_execution(circuit, {}, glitch, CFG)
+    assert is_susceptible(circuit, {}, monitored, glitch, CFG) == _attains_x(faulty, monitored)
+
+
+# a is X until its first switch at 1; o ignores a while i stays low
+X_START = Circuit(
+    inputs={"i"},
+    locals={"a"},
+    outputs={"o"},
+    initial={"a": Value.X, "o": Value.ZERO},
+    rules=[
+        ProductionRule(Not(SignalRef("i")), "a", 1, 1.0),
+        ProductionRule(SignalRef("i"), "a", 0, 1.0),
+        ProductionRule(And(SignalRef("a"), SignalRef("i")), "o", 1, 1.0),
+        ProductionRule(Not(SignalRef("i")), "o", 0, 1.0),
+    ],
+)
+
+
+def test_flip_on_x_rejected_by_probe():
+    inputs = {"i": make_trace(Value.ZERO)}
+    cfg = SimConfig(horizon=4.0, epsilon=0.1)
+    assert not is_susceptible(X_START, inputs, {"o"}, Glitch("a", 2.0, 0.1, FLIP_PULSE), cfg)
+    with pytest.raises(ValueError, match="nothing to flip"):
+        is_susceptible(X_START, inputs, {"o"}, Glitch("a", 0.2, 0.1, FLIP_PULSE), cfg)
+    # also where the fault-free run already has X on a monitored signal
+    with pytest.raises(ValueError, match="nothing to flip"):
+        is_susceptible(X_START, inputs, {"a"}, Glitch("a", 0.2, 0.1, FLIP_PULSE), cfg)
