@@ -456,9 +456,9 @@ def analyze(
     window without probing.  With ``jobs > 1`` the signals are bisected on a
     process pool, one signal per task and one probe context per worker; the
     report is the same.  Rejects the configurations ``execute`` rejects, and
-    gamma <= 0 or delta <= 0.
+    gamma <= 0, delta <= 0 or jobs <= 0.
     """
-    _require_positive(gamma=gamma, delta=delta)
+    _require_positive(gamma=gamma, delta=delta, jobs=jobs)
     monitored = sorted(monitored)
     injected = _resolve_injection(circuit, monitored, injection_set, include_monitored)
     probed = [s for s in injected if s not in monitored]

@@ -8,10 +8,14 @@ any ``--jobs`` setting.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 
 from . import analysis, netlist, waveform
 from .sim import CircuitInvalid, SimConfig, execute
@@ -40,11 +44,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _jobs_default() -> int:
+def _jobs(text: str) -> int:
+    """--jobs and FAULTSCOPE_JOBS: a positive integer."""
     try:
-        return max(1, int(os.environ.get("FAULTSCOPE_JOBS", "1")))
+        jobs = int(text)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer (--jobs or FAULTSCOPE_JOBS), got {text!r}")
+    return jobs
 
 
 def _read(path: str) -> str:
@@ -171,21 +179,29 @@ def _parse_weights(text: str) -> dict:
     return weights
 
 
+# kind -> (spec class, generator, parameter names in positional order)
 _GENERATORS = {
-    "linear": (PipelineSpec, linear_pipeline, ("stages", "inv_delay", "mce_delay", "source_delay", "sink_delay")),
-    "ring": (RingSpec, ring_pipeline, ("stages", "tokens", "inv_delay", "mce_delay")),
-    "multibit": (MultiBitSpec, multibit_linear_pipeline, ("bits", "stages", "inv_delay", "mce_delay", "source_delay", "sink_delay")),
+    kind: (spec_cls, fn, tuple(f.name for f in dataclasses.fields(spec_cls)))
+    for kind, spec_cls, fn in (
+        ("linear", PipelineSpec, linear_pipeline),
+        ("ring", RingSpec, ring_pipeline),
+        ("multibit", MultiBitSpec, multibit_linear_pipeline),
+    )
 }
 
 
 def _build_generated(kind: str, params: dict):
+    """The spec built from params, each converted to its field's type, and
+    the generated (circuit, monitored)."""
     spec_cls, fn, fields = _GENERATORS[kind]
+    types = typing.get_type_hints(spec_cls)
     kwargs = {}
     for name, value in params.items():
         if name not in fields:
             raise UsageError(f"unknown {kind} parameter {name!r} (expected {', '.join(fields)})")
-        kwargs[name] = int(value) if name in ("stages", "tokens", "bits") else float(value)
-    return fn(spec_cls(**kwargs))
+        kwargs[name] = types[name](value)
+    spec = spec_cls(**kwargs)
+    return spec, fn(spec)
 
 
 def cmd_generate(args) -> int:
@@ -193,7 +209,7 @@ def cmd_generate(args) -> int:
     if len(args.params) > len(fields):
         raise UsageError(f"{args.kind} takes at most {len(fields)} positional parameters ({', '.join(fields)})")
     params = dict(zip(fields, args.params))
-    circuit, monitored = _build_generated(args.kind, params)
+    _, (circuit, monitored) = _build_generated(args.kind, params)
     text = netlist.serialize_circuit(circuit, monitored)
     if args.out:
         _write(args.out, text)
@@ -205,24 +221,36 @@ def cmd_generate(args) -> int:
 # --- sweep ------------------------------------------------------------------------
 
 
-def _parse_sweep_values(text: str):
+def _sweep_range(lo: str, to: str, step: str) -> list[float]:
+    """lo, lo + step, ... up to and including ``to``.  Each point is computed
+    exactly from the decimal texts and rounded to float once."""
+    for text in (lo, to, step):
+        float(text)  # the literals float() accepts: no "1/2"
+    lo_q, to_q, step_q = Fraction(lo), Fraction(to), Fraction(step)  # no inf or nan
+    if step_q <= 0:
+        raise UsageError(f"sweep step must be positive in {lo}:{to}:{step}")
+    count = (to_q - lo_q) // step_q + 1 if to_q >= lo_q else 0
+    return [float(lo_q + k * step_q) for k in range(count)]
+
+
+def _parse_sweep_values(text: str) -> list[float]:
+    """``FROM:TO:STEP`` or a list separated by commas or spaces."""
     text = text.strip()
     if ":" in text:
-        lo, hi, step = (float(p) for p in text.split(":"))
-        if step <= 0:
-            raise UsageError(f"sweep step must be positive in {text!r}")
-        out = []
-        v = lo
-        while v <= hi + 1e-9:
-            out.append(v)
-            v += step
-        return out
+        lo, to, step = text.split(":")
+        return _sweep_range(lo, to, step)
     return [float(p) for p in text.replace(",", " ").split()]
 
 
 def parse_sweep_spec(text: str) -> dict:
-    """Plain key=value lines with [sweep.<param>] sections."""
+    """Plain key=value lines with [sweep.<param>] sections.
+
+    Returns what ``--generator/--set/--sweep`` build too: ``generator``,
+    ``params``, ``sweeps`` as ``[{name, values}]``, and any of T, epsilon,
+    gamma and delta the file sets.
+    """
     spec = {"params": {}, "sweeps": []}
+    ranges: list[dict] = []  # per sweep section: its from/to/step texts
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -231,57 +259,51 @@ def parse_sweep_spec(text: str) -> dict:
         if line.startswith("["):
             if not (line.endswith("]") and line.startswith("[sweep.")):
                 raise ValueError(f"line {lineno}: expected [sweep.<param>] section")
-            section = {"name": line[len("[sweep."):-1], "values": None, "from": None, "to": None, "step": None}
+            section = {"name": line[len("[sweep."):-1], "values": None}
             spec["sweeps"].append(section)
+            ranges.append({})
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value")
         key, value = (p.strip() for p in line.split("=", 1))
         if section is None:
-            if key in ("generator",):
+            if key == "generator":
                 spec["generator"] = value
             elif key in ("T", "epsilon", "gamma", "delta"):
                 spec[key] = float(value)
             else:
                 spec["params"][key] = value
+        elif key == "values":
+            section["values"] = _parse_sweep_values(value)
+        elif key in ("from", "to", "step"):
+            ranges[-1][key] = value
         else:
-            if key == "values":
-                section["values"] = _parse_sweep_values(value)
-            elif key in ("from", "to", "step"):
-                section[key] = float(value)
-            else:
-                raise ValueError(f"line {lineno}: unknown sweep key {key!r}")
-    for section in spec["sweeps"]:
+            raise ValueError(f"line {lineno}: unknown sweep key {key!r}")
+    for section, bounds in zip(spec["sweeps"], ranges):
         if section["values"] is None:
-            if None in (section["from"], section["to"], section["step"]):
+            if len(bounds) < 3:
                 raise ValueError(f"sweep {section['name']!r} needs values or from/to/step")
-            section["values"] = _parse_sweep_values(f"{section['from']}:{section['to']}:{section['step']}")
-        if not section["values"]:
-            raise ValueError(f"sweep {section['name']!r} has no values")
+            section["values"] = _sweep_range(bounds["from"], bounds["to"], bounds["step"])
     if "generator" not in spec:
         raise ValueError("sweep spec needs a generator")
-    if not 1 <= len(spec["sweeps"]) <= 2:
-        raise ValueError("sweep needs one or two swept parameters")
     return spec
 
 
 def _sweep_point(kind, params, T, epsilon, gamma, delta):
-    circuit, monitored = _build_generated(kind, params)
+    spec, (circuit, monitored) = _build_generated(kind, params)
     config = SimConfig(horizon=T, epsilon=epsilon)
     report = analysis.analyze(circuit, {}, monitored, gamma=gamma, delta=delta, config=config)
     row = {"p_fail": report.p_fail}
     if kind == "ring":
         execution = execute(circuit, {}, config)
-        row["throughput"] = measure_throughput(execution, "c1", float(params.get("inv_delay", 1.0)))
+        row["throughput"] = measure_throughput(execution, "c1", spec.inv_delay)
     return row
 
 
 def cmd_sweep(args) -> int:
     if args.spec:
         spec = parse_sweep_spec(_read(args.spec))
-    else:
-        if not args.generator or not args.sweep:
-            raise UsageError("sweep needs --spec FILE, or --generator plus at least one --sweep")
+    elif args.generator and args.sweep:
         spec = {
             "generator": args.generator,
             "params": dict(kv.split("=", 1) for kv in (args.set or [])),
@@ -289,13 +311,14 @@ def cmd_sweep(args) -> int:
                 {"name": name, "values": _parse_sweep_values(vals)}
                 for name, vals in (kv.split("=", 1) for kv in args.sweep)
             ],
-            "T": args.until,
-            "epsilon": args.epsilon,
-            "gamma": args.gamma,
-            "delta": args.delta,
         }
+    else:
+        raise UsageError("sweep needs --spec FILE, or --generator plus at least one --sweep")
     if not 1 <= len(spec["sweeps"]) <= 2:
         raise UsageError("sweep needs one or two swept parameters")
+    for sweep in spec["sweeps"]:
+        if not sweep["values"]:
+            raise UsageError(f"sweep {sweep['name']!r} has no values")
     kind = spec["generator"]
     if kind not in _GENERATORS:
         raise UsageError(f"unknown generator {kind!r}")
@@ -305,14 +328,8 @@ def cmd_sweep(args) -> int:
     delta = spec.get("delta", args.delta)
 
     names = [s["name"] for s in spec["sweeps"]]
-    grids = [s["values"] for s in spec["sweeps"]]
-    points = [(a,) for a in grids[0]] if len(grids) == 1 else [(a, b) for a in grids[0] for b in grids[1]]
-    tasks = []
-    for point in points:
-        params = dict(spec["params"])
-        for name, value in zip(names, point):
-            params[name] = value
-        tasks.append((kind, params, T, epsilon, gamma, delta))
+    points = list(itertools.product(*(s["values"] for s in spec["sweeps"])))
+    tasks = [(kind, {**spec["params"], **dict(zip(names, point))}, T, epsilon, gamma, delta) for point in points]
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -341,6 +358,9 @@ def cmd_sweep(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="faultscope", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse runs a string default through the type, so a bad
+    # FAULTSCOPE_JOBS is a usage error like a bad --jobs
+    jobs_default = os.environ.get("FAULTSCOPE_JOBS", "1")
 
     def common_sim(p):
         p.add_argument("--until", type=float, default=100.0, help="execution horizon T (default 100)")
@@ -378,7 +398,7 @@ def build_parser() -> _Parser:
     p.add_argument("--include-monitored", action="store_true", help="also inject at monitored signals")
     p.add_argument("--naive-step", type=float, help="use the grid scan at this step instead of bisection")
     p.add_argument("--weights", help="file of 'signal = weight' lines for a weighted P(fail)")
-    p.add_argument("--jobs", type=int, default=_jobs_default())
+    p.add_argument("--jobs", type=_jobs, default=jobs_default)
     p.add_argument("--out-json")
     p.add_argument("--out-svg")
     p.set_defaults(fn=cmd_analyze)
@@ -397,7 +417,7 @@ def build_parser() -> _Parser:
     common_sim(p)
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    p.add_argument("--jobs", type=int, default=_jobs_default())
+    p.add_argument("--jobs", type=_jobs, default=jobs_default)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sweep)
 

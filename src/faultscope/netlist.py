@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 
 from .analysis import SensitivityReport, SensitivityWindow
 from .prs import (
@@ -35,6 +34,7 @@ from .prs import (
     SignalRef,
     SignalTrace,
     Value,
+    Violation,
     make_trace,
     validate_circuit,
 )
@@ -57,27 +57,6 @@ class NetlistSemanticError(ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(str(v) for v in self.violations))
-
-
-@dataclass
-class NetlistDocument:
-    name: str
-    inputs: list[str] = field(default_factory=list)
-    locals: list[str] = field(default_factory=list)
-    outputs: list[str] = field(default_factory=list)
-    inits: dict = field(default_factory=dict)
-    rules: list[ProductionRule] = field(default_factory=list)
-    monitored: list[str] = field(default_factory=list)
-
-    def to_circuit(self) -> Circuit:
-        return Circuit(
-            inputs=self.inputs,
-            locals=self.locals,
-            outputs=self.outputs,
-            initial=self.inits,
-            rules=self.rules,
-            name=self.name,
-        )
 
 
 # --- guard expression parsing -------------------------------------------------
@@ -153,46 +132,44 @@ def _tokens(text: str, line: int) -> list[str]:
     return out
 
 
-def parse_netlist(text: str) -> NetlistDocument:
-    doc = None
-    seen_sections = set()
+def parse_circuit(text: str) -> tuple[Circuit, frozenset]:
+    """Parse and validate; returns the circuit and its monitored set."""
+    name = None
+    sections: dict[str, list[str]] = {}  # inputs, locals, outputs, monitor
+    inits: dict[str, Value] = {}
+    rules: list[ProductionRule] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         words = line.split()
         head = words[0]
-        if doc is None:
+        if name is None:
             if head != "circuit" or len(words) != 2:
                 raise NetlistError("netlist must start with 'circuit <name>'", lineno)
             if not SIGNAL_NAME_RE.match(words[1]):
                 raise NetlistError(f"bad circuit name {words[1]!r}", lineno)
-            doc = NetlistDocument(name=words[1])
+            name = words[1]
             circuit_line = lineno
             continue
         if head in ("inputs", "locals", "outputs", "monitor"):
-            if head in seen_sections:
+            if head in sections:
                 raise NetlistError(f"duplicate {head!r} declaration", lineno)
-            seen_sections.add(head)
-            names = words[1:]
-            for n in names:
+            for n in words[1:]:
                 if not SIGNAL_NAME_RE.match(n):
                     raise NetlistError(f"bad signal name {n!r}", lineno)
-            if head == "monitor":
-                doc.monitored = names
-            else:
-                setattr(doc, head, names)
+            sections[head] = words[1:]
         elif head == "init":
             if len(words) != 4 or words[2] != "=":
                 raise NetlistError("expected 'init <signal> = 0|1|X'", lineno)
-            name, value = words[1], words[3]
-            if not SIGNAL_NAME_RE.match(name):
-                raise NetlistError(f"bad signal name {name!r}", lineno)
+            signal, value = words[1], words[3]
+            if not SIGNAL_NAME_RE.match(signal):
+                raise NetlistError(f"bad signal name {signal!r}", lineno)
             if value not in ("0", "1", "X"):
                 raise NetlistError(f"bad initial value {value!r} (expected 0, 1 or X)", lineno)
-            if name in doc.inits:
-                raise NetlistError(f"duplicate init for {name!r}", lineno)
-            doc.inits[name] = Value.from_text(value)
+            if signal in inits:
+                raise NetlistError(f"duplicate init for {signal!r}", lineno)
+            inits[signal] = Value.from_text(value)
         elif head == "rule":
             toks = _tokens(line[len("rule"):], lineno)
             try:
@@ -213,32 +190,30 @@ def parse_netlist(text: str) -> NetlistDocument:
             delay = float(delay_tok)
             if not delay > 0:
                 raise NetlistError(f"delay must be positive, got {delay_tok}", lineno)
-            rule = ProductionRule(guard, target, int(bit), delay)
-            doc.rules.append(rule)
+            rules.append(ProductionRule(guard, target, int(bit), delay))
         else:
             raise NetlistError(f"unknown declaration {head!r}", lineno)
-    if doc is None:
+    if name is None:
         raise NetlistError("empty netlist", 1)
-    if not doc.outputs:
+    if not sections.get("outputs"):
         raise NetlistError("netlist declares no outputs", circuit_line)
-    return doc
-
-
-def parse_circuit(text: str) -> tuple[Circuit, frozenset]:
-    """Parse and validate; returns the circuit and its monitored set."""
-    doc = parse_netlist(text)
-    circuit = doc.to_circuit()
-    violations = validate_circuit(circuit)
-    unknown_monitor = [m for m in doc.monitored if m not in circuit.signals]
-    if unknown_monitor:
-        from .prs import Violation
-
-        violations = violations + [
-            Violation("unknown-signal", m, "monitor names an undeclared signal") for m in unknown_monitor
-        ]
+    circuit = Circuit(
+        inputs=sections.get("inputs", ()),
+        locals=sections.get("locals", ()),
+        outputs=sections["outputs"],
+        initial=inits,
+        rules=rules,
+        name=name,
+    )
+    monitored = sections.get("monitor", [])
+    violations = validate_circuit(circuit) + [
+        Violation("unknown-signal", m, "monitor names an undeclared signal")
+        for m in monitored
+        if m not in circuit.signals
+    ]
     if violations:
         raise NetlistSemanticError(violations)
-    return circuit, frozenset(doc.monitored)
+    return circuit, frozenset(monitored)
 
 
 def _fmt_num(x: float) -> str:

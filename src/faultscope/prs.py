@@ -74,7 +74,7 @@ class And:
         object.__setattr__(self, "children", tuple(children))
 
     def __str__(self) -> str:
-        return " & ".join(_wrap(c, in_and=True) for c in self.children)
+        return " & ".join(_wrap(c) for c in self.children)
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,8 @@ class Or:
 GuardExpr = Union[SignalRef, Not, And, Or]
 
 
-def _wrap(expr: GuardExpr, in_and: bool = False, atom_only: bool = False) -> str:
+def _wrap(expr: GuardExpr, atom_only: bool = False) -> str:
     if isinstance(expr, Or) or (atom_only and isinstance(expr, And)):
-        return f"({expr})"
-    if in_and and isinstance(expr, Or):
         return f"({expr})"
     return str(expr)
 
@@ -116,7 +114,7 @@ def guard_signals(expr: GuardExpr) -> frozenset:
 def eval_guard(guard: GuardExpr, assignment: Mapping[str, Value]) -> Value:
     """Evaluate a guard under the Kleene min/max/complement algebra.
 
-    Raises KeyError-derived structural errors for unreferenced signals.
+    Raises LookupError for a signal missing from the assignment.
     """
     if isinstance(guard, SignalRef):
         try:

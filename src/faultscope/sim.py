@@ -3,15 +3,8 @@
 An execution advances through visited time points. At each visit:
 
 1.  input-trace transitions at t become visible;
-2.  actions due at t are applied (Boolean actions, then X actions), followed
-    by external events at t;
-3.  after every batch of value changes, unstable guards are handled: a
-    pending Boolean action whose guard no longer evaluates to true while the
-    target does not yet hold the action's value is canceled and the target is
-    driven to X immediately (the gate was mid-switching and its drive got
-    corrupted).  This runs to a fixpoint over the dirty pending rules only,
-    those that read or drive a signal changed since the last fixpoint, in
-    passes of ascending rule id;
+2.  actions due at t are applied (Boolean actions, then X actions);
+3.  external events at t are applied;
 4.  rules are (re)evaluated: a fresh guard edge to 1 schedules the rule's
     action after its delay; a guard at X with the target neither at X nor at
     the rule's value schedules an X on the target after the small propagation
@@ -21,6 +14,14 @@ An execution advances through visited time points. At each visit:
     target changed;
 5.  time advances to the earliest pending action, input transition, or
     external event; the run stops at the horizon.
+
+Each of steps 1-3 that changed a value is followed by the handling of
+unstable guards: a pending Boolean action whose guard no longer evaluates to
+true while the target does not yet hold the action's value is canceled and
+the target is driven to X immediately (the gate was mid-switching and its
+drive got corrupted).  This runs to a fixpoint over the dirty pending rules
+only, those that read or drive a signal changed since the last fixpoint, in
+passes of ascending rule id.
 
 Scheduling is edge-triggered: while a guard stays at 1 a rule never
 re-schedules an action it has already scheduled or applied.  Equal-time events
@@ -366,6 +367,8 @@ def _kernel(
     first_visit = seed is None
 
     while True:
+        # step 5 of the previous visit: advance to the earliest pending
+        # action, input transition or external event
         if not first_visit:
             t = heap[0][0] if heap else _INF
             if t_in < t:
@@ -375,7 +378,7 @@ def _kernel(
         if t >= horizon:
             break
 
-        # drain the actions due at t
+        # drain the actions due at t; step 2 applies them
         due_bool: list[int] = []
         due_x: list[int] = []
         while heap and heap[0][0] == t:
@@ -393,12 +396,11 @@ def _kernel(
             set_value(sid, fv, "in")
             k_in += 1
             t_in = ins[k_in][0] if k_in < n_in else _INF
-
-        # step 2: unstable guards
+        # unstable guards, after each of steps 1-3 that changed a value
         if len(changed) > seen:
             seen = cancel_unstable(seen)
 
-        # step 3a: apply actions due at t (Boolean first, in target order,
+        # step 2: apply actions due at t (Boolean first, in target order,
         # then X); a stale heap entry no longer matches its due time
         if due_bool:
             due_bool.sort()
@@ -416,7 +418,7 @@ def _kernel(
         if len(changed) > seen:
             seen = cancel_unstable(seen)
 
-        # step 3b: external events at t
+        # step 3: external events at t
         while t_ext == t:
             _, sid, fv = exts[k_ext]
             set_value(sid, fv, "ext")

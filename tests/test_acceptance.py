@@ -8,7 +8,6 @@ import json
 import math
 import random
 import time
-import warnings
 
 import pytest
 
@@ -34,8 +33,6 @@ from faultscope.generators import (
 )
 from faultscope.netlist import parse_circuit, recompute_p_fail, serialize_circuit, write_report
 from util import monitored_for, random_circuit, random_input_traces
-
-warnings.simplefilter("ignore")
 
 GAMMA = 0.1
 P_FAIL_PINNED = 0.5425  # frozen after calibration against the published 0.54375

@@ -213,7 +213,7 @@ def test_analyses_reject_what_execute_rejects(pipeline, config):
         is_susceptible(circuit, {}, monitored, Glitch("c2", 0.0, 0.1), config)
 
 
-@pytest.mark.parametrize("kwargs", [{"gamma": 0.0}, {"gamma": -0.1}, {"gamma": math.nan}, {"delta": 0.0}, {"delta": -0.01}])
+@pytest.mark.parametrize("kwargs", [{"gamma": 0.0}, {"gamma": -0.1}, {"gamma": math.nan}, {"delta": 0.0}, {"delta": -0.01}, {"jobs": 0}])
 def test_analyze_rejects_nonpositive_gamma_and_delta(pipeline, kwargs):
     circuit, monitored = pipeline
     with pytest.raises(ValueError, match="must be positive"):

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, outputs, determinism across --jobs."""
 
+import hashlib
 import json
 import re
 import warnings
@@ -360,3 +361,87 @@ def test_jobs_env_default(monkeypatch, capsys):
 
     args = build_parser().parse_args(["analyze", "--circuit", "x"])
     assert args.jobs == 3
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--circuit", "x.prs"],
+    ["sweep", "--generator", "linear", "--sweep", "stages=3"],
+])
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_must_be_positive_integer(capsys, command, jobs):
+    code, _, err = run(capsys, *command, "--jobs", jobs)
+    assert code == 1 and "positive integer" in err
+
+
+def test_jobs_env_must_be_positive_integer(monkeypatch, capsys):
+    monkeypatch.setenv("FAULTSCOPE_JOBS", "abc")
+    code, _, err = run(capsys, "analyze", "--circuit", "x.prs")
+    assert code == 1 and "FAULTSCOPE_JOBS" in err
+
+
+# --- sweep ranges -----------------------------------------------------------------
+
+DECIMAL_RANGE = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0]
+
+
+def test_sweep_range_is_exact_and_inclusive():
+    from faultscope.cli import _parse_sweep_values
+
+    assert _parse_sweep_values("1:2:0.1") == DECIMAL_RANGE
+    assert _parse_sweep_values("0:1:0.3") == [0.0, 0.3, 0.6, 0.9]
+    assert _parse_sweep_values("2:2:1") == [2.0]
+
+
+def test_spec_range_matches_flag_range():
+    from faultscope.cli import parse_sweep_spec
+
+    spec = parse_sweep_spec("generator = linear\n[sweep.source_delay]\nfrom = 1\nto = 2\nstep = 0.1\n")
+    assert spec["sweeps"] == [{"name": "source_delay", "values": DECIMAL_RANGE}]
+
+
+def _spec_file(tmp_path, sweep_lines):
+    path = tmp_path / "range.spec"
+    path.write_text("generator = linear\nT = 10\n[sweep.stages]\n" + sweep_lines)
+    return str(path)
+
+
+def test_empty_range_is_usage_error(tmp_path, capsys):
+    spec = _spec_file(tmp_path, "from = 3\nto = 1\nstep = 1\n")
+    flags = ["--generator", "linear", "--until", "10", "--sweep"]
+    for argv in ([*flags, "stages=3:1:1"], [*flags, "stages="], ["--spec", spec]):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 1 and "has no values" in err and out == "", argv
+
+
+def test_sweep_count_checked_for_spec_file(tmp_path, capsys):
+    path = tmp_path / "none.spec"
+    path.write_text("generator = linear\nstages = 3\n")
+    code, _, err = run(capsys, "sweep", "--spec", str(path))
+    assert code == 1 and "one or two swept parameters" in err
+
+
+@pytest.mark.parametrize("bound", ["inf", "nan"])
+def test_non_finite_range_exits_3(tmp_path, capsys, bound):
+    code, _, err = run(capsys, "sweep", "--generator", "linear", "--sweep", f"stages=1:{bound}:1", "--until", "10")
+    assert code == 3 and bound in err
+    spec = _spec_file(tmp_path, f"from = 1\nto = {bound}\nstep = 1\n")
+    code, _, err = run(capsys, "sweep", "--spec", spec)
+    assert code == 3 and bound in err
+
+
+# sha256 of the generated netlists, default and non-default parameters
+GENERATED_SHA256 = {
+    ("linear",): "fa72ae4ab6bbf27b2c983a288e46646820500889e1b1fadfdc07441352cba11c",
+    ("linear", "4", "0.5"): "161368f717c574d1b390cc52d73114a884ffb407e0ac1b7e3e66fbb3e476b320",
+    ("ring", "7"): "03288a9f15bd48314cc04c94f3e28466c40851d982405abc64b328146526b8f8",
+    ("ring", "12", "3"): "203a6ef3382a40f9c29bec7432a5119c87b59c8d1703f27b2acda0b77e6587c2",
+    ("multibit",): "14d5990add3e3dd0e3986f756830eaecc1b9339cdc6c8e15c77918e52677bd71",
+    ("multibit", "4", "2", "1", "5", "4", "4"): "ce87a13636f3c724ce7534b66b429abd60cdea3c45999d77862582ff03a05cb7",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GENERATED_SHA256))
+def test_generate_bytes_pinned(capsys, argv):
+    code, out, _ = run(capsys, "generate", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GENERATED_SHA256[argv]

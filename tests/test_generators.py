@@ -8,6 +8,7 @@ from faultscope import (
     And,
     Circuit,
     Not,
+    Or,
     ProductionRule,
     SignalRef,
     SimConfig,
@@ -63,6 +64,33 @@ def test_mce_pin_collision_rejected():
         gate_mce("a", "b", "a", 1.0)
     with pytest.raises(GenerationError):
         gate_mce("a", "a", "c", 1.0)
+
+
+def test_gate_rule_lists_exact():
+    a, b = SignalRef("a"), SignalRef("b")
+    nor = And(Not(a), Not(b))
+    assert gate_mce("a", "b", "c", 2.0) == [ProductionRule(And(a, b), "c", 1, 2.0), ProductionRule(nor, "c", 0, 2.0)]
+    assert gate_or("a", "b", "c", 2.0) == [ProductionRule(Or(a, b), "c", 1, 2.0), ProductionRule(nor, "c", 0, 2.0)]
+    assert gate_and("a", "b", "c", 2.0) == [
+        ProductionRule(And(a, b), "c", 1, 2.0),
+        ProductionRule(Or(Not(a), Not(b)), "c", 0, 2.0),
+    ]
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: gate_inverter("a", "a", 1.0), "combinational self-loop rejected: inverter a -> a"),
+        (lambda: gate_or("a", "b", "b", 1.0), "gate pins must be distinct signals, got ('a', 'b', 'b')"),
+        (lambda: gate_and("a", "a", "c", 1.0), "gate pins must be distinct signals, got ('a', 'a', 'c')"),
+        (lambda: gate_inverter("a", "b", -1.0), "delay must be positive, got -1.0"),
+        (lambda: gate_and("a", "b", "c", 0), "delay must be positive, got 0"),
+    ],
+)
+def test_gate_error_messages(build, message):
+    with pytest.raises(GenerationError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def _one_gate_circuit(rules, out, initial):

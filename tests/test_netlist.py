@@ -90,6 +90,34 @@ def test_parse_errors_carry_line_info(text, fragment):
     assert "line" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("\n# c\ncircuit c\ninputs i\n", "line 3: netlist declares no outputs"),
+        ("circuit c\noutputs\n", "line 1: netlist declares no outputs"),
+        ("circuit c\noutputs o\noutputs p\n", "line 3: duplicate 'outputs' declaration"),
+        ("circuit c\noutputs o\nlocals 9a\n", "line 3: bad signal name '9a'"),
+        ("circuit c\noutputs o\ninit o = 0\ninit o = 1\n", "line 4: duplicate init for 'o'"),
+        ("circuit c\noutputs o\ninit o = 0\nrule x $ y -> o = 1 [1.0]\n", "line 4: stray character '$'"),
+        ("circuit c\noutputs o\ninit o = 0\nrule x -> o = 1 [1e]\n", "line 4: expected '<target> = 0|1 [<delay>]' after '->'"),
+    ],
+)
+def test_parse_error_messages_pinned(text, message):
+    with pytest.raises(NetlistError) as err:
+        parse_circuit(text)
+    assert str(err.value) == message
+
+
+def test_unknown_monitor_follows_circuit_violations():
+    text = "circuit c\ninputs i\noutputs o\nrule i -> o = 0 [1.0]\nmonitor q\n"
+    with pytest.raises(NetlistSemanticError) as err:
+        parse_circuit(text)
+    assert str(err.value) == (
+        "missing-init on o: driven signal has no initial value; "
+        "unknown-signal on q: monitor names an undeclared signal"
+    )
+
+
 def test_guard_precedence():
     text = "circuit c\ninputs a b d\noutputs o\ninit o = 0\nrule a | b & !d -> o = 1 [1.0]\nrule !a & !b -> o = 0 [1.0]\n"
     circuit, _ = parse_circuit(text)
