@@ -40,7 +40,6 @@ from .analysis import (
     ValueRegion,
     analyze,
     analyze_naive,
-    check_region_equivalence,
     is_susceptible,
     make_transient,
     p_fail_weighted,
@@ -55,7 +54,6 @@ __all__ = [
     "ValueRegion",
     "analyze",
     "analyze_naive",
-    "check_region_equivalence",
     "is_susceptible",
     "make_transient",
     "p_fail_weighted",

@@ -8,7 +8,11 @@ horizon and settle = |C|·max(ε, d_max) gives a fault near T time to cross the
 circuit.  Every verdict (``is_susceptible``, ``analyze``, ``analyze_naive``)
 comes from ``_ProbeContext.probe``, and the context is the one view of the
 fault-free run: it is set up and checked as ``execute`` is, so the analyses
-reject what ``execute`` rejects.
+reject what ``execute`` rejects.  The context runs the fault-free execution
+only as far as it is read: ``analyze`` runs it to T for the value regions
+and a little past T for the probes; one ``is_susceptible`` query runs it to
+the pulse, over the stretch its probe compares with and, only when the probe
+does not hit, on to T + settle without snapshots.
 
 Susceptible times are located per value region of the fault-free execution
 (the interval between two consecutive value-switching times): within a region
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 import bisect as _bisect_mod
 import math
-import random
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -204,14 +207,20 @@ def _regions_from_times(times: Iterable[float], horizon: float) -> list[ValueReg
 # --- probe engine ----------------------------------------------------------------
 
 
+def _slowest(circuit: Circuit, config: SimConfig) -> float:
+    """max(ε, d_max): the longest delay of one step through the circuit."""
+    return max([config.epsilon, *(r.delay for r in circuit.rules)])
+
+
 def _settle(circuit: Circuit, config: SimConfig) -> float:
     """How long past the horizon a probe runs: |C|·max(ε, d_max)."""
-    return circuit.size * max([config.epsilon, *(r.delay for r in circuit.rules)])
+    return circuit.size * _slowest(circuit, config)
 
 
 # The benchmark in bench/ wraps _ProbeContext.probe(signal, at, width) and
 # reads its positional arguments, wraps _ProbeContext.matches, the module
-# global _kernel (it tells probes by their record=False keyword), analyze,
+# global _kernel (it tells probes by their record=False keyword, so only
+# probes pass it: the fault-free runs below count as base runs), analyze,
 # is_susceptible and value_regions, counts PostfixViolationWarning, and
 # outside this module wraps sim.execute, cli._GENERATORS, cli.main and the
 # public generators, netlist, prs and waveform functions it runs: keep these
@@ -220,13 +229,21 @@ class _ProbeContext:
     """The fault layer's one view of the fault-free run of one (circuit,
     inputs, config).
 
-    Runs the fault-free execution to T + settle once, with the checks and
-    input preparation of ``execute``, keeping a state snapshot per visit;
-    fault-free values are read from these snapshots.  A probe then resumes
-    from the snapshot preceding the pulse and stops as soon as a monitored
-    signal attains X (susceptible) or the state re-converges to the
-    fault-free run with no X left in flight (masked).  Verdicts are identical
-    to re-running the full execution to T + settle with the pulse overlaid.
+    Construction sets the run up and checks it as ``execute`` does, and runs
+    no kernel.  The fault-free run is a cursor, extended only as far as it
+    is read, with a state snapshot per visit from which fault-free values are
+    read.  ``regions`` runs it to T.  A lookup past its end extends it by a
+    chunk that doubles each time, up to T + settle.  The first probe of a
+    fresh context runs it to the pulse without snapshots, so one query pays
+    for the run up to its pulse and for the visits its probe compares with.
+
+    A probe resumes from the snapshot of the last visit before the pulse and
+    stops as soon as a monitored signal attains X (susceptible) or the state
+    re-converges to the fault-free run with no X left in flight.  A probe
+    that does not hit is susceptible iff the fault-free run itself drives a
+    monitored signal to X before T + settle (``base_mon_x``).  Verdicts are
+    identical to re-running the full execution to T + settle with the pulse
+    overlaid.
     """
 
     def __init__(
@@ -251,30 +268,96 @@ class _ProbeContext:
         unknown = [m for m in self.monitored if m not in comp.idx]
         if unknown:
             raise ValueError(f"monitored signals not in circuit: {', '.join(unknown)}")
-
-        base = self.base = _kernel(
-            comp,
-            self.in_transitions,
-            self.in_initial,
-            self.t_end,
-            config.epsilon,
-            (),
-            record=True,
-            keep_snapshots=True,
-        )
-        self.visit_times = base.visit_times
-        self.snapshots = base.snapshots
         self.mon_ids = frozenset(comp.idx[m] for m in self.monitored)
-        self.base_mon_x = any(base.initial_values[sid] == X for sid in self.mon_ids) or any(
-            fv == X and sid in self.mon_ids for _, sid, fv, _ in base.events
-        )
-        self.regions = _regions_from_times((ev[0] for ev in base.events), config.horizon)
+        self.initial_values = list(comp.initial)
+        for sid, fv in self.in_initial.items():
+            self.initial_values[sid] = fv
         self.simulations = 0
+
+        # the cursor: every visit before _reached has run, its events are in
+        # _events and _head is the state after the last one; _snaps holds a
+        # snapshot of every visit from _times[0] on, and with _gap set the
+        # visits before _times[0] ran without snapshots
+        self._reached = 0.0
+        self._head = None
+        self._events: list = []
+        self._times: list[float] = []
+        self._snaps: list = []
+        self._gap = False
+        self._chunk = _slowest(circuit, config)
+        self._regions: list[ValueRegion] | None = None
+        self._base_mon_x: bool | None = None
+
+    def _fault_free(self, until: float, **options):
+        """A run of the fault-free execution to ``until``.  It records, so the
+        benchmark does not take it for a probe."""
+        return _kernel(self.comp, self.in_transitions, self.in_initial, until, self.config.epsilon, (), **options)
+
+    def _run_base(self, until: float, keep: bool) -> None:
+        """Extend the cursor through the visits before ``until``, keeping
+        their snapshots if ``keep``."""
+        run = self._fault_free(until, keep_snapshots=keep, seed=self._head)
+        self._events += run.events
+        if keep and run.snapshots:
+            self._times += run.visit_times
+            self._snaps += run.snapshots
+            self._head = run.snapshots[-1]
+        else:
+            self._head = run.end_state()
+        self._reached = until
 
     def _snapshot(self, t: float):
         """Snapshot of the last fault-free visit at or before t, or None."""
-        i = _bisect_mod.bisect_right(self.visit_times, t) - 1
-        return self.snapshots[i] if i >= 0 else None
+        if t >= self._reached and self._reached < self.t_end:
+            self._run_base(min(self.t_end, t + self._chunk), keep=True)
+            self._chunk *= 2
+        i = _bisect_mod.bisect_right(self._times, t) - 1
+        if i < 0 and self._gap:
+            # run again the visits a first probe passed without snapshots
+            run = self._fault_free(self._times[0], keep_snapshots=True)
+            self._times[:0] = run.visit_times
+            self._snaps[:0] = run.snapshots
+            self._gap = False
+            i = _bisect_mod.bisect_right(self._times, t) - 1
+        return self._snaps[i] if i >= 0 else None
+
+    def _seed(self, at: float):
+        """Snapshot of the last fault-free visit before ``at``, or None: where
+        a probe of a pulse at ``at`` resumes.  On a fresh cursor, the run up
+        to ``at`` keeps no snapshot but this one."""
+        if not self._snaps and at > self._reached:
+            self._run_base(at, keep=False)
+            if self._head is not None:
+                self._times, self._snaps, self._gap = [self._head.time], [self._head], True
+        # on float times, the last visit before at is the last one at or
+        # before the next float down
+        return self._snapshot(math.nextafter(at, -math.inf))
+
+    @property
+    def regions(self) -> list[ValueRegion]:
+        """The value regions of the fault-free run; the first access runs the
+        cursor to T."""
+        if self._regions is None:
+            T = self.config.horizon
+            if self._reached < T:
+                self._run_base(T, keep=True)
+            self._regions = _regions_from_times((ev[0] for ev in self._events), T)
+        return self._regions
+
+    @property
+    def base_mon_x(self) -> bool:
+        """Whether the fault-free run drives a monitored signal to X before
+        T + settle.  Found once: from the cursor's events, and past its end
+        from one run that keeps no snapshot and stops at the first monitored
+        X."""
+        if self._base_mon_x is None:
+            mon = self.mon_ids
+            self._base_mon_x = (
+                any(self.initial_values[sid] == X for sid in mon)
+                or any(fv == X and sid in mon for _, sid, fv, _ in self._events)
+                or self._fault_free(self.t_end, watch=mon, seed=self._head).watch_hit
+            )
+        return self._base_mon_x
 
     def matches(self, t: float, values, pend, pend_x) -> bool:
         snap = self._snapshot(t)
@@ -283,7 +366,7 @@ class _ProbeContext:
     def pulse_events(self, sid: int, at: float, width: float):
         def value_at(t):
             snap = self._snapshot(t)
-            return snap.values[sid] if snap is not None else self.base.initial_values[sid]
+            return snap.values[sid] if snap is not None else self.initial_values[sid]
 
         end = at + width
         drive, restore = self.pulse_rule(self.comp.names[sid], at, end, value_at, self.t_end)
@@ -293,11 +376,10 @@ class _ProbeContext:
         """Susceptibility verdict for one pulse; counts one simulation."""
         self.simulations += 1
         sid = self.comp.idx[signal]
+        seed = self._seed(at)
         events = self.pulse_events(sid, at, width)
-        if self.base_mon_x:
+        if self._base_mon_x:
             return True
-        i = _bisect_mod.bisect_left(self.visit_times, at) - 1
-        seed = self.snapshots[i] if i >= 0 else None
         run = _kernel(
             self.comp,
             self.in_transitions,
@@ -310,7 +392,7 @@ class _ProbeContext:
             seed=seed,
             base=self,
         )
-        return run.watch_hit
+        return run.watch_hit or self.base_mon_x
 
 
 # --- bisection -------------------------------------------------------------------
@@ -527,56 +609,3 @@ def p_fail_weighted(report: SensitivityReport, weights: Mapping[str, float]) -> 
     if total == 0:
         raise ValueError("total weight is zero")
     return math.fsum(weights[s] * report.p_per_signal[s] for s in report.injected) / total
-
-
-# --- region equivalence (test support) ----------------------------------------------
-
-
-def x_reach(execution: Execution, regions: Sequence[ValueRegion]) -> frozenset:
-    """Set of (signal, region index) pairs where the signal is X at some time
-    within the region."""
-    out = set()
-    for name, trace in execution.traces.items():
-        segs = []
-        cur_v, cur_t = trace.initial, 0.0
-        for t, v in trace.transitions:
-            if cur_v is Value.X:
-                segs.append((cur_t, t))
-            cur_v, cur_t = v, t
-        if cur_v is Value.X:
-            segs.append((cur_t, execution.horizon))
-        if not segs:
-            continue
-        for region in regions:
-            if any(a < region.end and region.start < b for a, b in segs):
-                out.add((name, region.index))
-    return frozenset(out)
-
-
-def check_region_equivalence(
-    circuit: Circuit,
-    inputs: InputTraces,
-    region: ValueRegion,
-    signal: str,
-    gamma: float,
-    config: SimConfig,
-    samples: int = 4,
-    seed: int = 0,
-) -> bool:
-    """Within one region, a later fault must reach X everywhere an earlier
-    fault does.  Samples fault times away from the region's right boundary;
-    vacuously true when the margin leaves no room."""
-    margin = circuit.size * config.epsilon + gamma
-    hi = region.end - margin
-    if hi <= region.start:
-        return True
-    rng = random.Random(seed)
-    times = sorted(rng.uniform(region.start, hi) for _ in range(samples))
-    base = execute(circuit, inputs, config)
-    regions = value_regions(base)
-    reaches = []
-    for t in times:
-        events = make_transient(signal, t, gamma, X_PULSE, base)
-        faulty = execute(circuit, inputs, config, events)
-        reaches.append(x_reach(faulty, regions))
-    return all(reaches[i] <= reaches[i + 1] for i in range(len(reaches) - 1))

@@ -190,26 +190,37 @@ _GENERATORS = {
 }
 
 
-def _build_generated(kind: str, params: dict):
-    """The spec built from params, each converted to its field's type, and
-    the generated (circuit, monitored)."""
-    spec_cls, fn, fields = _GENERATORS[kind]
+def _int_param(kind: str, name: str, value) -> int:
+    """An ``int`` generator parameter from its text or swept value; anything
+    but an integral value is a usage error."""
+    try:
+        exact = Fraction(value)
+    except (ValueError, OverflowError):  # not a number, inf, nan
+        exact = None
+    if exact is None or exact.denominator != 1:
+        raise UsageError(f"{kind} parameter {name!r} must be an integer, got {value}")
+    return int(exact)
+
+
+def _generator_spec(kind: str, params: dict):
+    """The generator spec built from params, each converted to its field's
+    type."""
+    spec_cls, _, fields = _GENERATORS[kind]
     types = typing.get_type_hints(spec_cls)
     kwargs = {}
     for name, value in params.items():
         if name not in fields:
             raise UsageError(f"unknown {kind} parameter {name!r} (expected {', '.join(fields)})")
-        kwargs[name] = types[name](value)
-    spec = spec_cls(**kwargs)
-    return spec, fn(spec)
+        kwargs[name] = _int_param(kind, name, value) if types[name] is int else types[name](value)
+    return spec_cls(**kwargs)
 
 
 def cmd_generate(args) -> int:
-    _, _, fields = _GENERATORS[args.kind]
+    _, generate, fields = _GENERATORS[args.kind]
     if len(args.params) > len(fields):
         raise UsageError(f"{args.kind} takes at most {len(fields)} positional parameters ({', '.join(fields)})")
     params = dict(zip(fields, args.params))
-    _, (circuit, monitored) = _build_generated(args.kind, params)
+    circuit, monitored = generate(_generator_spec(args.kind, params))
     text = netlist.serialize_circuit(circuit, monitored)
     if args.out:
         _write(args.out, text)
@@ -289,8 +300,8 @@ def parse_sweep_spec(text: str) -> dict:
     return spec
 
 
-def _sweep_point(kind, params, T, epsilon, gamma, delta):
-    spec, (circuit, monitored) = _build_generated(kind, params)
+def _sweep_point(kind, spec, T, epsilon, gamma, delta):
+    circuit, monitored = _GENERATORS[kind][1](spec)
     config = SimConfig(horizon=T, epsilon=epsilon)
     report = analysis.analyze(circuit, {}, monitored, gamma=gamma, delta=delta, config=config)
     row = {"p_fail": report.p_fail}
@@ -329,7 +340,9 @@ def cmd_sweep(args) -> int:
 
     names = [s["name"] for s in spec["sweeps"]]
     points = list(itertools.product(*(s["values"] for s in spec["sweeps"])))
-    tasks = [(kind, {**spec["params"], **dict(zip(names, point))}, T, epsilon, gamma, delta) for point in points]
+    # every point's parameters are checked before the first analysis runs
+    specs = [_generator_spec(kind, {**spec["params"], **dict(zip(names, point))}) for point in points]
+    tasks = [(kind, point_spec, T, epsilon, gamma, delta) for point_spec in specs]
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

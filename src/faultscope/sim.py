@@ -236,20 +236,43 @@ class _Seed:
 
 
 class _Run:
-    """One kernel run: final values, raw events and optional snapshots.
+    """One kernel run: final state, raw events and optional snapshots.
 
     A recorded event is the tuple (time, signal id, value, cause)."""
 
-    __slots__ = ("values", "gv", "initial_values", "events", "watch_hit", "snapshots", "visit_times")
+    __slots__ = (
+        "values",
+        "gv",
+        "pend",
+        "pend_x",
+        "last_visit",
+        "initial_values",
+        "events",
+        "watch_hit",
+        "snapshots",
+        "visit_times",
+    )
 
     def __init__(self):
         self.values = None
         self.gv = None
+        self.pend = None
+        self.pend_x = None
+        self.last_visit = None
         self.initial_values = None
         self.events = None
         self.watch_hit = False
         self.snapshots = None
         self.visit_times = None
+
+    def end_state(self) -> _Seed | None:
+        """The state at the end of the last visit of a run that stopped at
+        its horizon, to resume from: its seed's state if it made no visit,
+        None if it had no seed either.  Shares the run's final values and
+        pending maps, which ``_Seed.resume`` copies."""
+        if self.last_visit is None:
+            return None
+        return _Seed(self.last_visit, self.values, self.pend, self.pend_x)
 
 
 def _kernel(
@@ -265,11 +288,17 @@ def _kernel(
     seed: _Seed | None = None,
     base=None,
 ) -> _Run:
-    """Run the five-step loop. Input transitions and externals are sorted
-    (time, signal id, value) triples; times are exact floats.
+    """Run the five-step loop over the visits before ``horizon``. Input
+    transitions and externals are sorted (time, signal id, value) triples;
+    times are exact floats.
 
-    The run stops as soon as a ``watch`` signal attains X and is flagged as
-    hit.  ``base`` enables the
+    A ``seed`` resumes a run after the visit it was taken at: a run cut at a
+    horizon and resumed from its ``end_state()`` to a later horizon records
+    the same events, and has the same state after each visit, as one run to
+    the later horizon.  It only skips the due times of actions canceled
+    before the cut, visits at which nothing changes.  ``keep_snapshots``
+    keeps the state at the end of every visit.  The run stops as soon as a
+    ``watch`` signal attains X and is flagged as hit.  ``base`` enables the
     early convergence exit for fault probes: once no X is present or pending
     and the state matches the fault-free run at the same time, the suffix is
     known to be identical and the run stops.
@@ -288,12 +317,13 @@ def _kernel(
         heap: list[tuple[float, int, int]] = []
         pend_mask = 0  # bitmask of the rule ids in pend
         start = -_INF
+        last_visit = None
     else:
         values = seed.values[:]
         gv, heap, pend_mask = seed.resume(fns)
         pend = seed.pend.copy()
         pend_x = seed.pend_x.copy()
-        start = seed.time
+        start = last_visit = seed.time
 
     events = run.events = [] if record else None
     if record:
@@ -377,6 +407,7 @@ def _kernel(
                 t = t_ext
         if t >= horizon:
             break
+        last_visit = t
 
         # drain the actions due at t; step 2 applies them
         due_bool: list[int] = []
@@ -484,6 +515,9 @@ def _kernel(
 
     run.values = values
     run.gv = gv
+    run.pend = pend
+    run.pend_x = pend_x
+    run.last_visit = last_visit
     run.watch_hit = watch_hit
     return run
 

@@ -260,6 +260,24 @@ def test_generate_unknown_param_count(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("tokens", ["1.5", "abc", "inf"])
+def test_generate_int_field_rejects_non_integer(capsys, tokens):
+    code, out, err = run(capsys, "generate", "ring", "8", tokens)
+    assert code == 1 and out == "" and f"ring parameter 'tokens' must be an integer, got {tokens}" in err
+
+
+def test_generate_int_field_accepts_integral_decimal(capsys):
+    assert run(capsys, "generate", "ring", "8", "2.0") == run(capsys, "generate", "ring", "8", "2")
+
+
+def test_sweep_int_field_rejects_fraction(capsys):
+    """A fractional swept value for an int field is a usage error before any
+    point is analyzed; it used to run the 1-token ring for both rows."""
+    for argv in (["--set", "stages=8", "--sweep", "tokens=1,1.5"], ["--set", "stages=8.5", "--sweep", "tokens=1"]):
+        code, out, err = run(capsys, "sweep", "--generator", "ring", *argv, "--until", "20")
+        assert code == 1 and out == "" and "must be an integer" in err, argv
+
+
 def test_sweep_csv_deterministic_across_jobs(tmp_path, capsys):
     outs = []
     for jobs in ("1", "2"):

@@ -1,14 +1,9 @@
 """Equivalence of faults within one value region."""
 
 from faultscope import SimConfig, execute
-from faultscope.analysis import (
-    ValueRegion,
-    check_region_equivalence,
-    make_transient,
-    value_regions,
-    x_reach,
-)
+from faultscope.analysis import ValueRegion, make_transient, value_regions
 from faultscope.generators import PipelineSpec, linear_pipeline
+from util import check_region_equivalence, x_reach
 
 CFG = SimConfig(horizon=32.0, epsilon=0.1)
 GAMMA = 0.1

@@ -1,12 +1,16 @@
 """Randomized engine properties: determinism, prefixes, boundedness,
 monotonicity of X, and probe-engine equivalence."""
 
+import bisect
 import dataclasses
 import random
 import warnings
 
-from faultscope import ExternalEvent, SimConfig, Value, count_events, execute, make_trace, trace_value_at
-from faultscope.analysis import _ProbeContext, make_transient
+import pytest
+
+from faultscope import Circuit, ExternalEvent, SimConfig, Value, analysis, count_events, execute, make_trace, trace_value_at
+from faultscope.analysis import Glitch, _ProbeContext, is_susceptible, make_transient
+from faultscope.generators import PipelineSpec, gate_inverter, linear_pipeline
 from faultscope.sim import _kernel
 from util import monitored_for, random_circuit, random_input_traces
 
@@ -90,14 +94,14 @@ def test_noop_externals_reproduce_pure_execution():
         assert overlaid.traces == plain.traces
 
 
-def _full_run_verdict(ctx, inputs, signal, at, width):
+def _full_run_verdict(ctx, inputs, signal, at, width, kind="xpulse"):
     """Reference verdict: the full execution to ctx.t_end, inputs held past
     the horizon, with the pulse overlaid; susceptible iff a monitored signal
     attains X."""
     cfg = SimConfig(ctx.t_end, ctx.config.epsilon)
     inputs = {name: dataclasses.replace(trace, horizon=ctx.t_end) for name, trace in inputs.items()}
     base = execute(ctx.circuit, inputs, cfg)
-    faulty = execute(ctx.circuit, inputs, cfg, make_transient(signal, at, width, "xpulse", base))
+    faulty = execute(ctx.circuit, inputs, cfg, make_transient(signal, at, width, kind, base))
     traces = [faulty.traces[m] for m in ctx.monitored]
     return any(tr.initial is Value.X or any(v is Value.X for _, v in tr.transitions) for tr in traces)
 
@@ -160,11 +164,166 @@ def test_probe_engine_seeding_long_input_trace():
             cfg = SimConfig(T, 0.1)
             monitored = monitored_for(rng, circuit)
             ctx = _ProbeContext(circuit, inputs, cfg, monitored)
-            for seed in (ctx.snapshots[len(ctx.snapshots) // 2], ctx.snapshots[-2]):
+            base = _kernel(ctx.comp, ctx.in_transitions, ctx.in_initial, ctx.t_end, 0.1, (), keep_snapshots=True)
+            for seed in (base.snapshots[len(base.snapshots) // 2], base.snapshots[-2]):
                 resumed = _kernel(
                     ctx.comp, ctx.in_transitions, ctx.in_initial, ctx.t_end, 0.1, (), record=True, seed=seed
                 )
-                assert resumed.events == [ev for ev in ctx.base.events if ev[0] > seed.time]
+                assert resumed.events == [ev for ev in base.events if ev[0] > seed.time]
             for at in (T * 0.55, T * 0.9, rng.uniform(0.0, T - 0.2), rng.uniform(0.0, T - 0.2)):
                 signal = rng.choice(sorted(circuit.signals))
                 assert ctx.probe(signal, at, 0.1) == _full_run_verdict(ctx, inputs, signal, at, 0.1)
+
+
+# --- the lazy fault-free run ---------------------------------------------------------
+
+
+def _verdict_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:  # a flip-pulse on an X
+        return str(exc)
+
+
+def test_lazy_base_near_horizon_and_both_pulse_kinds():
+    """Pulses that end within d_max of T, X- and flip-pulses, on inputs that
+    may carry X: a fresh context per query (its run to the pulse keeps no
+    snapshots) and one shared context probed in random order (its later
+    probes fill in what the first one skipped) give full-run verdicts."""
+    rng = random.Random(18)
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        while checked < 160:
+            circuit, inputs, cfg = _case(rng, horizon=20, allow_x=rng.random() < 0.5)
+            monitored = monitored_for(rng, circuit)
+            kind = rng.choice(("xpulse", "flip"))
+            shared = _ProbeContext(circuit, inputs, cfg, monitored, fault_kind=kind)
+            for _ in range(4):
+                signal = rng.choice(sorted(circuit.signals))
+                at = cfg.horizon - 0.1 - rng.uniform(0.0, circuit.d_max)
+                if rng.random() < 0.3:
+                    at = rng.uniform(0.0, at)
+                fresh = _ProbeContext(circuit, inputs, cfg, monitored, fault_kind=kind)
+                slow = _verdict_or_error(_full_run_verdict, fresh, inputs, signal, at, 0.1, kind)
+                assert _verdict_or_error(fresh.probe, signal, at, 0.1) == slow, (signal, at, kind)
+                assert _verdict_or_error(shared.probe, signal, at, 0.1) == slow, (signal, at, kind)
+                checked += 1
+
+
+def test_lazy_base_monitored_x_only_after_horizon():
+    """Random circuits whose fault-free run first drives the monitored
+    signal to X after T: every pulse is susceptible, also when the probe
+    itself re-converges before T."""
+    rng = random.Random(19)
+    found = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        while found < 12:
+            circuit, inputs, cfg = _case(rng, horizon=20, allow_x=True)
+            t_end = cfg.horizon + analysis._settle(circuit, cfg)
+            long_inputs = {name: dataclasses.replace(trace, horizon=t_end) for name, trace in inputs.items()}
+            base = execute(circuit, long_inputs, SimConfig(t_end, 0.1))
+            late = [
+                s
+                for s in sorted(circuit.driven)
+                if base.traces[s].initial is not Value.X
+                and any(v is Value.X for _, v in base.traces[s].transitions)
+                and min(t for t, v in base.traces[s].transitions if v is Value.X) >= cfg.horizon
+            ]
+            if not late:
+                continue
+            found += 1
+            for _ in range(4):
+                signal = rng.choice(sorted(circuit.signals))
+                at = rng.uniform(0.0, cfg.horizon - 0.11)
+                ctx = _ProbeContext(circuit, inputs, cfg, late[:1])
+                assert _full_run_verdict(ctx, inputs, signal, at, 0.1)
+                assert ctx.probe(signal, at, 0.1), (signal, at)
+
+
+def test_lazy_base_lookups_match_full_snapshot_run():
+    """However the cursor was extended, a lookup at t gives the state after
+    the last visit of the full fault-free run at or before t, also at visit
+    times, and the regions equal those of the full run.  Only the states
+    are compared: a resumed run does not revisit the due times of actions
+    canceled before its seed, visits that change nothing."""
+    rng = random.Random(20)
+    for _ in range(30):
+        circuit, inputs, cfg = _case(rng, horizon=20, allow_x=True)
+        ctx = _ProbeContext(circuit, inputs, cfg, monitored_for(rng, circuit))
+        full = _kernel(ctx.comp, ctx.in_transitions, ctx.in_initial, ctx.t_end, 0.1, (), keep_snapshots=True)
+        if rng.random() < 0.5:
+            ctx.probe(rng.choice(sorted(circuit.signals)), rng.uniform(1.0, cfg.horizon - 0.1), 0.1)
+        times = rng.sample(full.visit_times, min(10, len(full.visit_times)))
+        times += [rng.uniform(0.0, ctx.t_end) for _ in range(10)]
+        rng.shuffle(times)
+        for t in times:
+            i = bisect.bisect_right(full.visit_times, t) - 1
+            snap, want = ctx._snapshot(t), full.snapshots[i]
+            assert snap.time <= t and (snap.values, snap.pend, snap.pend_x) == (want.values, want.pend, want.pend_x)
+        assert ctx.regions == analysis._regions_from_times((ev[0] for ev in full.events), cfg.horizon)
+
+
+def test_base_mon_x_counts_initial_x():
+    """A monitored signal that starts at X makes every pulse susceptible,
+    though no recorded event shows that X."""
+    circuit = Circuit(
+        inputs=["i0"],
+        locals=["b"],
+        outputs=["a"],
+        initial={"a": Value.X, "b": Value.ONE},
+        rules=gate_inverter("i0", "a", 1.0) + gate_inverter("i0", "b", 1.0),
+    )
+    inputs = {"i0": make_trace(Value.ZERO)}
+    cfg = SimConfig(20.0, 0.1)
+    ctx = _ProbeContext(circuit, inputs, cfg, {"a"})
+    for at in (10.0, 5.0):
+        assert _full_run_verdict(ctx, inputs, "b", at, 0.1)
+        assert ctx.probe("b", at, 0.1)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The keyword arguments and horizon of every _kernel call the analysis
+    makes."""
+    calls = []
+
+    def spy(comp, transitions, initial, horizon, *args, **kwargs):
+        calls.append({**kwargs, "horizon": horizon})
+        return _kernel(comp, transitions, initial, horizon, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_kernel", spy)
+    return calls
+
+
+LIN3 = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+LIN3_CFG = SimConfig(horizon=32.0, epsilon=0.1)
+
+
+def test_probe_context_construction_runs_no_kernel(kernel_calls):
+    circuit, monitored = LIN3
+    _ProbeContext(circuit, {}, LIN3_CFG, monitored)
+    assert kernel_calls == []
+
+
+def test_hit_query_never_runs_base_to_t_end(kernel_calls):
+    """A query whose probe hits runs the fault-free run only to about its
+    pulse; a masked query adds one watched run to T + settle."""
+    circuit, monitored = LIN3
+    t_end = LIN3_CFG.horizon + analysis._settle(circuit, LIN3_CFG)
+    # [9, 13) is susceptible throughout for c2, [0, 4) masked for en3
+    assert is_susceptible(circuit, {}, monitored, Glitch("c2", 10.0, 0.1), LIN3_CFG)
+    base_runs = [c for c in kernel_calls if c.get("record", True) is not False]
+    assert base_runs and max(c["horizon"] for c in base_runs) < LIN3_CFG.horizon < t_end
+    kernel_calls.clear()
+    assert not is_susceptible(circuit, {}, monitored, Glitch("en3", 1.0, 0.1), LIN3_CFG)
+    to_end = [c for c in kernel_calls if c.get("record", True) is not False and c["horizon"] == t_end]
+    assert len(to_end) == 1 and to_end[0]["watch"] and not to_end[0].get("keep_snapshots")
+
+
+def test_base_mon_x_found_once(kernel_calls):
+    circuit, monitored = LIN3
+    report = analysis.analyze(circuit, {}, monitored, 0.1, 0.01, LIN3_CFG)
+    assert report.simulations > 100
+    assert sum(1 for c in kernel_calls if c.get("watch") and c.get("record", True) is not False) == 1

@@ -1,10 +1,12 @@
-"""Shared test helpers: random well-formed circuits, traces, and fault probes."""
+"""Shared test helpers: random well-formed circuits, traces, fault probes
+and the region-equivalence check."""
 
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
-from faultscope import Circuit, SignalTrace, Value, make_trace
+from faultscope import Circuit, SignalTrace, Value, ValueRegion, execute, make_trace, make_transient, value_regions
 from faultscope.generators import gate_and, gate_inverter, gate_mce, gate_or
 
 GATES = ("inv", "mce", "or", "and")
@@ -69,3 +71,53 @@ def monitored_for(rng: random.Random, circuit: Circuit):
     driven = sorted(circuit.driven)
     count = min(len(driven), rng.randint(1, 2))
     return frozenset(rng.sample(driven, count))
+
+
+def x_reach(execution, regions: Sequence[ValueRegion]) -> frozenset:
+    """Set of (signal, region index) pairs where the signal is X at some time
+    within the region."""
+    out = set()
+    for name, trace in execution.traces.items():
+        segs = []
+        cur_v, cur_t = trace.initial, 0.0
+        for t, v in trace.transitions:
+            if cur_v is Value.X:
+                segs.append((cur_t, t))
+            cur_v, cur_t = v, t
+        if cur_v is Value.X:
+            segs.append((cur_t, execution.horizon))
+        if not segs:
+            continue
+        for region in regions:
+            if any(a < region.end and region.start < b for a, b in segs):
+                out.add((name, region.index))
+    return frozenset(out)
+
+
+def check_region_equivalence(
+    circuit: Circuit,
+    inputs,
+    region: ValueRegion,
+    signal: str,
+    gamma: float,
+    config,
+    samples: int = 4,
+    seed: int = 0,
+) -> bool:
+    """Within one region, a later fault must reach X everywhere an earlier
+    fault does.  Samples fault times away from the region's right boundary;
+    vacuously true when the margin leaves no room."""
+    margin = circuit.size * config.epsilon + gamma
+    hi = region.end - margin
+    if hi <= region.start:
+        return True
+    rng = random.Random(seed)
+    times = sorted(rng.uniform(region.start, hi) for _ in range(samples))
+    base = execute(circuit, inputs, config)
+    regions = value_regions(base)
+    reaches = []
+    for t in times:
+        events = make_transient(signal, t, gamma, "xpulse", base)
+        faulty = execute(circuit, inputs, config, events)
+        reaches.append(x_reach(faulty, regions))
+    return all(reaches[i] <= reaches[i + 1] for i in range(len(reaches) - 1))
