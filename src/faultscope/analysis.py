@@ -321,7 +321,7 @@ class _ProbeContext:
             i = _bisect_mod.bisect_right(self._times, t) - 1
         return self._snaps[i] if i >= 0 else None
 
-    def _seed(self, at: float):
+    def _seed_before(self, at: float):
         """Snapshot of the last fault-free visit before ``at``, or None: where
         a probe of a pulse at ``at`` resumes.  On a fresh cursor, the run up
         to ``at`` keeps no snapshot but this one."""
@@ -376,7 +376,7 @@ class _ProbeContext:
         """Susceptibility verdict for one pulse; counts one simulation."""
         self.simulations += 1
         sid = self.comp.idx[signal]
-        seed = self._seed(at)
+        seed = self._seed_before(at)
         events = self.pulse_events(sid, at, width)
         if self._base_mon_x:
             return True
