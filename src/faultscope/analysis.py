@@ -9,10 +9,15 @@ circuit.  Every verdict (``is_susceptible``, ``analyze``, ``analyze_naive``)
 comes from ``_ProbeContext.probe``, and the context is the one view of the
 fault-free run: it is set up and checked as ``execute`` is, so the analyses
 reject what ``execute`` rejects.  The context runs the fault-free execution
-only as far as it is read: ``analyze`` runs it to T for the value regions
-and a little past T for the probes; one ``is_susceptible`` query runs it to
-the pulse, over the stretch its probe compares with and, only when the probe
-does not hit, on to T + settle without snapshots.
+only as far as it is read, and never past the visit at which it starts to
+repeat: with integer delays and inputs that have stopped switching, the run
+becomes periodic, and every later time is read by shifting the stretch that
+repeats (``sim._CycleFinder``).  ``analyze`` runs it to T for the value
+regions and a little past T for the probes; one ``is_susceptible`` query
+runs it to the pulse, over the stretch its probe compares with and, only
+when the probe does not hit, on to T + settle without snapshots.  Each run
+stops at the repeat, so on a periodic circuit a query costs the same at any
+T.
 
 Susceptible times are located per value region of the fault-free execution
 (the interval between two consecutive value-switching times): within a region
@@ -33,7 +38,7 @@ from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .prs import Circuit, InputTraces, Value, trace_value_at
-from .sim import X, Execution, ExternalEvent, SimConfig, _kernel, _setup_run, execute
+from .sim import X, Execution, ExternalEvent, SimConfig, _CycleFinder, _kernel, _setup_run, execute
 
 DEFAULT_EPSILON = 0.1
 DEFAULT_GAMMA = 0.1
@@ -162,29 +167,37 @@ def is_susceptible(
 
     The verdict is the one ``analyze`` finds for the same pulse.
     """
-    if glitch.width <= 0:
+    _check_glitch(circuit, glitch, config)
+    ctx = _ProbeContext(circuit, inputs, config, monitored, fault_kind=glitch.kind)
+    return ctx.probe(glitch.signal, glitch.at, glitch.width)
+
+
+def _check_glitch(circuit: Circuit, glitch: Glitch, config: SimConfig) -> None:
+    """A pulse of positive width within [0, T] on a signal of the circuit;
+    written so that a NaN fails each test."""
+    if not glitch.width > 0:
         raise ValueError(f"pulse width must be positive, got {glitch.width}")
-    if glitch.at < 0 or glitch.at + glitch.width > config.horizon:
+    if not 0 <= glitch.at <= glitch.at + glitch.width <= config.horizon:
         raise ValueError(
             f"glitch [{glitch.at}, {glitch.at + glitch.width}) not within [0, {config.horizon}]"
         )
     if glitch.signal not in circuit.signals:
         raise ValueError(f"glitch signal {glitch.signal!r} not in circuit")
-    ctx = _ProbeContext(circuit, inputs, config, monitored, fault_kind=glitch.kind)
-    return ctx.probe(glitch.signal, glitch.at, glitch.width)
 
 
 def faulty_execution(
     circuit: Circuit, inputs: InputTraces, glitch: Glitch, config: SimConfig
 ) -> Execution:
     """The full execution a verdict on the glitch is taken from: run to
-    T + settle with the inputs held past T and the pulse overlaid."""
-    t_end = config.horizon + _settle(circuit, config)
-    long = replace(config, horizon=t_end)
-    inputs = {name: replace(trace, horizon=t_end) for name, trace in (inputs or {}).items()}
-    base = execute(circuit, inputs, long)
-    pulse = make_transient(glitch.signal, glitch.at, glitch.width, glitch.kind, base)
-    return execute(circuit, inputs, long, pulse)
+    T + settle with the inputs held past T and the pulse overlaid, the pulse
+    read from the fault-free run as a probe reads it."""
+    _check_glitch(circuit, glitch, config)
+    # the monitored set does not shape the pulse
+    ctx = _ProbeContext(circuit, inputs, config, circuit.signals, fault_kind=glitch.kind)
+    pulse = ctx.pulse_events(ctx.comp.idx[glitch.signal], glitch.at, glitch.width)
+    long = replace(config, horizon=ctx.t_end)
+    inputs = {name: replace(trace, horizon=ctx.t_end) for name, trace in (inputs or {}).items()}
+    return execute(circuit, inputs, long, [ExternalEvent(t, glitch.signal, Value(fv)) for t, _, fv in pulse])
 
 
 # --- value regions --------------------------------------------------------------
@@ -220,7 +233,8 @@ def _settle(circuit: Circuit, config: SimConfig) -> float:
 # The benchmark in bench/ wraps _ProbeContext.probe(signal, at, width) and
 # reads its positional arguments, wraps _ProbeContext.matches, the module
 # global _kernel (it tells probes by their record=False keyword, so only
-# probes pass it: the fault-free runs below count as base runs), analyze,
+# probes pass it: the fault-free runs below, the watched run and the re-runs
+# of holes among them, count as base runs), analyze,
 # is_susceptible and value_regions, counts PostfixViolationWarning, and
 # outside this module wraps sim.execute, cli._GENERATORS, cli.main and the
 # public generators, netlist, prs and waveform functions it runs: keep these
@@ -235,7 +249,19 @@ class _ProbeContext:
     read.  ``regions`` runs it to T.  A lookup past its end extends it by a
     chunk that doubles each time, up to T + settle.  The first probe of a
     fresh context runs it to the pulse without snapshots, so one query pays
-    for the run up to its pulse and for the visits its probe compares with.
+    for the run up to its pulse and for the visits its probe compares with;
+    a later lookup among visits passed without snapshots runs them again.
+
+    Every run of the cursor looks for a cycle when all rule delays are
+    integers: the first state, after the last input transition, that
+    repeats one seen at an earlier visit (t1 < t2, period p = t2 - t1).  The
+    kernel then runs no further than t2.  Past t2 the cursor is extended
+    with the visit times of (t1, t2] shifted by k·p, k = 1, 2, ...; the
+    snapshot of such a visit is that of (t1, t2] with its due times moved
+    by k·p, made when first read and then kept, so a probe resumed from it
+    keeps its guard values.  The events past t2 are those in (t1, t2]
+    shifted.  A run that kept no snapshots rebuilds those of (t1, t2] from
+    the cycle finder's keys.
 
     A probe resumes from the snapshot of the last visit before the pulse and
     stops as soon as a monitored signal attains X (susceptible) or the state
@@ -243,7 +269,7 @@ class _ProbeContext:
     that does not hit is susceptible iff the fault-free run itself drives a
     monitored signal to X before T + settle (``base_mon_x``).  Verdicts are
     identical to re-running the full execution to T + settle with the pulse
-    overlaid.
+    overlaid.  ``faulty_execution`` reads its pulse from a context too.
     """
 
     def __init__(
@@ -274,17 +300,26 @@ class _ProbeContext:
             self.initial_values[sid] = fv
         self.simulations = 0
 
-        # the cursor: every visit before _reached has run, its events are in
-        # _events and _head is the state after the last one; _snaps holds a
-        # snapshot of every visit from _times[0] on, and with _gap set the
-        # visits before _times[0] ran without snapshots
+        # the cursor: _times holds the time of every visit before _reached
+        # and _snaps a snapshot of each, but for visits in a hole: a time in
+        # _holes is that of a snapshot whose visits since the one before ran
+        # without snapshots.  _events holds the events of every visit the
+        # kernel ran.  Once _finder has seen the run repeat at t2, _period is
+        # set and the kernel runs no further: past t2 the cursor is extended
+        # by the times of (t1, t2], _stretch, shifted by whole periods, the
+        # last _repeats entries, whose snapshots are made when first read.
         self._reached = 0.0
-        self._head = None
         self._events: list = []
         self._times: list[float] = []
         self._snaps: list = []
-        self._gap = False
+        self._holes: set[float] = set()
         self._chunk = _slowest(circuit, config)
+        self._finder = None
+        if all(float(d).is_integer() for d in comp.delays) and self.t_end < 2.0**52:
+            self._finder = _CycleFinder(self.in_transitions[-1][0] if self.in_transitions else -math.inf)
+        self._period: float | None = None
+        self._stretch: list = []
+        self._repeats = 0
         self._regions: list[ValueRegion] | None = None
         self._base_mon_x: bool | None = None
 
@@ -293,70 +328,147 @@ class _ProbeContext:
         benchmark does not take it for a probe."""
         return _kernel(self.comp, self.in_transitions, self.in_initial, until, self.config.epsilon, (), **options)
 
-    def _run_base(self, until: float, keep: bool) -> None:
-        """Extend the cursor through the visits before ``until``, keeping
-        their snapshots if ``keep``."""
-        run = self._fault_free(until, keep_snapshots=keep, seed=self._head)
+    def _run_on(self, until: float, keep: bool, watch: frozenset = frozenset()):
+        """A run from the cursor's end to ``until`` that stops where the run
+        repeats, keeping a snapshot per visit if ``keep``."""
+        head = self._snaps[-1] if self._snaps else None
+        return self._fault_free(until, keep_snapshots=keep, watch=watch, seed=head, cycle=self._finder)
+
+    def _take(self, run, until: float) -> None:
+        """Extend the cursor by a run from its end to ``until``.  A run that
+        kept no snapshots leaves a hole before its last visit, or before the
+        stretch that repeats, rebuilt by the cycle finder."""
         self._events += run.events
-        if keep and run.snapshots:
-            self._times += run.visit_times
-            self._snaps += run.snapshots
-            self._head = run.snapshots[-1]
-        else:
-            self._head = run.end_state()
         self._reached = until
+        finder = self._finder
+        if finder is not None and finder.t2 is not None:
+            self._period = finder.t2 - finder.t1
+            self._reached = math.nextafter(finder.t2, math.inf)
+        if run.snapshots is not None:
+            new = run.snapshots
+        else:
+            new = [run.end_state()] if run.last_visit is not None else []
+            if self._period is not None:
+                new[:0] = finder.stretch(self._times[-1] if self._times else -math.inf)
+            if new:
+                self._holes.add(new[0].time)
+        self._times += [snap.time for snap in new]
+        self._snaps += new
+        if self._period is not None:
+            finder.seen.clear()  # read no more
+
+    def _extend(self, t: float) -> None:
+        """Extend the cursor past t by a chunk that doubles each time, up to
+        T + settle: by a run of the kernel, or past t2 by the times of the
+        stretch (t1, t2] shifted by whole periods."""
+        until = min(self.t_end, t + self._chunk)
+        self._chunk *= 2
+        if self._period is None:
+            self._take(self._run_on(until, keep=True), until)
+            if self._period is None:
+                return
+        t1, t2, p = self._finder.t1, self._finder.t2, self._period
+        if not self._stretch:
+            for end in sorted(h for h in self._holes if t1 < h <= t2):
+                self._fill_hole(_bisect_mod.bisect_left(self._times, end) - 1)
+            self._stretch = self._snaps[_bisect_mod.bisect_right(self._times, t1) :]
+        n = len(self._stretch)
+        while self._times[-1] < until:
+            shift = (self._repeats // n + 1) * p
+            times = [snap.time + shift for snap in self._stretch]
+            cut = _bisect_mod.bisect_left(times, self.t_end)
+            self._times += times[:cut]
+            self._snaps += [None] * cut
+            self._repeats += cut
+            if cut < n:  # every visit before T + settle is in
+                until = self.t_end
+                break
+        self._reached = until
+
+    def _fill_hole(self, i: int) -> None:
+        """Run again the visits between snapshot i (or the start) and the
+        next one, which a run without snapshots passed."""
+        end = self._times[i + 1]
+        self._holes.discard(end)
+        run = self._fault_free(end, keep_snapshots=True, seed=self._snaps[i] if i >= 0 else None)
+        self._times[i + 1 : i + 1] = run.visit_times
+        self._snaps[i + 1 : i + 1] = run.snapshots
 
     def _snapshot(self, t: float):
         """Snapshot of the last fault-free visit at or before t, or None."""
-        if t >= self._reached and self._reached < self.t_end:
-            self._run_base(min(self.t_end, t + self._chunk), keep=True)
-            self._chunk *= 2
+        if t >= self._reached < self.t_end:
+            self._extend(t)
         i = _bisect_mod.bisect_right(self._times, t) - 1
-        if i < 0 and self._gap:
-            # run again the visits a first probe passed without snapshots
-            run = self._fault_free(self._times[0], keep_snapshots=True)
-            self._times[:0] = run.visit_times
-            self._snaps[:0] = run.snapshots
-            self._gap = False
+        if self._holes and i + 1 < len(self._times) and self._times[i + 1] in self._holes:
+            self._fill_hole(i)
             i = _bisect_mod.bisect_right(self._times, t) - 1
-        return self._snaps[i] if i >= 0 else None
+        if i < 0:
+            return None
+        snap = self._snaps[i]
+        if snap is None:
+            # a visit past t2: a visit of the stretch k periods later, its
+            # due times shifted by k·p, which is exact (see _CycleFinder)
+            k, j = divmod(i - (len(self._times) - self._repeats), len(self._stretch))
+            snap = self._snaps[i] = self._stretch[j].shifted((k + 1) * self._period)
+        return snap
 
     def _seed_before(self, at: float):
         """Snapshot of the last fault-free visit before ``at``, or None: where
         a probe of a pulse at ``at`` resumes.  On a fresh cursor, the run up
-        to ``at`` keeps no snapshot but this one."""
+        to ``at`` keeps no snapshots but of its last visit and of the stretch
+        that repeats, if it gets there."""
         if not self._snaps and at > self._reached:
-            self._run_base(at, keep=False)
-            if self._head is not None:
-                self._times, self._snaps, self._gap = [self._head.time], [self._head], True
+            self._take(self._run_on(at, keep=False), at)
         # on float times, the last visit before at is the last one at or
         # before the next float down
         return self._snapshot(math.nextafter(at, -math.inf))
 
+    def _event_times(self, until: float) -> list[float]:
+        """Times of the fault-free run's events, through all those before
+        ``until``: past t2, those in (t1, t2] shifted by whole periods."""
+        times = [ev[0] for ev in self._events]
+        if self._period is not None:
+            p = self._period
+            period = times[_bisect_mod.bisect_right(times, self._finder.t1) :]
+            k = 1
+            while period and period[0] + k * p < until:
+                times += [t + k * p for t in period]
+                k += 1
+        return times
+
     @property
     def regions(self) -> list[ValueRegion]:
         """The value regions of the fault-free run; the first access runs the
-        cursor to T."""
+        cursor to T, or to where the run repeats."""
         if self._regions is None:
             T = self.config.horizon
-            if self._reached < T:
-                self._run_base(T, keep=True)
-            self._regions = _regions_from_times((ev[0] for ev in self._events), T)
+            if self._period is None and self._reached < T:
+                self._take(self._run_on(T, keep=True), T)
+            self._regions = _regions_from_times(self._event_times(T), T)
         return self._regions
 
     @property
     def base_mon_x(self) -> bool:
         """Whether the fault-free run drives a monitored signal to X before
-        T + settle.  Found once: from the cursor's events, and past its end
-        from one run that keeps no snapshot and stops at the first monitored
-        X."""
+        T + settle.  Found once: from the initial values and the cursor's
+        events, and past the cursor's end from one run that keeps no
+        snapshots and stops at the first monitored X or where the run
+        repeats (the stretch that repeats has no X).  Only a run that got
+        there extends the cursor."""
         if self._base_mon_x is None:
             mon = self.mon_ids
-            self._base_mon_x = (
-                any(self.initial_values[sid] == X for sid in mon)
-                or any(fv == X and sid in mon for _, sid, fv, _ in self._events)
-                or self._fault_free(self.t_end, watch=mon, seed=self._head).watch_hit
+            hit = any(self.initial_values[sid] == X for sid in mon) or any(
+                fv == X and sid in mon for _, sid, fv, _ in self._events
             )
+            if not hit and self._period is None and self._reached < self.t_end:
+                run = self._run_on(self.t_end, keep=False, watch=mon)
+                hit = run.watch_hit
+                if self._finder is not None and self._finder.t2 is not None:
+                    self._take(run, self.t_end)
+                elif self._finder is not None:
+                    # it saw visits past the cursor's end
+                    self._finder.seen.clear()
+            self._base_mon_x = hit
         return self._base_mon_x
 
     def matches(self, t: float, values, pend, pend_x) -> bool:
@@ -466,8 +578,8 @@ def _worker_windows(signal: str, gamma: float, delta: float):
 
 def _require_positive(**params: float) -> None:
     for name, value in params.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _resolve_injection(circuit, monitored, injection_set, include_monitored):

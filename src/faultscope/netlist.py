@@ -250,18 +250,20 @@ def parse_traces(text: str) -> dict[str, SignalTrace]:
     for lineno, row in enumerate(rows[1:], start=2):
         parts = [p.strip() for p in row.split(",")]
         if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 'signal,time,value', got {row!r}")
+            raise NetlistError(f"expected 'signal,time,value', got {row!r}", lineno)
         name, time_s, value_s = parts
         if not SIGNAL_NAME_RE.match(name):
-            raise ValueError(f"line {lineno}: bad signal name {name!r}")
+            raise NetlistError(f"bad signal name {name!r}", lineno)
         try:
             t = float(time_s)
         except ValueError:
-            raise ValueError(f"line {lineno}: bad time {time_s!r}") from None
+            raise NetlistError(f"bad time {time_s!r}", lineno) from None
+        if not math.isfinite(t):
+            raise NetlistError(f"time must be finite, got {time_s!r}", lineno)
         try:
             v = Value.from_text(value_s)
         except ValueError:
-            raise ValueError(f"line {lineno}: unknown value {value_s!r} (expected 0, 1 or X)") from None
+            raise NetlistError(f"unknown value {value_s!r} (expected 0, 1 or X)", lineno) from None
         per_signal.setdefault(name, []).append((t, v))
     traces = {}
     for name, rows_ in per_signal.items():

@@ -234,6 +234,78 @@ class _Seed:
             self._pend_mask = sum(1 << rid for rid in self.pend)
         return self._gv[:], self._heap[:], self._pend_mask
 
+    def shifted(self, d: float) -> "_Seed":
+        """The same state ``d`` time units later: every due time moves by d."""
+        return _Seed(
+            self.time + d,
+            self.values,
+            {rid: due + d for rid, due in self.pend.items()},
+            {sid: due + d for sid, due in self.pend_x.items()},
+        )
+
+
+class _CycleFinder:
+    """Finds where a fault-free run starts to repeat itself.
+
+    A visit is eligible when it comes after the last input transition, its
+    time and every pending due time are integers, no value is X and no X
+    action is pending.  The state at the end of an eligible visit is keyed
+    by (values, {rule: due - t}); a visit that is not eligible clears the
+    table.  The first key seen twice gives the visits t1 < t2, and
+    ``visit`` returns True at t2.
+
+    Why the run from t2 is the run from t1 shifted by p = t2 - t1, forever:
+    the kernel state at the end of a visit is (values, pend, pend_x) plus
+    what follows from it (the guard values, and heap entries of canceled
+    actions, whose visits change nothing), and no input or external is
+    left.  So the two states, equal up to the shift of every due time by p,
+    have futures equal up to that shift, as long as the run computes the
+    same due times in both.  The caller only sets up a finder when every
+    rule delay is an integer and the run ends before 2**52, so from integer
+    visit times and due times the run schedules only integer due times,
+    sums of integers below 2**53 that floats hold exactly.  The stretch
+    (t1, t2] holds only eligible visits: it schedules no X action and needs
+    no epsilon, since a guard on X-free values is never X and a visit that
+    drives a value to X keeps it at X to its end.  Its shift by p is exact
+    for the same reason, so the stretch repeats unchanged, one period after
+    the other.
+    """
+
+    __slots__ = ("after", "seen", "t1", "t2")
+
+    def __init__(self, after: float):
+        self.after = after  # time of the last input transition
+        self.seen: dict = {}  # key -> time of the eligible visit it was seen at
+        self.t1 = self.t2 = None
+
+    def visit(self, t: float, values, pend, pend_x) -> bool:
+        """Look at the state at the end of the visit at t; the kernel calls
+        this only for visits after ``after``."""
+        if (
+            t.is_integer()
+            and not pend_x
+            and X not in values
+            and all(due.is_integer() for due in pend.values())
+        ):
+            key = (tuple(values), frozenset([(rid, due - t) for rid, due in pend.items()]))
+            first = self.seen.setdefault(key, t)
+            if first != t:
+                self.t1, self.t2 = first, t
+                return True
+        elif self.seen:
+            self.seen.clear()
+        return False
+
+    def stretch(self, after: float) -> list[_Seed]:
+        """Snapshots of the visits from t1 on, before t2 and after ``after``,
+        rebuilt from their keys: what is known of the stretch that repeats
+        after a run that kept no snapshots."""
+        return [
+            _Seed(t, list(values), {rid: t + off for rid, off in pend}, {})
+            for (values, pend), t in self.seen.items()
+            if t >= self.t1 and t > after
+        ]
+
 
 class _Run:
     """One kernel run: final state, raw events and optional snapshots.
@@ -267,9 +339,10 @@ class _Run:
 
     def end_state(self) -> _Seed | None:
         """The state at the end of the last visit of a run that stopped at
-        its horizon, to resume from: its seed's state if it made no visit,
-        None if it had no seed either.  Shares the run's final values and
-        pending maps, which ``_Seed.resume`` copies."""
+        its horizon or where its cycle finder saw a repeat, to resume from:
+        its seed's state if it made no visit, None if it had no seed either.
+        Shares the run's final values and pending maps, which
+        ``_Seed.resume`` copies."""
         if self.last_visit is None:
             return None
         return _Seed(self.last_visit, self.values, self.pend, self.pend_x)
@@ -287,6 +360,7 @@ def _kernel(
     keep_snapshots: bool = False,
     seed: _Seed | None = None,
     base=None,
+    cycle: _CycleFinder | None = None,
 ) -> _Run:
     """Run the five-step loop over the visits before ``horizon``. Input
     transitions and externals are sorted (time, signal id, value) triples;
@@ -298,7 +372,8 @@ def _kernel(
     the later horizon.  It only skips the due times of actions canceled
     before the cut, visits at which nothing changes.  ``keep_snapshots``
     keeps the state at the end of every visit.  The run stops as soon as a
-    ``watch`` signal attains X and is flagged as hit.  ``base`` enables the
+    ``watch`` signal attains X and is flagged as hit, and after the visit at
+    which a ``cycle`` finder sees a state repeat.  ``base`` enables the
     early convergence exit for fault probes: once no X is present or pending
     and the state matches the fault-free run at the same time, the suffix is
     known to be identical and the run stops.
@@ -395,6 +470,10 @@ def _kernel(
         return len(changed)
 
     first_visit = seed is None
+    # one test per visit for the probes, which neither keep snapshots nor
+    # look for a cycle, and none for the finder before the last input
+    end_of_visit = keep_snapshots or cycle is not None
+    cycle_after = cycle.after if cycle is not None else _INF
 
     while True:
         # step 5 of the previous visit: advance to the earliest pending
@@ -498,9 +577,12 @@ def _kernel(
         if watch_hit:
             break
 
-        if keep_snapshots:
-            visit_times.append(t)
-            snapshots.append(_Seed(t, values[:], pend.copy(), pend_x.copy()))
+        if end_of_visit:
+            if keep_snapshots:
+                visit_times.append(t)
+                snapshots.append(_Seed(t, values[:], pend.copy(), pend_x.copy()))
+            if t > cycle_after and cycle.visit(t, values, pend, pend_x):
+                break
 
         # early convergence exit for probes: externals consumed, no X live
         # or pending, and state equal to the fault-free run at this time
@@ -559,12 +641,12 @@ def _prepare_inputs(comp: _Compiled, inputs: InputTraces, horizon: float):
 
 
 def _setup_run(circuit: Circuit, inputs: InputTraces | None, config: SimConfig, end: float):
-    """Compile the circuit, check 0 <= T and 0 < epsilon < d_min and that the
-    inputs cover T, and prepare the inputs up to ``end``.  Returns the
-    compiled circuit, the inputs' initial values and their transitions."""
+    """Compile the circuit, check 0 <= T < inf and 0 < epsilon < d_min and
+    that the inputs cover T, and prepare the inputs up to ``end``.  Returns
+    the compiled circuit, the inputs' initial values and their transitions."""
     comp = _compiled(circuit)
-    if config.horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {config.horizon}")
+    if not 0 <= config.horizon < _INF:
+        raise ValueError(f"horizon must be finite and nonnegative, got {config.horizon}")
     if not 0 < config.epsilon < comp.d_min:
         raise ValueError(
             f"epsilon must satisfy 0 < epsilon < d_min ({comp.d_min}), got {config.epsilon}"

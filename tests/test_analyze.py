@@ -220,6 +220,27 @@ def test_analyze_rejects_nonpositive_gamma_and_delta(pipeline, kwargs):
         analyze(circuit, {}, monitored, config=CFG, **kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [{"gamma": math.inf}, {"delta": math.inf}, {"config": SimConfig(math.nan, 0.1)}, {"config": SimConfig(math.inf, 0.1)}])
+def test_analyze_rejects_non_finite(pipeline, kwargs):
+    circuit, monitored = pipeline
+    with pytest.raises(ValueError, match="finite"):
+        analyze(circuit, {}, monitored, **{"config": CFG, **kwargs})
+
+
+@pytest.mark.parametrize("kwargs", [{"gamma": math.inf}, {"step": math.inf}])
+def test_naive_rejects_non_finite_gamma_and_step(pipeline, kwargs):
+    circuit, monitored = pipeline
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        analyze_naive(circuit, {}, monitored, config=CFG, **kwargs)
+
+
+@pytest.mark.parametrize("at,width", [(math.nan, 0.1), (10.0, math.nan), (10.0, math.inf), (math.inf, 0.1)])
+def test_glitch_with_non_finite_time_rejected(pipeline, at, width):
+    circuit, monitored = pipeline
+    with pytest.raises(ValueError):
+        is_susceptible(circuit, {}, monitored, Glitch("c2", at, width), CFG)
+
+
 @pytest.mark.parametrize("kwargs", [{"gamma": 0.0}, {"step": 0.0}])
 def test_naive_rejects_nonpositive_gamma_and_step(pipeline, kwargs):
     circuit, monitored = pipeline

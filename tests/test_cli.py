@@ -146,8 +146,15 @@ def _x_on_monitored(svg: str) -> bool:
     return any(float(y) - WAVE_H in {float(r) for r in x_rects} for y in labels)
 
 
-# the second pulse reaches a monitored signal only after T
-@pytest.mark.parametrize("at", ["c2@10:0.1", "en2@31.5:0.1"])
+# the second pulse reaches a monitored signal only after T; the pinned
+# bytes are those the pulse read from a full fault-free execution gave
+INJECT_SVG_SHA256 = {
+    "c2@10:0.1": "bd3d18e7749d018c46dd05a2f5da4346d49297511b61f4552f315d1b93966142",
+    "en2@31.5:0.1": "b73048d5cf62becbf84231bce186ef6ff9b9410008885947a65805caeff2009e",
+}
+
+
+@pytest.mark.parametrize("at", sorted(INJECT_SVG_SHA256))
 def test_inject_svg(lin3_file, tmp_path, capsys, at):
     svg = tmp_path / "fault.svg"
     code, out, _ = run(capsys, "inject", "--circuit", lin3_file, "--at", at, "--until", "32", "--out-svg", str(svg))
@@ -156,6 +163,37 @@ def test_inject_svg(lin3_file, tmp_path, capsys, at):
     assert text.startswith("<svg")
     # the picture shows the run the verdict came from
     assert _x_on_monitored(text)
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == INJECT_SVG_SHA256[at]
+
+
+# a non-finite horizon, pulse time, pulse width, gamma or grid step fails
+# loudly: no hang, no P(fail), no verdict
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--until", "nan"],
+        ["simulate", "--until", "inf"],
+        ["inject", "--at", "c2@10:0.1", "--until", "nan"],
+        ["analyze", "--until", "nan"],
+        ["inject", "--at", "c2@nan:0.1", "--until", "32"],
+        ["inject", "--at", "c2@10:nan", "--until", "32"],
+        ["analyze", "--gamma", "inf", "--until", "32"],
+        ["analyze", "--naive-step", "inf", "--until", "32"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_non_finite_times_exit_3(lin3_file, capsys, argv):
+    code, out, err = run(capsys, argv[0], "--circuit", lin3_file, *argv[1:])
+    assert code == 3 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("time", ["nan", "inf"])
+def test_trace_row_with_non_finite_time_rejected(inv_file, tmp_path, capsys, time):
+    # before, the row was dropped without a word
+    traces = tmp_path / "bad.csv"
+    traces.write_text(f"signal,time,value\ni,0,0\ni,5,1\ni,{time},0\n")
+    code, out, err = run(capsys, "simulate", "--circuit", inv_file, "--traces", str(traces), "--until", "10")
+    assert code == 1 and out == "" and "line 4" in err and "finite" in err
 
 
 @pytest.mark.parametrize("at", ["c2@10:0.1", "c2@22:0.1", "en2@31.5:0.1"])

@@ -10,6 +10,7 @@ from faultscope.analysis import analyze, make_transient
 from faultscope.generators import MultiBitSpec, PipelineSpec, RingSpec, linear_pipeline, multibit_linear_pipeline, ring_pipeline
 from faultscope.netlist import (
     NetlistError,
+    NetlistError,
     NetlistSemanticError,
     parse_circuit,
     parse_traces,
@@ -182,6 +183,12 @@ def test_parse_traces_missing_time_zero():
 def test_parse_traces_unsorted():
     with pytest.raises(ValueError, match="unsorted"):
         parse_traces("signal,time,value\ni,0,0\ni,2,1\ni,1,0\n")
+
+
+@pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+def test_parse_traces_non_finite_time(time):
+    with pytest.raises(NetlistError, match="line 4: time must be finite"):
+        parse_traces(f"signal,time,value\na,0,0\na,5,1\na,{time},0\n")
 
 
 def test_parse_traces_needs_header():

@@ -7,11 +7,21 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultscope import Circuit, ExternalEvent, SimConfig, Value, analysis, count_events, execute, make_trace, trace_value_at
 from faultscope.analysis import Glitch, _ProbeContext, is_susceptible, make_transient
-from faultscope.generators import PipelineSpec, gate_inverter, linear_pipeline
-from faultscope.sim import _kernel
+from faultscope.generators import (
+    MultiBitSpec,
+    PipelineSpec,
+    RingSpec,
+    gate_and,
+    gate_inverter,
+    linear_pipeline,
+    multibit_linear_pipeline,
+    ring_pipeline,
+)
+from faultscope.sim import X, _kernel
 from util import monitored_for, random_circuit, random_input_traces
 
 N_QUICK = 30
@@ -286,19 +296,38 @@ def test_base_mon_x_counts_initial_x():
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """The keyword arguments and horizon of every _kernel call the analysis
-    makes."""
+    makes, with the time its visits start after and its last visit."""
     calls = []
 
     def spy(comp, transitions, initial, horizon, *args, **kwargs):
-        calls.append({**kwargs, "horizon": horizon})
-        return _kernel(comp, transitions, initial, horizon, *args, **kwargs)
+        run = _kernel(comp, transitions, initial, horizon, *args, **kwargs)
+        seed = kwargs.get("seed")
+        after = seed.time if seed is not None else -1.0
+        calls.append({**kwargs, "horizon": horizon, "after": after, "last": run.last_visit})
+        return run
 
     monkeypatch.setattr(analysis, "_kernel", spy)
     return calls
 
 
+def _base_runs(calls):
+    return [c for c in calls if c.get("record", True) is not False]
+
+
+def _assert_base_runs_once_up_to(calls, t2):
+    """No fault-free run visits past t2, and no two visit the same stretch."""
+    spans = sorted((c["after"], c["last"]) for c in _base_runs(calls) if c["last"] is not None)
+    assert spans and max(last for _, last in spans) == t2
+    for (_, last), (after, _) in zip(spans, spans[1:]):
+        assert last <= after, spans
+
+
 LIN3 = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
 LIN3_CFG = SimConfig(horizon=32.0, epsilon=0.1)
+LIN3_T2 = 35.0  # LIN3's fault-free run repeats the stretch (13, 35]
+# LIN3 scaled by 1/10: its decimal delays take no cycle
+LIN3_DEC = linear_pipeline(PipelineSpec(3, 0.1, 0.5, 0.4, 0.4))
+LIN3_DEC_CFG = SimConfig(horizon=3.2, epsilon=0.01)
 
 
 def test_probe_context_construction_runs_no_kernel(kernel_calls):
@@ -309,21 +338,223 @@ def test_probe_context_construction_runs_no_kernel(kernel_calls):
 
 def test_hit_query_never_runs_base_to_t_end(kernel_calls):
     """A query whose probe hits runs the fault-free run only to about its
-    pulse; a masked query adds one watched run to T + settle."""
+    pulse.  A masked query runs it on until it repeats: on LIN3 to t2 and
+    no further, no stretch twice; on a circuit without a cycle, one watched
+    run to T + settle."""
     circuit, monitored = LIN3
     t_end = LIN3_CFG.horizon + analysis._settle(circuit, LIN3_CFG)
     # [9, 13) is susceptible throughout for c2, [0, 4) masked for en3
     assert is_susceptible(circuit, {}, monitored, Glitch("c2", 10.0, 0.1), LIN3_CFG)
-    base_runs = [c for c in kernel_calls if c.get("record", True) is not False]
+    base_runs = _base_runs(kernel_calls)
     assert base_runs and max(c["horizon"] for c in base_runs) < LIN3_CFG.horizon < t_end
     kernel_calls.clear()
     assert not is_susceptible(circuit, {}, monitored, Glitch("en3", 1.0, 0.1), LIN3_CFG)
-    to_end = [c for c in kernel_calls if c.get("record", True) is not False and c["horizon"] == t_end]
+    _assert_base_runs_once_up_to(kernel_calls, LIN3_T2)
+    kernel_calls.clear()
+    circuit, monitored = LIN3_DEC
+    t_end = LIN3_DEC_CFG.horizon + analysis._settle(circuit, LIN3_DEC_CFG)
+    assert not is_susceptible(circuit, {}, monitored, Glitch("en3", 0.1, 0.01), LIN3_DEC_CFG)
+    to_end = [c for c in _base_runs(kernel_calls) if c["horizon"] == t_end]
     assert len(to_end) == 1 and to_end[0]["watch"] and not to_end[0].get("keep_snapshots")
 
 
 def test_base_mon_x_found_once(kernel_calls):
+    """On LIN3 no fault-free run visits past t2 or a stretch twice; without a
+    cycle, base_mon_x takes one watched run."""
     circuit, monitored = LIN3
     report = analysis.analyze(circuit, {}, monitored, 0.1, 0.01, LIN3_CFG)
     assert report.simulations > 100
-    assert sum(1 for c in kernel_calls if c.get("watch") and c.get("record", True) is not False) == 1
+    _assert_base_runs_once_up_to(kernel_calls, LIN3_T2)
+    kernel_calls.clear()
+    circuit, monitored = LIN3_DEC
+    report = analysis.analyze(circuit, {}, monitored, 0.01, 0.001, LIN3_DEC_CFG)
+    assert report.simulations > 100
+    assert sum(1 for c in _base_runs(kernel_calls) if c.get("watch")) == 1
+
+
+# --- the fault-free run's cycle -------------------------------------------------------
+
+
+def _integer_case(seed: int):
+    """A circuit with integer delays, its inputs, monitored set and config:
+    a ring with random tokens, or a random gate soup whose input traces
+    stop switching before T."""
+    rng = random.Random(seed)
+    T = float(rng.randrange(10, 40))
+    if rng.random() < 0.4:
+        stages = rng.randrange(3, 12)
+        spec = RingSpec(stages, rng.randint(1, (stages - 1) // 2), float(rng.randint(1, 3)), float(rng.randint(4, 7)))
+        circuit, monitored = ring_pipeline(spec)
+        return circuit, {}, monitored, SimConfig(T, 0.1)
+    circuit = random_circuit(rng, delay=lambda r: float(r.randint(1, 5)))
+    stop = rng.randrange(2, int(T))
+    if rng.random() < 0.5:
+        inputs = random_input_traces(rng, circuit, float(stop), allow_x=rng.random() < 0.3)
+    else:
+        # switching at integer times, so visits before the last one can
+        # repeat a state too
+        inputs = {}
+        for name in sorted(circuit.inputs):
+            value = rng.choice((Value.ZERO, Value.ONE))
+            steps = []
+            for t in sorted(rng.sample(range(1, stop), min(stop - 1, rng.randint(0, 4)))):
+                value = Value.ONE if value is Value.ZERO else Value.ZERO
+                steps.append((float(t), value))
+            initial = (Value.ONE if value is Value.ZERO else Value.ZERO) if len(steps) % 2 else value
+            inputs[name] = make_trace(initial, steps, horizon=float("inf"))
+    return circuit, inputs, monitored_for(rng, circuit), SimConfig(T, 0.1)
+
+
+def _check_against_full_run(ctx, inputs, full, rng, steps):
+    """Run the context's lookups, regions, base_mon_x and probes in the
+    order of ``steps`` and compare each with one full snapshot run."""
+    T = ctx.config.horizon
+    for step in steps:
+        if step == "lookups":
+            times = rng.sample(full.visit_times, min(8, len(full.visit_times)))
+            times += [rng.uniform(0.0, ctx.t_end) for _ in range(8)] + [ctx.t_end]
+            for t in times:
+                i = bisect.bisect_right(full.visit_times, t) - 1
+                snap, want = ctx._snapshot(t), full.snapshots[i]
+                assert snap.time <= t
+                assert (snap.values, snap.pend, snap.pend_x) == (want.values, want.pend, want.pend_x), t
+        elif step == "regions":
+            assert ctx.regions == analysis._regions_from_times((ev[0] for ev in full.events), T)
+        elif step == "base_mon_x":
+            mon = ctx.mon_ids
+            want = any(ctx.initial_values[sid] == X for sid in mon) or any(
+                fv == X and sid in mon for _, sid, fv, _ in full.events
+            )
+            assert ctx.base_mon_x == want
+        else:
+            signal = rng.choice(sorted(ctx.circuit.signals))
+            at = rng.uniform(0.0, T - 0.1)
+            slow = _verdict_or_error(_full_run_verdict, ctx, inputs, signal, at, 0.1, ctx.fault_kind)
+            assert _verdict_or_error(ctx.probe, signal, at, 0.1) == slow, (signal, at)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.permutations(("lookups", "regions", "base_mon_x", "probe", "probe")),
+    kind=st.sampled_from(("xpulse", "flip")),
+)
+def test_cycle_shift_matches_full_run(seed, steps, kind):
+    """Whatever is read first, the cursor's snapshots at any t up to
+    T + settle, its regions, base_mon_x and probe verdicts equal those of
+    one full run, on circuits whose run repeats and on circuits whose run
+    does not."""
+    circuit, inputs, monitored, cfg = _integer_case(seed)
+    ctx = _ProbeContext(circuit, inputs, cfg, monitored, fault_kind=kind)
+    full = _kernel(ctx.comp, ctx.in_transitions, ctx.in_initial, ctx.t_end, 0.1, (), keep_snapshots=True)
+    _check_against_full_run(ctx, inputs, full, random.Random(seed), steps)
+
+
+def test_integer_cases_repeat():
+    """The property above sees both kinds of run: a good share of its
+    circuits repeat, with t1 < t2 <= T + settle."""
+    periods = []
+    for seed in range(60):
+        circuit, inputs, monitored, cfg = _integer_case(seed)
+        ctx = _ProbeContext(circuit, inputs, cfg, monitored)
+        ctx._snapshot(ctx.t_end)
+        if ctx._period is not None:
+            assert 0 <= ctx._finder.t1 < ctx._finder.t2 <= ctx.t_end
+            periods.append(ctx._period)
+    assert 15 <= len(periods) <= 50
+
+
+@pytest.mark.parametrize(
+    "make,T,t1,t2",
+    [
+        (lambda: LIN3, 32.0, 13.0, 35.0),
+        (lambda: multibit_linear_pipeline(MultiBitSpec(4)), 500.0, 13.0, 125.0),
+        (lambda: ring_pipeline(RingSpec(20, 5)), 200.0, 5.0, 29.0),
+    ],
+)
+def test_presets_repeat(kernel_calls, make, T, t1, t2):
+    """The generator presets run autonomously on integer delays, so their
+    runs repeat early: base_mon_x's run stops at t2, and once lookups have
+    found the cycle, base_mon_x runs nothing."""
+    circuit, monitored = make()
+    ctx = _ProbeContext(circuit, {}, SimConfig(T, 0.1), monitored)
+    assert not ctx.base_mon_x
+    assert (ctx._finder.t1, ctx._finder.t2, ctx._period) == (t1, t2, t2 - t1)
+    assert ctx._times[-1] == t2 and [c["last"] for c in kernel_calls] == [t2]
+    ctx = _ProbeContext(circuit, {}, SimConfig(T, 0.1), monitored)
+    ctx._snapshot(t2 + 1.0)
+    assert ctx._period == t2 - t1
+    kernel_calls.clear()
+    assert not ctx.base_mon_x and kernel_calls == []
+
+
+def test_cycle_waits_for_the_last_input():
+    """A ring of three inverters repeats long before the input rises at 20
+    and lets the ring through to o: only visits after the last input
+    transition may key a cycle."""
+    ring = gate_inverter("b3", "b1", 1.0) + gate_inverter("b1", "b2", 2.0) + gate_inverter("b2", "b3", 1.0)
+    circuit = Circuit(
+        inputs=["i0"],
+        locals=["b1", "b2", "b3"],
+        outputs=["o"],
+        initial={"b1": Value.ZERO, "b2": Value.ONE, "b3": Value.ZERO, "o": Value.ZERO},
+        rules=ring + gate_and("i0", "b1", "o", 1.0),
+    )
+    inputs = {"i0": make_trace(Value.ZERO, [(20.0, Value.ONE)])}
+    ctx = _ProbeContext(circuit, inputs, SimConfig(30.0, 0.1), {"o"})
+    full = _kernel(ctx.comp, ctx.in_transitions, ctx.in_initial, ctx.t_end, 0.1, (), keep_snapshots=True)
+    _check_against_full_run(ctx, inputs, full, random.Random(23), ["lookups", "regions", "base_mon_x", "probe"])
+    assert ctx._finder.t1 > 20.0
+
+
+def test_cycle_start_in_a_hole():
+    """A fresh probe at 20 runs LIN3 to its pulse without snapshots, past
+    t1 = 13, and its lookups find t2 = 35.  Lookups shifted into (13, 19)
+    run that hole again, and every lookup equals the full run."""
+    circuit, monitored = LIN3
+    ctx = _ProbeContext(circuit, {}, LIN3_CFG, monitored)
+    full = _kernel(ctx.comp, ctx.in_transitions, ctx.in_initial, ctx.t_end, 0.1, (), keep_snapshots=True)
+    ctx.probe("en3", 20.0, 0.1)
+    assert ctx._times[0] == 19.0 and 19.0 in ctx._holes
+    for t in [40.0, 36.5, 61.0] + [float(t) for t in range(67)]:
+        i = bisect.bisect_right(full.visit_times, t) - 1
+        snap, want = ctx._snapshot(t), full.snapshots[i]
+        assert (snap.time, snap.values, snap.pend, snap.pend_x) == (want.time, want.values, want.pend, want.pend_x), t
+    assert (ctx._finder.t1, ctx._finder.t2) == (13.0, LIN3_T2)
+
+
+def test_decimal_delays_take_no_cycle():
+    """With delays 0.1/0.5/0.4 the cursor looks for no cycle and runs on to
+    T + settle; lookups, regions, base_mon_x and verdicts are unchanged."""
+    circuit, monitored = LIN3_DEC
+    ctx = _ProbeContext(circuit, {}, LIN3_DEC_CFG, monitored)
+    assert ctx._finder is None
+    full = _kernel(ctx.comp, ctx.in_transitions, ctx.in_initial, ctx.t_end, 0.01, (), keep_snapshots=True)
+    rng = random.Random(21)
+    steps = ["probe"] * 4 + ["base_mon_x", "regions", "lookups"] + ["probe"] * 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for step in steps:
+            # probes of width 0.1 over a d_max of 0.5
+            _check_against_full_run(ctx, {}, full, rng, [step])
+    assert ctx._period is None
+
+
+def test_x_in_steady_state_takes_no_cycle():
+    """Integer delays and a ring of three inverters that oscillates, but the
+    input turns X for good: no cycle, and the cursor reads as one full
+    run."""
+    ring = gate_inverter("b3", "b1", 1.0) + gate_inverter("b1", "b2", 2.0) + gate_inverter("b2", "b3", 1.0)
+    circuit = Circuit(
+        inputs=["i0"],
+        locals=["a", "b2", "b3"],
+        outputs=["b1"],
+        initial={"a": Value.ZERO, "b1": Value.ZERO, "b2": Value.ONE, "b3": Value.ZERO},
+        rules=gate_inverter("i0", "a", 1.0) + ring,
+    )
+    inputs = {"i0": make_trace(Value.ONE, [(3.0, Value.X)])}
+    cfg = SimConfig(20.0, 0.1)
+    ctx = _ProbeContext(circuit, inputs, cfg, {"b1"})
+    full = _kernel(ctx.comp, ctx.in_transitions, ctx.in_initial, ctx.t_end, 0.1, (), keep_snapshots=True)
+    _check_against_full_run(ctx, inputs, full, random.Random(22), ["probe", "base_mon_x", "lookups", "regions", "probe"])
+    assert ctx._finder is not None and ctx._period is None

@@ -122,6 +122,13 @@ def test_epsilon_must_be_below_d_min():
         execute(inverter(), trace_a(), SimConfig(horizon=4.0, epsilon=0.0))
 
 
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+def test_horizon_must_be_finite(horizon):
+    # before, both ran forever
+    with pytest.raises(ValueError, match="finite"):
+        execute(inverter(), {"i": make_trace(Value.ZERO)}, SimConfig(horizon=horizon, epsilon=0.1))
+
+
 def test_zero_horizon_gives_empty_traces():
     ex = execute(inverter(), {"i": make_trace(Value.ZERO)}, SimConfig(horizon=0.0, epsilon=0.1))
     assert count_events(ex) == 0

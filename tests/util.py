@@ -18,8 +18,9 @@ def random_delay(rng: random.Random) -> float:
     return rng.randrange(8, 81) / 16.0
 
 
-def random_circuit(rng: random.Random, max_driven: int = 6, n_inputs: int | None = None):
-    """Random gate soup over a handful of signals; always validates."""
+def random_circuit(rng: random.Random, max_driven: int = 6, n_inputs: int | None = None, delay=random_delay):
+    """Random gate soup over a handful of signals, each gate's delay drawn by
+    ``delay(rng)``; always validates."""
     n_driven = rng.randint(2, max_driven)
     if n_inputs is None:
         n_inputs = rng.randint(0, 2)
@@ -31,13 +32,13 @@ def random_circuit(rng: random.Random, max_driven: int = 6, n_inputs: int | None
     for target in driven:
         pool = [s for s in signals if s != target]
         kind = rng.choice(GATES)
-        delay = random_delay(rng)
+        d = delay(rng)
         if kind == "inv" or len(pool) < 2:
-            rules += gate_inverter(rng.choice(pool), target, delay)
+            rules += gate_inverter(rng.choice(pool), target, d)
         else:
             a, b = rng.sample(pool, 2)
             gate = {"mce": gate_mce, "or": gate_or, "and": gate_and}[kind]
-            rules += gate(a, b, target, delay)
+            rules += gate(a, b, target, d)
         initial[target] = rng.choice((Value.ZERO, Value.ONE))
     circuit = Circuit(
         inputs=inputs,
