@@ -9,15 +9,15 @@ circuit.  Every verdict (``is_susceptible``, ``analyze``, ``analyze_naive``)
 comes from ``_ProbeContext.probe``, and the context is the one view of the
 fault-free run: it is set up and checked as ``execute`` is, so the analyses
 reject what ``execute`` rejects.  The context runs the fault-free execution
-only as far as it is read, and never past the visit at which it starts to
-repeat: with integer delays and inputs that have stopped switching, the run
-becomes periodic, and every later time is read by shifting the stretch that
-repeats (``sim._CycleFinder``).  ``analyze`` runs it to T for the value
-regions and a little past T for the probes; one ``is_susceptible`` query
-runs it to the pulse, over the stretch its probe compares with and, only
-when the probe does not hit, on to T + settle without snapshots.  Each run
-stops at the repeat, so on a periodic circuit a query costs the same at any
-T.
+only as far as it is read, keeping a snapshot per visit, and never past the
+visit at which it starts to repeat: with integer delays and inputs that have
+stopped switching, the run becomes periodic, and every later time is read by
+shifting the stretch that repeats (``sim._CycleFinder``).  ``analyze`` runs
+it to T for the value regions and a little past T for the probes; one
+``is_susceptible`` query runs it a little past the pulse, over the stretch
+its probe compares with and, only when the probe does not hit, on to
+T + settle.  The run stops at the repeat, so on a periodic circuit a query
+costs the same at any T.
 
 Susceptible times are located per value region of the fault-free execution
 (the interval between two consecutive value-switching times): within a region
@@ -233,12 +233,11 @@ def _settle(circuit: Circuit, config: SimConfig) -> float:
 # The benchmark in bench/ wraps _ProbeContext.probe(signal, at, width) and
 # reads its positional arguments, wraps _ProbeContext.matches, the module
 # global _kernel (it tells probes by their record=False keyword, so only
-# probes pass it: the fault-free runs below, the watched run and the re-runs
-# of holes among them, count as base runs), analyze,
-# is_susceptible and value_regions, counts PostfixViolationWarning, and
-# outside this module wraps sim.execute, cli._GENERATORS, cli.main and the
-# public generators, netlist, prs and waveform functions it runs: keep these
-# names and call shapes.
+# probes pass it: the fault-free runs of _run_to count as base runs),
+# analyze, is_susceptible and value_regions, counts
+# PostfixViolationWarning, and outside this module wraps sim.execute,
+# cli._GENERATORS, cli.main and the public generators, netlist, prs and
+# waveform functions it runs: keep these names and call shapes.
 class _ProbeContext:
     """The fault layer's one view of the fault-free run of one (circuit,
     inputs, config).
@@ -246,11 +245,10 @@ class _ProbeContext:
     Construction sets the run up and checks it as ``execute`` does, and runs
     no kernel.  The fault-free run is a cursor, extended only as far as it
     is read, with a state snapshot per visit from which fault-free values are
-    read.  ``regions`` runs it to T.  A lookup past its end extends it by a
-    chunk that doubles each time, up to T + settle.  The first probe of a
-    fresh context runs it to the pulse without snapshots, so one query pays
-    for the run up to its pulse and for the visits its probe compares with;
-    a later lookup among visits passed without snapshots runs them again.
+    read.  ``regions`` runs it to T and ``base_mon_x`` to T + settle.  A
+    lookup past its end extends it by a chunk that doubles each time, up to
+    T + settle, so one query pays for the run up to a little past its pulse
+    and for the visits its probe compares with.
 
     Every run of the cursor looks for a cycle when all rule delays are
     integers: the first state, after the last input transition, that
@@ -260,8 +258,7 @@ class _ProbeContext:
     snapshot of such a visit is that of (t1, t2] with its due times moved
     by k·p, made when first read and then kept, so a probe resumed from it
     keeps its guard values.  The events past t2 are those in (t1, t2]
-    shifted.  A run that kept no snapshots rebuilds those of (t1, t2] from
-    the cycle finder's keys.
+    shifted.
 
     A probe resumes from the snapshot of the last visit before the pulse and
     stops as soon as a monitored signal attains X (susceptible) or the state
@@ -301,18 +298,16 @@ class _ProbeContext:
         self.simulations = 0
 
         # the cursor: _times holds the time of every visit before _reached
-        # and _snaps a snapshot of each, but for visits in a hole: a time in
-        # _holes is that of a snapshot whose visits since the one before ran
-        # without snapshots.  _events holds the events of every visit the
-        # kernel ran.  Once _finder has seen the run repeat at t2, _period is
-        # set and the kernel runs no further: past t2 the cursor is extended
-        # by the times of (t1, t2], _stretch, shifted by whole periods, the
-        # last _repeats entries, whose snapshots are made when first read.
+        # and _snaps a snapshot of each, _events the events of every visit
+        # the kernel ran.  Once _finder has seen the run repeat at t2,
+        # _period is set and the kernel runs no further: past t2 the cursor
+        # is extended by the times of (t1, t2], _stretch, shifted by whole
+        # periods, the last _repeats entries, whose snapshots are made when
+        # first read.
         self._reached = 0.0
         self._events: list = []
         self._times: list[float] = []
         self._snaps: list = []
-        self._holes: set[float] = set()
         self._chunk = _slowest(circuit, config)
         self._finder = None
         if all(float(d).is_integer() for d in comp.delays) and self.t_end < 2.0**52:
@@ -323,38 +318,32 @@ class _ProbeContext:
         self._regions: list[ValueRegion] | None = None
         self._base_mon_x: bool | None = None
 
-    def _fault_free(self, until: float, **options):
-        """A run of the fault-free execution to ``until``.  It records, so the
-        benchmark does not take it for a probe."""
-        return _kernel(self.comp, self.in_transitions, self.in_initial, until, self.config.epsilon, (), **options)
-
-    def _run_on(self, until: float, keep: bool, watch: frozenset = frozenset()):
-        """A run from the cursor's end to ``until`` that stops where the run
-        repeats, keeping a snapshot per visit if ``keep``."""
+    def _run_to(self, until: float) -> None:
+        """Extend the cursor by a run of the fault-free execution from its end
+        to ``until`` that keeps a snapshot per visit and stops where the run
+        repeats; there, (t1, t2] becomes the stretch that repeats.  It
+        records, so the benchmark does not take it for a probe."""
         head = self._snaps[-1] if self._snaps else None
-        return self._fault_free(until, keep_snapshots=keep, watch=watch, seed=head, cycle=self._finder)
-
-    def _take(self, run, until: float) -> None:
-        """Extend the cursor by a run from its end to ``until``.  A run that
-        kept no snapshots leaves a hole before its last visit, or before the
-        stretch that repeats, rebuilt by the cycle finder."""
+        run = _kernel(
+            self.comp,
+            self.in_transitions,
+            self.in_initial,
+            until,
+            self.config.epsilon,
+            (),
+            keep_snapshots=True,
+            seed=head,
+            cycle=self._finder,
+        )
         self._events += run.events
+        self._times += run.visit_times
+        self._snaps += run.snapshots
         self._reached = until
         finder = self._finder
         if finder is not None and finder.t2 is not None:
             self._period = finder.t2 - finder.t1
             self._reached = math.nextafter(finder.t2, math.inf)
-        if run.snapshots is not None:
-            new = run.snapshots
-        else:
-            new = [run.end_state()] if run.last_visit is not None else []
-            if self._period is not None:
-                new[:0] = finder.stretch(self._times[-1] if self._times else -math.inf)
-            if new:
-                self._holes.add(new[0].time)
-        self._times += [snap.time for snap in new]
-        self._snaps += new
-        if self._period is not None:
+            self._stretch = self._snaps[_bisect_mod.bisect_right(self._times, finder.t1) :]
             finder.seen.clear()  # read no more
 
     def _extend(self, t: float) -> None:
@@ -364,17 +353,12 @@ class _ProbeContext:
         until = min(self.t_end, t + self._chunk)
         self._chunk *= 2
         if self._period is None:
-            self._take(self._run_on(until, keep=True), until)
+            self._run_to(until)
             if self._period is None:
                 return
-        t1, t2, p = self._finder.t1, self._finder.t2, self._period
-        if not self._stretch:
-            for end in sorted(h for h in self._holes if t1 < h <= t2):
-                self._fill_hole(_bisect_mod.bisect_left(self._times, end) - 1)
-            self._stretch = self._snaps[_bisect_mod.bisect_right(self._times, t1) :]
         n = len(self._stretch)
         while self._times[-1] < until:
-            shift = (self._repeats // n + 1) * p
+            shift = (self._repeats // n + 1) * self._period
             times = [snap.time + shift for snap in self._stretch]
             cut = _bisect_mod.bisect_left(times, self.t_end)
             self._times += times[:cut]
@@ -385,23 +369,11 @@ class _ProbeContext:
                 break
         self._reached = until
 
-    def _fill_hole(self, i: int) -> None:
-        """Run again the visits between snapshot i (or the start) and the
-        next one, which a run without snapshots passed."""
-        end = self._times[i + 1]
-        self._holes.discard(end)
-        run = self._fault_free(end, keep_snapshots=True, seed=self._snaps[i] if i >= 0 else None)
-        self._times[i + 1 : i + 1] = run.visit_times
-        self._snaps[i + 1 : i + 1] = run.snapshots
-
     def _snapshot(self, t: float):
         """Snapshot of the last fault-free visit at or before t, or None."""
         if t >= self._reached < self.t_end:
             self._extend(t)
         i = _bisect_mod.bisect_right(self._times, t) - 1
-        if self._holes and i + 1 < len(self._times) and self._times[i + 1] in self._holes:
-            self._fill_hole(i)
-            i = _bisect_mod.bisect_right(self._times, t) - 1
         if i < 0:
             return None
         snap = self._snaps[i]
@@ -411,17 +383,6 @@ class _ProbeContext:
             k, j = divmod(i - (len(self._times) - self._repeats), len(self._stretch))
             snap = self._snaps[i] = self._stretch[j].shifted((k + 1) * self._period)
         return snap
-
-    def _seed_before(self, at: float):
-        """Snapshot of the last fault-free visit before ``at``, or None: where
-        a probe of a pulse at ``at`` resumes.  On a fresh cursor, the run up
-        to ``at`` keeps no snapshots but of its last visit and of the stretch
-        that repeats, if it gets there."""
-        if not self._snaps and at > self._reached:
-            self._take(self._run_on(at, keep=False), at)
-        # on float times, the last visit before at is the last one at or
-        # before the next float down
-        return self._snapshot(math.nextafter(at, -math.inf))
 
     def _event_times(self, until: float) -> list[float]:
         """Times of the fault-free run's events, through all those before
@@ -443,32 +404,23 @@ class _ProbeContext:
         if self._regions is None:
             T = self.config.horizon
             if self._period is None and self._reached < T:
-                self._take(self._run_on(T, keep=True), T)
+                self._run_to(T)
             self._regions = _regions_from_times(self._event_times(T), T)
         return self._regions
 
     @property
     def base_mon_x(self) -> bool:
         """Whether the fault-free run drives a monitored signal to X before
-        T + settle.  Found once: from the initial values and the cursor's
-        events, and past the cursor's end from one run that keeps no
-        snapshots and stops at the first monitored X or where the run
-        repeats (the stretch that repeats has no X).  Only a run that got
-        there extends the cursor."""
+        T + settle.  Found once: the first access runs the cursor on to
+        T + settle, or to where the run repeats (the stretch that repeats has
+        no X), and reads the initial values and the recorded events."""
         if self._base_mon_x is None:
+            if self._period is None and self._reached < self.t_end:
+                self._run_to(self.t_end)
             mon = self.mon_ids
-            hit = any(self.initial_values[sid] == X for sid in mon) or any(
+            self._base_mon_x = any(self.initial_values[sid] == X for sid in mon) or any(
                 fv == X and sid in mon for _, sid, fv, _ in self._events
             )
-            if not hit and self._period is None and self._reached < self.t_end:
-                run = self._run_on(self.t_end, keep=False, watch=mon)
-                hit = run.watch_hit
-                if self._finder is not None and self._finder.t2 is not None:
-                    self._take(run, self.t_end)
-                elif self._finder is not None:
-                    # it saw visits past the cursor's end
-                    self._finder.seen.clear()
-            self._base_mon_x = hit
         return self._base_mon_x
 
     def matches(self, t: float, values, pend, pend_x) -> bool:
@@ -488,7 +440,9 @@ class _ProbeContext:
         """Susceptibility verdict for one pulse; counts one simulation."""
         self.simulations += 1
         sid = self.comp.idx[signal]
-        seed = self._seed_before(at)
+        # resume from the last fault-free visit before the pulse: on float
+        # times, the last one at or before the next float down
+        seed = self._snapshot(math.nextafter(at, -math.inf))
         events = self.pulse_events(sid, at, width)
         if self._base_mon_x:
             return True

@@ -242,12 +242,12 @@ def serialize_circuit(circuit: Circuit, monitored=()) -> str:
 
 def parse_traces(text: str) -> dict[str, SignalTrace]:
     """CSV with header ``signal,time,value``; each signal starts at time 0."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    rows = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not rows or rows[0].replace(" ", "") != "signal,time,value":
-        raise ValueError("trace CSV must start with header 'signal,time,value'")
+    lines = [(lineno, ln.strip()) for lineno, ln in enumerate(text.splitlines(), start=1)]
+    rows = [(lineno, ln) for lineno, ln in lines if ln and not ln.startswith("#")]
+    if not rows or rows[0][1].replace(" ", "") != "signal,time,value":
+        raise NetlistError("trace CSV must start with header 'signal,time,value'", rows[0][0] if rows else 1)
     per_signal: dict[str, list[tuple[float, Value]]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         parts = [p.strip() for p in row.split(",")]
         if len(parts) != 3:
             raise NetlistError(f"expected 'signal,time,value', got {row!r}", lineno)
@@ -264,19 +264,13 @@ def parse_traces(text: str) -> dict[str, SignalTrace]:
             v = Value.from_text(value_s)
         except ValueError:
             raise NetlistError(f"unknown value {value_s!r} (expected 0, 1 or X)", lineno) from None
-        per_signal.setdefault(name, []).append((t, v))
-    traces = {}
-    for name, rows_ in per_signal.items():
-        t0, v0 = rows_[0]
-        if t0 != 0.0:
-            raise ValueError(f"trace for {name!r} must start with a time-0 row")
-        prev = 0.0
-        for t, _ in rows_[1:]:
-            if t <= prev:
-                raise ValueError(f"trace for {name!r} has unsorted or duplicate time {t}")
-            prev = t
-        traces[name] = make_trace(v0, rows_[1:])
-    return traces
+        steps = per_signal.setdefault(name, [])
+        if not steps and t != 0.0:
+            raise NetlistError(f"trace for {name!r} must start with a time-0 row", lineno)
+        if steps and t <= steps[-1][0]:
+            raise NetlistError(f"trace for {name!r} has unsorted or duplicate time {t}", lineno)
+        steps.append((t, v))
+    return {name: make_trace(steps[0][1], steps[1:]) for name, steps in per_signal.items()}
 
 
 def serialize_traces(traces: dict[str, SignalTrace]) -> str:

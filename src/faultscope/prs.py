@@ -259,8 +259,8 @@ def validate_circuit(circuit: Circuit) -> list[Violation]:
         if rule.target not in driven:
             which = "an input" if rule.target in circuit.inputs else "undeclared"
             out.append(Violation("bad-target", rule.target, f"rule targets {which} signal: {rule}"))
-        if not rule.delay > 0:
-            out.append(Violation("bad-delay", rule.target, f"delay must be positive: {rule}"))
+        if not 0 < rule.delay < float("inf"):
+            out.append(Violation("bad-delay", rule.target, f"delay must be positive and finite: {rule}"))
         if rule.value not in (0, 1):
             out.append(Violation("bad-action", rule.target, f"action value must be 0 or 1: {rule}"))
         for s in sorted(guard_signals(rule.guard)):
@@ -317,15 +317,15 @@ class SignalTrace:
 
 
 def make_trace(initial: Value, transitions=(), horizon: float = float("inf")) -> SignalTrace:
-    """Build a trace, checking monotone times and real value changes."""
+    """Build a trace, checking finite monotone times and real value changes."""
     prev_t = 0.0
     prev_v = initial
     norm: list[tuple[float, Value]] = []
     for t, v in transitions:
         t = float(t)
         v = v if isinstance(v, Value) else Value(v)
-        if t <= prev_t:
-            raise ValueError(f"transition times must be strictly increasing and positive (got {t})")
+        if not prev_t < t < float("inf"):
+            raise ValueError(f"transition times must be finite, strictly increasing and positive (got {t})")
         if v == prev_v:
             raise ValueError(f"transition at {t} does not change the value ({v})")
         if t > horizon:

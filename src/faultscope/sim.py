@@ -296,16 +296,6 @@ class _CycleFinder:
             self.seen.clear()
         return False
 
-    def stretch(self, after: float) -> list[_Seed]:
-        """Snapshots of the visits from t1 on, before t2 and after ``after``,
-        rebuilt from their keys: what is known of the stretch that repeats
-        after a run that kept no snapshots."""
-        return [
-            _Seed(t, list(values), {rid: t + off for rid, off in pend}, {})
-            for (values, pend), t in self.seen.items()
-            if t >= self.t1 and t > after
-        ]
-
 
 class _Run:
     """One kernel run: final state, raw events and optional snapshots.
@@ -315,9 +305,6 @@ class _Run:
     __slots__ = (
         "values",
         "gv",
-        "pend",
-        "pend_x",
-        "last_visit",
         "initial_values",
         "events",
         "watch_hit",
@@ -328,24 +315,11 @@ class _Run:
     def __init__(self):
         self.values = None
         self.gv = None
-        self.pend = None
-        self.pend_x = None
-        self.last_visit = None
         self.initial_values = None
         self.events = None
         self.watch_hit = False
         self.snapshots = None
         self.visit_times = None
-
-    def end_state(self) -> _Seed | None:
-        """The state at the end of the last visit of a run that stopped at
-        its horizon or where its cycle finder saw a repeat, to resume from:
-        its seed's state if it made no visit, None if it had no seed either.
-        Shares the run's final values and pending maps, which
-        ``_Seed.resume`` copies."""
-        if self.last_visit is None:
-            return None
-        return _Seed(self.last_visit, self.values, self.pend, self.pend_x)
 
 
 def _kernel(
@@ -367,7 +341,7 @@ def _kernel(
     times are exact floats.
 
     A ``seed`` resumes a run after the visit it was taken at: a run cut at a
-    horizon and resumed from its ``end_state()`` to a later horizon records
+    horizon and resumed from its last snapshot to a later horizon records
     the same events, and has the same state after each visit, as one run to
     the later horizon.  It only skips the due times of actions canceled
     before the cut, visits at which nothing changes.  ``keep_snapshots``
@@ -392,13 +366,12 @@ def _kernel(
         heap: list[tuple[float, int, int]] = []
         pend_mask = 0  # bitmask of the rule ids in pend
         start = -_INF
-        last_visit = None
     else:
         values = seed.values[:]
         gv, heap, pend_mask = seed.resume(fns)
         pend = seed.pend.copy()
         pend_x = seed.pend_x.copy()
-        start = last_visit = seed.time
+        start = seed.time
 
     events = run.events = [] if record else None
     if record:
@@ -486,7 +459,6 @@ def _kernel(
                 t = t_ext
         if t >= horizon:
             break
-        last_visit = t
 
         # drain the actions due at t; step 2 applies them
         due_bool: list[int] = []
@@ -597,9 +569,6 @@ def _kernel(
 
     run.values = values
     run.gv = gv
-    run.pend = pend
-    run.pend_x = pend_x
-    run.last_visit = last_visit
     run.watch_hit = watch_hit
     return run
 
@@ -614,8 +583,8 @@ def _prepare_externals(comp: _Compiled, externals: Iterable[ExternalEvent], hori
     for ev in evs:
         if ev.target not in comp.idx:
             raise ValueError(f"external event targets undeclared signal {ev.target!r}")
-        if ev.at < 0:
-            raise ValueError(f"external event at negative time {ev.at}")
+        if not 0 <= ev.at < _INF:
+            raise ValueError(f"external event time must be finite and nonnegative, got {ev.at}")
         key = (ev.at, ev.target)
         if key in seen:
             raise ValueError(f"two external events target {ev.target!r} at time {ev.at}")

@@ -51,14 +51,16 @@ def test_same_guard_not_exclusive():
 
 
 def test_zero_delay_rejected():
-    c = Circuit(
-        inputs={"i"},
-        locals=set(),
-        outputs={"o"},
-        initial={"o": Value.ZERO},
-        rules=[ProductionRule(SignalRef("i"), "o", 1, 0.0)],
-    )
-    assert any(v.kind == "bad-delay" for v in validate_circuit(c))
+    """A zero delay, and an infinite one, which analyzed to settle = inf."""
+    for delay in (0.0, float("inf")):
+        c = Circuit(
+            inputs={"i"},
+            locals=set(),
+            outputs={"o"},
+            initial={"o": Value.ZERO},
+            rules=[ProductionRule(SignalRef("i"), "o", 1, delay)],
+        )
+        assert any(v.kind == "bad-delay" for v in validate_circuit(c))
 
 
 def test_rule_targeting_input_rejected():
@@ -171,6 +173,13 @@ def test_trace_times_strictly_increasing():
         make_trace(Value.ZERO, [(1.0, Value.ONE), (1.0, Value.ZERO)])
     with pytest.raises(ValueError):
         make_trace(Value.ZERO, [(2.0, Value.ONE), (1.0, Value.ZERO)])
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_trace_times_finite(t):
+    # before, both built a trace, and the kernel dropped the nan transition
+    with pytest.raises(ValueError, match="finite"):
+        make_trace(Value.ZERO, [(t, Value.ONE)])
 
 
 def test_trace_transitions_change_value():

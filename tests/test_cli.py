@@ -196,6 +196,24 @@ def test_trace_row_with_non_finite_time_rejected(inv_file, tmp_path, capsys, tim
     assert code == 1 and out == "" and "line 4" in err and "finite" in err
 
 
+@pytest.mark.parametrize(
+    "rows,line",
+    [
+        ("i,0,0\n", 1),  # no header
+        ("signal,time,value\ni,5,1\n", 2),  # no time-0 row
+        ("signal,time,value\ni,0,0\ni,5,1\ni,3,0\n", 4),  # unsorted
+        ("# comment\nsignal,time,value\n\ni,0,0\ni,5,1\ni,5,0\n", 6),  # duplicate
+    ],
+    ids=["header", "time-0", "unsorted", "duplicate"],
+)
+def test_whole_trace_errors_exit_1_with_line(inv_file, tmp_path, capsys, rows, line):
+    # before, these exited 3 with no line number
+    traces = tmp_path / "bad.csv"
+    traces.write_text(rows)
+    code, out, err = run(capsys, "simulate", "--circuit", inv_file, "--traces", str(traces), "--until", "10")
+    assert code == 1 and out == "" and f"line {line}:" in err
+
+
 @pytest.mark.parametrize("at", ["c2@10:0.1", "c2@22:0.1", "en2@31.5:0.1"])
 def test_inject_flip_agrees_with_library(lin3_file, capsys, at):
     code, out, _ = run(capsys, "inject", "--circuit", lin3_file, "--at", at, "--until", "32", "--kind", "flip")

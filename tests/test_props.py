@@ -303,7 +303,8 @@ def kernel_calls(monkeypatch):
         run = _kernel(comp, transitions, initial, horizon, *args, **kwargs)
         seed = kwargs.get("seed")
         after = seed.time if seed is not None else -1.0
-        calls.append({**kwargs, "horizon": horizon, "after": after, "last": run.last_visit})
+        last = run.visit_times[-1] if run.visit_times else None
+        calls.append({**kwargs, "horizon": horizon, "after": after, "last": last})
         return run
 
     monkeypatch.setattr(analysis, "_kernel", spy)
@@ -328,6 +329,7 @@ LIN3_T2 = 35.0  # LIN3's fault-free run repeats the stretch (13, 35]
 # LIN3 scaled by 1/10: its decimal delays take no cycle
 LIN3_DEC = linear_pipeline(PipelineSpec(3, 0.1, 0.5, 0.4, 0.4))
 LIN3_DEC_CFG = SimConfig(horizon=3.2, epsilon=0.01)
+LIN3_DEC_LAST = 6.3999999999999995  # the last visit of its run before T + settle, 6.4
 
 
 def test_probe_context_construction_runs_no_kernel(kernel_calls):
@@ -339,8 +341,8 @@ def test_probe_context_construction_runs_no_kernel(kernel_calls):
 def test_hit_query_never_runs_base_to_t_end(kernel_calls):
     """A query whose probe hits runs the fault-free run only to about its
     pulse.  A masked query runs it on until it repeats: on LIN3 to t2 and
-    no further, no stretch twice; on a circuit without a cycle, one watched
-    run to T + settle."""
+    no further, no stretch twice; on a circuit without a cycle, on to
+    T + settle, no visit twice."""
     circuit, monitored = LIN3
     t_end = LIN3_CFG.horizon + analysis._settle(circuit, LIN3_CFG)
     # [9, 13) is susceptible throughout for c2, [0, 4) masked for en3
@@ -352,15 +354,13 @@ def test_hit_query_never_runs_base_to_t_end(kernel_calls):
     _assert_base_runs_once_up_to(kernel_calls, LIN3_T2)
     kernel_calls.clear()
     circuit, monitored = LIN3_DEC
-    t_end = LIN3_DEC_CFG.horizon + analysis._settle(circuit, LIN3_DEC_CFG)
     assert not is_susceptible(circuit, {}, monitored, Glitch("en3", 0.1, 0.01), LIN3_DEC_CFG)
-    to_end = [c for c in _base_runs(kernel_calls) if c["horizon"] == t_end]
-    assert len(to_end) == 1 and to_end[0]["watch"] and not to_end[0].get("keep_snapshots")
+    _assert_base_runs_once_up_to(kernel_calls, LIN3_DEC_LAST)
 
 
 def test_base_mon_x_found_once(kernel_calls):
     """On LIN3 no fault-free run visits past t2 or a stretch twice; without a
-    cycle, base_mon_x takes one watched run."""
+    cycle, none visits past T + settle or a visit twice."""
     circuit, monitored = LIN3
     report = analysis.analyze(circuit, {}, monitored, 0.1, 0.01, LIN3_CFG)
     assert report.simulations > 100
@@ -369,7 +369,7 @@ def test_base_mon_x_found_once(kernel_calls):
     circuit, monitored = LIN3_DEC
     report = analysis.analyze(circuit, {}, monitored, 0.01, 0.001, LIN3_DEC_CFG)
     assert report.simulations > 100
-    assert sum(1 for c in _base_runs(kernel_calls) if c.get("watch")) == 1
+    _assert_base_runs_once_up_to(kernel_calls, LIN3_DEC_LAST)
 
 
 # --- the fault-free run's cycle -------------------------------------------------------
@@ -507,15 +507,14 @@ def test_cycle_waits_for_the_last_input():
     assert ctx._finder.t1 > 20.0
 
 
-def test_cycle_start_in_a_hole():
-    """A fresh probe at 20 runs LIN3 to its pulse without snapshots, past
-    t1 = 13, and its lookups find t2 = 35.  Lookups shifted into (13, 19)
-    run that hole again, and every lookup equals the full run."""
+def test_lookups_after_a_probe_past_t1_match_full_run():
+    """A fresh probe at 20 runs LIN3 a little past its pulse, past t1 = 13,
+    and later lookups find t2 = 35.  Every lookup, also those shifted into
+    the stretch (13, 35], equals the full run."""
     circuit, monitored = LIN3
     ctx = _ProbeContext(circuit, {}, LIN3_CFG, monitored)
     full = _kernel(ctx.comp, ctx.in_transitions, ctx.in_initial, ctx.t_end, 0.1, (), keep_snapshots=True)
     ctx.probe("en3", 20.0, 0.1)
-    assert ctx._times[0] == 19.0 and 19.0 in ctx._holes
     for t in [40.0, 36.5, 61.0] + [float(t) for t in range(67)]:
         i = bisect.bisect_right(full.visit_times, t) - 1
         snap, want = ctx._snapshot(t), full.snapshots[i]

@@ -115,6 +115,13 @@ def test_externals_beyond_horizon_warn_and_ignore():
     assert count_events(ex) == 0
 
 
+@pytest.mark.parametrize("at", [float("nan"), float("inf"), -1.0])
+def test_external_time_must_be_finite_and_nonnegative(at):
+    # before, an event at nan was dropped without a word
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        execute(inverter(), {"i": make_trace(Value.ZERO)}, CFG, externals=[ExternalEvent(at, "o", Value.X)])
+
+
 def test_epsilon_must_be_below_d_min():
     with pytest.raises(ValueError):
         execute(inverter(), trace_a(), SimConfig(horizon=4.0, epsilon=1.0))
