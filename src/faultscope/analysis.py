@@ -9,15 +9,11 @@ circuit.  Every verdict (``is_susceptible``, ``analyze``, ``analyze_naive``)
 comes from ``_ProbeContext.probe``, and the context is the one view of the
 fault-free run: it is set up and checked as ``execute`` is, so the analyses
 reject what ``execute`` rejects.  The context runs the fault-free execution
-only as far as it is read, keeping a snapshot per visit, and never past the
+once, when it is built, keeping a snapshot per visit, and never past the
 visit at which it starts to repeat: with integer delays and inputs that have
 stopped switching, the run becomes periodic, and every later time is read by
-shifting the stretch that repeats (``sim._CycleFinder``).  ``analyze`` runs
-it to T for the value regions and a little past T for the probes; one
-``is_susceptible`` query runs it a little past the pulse, over the stretch
-its probe compares with and, only when the probe does not hit, on to
-T + settle.  The run stops at the repeat, so on a periodic circuit a query
-costs the same at any T.
+shifting the stretch that repeats (``sim._CycleFinder``).  The run stops at
+the repeat, so on a periodic circuit a query costs the same at any T.
 
 Susceptible times are located per value region of the fault-free execution
 (the interval between two consecutive value-switching times): within a region
@@ -144,11 +140,12 @@ def make_transient(
     base_execution: Execution,
 ) -> tuple[ExternalEvent, ExternalEvent]:
     """Two external events forming a pulse at the signal, by the rule of the
-    pulse kind (``_pulse_rule``) on the fault-free execution's trace."""
-    if at < 0:
-        raise ValueError(f"pulse start must be nonnegative, got {at}")
-    if width <= 0:
-        raise ValueError(f"pulse width must be positive, got {width}")
+    pulse kind (``_pulse_rule``) on the fault-free execution's trace.  The
+    checks are written so that a NaN fails them."""
+    if not 0 <= at < math.inf:
+        raise ValueError(f"pulse start must be nonnegative and finite, got {at}")
+    if not 0 < width < math.inf:
+        raise ValueError(f"pulse width must be positive and finite, got {width}")
     trace = base_execution.traces[signal]
     end = at + width
     rule = _pulse_rule(kind)
@@ -220,20 +217,28 @@ def _regions_from_times(times: Iterable[float], horizon: float) -> list[ValueReg
 # --- probe engine ----------------------------------------------------------------
 
 
-def _slowest(circuit: Circuit, config: SimConfig) -> float:
-    """max(ε, d_max): the longest delay of one step through the circuit."""
-    return max([config.epsilon, *(r.delay for r in circuit.rules)])
-
-
 def _settle(circuit: Circuit, config: SimConfig) -> float:
-    """How long past the horizon a probe runs: |C|·max(ε, d_max)."""
-    return circuit.size * _slowest(circuit, config)
+    """How long past the horizon a probe runs: |C|·max(ε, d_max), the
+    circuit size times the longest delay of one step through it."""
+    return circuit.size * max([config.epsilon, *(r.delay for r in circuit.rules)])
+
+
+def _repeated(times: list[float], period: float, until: float) -> list[float]:
+    """The sorted times shifted by 1, 2, ... periods, those before ``until``."""
+    out: list[float] = []
+    k = 1
+    while times and times[0] + k * period < until:
+        d = k * period
+        shifted = [t + d for t in times]
+        out += shifted[: _bisect_mod.bisect_left(shifted, until)]
+        k += 1
+    return out
 
 
 # The benchmark in bench/ wraps _ProbeContext.probe(signal, at, width) and
 # reads its positional arguments, wraps _ProbeContext.matches, the module
 # global _kernel (it tells probes by their record=False keyword, so only
-# probes pass it: the fault-free runs of _run_to count as base runs),
+# probes pass it: the context's fault-free run counts as a base run),
 # analyze, is_susceptible and value_regions, counts
 # PostfixViolationWarning, and outside this module wraps sim.execute,
 # cli._GENERATORS, cli.main and the public generators, netlist, prs and
@@ -242,29 +247,25 @@ class _ProbeContext:
     """The fault layer's one view of the fault-free run of one (circuit,
     inputs, config).
 
-    Construction sets the run up and checks it as ``execute`` does, and runs
-    no kernel.  The fault-free run is a cursor, extended only as far as it
-    is read, with a state snapshot per visit from which fault-free values are
-    read.  ``regions`` runs it to T and ``base_mon_x`` to T + settle.  A
-    lookup past its end extends it by a chunk that doubles each time, up to
-    T + settle, so one query pays for the run up to a little past its pulse
-    and for the visits its probe compares with.
+    Construction sets the run up and checks it as ``execute`` does, and
+    runs it to T + settle with a state snapshot per visit, from which
+    fault-free values are read.
 
-    Every run of the cursor looks for a cycle when all rule delays are
-    integers: the first state, after the last input transition, that
-    repeats one seen at an earlier visit (t1 < t2, period p = t2 - t1).  The
-    kernel then runs no further than t2.  Past t2 the cursor is extended
-    with the visit times of (t1, t2] shifted by k·p, k = 1, 2, ...; the
-    snapshot of such a visit is that of (t1, t2] with its due times moved
-    by k·p, made when first read and then kept, so a probe resumed from it
-    keeps its guard values.  The events past t2 are those in (t1, t2]
-    shifted.
+    The run looks for a cycle when all rule delays are integers: the first
+    state, after the last input transition, that repeats one seen at an
+    earlier visit (t1 < t2, period p = t2 - t1).  The kernel then runs no
+    further than t2.  The visits past t2 are those of (t1, t2] shifted by
+    k·p, k = 1, 2, ...; the snapshot of such a visit is that of (t1, t2]
+    with its due times moved by k·p, made when first read and then kept, so
+    a probe resumed from it keeps its guard values.  The events past t2 are
+    those in (t1, t2] shifted.
 
-    A probe resumes from the snapshot of the last visit before the pulse and
-    stops as soon as a monitored signal attains X (susceptible) or the state
-    re-converges to the fault-free run with no X left in flight.  A probe
-    that does not hit is susceptible iff the fault-free run itself drives a
-    monitored signal to X before T + settle (``base_mon_x``).  Verdicts are
+    When the fault-free run itself drives a monitored signal to X before
+    T + settle (``base_mon_x``), every pulse is susceptible and no probe
+    runs.  Otherwise a probe resumes from the snapshot of the last visit
+    before the pulse and stops as soon as a monitored signal attains X
+    (susceptible) or the state re-converges to the fault-free run with no X
+    left in flight.  Verdicts are
     identical to re-running the full execution to T + settle with the pulse
     overlaid.  ``faulty_execution`` reads its pulse from a context too.
     """
@@ -297,82 +298,45 @@ class _ProbeContext:
             self.initial_values[sid] = fv
         self.simulations = 0
 
-        # the cursor: _times holds the time of every visit before _reached
-        # and _snaps a snapshot of each, _events the events of every visit
-        # the kernel ran.  Once _finder has seen the run repeat at t2,
-        # _period is set and the kernel runs no further: past t2 the cursor
-        # is extended by the times of (t1, t2], _stretch, shifted by whole
-        # periods, the last _repeats entries, whose snapshots are made when
+        # the fault-free run: _times holds the time of every visit before
+        # T + settle and _snaps a snapshot of each, _events the events of the
+        # visits the kernel ran.  When _finder sees the run repeat at t2, the
+        # kernel stops there, and the visits past it are those of (t1, t2],
+        # _stretch, shifted by whole periods, whose snapshots are made when
         # first read.
-        self._reached = 0.0
-        self._events: list = []
-        self._times: list[float] = []
-        self._snaps: list = []
-        self._chunk = _slowest(circuit, config)
         self._finder = None
         if all(float(d).is_integer() for d in comp.delays) and self.t_end < 2.0**52:
             self._finder = _CycleFinder(self.in_transitions[-1][0] if self.in_transitions else -math.inf)
-        self._period: float | None = None
-        self._stretch: list = []
-        self._repeats = 0
-        self._regions: list[ValueRegion] | None = None
-        self._base_mon_x: bool | None = None
-
-    def _run_to(self, until: float) -> None:
-        """Extend the cursor by a run of the fault-free execution from its end
-        to ``until`` that keeps a snapshot per visit and stops where the run
-        repeats; there, (t1, t2] becomes the stretch that repeats.  It
-        records, so the benchmark does not take it for a probe."""
-        head = self._snaps[-1] if self._snaps else None
         run = _kernel(
-            self.comp,
+            comp,
             self.in_transitions,
             self.in_initial,
-            until,
-            self.config.epsilon,
+            self.t_end,
+            config.epsilon,
             (),
             keep_snapshots=True,
-            seed=head,
             cycle=self._finder,
         )
-        self._events += run.events
-        self._times += run.visit_times
-        self._snaps += run.snapshots
-        self._reached = until
+        self._events, self._times, self._snaps = run.events, run.visit_times, run.snapshots
+        self._past_t2 = len(self._times)  # the index of the first visit past t2
+        self._period: float | None = None
         finder = self._finder
         if finder is not None and finder.t2 is not None:
-            self._period = finder.t2 - finder.t1
-            self._reached = math.nextafter(finder.t2, math.inf)
-            self._stretch = self._snaps[_bisect_mod.bisect_right(self._times, finder.t1) :]
             finder.seen.clear()  # read no more
-
-    def _extend(self, t: float) -> None:
-        """Extend the cursor past t by a chunk that doubles each time, up to
-        T + settle: by a run of the kernel, or past t2 by the times of the
-        stretch (t1, t2] shifted by whole periods."""
-        until = min(self.t_end, t + self._chunk)
-        self._chunk *= 2
-        if self._period is None:
-            self._run_to(until)
-            if self._period is None:
-                return
-        n = len(self._stretch)
-        while self._times[-1] < until:
-            shift = (self._repeats // n + 1) * self._period
-            times = [snap.time + shift for snap in self._stretch]
-            cut = _bisect_mod.bisect_left(times, self.t_end)
-            self._times += times[:cut]
-            self._snaps += [None] * cut
-            self._repeats += cut
-            if cut < n:  # every visit before T + settle is in
-                until = self.t_end
-                break
-        self._reached = until
+            self._period = finder.t2 - finder.t1
+            i = _bisect_mod.bisect_right(self._times, finder.t1)
+            self._stretch = self._snaps[i:]
+            self._times += _repeated(self._times[i:], self._period, self.t_end)
+            self._snaps += [None] * (len(self._times) - self._past_t2)
+        mon = self.mon_ids
+        # past t2 the run repeats (t1, t2], which has no X
+        self.base_mon_x = any(self.initial_values[sid] == X for sid in mon) or any(
+            fv == X and sid in mon for _, sid, fv, _ in self._events
+        )
+        self._regions: list[ValueRegion] | None = None
 
     def _snapshot(self, t: float):
         """Snapshot of the last fault-free visit at or before t, or None."""
-        if t >= self._reached < self.t_end:
-            self._extend(t)
         i = _bisect_mod.bisect_right(self._times, t) - 1
         if i < 0:
             return None
@@ -380,48 +344,22 @@ class _ProbeContext:
         if snap is None:
             # a visit past t2: a visit of the stretch k periods later, its
             # due times shifted by k·p, which is exact (see _CycleFinder)
-            k, j = divmod(i - (len(self._times) - self._repeats), len(self._stretch))
+            k, j = divmod(i - self._past_t2, len(self._stretch))
             snap = self._snaps[i] = self._stretch[j].shifted((k + 1) * self._period)
         return snap
 
-    def _event_times(self, until: float) -> list[float]:
-        """Times of the fault-free run's events, through all those before
-        ``until``: past t2, those in (t1, t2] shifted by whole periods."""
-        times = [ev[0] for ev in self._events]
-        if self._period is not None:
-            p = self._period
-            period = times[_bisect_mod.bisect_right(times, self._finder.t1) :]
-            k = 1
-            while period and period[0] + k * p < until:
-                times += [t + k * p for t in period]
-                k += 1
-        return times
-
     @property
     def regions(self) -> list[ValueRegion]:
-        """The value regions of the fault-free run; the first access runs the
-        cursor to T, or to where the run repeats."""
+        """The value regions of the fault-free run up to T, found at the
+        first access: past t2, from the events of (t1, t2] shifted by whole
+        periods."""
         if self._regions is None:
             T = self.config.horizon
-            if self._period is None and self._reached < T:
-                self._run_to(T)
-            self._regions = _regions_from_times(self._event_times(T), T)
+            times = [ev[0] for ev in self._events]
+            if self._period is not None:
+                times += _repeated(times[_bisect_mod.bisect_right(times, self._finder.t1) :], self._period, T)
+            self._regions = _regions_from_times(times, T)
         return self._regions
-
-    @property
-    def base_mon_x(self) -> bool:
-        """Whether the fault-free run drives a monitored signal to X before
-        T + settle.  Found once: the first access runs the cursor on to
-        T + settle, or to where the run repeats (the stretch that repeats has
-        no X), and reads the initial values and the recorded events."""
-        if self._base_mon_x is None:
-            if self._period is None and self._reached < self.t_end:
-                self._run_to(self.t_end)
-            mon = self.mon_ids
-            self._base_mon_x = any(self.initial_values[sid] == X for sid in mon) or any(
-                fv == X and sid in mon for _, sid, fv, _ in self._events
-            )
-        return self._base_mon_x
 
     def matches(self, t: float, values, pend, pend_x) -> bool:
         snap = self._snapshot(t)
@@ -440,12 +378,12 @@ class _ProbeContext:
         """Susceptibility verdict for one pulse; counts one simulation."""
         self.simulations += 1
         sid = self.comp.idx[signal]
+        events = self.pulse_events(sid, at, width)
+        if self.base_mon_x:
+            return True
         # resume from the last fault-free visit before the pulse: on float
         # times, the last one at or before the next float down
         seed = self._snapshot(math.nextafter(at, -math.inf))
-        events = self.pulse_events(sid, at, width)
-        if self._base_mon_x:
-            return True
         run = _kernel(
             self.comp,
             self.in_transitions,
@@ -458,7 +396,7 @@ class _ProbeContext:
             seed=seed,
             base=self,
         )
-        return run.watch_hit or self.base_mon_x
+        return run.watch_hit
 
 
 # --- bisection -------------------------------------------------------------------
@@ -668,9 +606,9 @@ def p_fail_weighted(report: SensitivityReport, weights: Mapping[str, float]) -> 
     missing = [s for s in report.injected if s not in weights]
     if missing:
         raise ValueError(f"weights missing for: {', '.join(missing)}")
-    bad = {s: w for s, w in weights.items() if w < 0}
+    bad = {s: w for s, w in weights.items() if not 0 <= w < math.inf}
     if bad:
-        raise ValueError(f"weights must be nonnegative: {bad}")
+        raise ValueError(f"weights must be nonnegative and finite: {bad}")
     total = math.fsum(weights[s] for s in report.injected)
     if total == 0:
         raise ValueError("total weight is zero")

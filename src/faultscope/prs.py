@@ -337,7 +337,7 @@ def make_trace(initial: Value, transitions=(), horizon: float = float("inf")) ->
 
 def trace_value_at(trace: SignalTrace, t: float) -> Value:
     """Value of the segment containing t; at a transition time, the new value."""
-    if t < 0.0 or t > trace.horizon:
+    if not 0.0 <= t <= trace.horizon:
         raise ValueError(f"time {t} outside trace domain [0, {trace.horizon}]")
     idx = bisect.bisect_right(trace.transitions, t, key=lambda pair: pair[0])
     return trace.transitions[idx - 1][1] if idx else trace.initial

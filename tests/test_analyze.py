@@ -187,6 +187,14 @@ def test_weighted_errors(report):
         p_fail_weighted(report, bad)
 
 
+@pytest.mark.parametrize("w", [float("nan"), float("inf")])
+def test_weighted_rejects_non_finite(report, w):
+    weights = {s: 1.0 for s in report.injected}
+    weights["c2"] = w
+    with pytest.raises(ValueError, match="finite"):
+        p_fail_weighted(report, weights)
+
+
 def test_empty_monitored_rejected(pipeline):
     circuit, _ = pipeline
     # on a pool too, the error is the one the serial analysis raises

@@ -168,6 +168,12 @@ def test_trace_domain_checked():
         trace_value_at(tr, -0.1)
 
 
+def test_trace_value_at_nan_rejected():
+    tr = make_trace(Value.ZERO, [(1.0, Value.ONE)], horizon=4.0)
+    with pytest.raises(ValueError, match="outside trace domain"):
+        trace_value_at(tr, float("nan"))
+
+
 def test_trace_times_strictly_increasing():
     with pytest.raises(ValueError):
         make_trace(Value.ZERO, [(1.0, Value.ONE), (1.0, Value.ZERO)])

@@ -296,6 +296,16 @@ def test_analyze_weights_uniform(lin3_file, tmp_path, capsys):
     assert abs(float(lines[0].split("=")[1]) - float(lines[1].split("=")[1])) < 1e-9
 
 
+@pytest.mark.parametrize("w", ["nan", "inf"])
+def test_analyze_non_finite_weight_exit_3(lin3_file, tmp_path, capsys, w):
+    wfile = tmp_path / "w.txt"
+    wfile.write_text(f"src = 1\nc2 = {w}\nen1 = 1\nen2 = 1\nen3 = 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, err = run(capsys, "analyze", "--circuit", lin3_file, "--until", "32", "--weights", str(wfile))
+    assert code == 3 and "weighted" not in out and "finite" in err
+
+
 def test_generate_outputs_monitor_line(capsys):
     code, out, _ = run(capsys, "generate", "linear", "3")
     assert code == 0 and "monitor c1 c3" in out

@@ -61,10 +61,12 @@ def test_flip_pulse_on_x_rejected(pipeline):
 
 
 def test_bad_pulse_parameters(base):
-    with pytest.raises(ValueError):
-        make_transient("c2", -1.0, 0.1, X_PULSE, base)
-    with pytest.raises(ValueError):
-        make_transient("c2", 1.0, 0.0, X_PULSE, base)
+    for at in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            make_transient("c2", at, 0.1, X_PULSE, base)
+    for width in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            make_transient("c2", 1.0, width, X_PULSE, base)
     with pytest.raises(ValueError):
         make_transient("c2", 1.0, 0.1, "zap", base)
 

@@ -185,7 +185,7 @@ def test_probe_engine_seeding_long_input_trace():
                 assert ctx.probe(signal, at, 0.1) == _full_run_verdict(ctx, inputs, signal, at, 0.1)
 
 
-# --- the lazy fault-free run ---------------------------------------------------------
+# --- the fault-free run --------------------------------------------------------------
 
 
 def _verdict_or_error(fn, *args):
@@ -195,11 +195,10 @@ def _verdict_or_error(fn, *args):
         return str(exc)
 
 
-def test_lazy_base_near_horizon_and_both_pulse_kinds():
+def test_verdicts_near_horizon_and_both_pulse_kinds():
     """Pulses that end within d_max of T, X- and flip-pulses, on inputs that
-    may carry X: a fresh context per query (its run to the pulse keeps no
-    snapshots) and one shared context probed in random order (its later
-    probes fill in what the first one skipped) give full-run verdicts."""
+    may carry X: a fresh context per query and one shared context probed in
+    random order give full-run verdicts."""
     rng = random.Random(18)
     checked = 0
     with warnings.catch_warnings():
@@ -221,7 +220,7 @@ def test_lazy_base_near_horizon_and_both_pulse_kinds():
                 checked += 1
 
 
-def test_lazy_base_monitored_x_only_after_horizon():
+def test_monitored_x_only_after_horizon_makes_every_pulse_susceptible():
     """Random circuits whose fault-free run first drives the monitored
     signal to X after T: every pulse is susceptible, also when the probe
     itself re-converges before T."""
@@ -252,8 +251,8 @@ def test_lazy_base_monitored_x_only_after_horizon():
                 assert ctx.probe(signal, at, 0.1), (signal, at)
 
 
-def test_lazy_base_lookups_match_full_snapshot_run():
-    """However the cursor was extended, a lookup at t gives the state after
+def test_lookups_and_regions_match_full_snapshot_run():
+    """With or without a probe first, a lookup at t gives the state after
     the last visit of the full fault-free run at or before t, also at visit
     times, and the regions equal those of the full run.  Only the states
     are compared: a resumed run does not revisit the due times of actions
@@ -295,16 +294,14 @@ def test_base_mon_x_counts_initial_x():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The keyword arguments and horizon of every _kernel call the analysis
-    makes, with the time its visits start after and its last visit."""
+    """The keyword arguments of every _kernel call the analysis makes, with
+    its last visit."""
     calls = []
 
-    def spy(comp, transitions, initial, horizon, *args, **kwargs):
-        run = _kernel(comp, transitions, initial, horizon, *args, **kwargs)
-        seed = kwargs.get("seed")
-        after = seed.time if seed is not None else -1.0
+    def spy(*args, **kwargs):
+        run = _kernel(*args, **kwargs)
         last = run.visit_times[-1] if run.visit_times else None
-        calls.append({**kwargs, "horizon": horizon, "after": after, "last": last})
+        calls.append({**kwargs, "last": last})
         return run
 
     monkeypatch.setattr(analysis, "_kernel", spy)
@@ -315,12 +312,9 @@ def _base_runs(calls):
     return [c for c in calls if c.get("record", True) is not False]
 
 
-def _assert_base_runs_once_up_to(calls, t2):
-    """No fault-free run visits past t2, and no two visit the same stretch."""
-    spans = sorted((c["after"], c["last"]) for c in _base_runs(calls) if c["last"] is not None)
-    assert spans and max(last for _, last in spans) == t2
-    for (_, last), (after, _) in zip(spans, spans[1:]):
-        assert last <= after, spans
+def _assert_base_runs_once_up_to(calls, t):
+    """Exactly one fault-free run, whose last visit is t."""
+    assert [c["last"] for c in _base_runs(calls)] == [t]
 
 
 LIN3 = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
@@ -332,23 +326,31 @@ LIN3_DEC_CFG = SimConfig(horizon=3.2, epsilon=0.01)
 LIN3_DEC_LAST = 6.3999999999999995  # the last visit of its run before T + settle, 6.4
 
 
-def test_probe_context_construction_runs_no_kernel(kernel_calls):
-    circuit, monitored = LIN3
-    _ProbeContext(circuit, {}, LIN3_CFG, monitored)
-    assert kernel_calls == []
+@pytest.mark.parametrize("case,last", [(LIN3 + (LIN3_CFG,), LIN3_T2), (LIN3_DEC + (LIN3_DEC_CFG,), LIN3_DEC_LAST)])
+def test_probe_context_runs_the_base_once_when_built(kernel_calls, case, last):
+    """Construction makes the one fault-free run, on LIN3 up to t2 and
+    without a cycle up to the last visit before T + settle; later lookups,
+    regions, base_mon_x and probes run no fault-free kernel."""
+    circuit, monitored, cfg = case
+    ctx = _ProbeContext(circuit, {}, cfg, monitored)
+    _assert_base_runs_once_up_to(kernel_calls, last)
+    kernel_calls.clear()
+    for t in (0.0, cfg.horizon / 2, ctx.t_end):
+        ctx._snapshot(t)
+    assert ctx.regions and not ctx.base_mon_x
+    for at in (0.0, cfg.horizon / 3, cfg.horizon - 0.2):
+        ctx.probe("en3", at, cfg.epsilon)
+    assert kernel_calls and _base_runs(kernel_calls) == []
 
 
-def test_hit_query_never_runs_base_to_t_end(kernel_calls):
-    """A query whose probe hits runs the fault-free run only to about its
-    pulse.  A masked query runs it on until it repeats: on LIN3 to t2 and
-    no further, no stretch twice; on a circuit without a cycle, on to
-    T + settle, no visit twice."""
+def test_queries_run_the_base_once_up_to_its_repeat(kernel_calls):
+    """A query, whether its probe hits or not, runs the fault-free run once
+    until it repeats: on LIN3 to t2 and no further; on a circuit without a
+    cycle, on to T + settle."""
     circuit, monitored = LIN3
-    t_end = LIN3_CFG.horizon + analysis._settle(circuit, LIN3_CFG)
     # [9, 13) is susceptible throughout for c2, [0, 4) masked for en3
     assert is_susceptible(circuit, {}, monitored, Glitch("c2", 10.0, 0.1), LIN3_CFG)
-    base_runs = _base_runs(kernel_calls)
-    assert base_runs and max(c["horizon"] for c in base_runs) < LIN3_CFG.horizon < t_end
+    _assert_base_runs_once_up_to(kernel_calls, LIN3_T2)
     kernel_calls.clear()
     assert not is_susceptible(circuit, {}, monitored, Glitch("en3", 1.0, 0.1), LIN3_CFG)
     _assert_base_runs_once_up_to(kernel_calls, LIN3_T2)
@@ -359,8 +361,8 @@ def test_hit_query_never_runs_base_to_t_end(kernel_calls):
 
 
 def test_base_mon_x_found_once(kernel_calls):
-    """On LIN3 no fault-free run visits past t2 or a stretch twice; without a
-    cycle, none visits past T + settle or a visit twice."""
+    """An analysis runs the fault-free run once: on LIN3 up to t2, without
+    a cycle up to the last visit before T + settle."""
     circuit, monitored = LIN3
     report = analysis.analyze(circuit, {}, monitored, 0.1, 0.01, LIN3_CFG)
     assert report.simulations > 100
@@ -457,7 +459,6 @@ def test_integer_cases_repeat():
     for seed in range(60):
         circuit, inputs, monitored, cfg = _integer_case(seed)
         ctx = _ProbeContext(circuit, inputs, cfg, monitored)
-        ctx._snapshot(ctx.t_end)
         if ctx._period is not None:
             assert 0 <= ctx._finder.t1 < ctx._finder.t2 <= ctx.t_end
             periods.append(ctx._period)
@@ -474,13 +475,13 @@ def test_integer_cases_repeat():
 )
 def test_presets_repeat(kernel_calls, make, T, t1, t2):
     """The generator presets run autonomously on integer delays, so their
-    runs repeat early: base_mon_x's run stops at t2, and once lookups have
-    found the cycle, base_mon_x runs nothing."""
+    runs repeat early: the context's run stops at t2, and later lookups and
+    base_mon_x run nothing."""
     circuit, monitored = make()
     ctx = _ProbeContext(circuit, {}, SimConfig(T, 0.1), monitored)
     assert not ctx.base_mon_x
     assert (ctx._finder.t1, ctx._finder.t2, ctx._period) == (t1, t2, t2 - t1)
-    assert ctx._times[-1] == t2 and [c["last"] for c in kernel_calls] == [t2]
+    assert [c["last"] for c in kernel_calls] == [t2]
     ctx = _ProbeContext(circuit, {}, SimConfig(T, 0.1), monitored)
     ctx._snapshot(t2 + 1.0)
     assert ctx._period == t2 - t1
