@@ -6,14 +6,18 @@ the one rule for X- and flip-pulses).  The circuit is susceptible to a fault if 
 fault makes a monitored signal attain X before T + settle, where T is the
 horizon and settle = |C|·max(ε, d_max) gives a fault near T time to cross the
 circuit.  Every verdict (``is_susceptible``, ``analyze``, ``analyze_naive``)
-comes from ``_ProbeContext.probe``, and the context is the one view of the
-fault-free run: it is set up and checked as ``execute`` is, so the analyses
-reject what ``execute`` rejects.  The context runs the fault-free execution
-once, when it is built, keeping a snapshot per visit, and never past the
-visit at which it starts to repeat: with integer delays and inputs that have
-stopped switching, the run becomes periodic, and every later time is read by
-shifting the stretch that repeats (``sim._CycleFinder``).  The run stops at
-the repeat, so on a periodic circuit a query costs the same at any T.
+comes from ``_ProbeContext.probe``, an overlay on the fault-free execution
+prefix of the circuit, its inputs and (T, ε).  That run (``_FaultFreeRun``)
+is set up and checked as ``execute`` is, so the analyses reject what
+``execute`` rejects.  It is made once per (circuit, inputs, config) and kept
+on the circuit (``_fault_free_run``), so every query, analysis and
+``faulty_execution`` on the same circuit, inputs and config reads the same
+run, and only the first pays for it.  It keeps a snapshot per visit and goes
+no further than the visit at which it starts to repeat: with integer delays
+and inputs that have stopped switching, the run becomes periodic, and every
+later time is read by shifting the stretch that repeats
+(``sim._CycleFinder``).  So on a periodic circuit a run costs the same at
+any T.
 
 Susceptible times are located per value region of the fault-free execution
 (the interval between two consecutive value-switching times): within a region
@@ -189,11 +193,10 @@ def faulty_execution(
     T + settle with the inputs held past T and the pulse overlaid, the pulse
     read from the fault-free run as a probe reads it."""
     _check_glitch(circuit, glitch, config)
-    # the monitored set does not shape the pulse
-    ctx = _ProbeContext(circuit, inputs, config, circuit.signals, fault_kind=glitch.kind)
-    pulse = ctx.pulse_events(ctx.comp.idx[glitch.signal], glitch.at, glitch.width)
-    long = replace(config, horizon=ctx.t_end)
-    inputs = {name: replace(trace, horizon=ctx.t_end) for name, trace in (inputs or {}).items()}
+    run = _fault_free_run(circuit, inputs, config)
+    pulse = run.pulse_events(_pulse_rule(glitch.kind), run.comp.idx[glitch.signal], glitch.at, glitch.width)
+    long = replace(config, horizon=run.t_end)
+    inputs = {name: replace(trace, horizon=run.t_end) for name, trace in (inputs or {}).items()}
     return execute(circuit, inputs, long, [ExternalEvent(t, glitch.signal, Value(fv)) for t, _, fv in pulse])
 
 
@@ -235,21 +238,13 @@ def _repeated(times: list[float], period: float, until: float) -> list[float]:
     return out
 
 
-# The benchmark in bench/ wraps _ProbeContext.probe(signal, at, width) and
-# reads its positional arguments, wraps _ProbeContext.matches, the module
-# global _kernel (it tells probes by their record=False keyword, so only
-# probes pass it: the context's fault-free run counts as a base run),
-# analyze, is_susceptible and value_regions, counts
-# PostfixViolationWarning, and outside this module wraps sim.execute,
-# cli._GENERATORS, cli.main and the public generators, netlist, prs and
-# waveform functions it runs: keep these names and call shapes.
-class _ProbeContext:
-    """The fault layer's one view of the fault-free run of one (circuit,
-    inputs, config).
+class _FaultFreeRun:
+    """The fault-free run of one (circuit, inputs, config), which every
+    verdict on them overlays; built only by ``_fault_free_run``.
 
     Construction sets the run up and checks it as ``execute`` does, and
     runs it to T + settle with a state snapshot per visit, from which
-    fault-free values are read.
+    fault-free values are read.  It holds no reference to the circuit.
 
     The run looks for a cycle when all rule delays are integers: the first
     state, after the last input transition, that repeats one seen at an
@@ -259,44 +254,18 @@ class _ProbeContext:
     with its due times moved by k·p, made when first read and then kept, so
     a probe resumed from it keeps its guard values.  The events past t2 are
     those in (t1, t2] shifted.
-
-    When the fault-free run itself drives a monitored signal to X before
-    T + settle (``base_mon_x``), every pulse is susceptible and no probe
-    runs.  Otherwise a probe resumes from the snapshot of the last visit
-    before the pulse and stops as soon as a monitored signal attains X
-    (susceptible) or the state re-converges to the fault-free run with no X
-    left in flight.  Verdicts are
-    identical to re-running the full execution to T + settle with the pulse
-    overlaid.  ``faulty_execution`` reads its pulse from a context too.
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        inputs: InputTraces,
-        config: SimConfig,
-        monitored: Iterable[str],
-        fault_kind: str = X_PULSE,
-    ):
-        self.circuit = circuit
+    def __init__(self, circuit: Circuit, inputs: InputTraces, config: SimConfig, key: str):
+        self.key = key
         self.config = config
-        self.monitored = sorted(monitored)
-        if not self.monitored:
-            raise ValueError("monitored set must not be empty")
-        self.fault_kind = fault_kind
-        self.pulse_rule = _pulse_rule(fault_kind)
         self.settle = _settle(circuit, config)
         self.t_end = config.horizon + self.settle
         comp, self.in_initial, self.in_transitions = _setup_run(circuit, inputs, config, self.t_end)
         self.comp = comp
-        unknown = [m for m in self.monitored if m not in comp.idx]
-        if unknown:
-            raise ValueError(f"monitored signals not in circuit: {', '.join(unknown)}")
-        self.mon_ids = frozenset(comp.idx[m] for m in self.monitored)
         self.initial_values = list(comp.initial)
         for sid, fv in self.in_initial.items():
             self.initial_values[sid] = fv
-        self.simulations = 0
 
         # the fault-free run: _times holds the time of every visit before
         # T + settle and _snaps a snapshot of each, _events the events of the
@@ -328,14 +297,15 @@ class _ProbeContext:
             self._stretch = self._snaps[i:]
             self._times += _repeated(self._times[i:], self._period, self.t_end)
             self._snaps += [None] * (len(self._times) - self._past_t2)
-        mon = self.mon_ids
-        # past t2 the run repeats (t1, t2], which has no X
-        self.base_mon_x = any(self.initial_values[sid] == X for sid in mon) or any(
-            fv == X and sid in mon for _, sid, fv, _ in self._events
+        # the signals the run drives to X before T + settle, counting initial
+        # X values; past t2 the run repeats (t1, t2], which has no X
+        self.x_ids = frozenset(
+            [sid for sid, fv in enumerate(self.initial_values) if fv == X]
+            + [sid for _, sid, fv, _ in self._events if fv == X]
         )
         self._regions: list[ValueRegion] | None = None
 
-    def _snapshot(self, t: float):
+    def snapshot(self, t: float):
         """Snapshot of the last fault-free visit at or before t, or None."""
         i = _bisect_mod.bisect_right(self._times, t) - 1
         if i < 0:
@@ -361,42 +331,106 @@ class _ProbeContext:
             self._regions = _regions_from_times(times, T)
         return self._regions
 
-    def matches(self, t: float, values, pend, pend_x) -> bool:
-        snap = self._snapshot(t)
-        return snap is not None and snap.pend == pend and snap.pend_x == pend_x and snap.values == values
+    def pulse_events(self, rule, sid: int, at: float, width: float):
+        """The drive and restore events of a pulse on signal ``sid`` by the
+        pulse ``rule`` (``_pulse_rule``), read from this run."""
 
-    def pulse_events(self, sid: int, at: float, width: float):
         def value_at(t):
-            snap = self._snapshot(t)
+            snap = self.snapshot(t)
             return snap.values[sid] if snap is not None else self.initial_values[sid]
 
         end = at + width
-        drive, restore = self.pulse_rule(self.comp.names[sid], at, end, value_at, self.t_end)
+        drive, restore = rule(self.comp.names[sid], at, end, value_at, self.t_end)
         return ((at, sid, drive), (end, sid, restore))
+
+
+def _fault_free_run(circuit: Circuit, inputs: InputTraces | None, config: SimConfig) -> _FaultFreeRun:
+    """The fault-free run of the circuit on the inputs under the config.
+
+    The last run built is kept on the circuit, in one slot, as ``sim``
+    keeps the compiled form, and is reused while the inputs and config are
+    the same.  They are compared by their ``repr``: by value, but telling
+    1 from 1.0 and 0.0 from -0.0, which a run's regions and report bytes
+    would show, so a reused run is the run a fresh build would make.
+    """
+    key = repr((config, sorted((inputs or {}).items())))
+    run = getattr(circuit, "_fault_free_run", None)
+    if run is None or run.key != key:
+        run = _FaultFreeRun(circuit, inputs, config, key)
+        object.__setattr__(circuit, "_fault_free_run", run)
+    return run
+
+
+# The benchmark in bench/ wraps _ProbeContext.probe(signal, at, width) and
+# reads its positional arguments, wraps _ProbeContext.matches, the module
+# global _kernel (it tells probes by their record=False keyword, so only
+# probes pass it: the fault-free run counts as a base run),
+# analyze, is_susceptible and value_regions, counts
+# PostfixViolationWarning, and outside this module wraps sim.execute,
+# cli._GENERATORS, cli.main and the public generators, netlist, prs and
+# waveform functions it runs: keep these names and call shapes.
+class _ProbeContext:
+    """The per-query state of probes on one (circuit, inputs, config): the
+    monitored set, the pulse rule and the probe count, over the shared
+    fault-free run ``run`` (``_fault_free_run``).  The context holds no
+    circuit and runs no fault-free kernel itself.
+
+    When the fault-free run itself drives a monitored signal to X before
+    T + settle (``base_mon_x``), every pulse is susceptible and no probe
+    runs.  Otherwise a probe resumes from the snapshot of the last visit
+    before the pulse and stops as soon as a monitored signal attains X
+    (susceptible) or the state re-converges to the fault-free run with no X
+    left in flight.  Verdicts are identical to re-running the full
+    execution to T + settle with the pulse overlaid.
+    """
+
+    def __init__(
+        self,
+        circuit: Circuit,
+        inputs: InputTraces,
+        config: SimConfig,
+        monitored: Iterable[str],
+        fault_kind: str = X_PULSE,
+    ):
+        self.monitored = sorted(monitored)
+        if not self.monitored:
+            raise ValueError("monitored set must not be empty")
+        self.fault_kind = fault_kind
+        self.pulse_rule = _pulse_rule(fault_kind)
+        run = self.run = _fault_free_run(circuit, inputs, config)
+        unknown = [m for m in self.monitored if m not in run.comp.idx]
+        if unknown:
+            raise ValueError(f"monitored signals not in circuit: {', '.join(unknown)}")
+        self.mon_ids = frozenset(run.comp.idx[m] for m in self.monitored)
+        self.base_mon_x = not self.mon_ids.isdisjoint(run.x_ids)
+        self.simulations = 0
+
+    def matches(self, t: float, values, pend, pend_x) -> bool:
+        snap = self.run.snapshot(t)
+        return snap is not None and snap.pend == pend and snap.pend_x == pend_x and snap.values == values
 
     def probe(self, signal: str, at: float, width: float) -> bool:
         """Susceptibility verdict for one pulse; counts one simulation."""
         self.simulations += 1
-        sid = self.comp.idx[signal]
-        events = self.pulse_events(sid, at, width)
+        run = self.run
+        events = run.pulse_events(self.pulse_rule, run.comp.idx[signal], at, width)
         if self.base_mon_x:
             return True
         # resume from the last fault-free visit before the pulse: on float
         # times, the last one at or before the next float down
-        seed = self._snapshot(math.nextafter(at, -math.inf))
-        run = _kernel(
-            self.comp,
-            self.in_transitions,
-            self.in_initial,
-            self.t_end,
-            self.config.epsilon,
+        seed = run.snapshot(math.nextafter(at, -math.inf))
+        return _kernel(
+            run.comp,
+            run.in_transitions,
+            run.in_initial,
+            run.t_end,
+            run.config.epsilon,
             events,
             record=False,
             watch=self.mon_ids,
             seed=seed,
             base=self,
-        )
-        return run.watch_hit
+        ).watch_hit
 
 
 # --- bisection -------------------------------------------------------------------
@@ -437,7 +471,7 @@ def _windows_for_signal(
     ctx: _ProbeContext, signal: str, gamma: float, delta: float
 ) -> list[SensitivityWindow]:
     out: list[SensitivityWindow] = []
-    for region in ctx.regions:
+    for region in ctx.run.regions:
         start, end = _locate_window(ctx, signal, region, gamma, delta)
         if start < end:
             out.append(SensitivityWindow(signal, start, end))
@@ -598,18 +632,27 @@ def analyze_naive(
                 start = None
         if start is not None:
             sig_windows.append(SensitivityWindow(s, start, T))
-    return _report(per_signal, monitored, config, ctx.settle, gamma, step, fault_kind, ctx.simulations)
+    return _report(per_signal, monitored, config, ctx.run.settle, gamma, step, fault_kind, ctx.simulations)
 
 
-def p_fail_weighted(report: SensitivityReport, weights: Mapping[str, float]) -> float:
-    """Weighted average of the per-signal fault probabilities."""
-    missing = [s for s in report.injected if s not in weights]
+def check_weights(injected: Sequence[str], weights: Mapping[str, float]) -> float:
+    """Check that the weights are valid for the injected signals and return
+    their total: every injected signal has a weight, every weight is
+    nonnegative and finite, and the injected signals' total is not zero."""
+    missing = [s for s in injected if s not in weights]
     if missing:
         raise ValueError(f"weights missing for: {', '.join(missing)}")
     bad = {s: w for s, w in weights.items() if not 0 <= w < math.inf}
     if bad:
         raise ValueError(f"weights must be nonnegative and finite: {bad}")
-    total = math.fsum(weights[s] for s in report.injected)
+    total = math.fsum(weights[s] for s in injected)
     if total == 0:
         raise ValueError("total weight is zero")
+    return total
+
+
+def p_fail_weighted(report: SensitivityReport, weights: Mapping[str, float]) -> float:
+    """Weighted average of the per-signal fault probabilities; the weights
+    must pass ``check_weights`` for the report's injected signals."""
+    total = check_weights(report.injected, weights)
     return math.fsum(weights[s] * report.p_per_signal[s] for s in report.injected) / total

@@ -145,6 +145,12 @@ def cmd_analyze(args) -> int:
     traces = _load_traces(args.traces)
     monitored = _monitor_set(args.monitor, declared, circuit)
     config = SimConfig(horizon=args.until, epsilon=args.epsilon)
+    weights = None
+    if args.weights:
+        # a bad weights file fails before the analysis runs or writes anything
+        weights = _parse_weights(_read(args.weights))
+        injected = analysis._resolve_injection(circuit, monitored, None, args.include_monitored)
+        analysis.check_weights(injected, weights)
     common = dict(
         gamma=args.gamma,
         config=config,
@@ -160,8 +166,7 @@ def cmd_analyze(args) -> int:
         execution = execute(circuit, traces, config)
         _write(args.out_svg, waveform.render_waveform(execution, report.windows, monitored))
     print(f"P(fail) = {report.p_fail!r}")
-    if args.weights:
-        weights = _parse_weights(_read(args.weights))
+    if weights is not None:
         print(f"P(fail, weighted) = {analysis.p_fail_weighted(report, weights)!r}")
     return 0
 

@@ -180,8 +180,9 @@ class Circuit:
         )
 
     def __getstate__(self):
-        # drop the memoized compiled form: it holds closures
-        return {k: v for k, v in self.__dict__.items() if k != "_compiled_form"}
+        # drop the memoized compiled form and fault-free run: they hold
+        # closures, and a copy rebuilds them on demand
+        return {k: v for k, v in self.__dict__.items() if k not in ("_compiled_form", "_fault_free_run")}
 
     def __setstate__(self, state):
         self.__dict__.update(state)

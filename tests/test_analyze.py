@@ -1,7 +1,10 @@
 """Full sensitivity analyses: published value, oracle agreement, weighting."""
 
+import gc
 import math
+import pickle
 import warnings
+import weakref
 
 import pytest
 
@@ -15,6 +18,7 @@ from faultscope.analysis import (
     value_regions,
 )
 from faultscope.generators import PipelineSpec, linear_pipeline
+from faultscope.netlist import write_report
 
 CFG = SimConfig(horizon=32.0, epsilon=0.1)
 
@@ -274,3 +278,31 @@ def test_unknown_pulse_kind_rejected_without_probes(pipeline):
         analyze(circuit, {}, monitored, config=CFG, injection_set=monitored, fault_kind="zap")
     with pytest.raises(ValueError, match="unknown pulse kind"):
         is_susceptible(circuit, {}, monitored, Glitch("c2", 10.0, 0.1, "zap"), CFG)
+
+
+def test_kept_run_is_not_pickled():
+    """A circuit keeps its last fault-free run but does not pickle it: a
+    pickled copy equals the circuit and carries no run, and an analysis on
+    a pool of a circuit that answered a query writes the report one without
+    a pool writes."""
+    circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+    assert is_susceptible(circuit, {}, monitored, Glitch("c2", 10.0, 0.1), CFG)
+    copy = pickle.loads(pickle.dumps(circuit))
+    assert copy == circuit and "_fault_free_run" not in vars(copy)
+    serial = write_report(analyze(circuit, {}, monitored, 0.1, 0.01, CFG))
+    assert write_report(analyze(circuit, {}, monitored, 0.1, 0.01, CFG, jobs=2)) == serial
+
+
+def test_kept_run_does_not_keep_its_circuit_alive():
+    """The run a circuit keeps holds no reference back to it, so reference
+    counting alone frees both."""
+    circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+    verdict = is_susceptible(circuit, {}, monitored, Glitch("c2", 10.0, 0.1), CFG)
+    assert verdict and "_fault_free_run" in vars(circuit)
+    ref = weakref.ref(circuit)
+    gc.disable()
+    try:
+        del circuit
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -22,7 +22,7 @@ def ctx():
 
 
 def _region(ctx, start):
-    return next(r for r in ctx.regions if r.start == start)
+    return next(r for r in ctx.run.regions if r.start == start)
 
 
 def test_fully_susceptible_region_two_probes(ctx):
@@ -52,7 +52,7 @@ def test_region_shorter_than_pulse_single_probe(ctx):
 
 def test_probe_budget_per_region(ctx):
     for signal in ("c2", "en1", "src"):
-        for region in ctx.regions:
+        for region in ctx.run.regions:
             before = ctx.simulations
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -72,7 +72,7 @@ def test_mixed_region_matches_grid_scan():
     inputs = random_input_traces(rng, circuit, horizon)
     monitored = monitored_for(rng, circuit)
     ctx = _ProbeContext(circuit, inputs, cfg, monitored)
-    region = next(r for r in ctx.regions if r.start == 2.875)
+    region = next(r for r in ctx.run.regions if r.start == 2.875)
     assert region.end == 4.9375
     tau, end = _locate_window(ctx, "d0", region, GAMMA, DELTA)
     assert end == region.end
@@ -85,6 +85,7 @@ def test_mixed_region_matches_grid_scan():
         t += DELTA / 2 * 10
 
 
-def test_delta_must_be_positive(ctx):
+def test_delta_must_be_positive():
+    circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
     with pytest.raises(ValueError):
-        analyze(ctx.circuit, {}, ctx.monitored, GAMMA, 0.0, CFG)
+        analyze(circuit, {}, monitored, GAMMA, 0.0, CFG)

@@ -306,6 +306,33 @@ def test_analyze_non_finite_weight_exit_3(lin3_file, tmp_path, capsys, w):
     assert code == 3 and "weighted" not in out and "finite" in err
 
 
+UNIFORM_WEIGHTS = "src = 1\nc2 = 1\nen1 = 1\nen2 = 1\nen3 = 1\n"
+
+
+@pytest.mark.parametrize(
+    "weights,flags,why",
+    [
+        ("src = 1\n", [], "weights missing for: c2, en1, en2, en3"),
+        (UNIFORM_WEIGHTS.replace("c2 = 1", "c2 = -1"), [], "nonnegative and finite"),
+        ("src = 0\nc2 = 0\nen1 = 0\nen2 = 0\nen3 = 0\n", [], "total weight is zero"),
+        ("src 1\n", [], "expected 'signal = weight'"),
+        # the monitored c1 and c3 are injected too, and have no weight
+        (UNIFORM_WEIGHTS, ["--include-monitored"], "weights missing for: c1, c3"),
+    ],
+    ids=["missing", "negative", "zero-total", "syntax", "monitored-injected"],
+)
+def test_analyze_bad_weights_fail_before_the_analysis(lin3_file, tmp_path, capsys, weights, flags, why):
+    """A weights file that does not fit the injection set exits 3 before the
+    analysis runs: nothing on stdout, no report and no picture written."""
+    wfile = tmp_path / "w.txt"
+    wfile.write_text(weights)
+    rep, svg = tmp_path / "r.json", tmp_path / "r.svg"
+    argv = ["--weights", str(wfile), "--out-json", str(rep), "--out-svg", str(svg), *flags]
+    code, out, err = run(capsys, "analyze", "--circuit", lin3_file, "--until", "32", *argv)
+    assert code == 3 and out == "" and why in err
+    assert not rep.exists() and not svg.exists()
+
+
 def test_generate_outputs_monitor_line(capsys):
     code, out, _ = run(capsys, "generate", "linear", "3")
     assert code == 0 and "monitor c1 c3" in out

@@ -9,7 +9,18 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faultscope import Circuit, ExternalEvent, SimConfig, Value, analysis, count_events, execute, make_trace, trace_value_at
+from faultscope import (
+    Circuit,
+    ExternalEvent,
+    SimConfig,
+    Value,
+    analysis,
+    cli,
+    count_events,
+    execute,
+    make_trace,
+    trace_value_at,
+)
 from faultscope.analysis import Glitch, _ProbeContext, is_susceptible, make_transient
 from faultscope.generators import (
     MultiBitSpec,
@@ -21,6 +32,7 @@ from faultscope.generators import (
     multibit_linear_pipeline,
     ring_pipeline,
 )
+from faultscope.netlist import serialize_circuit
 from faultscope.sim import X, _kernel
 from util import monitored_for, random_circuit, random_input_traces
 
@@ -104,16 +116,23 @@ def test_noop_externals_reproduce_pure_execution():
         assert overlaid.traces == plain.traces
 
 
-def _full_run_verdict(ctx, inputs, signal, at, width, kind="xpulse"):
-    """Reference verdict: the full execution to ctx.t_end, inputs held past
+def _full_run_verdict(circuit, ctx, inputs, signal, at, width, kind="xpulse"):
+    """Reference verdict: the full execution to ctx.run.t_end, inputs held past
     the horizon, with the pulse overlaid; susceptible iff a monitored signal
     attains X."""
-    cfg = SimConfig(ctx.t_end, ctx.config.epsilon)
-    inputs = {name: dataclasses.replace(trace, horizon=ctx.t_end) for name, trace in inputs.items()}
-    base = execute(ctx.circuit, inputs, cfg)
-    faulty = execute(ctx.circuit, inputs, cfg, make_transient(signal, at, width, kind, base))
+    cfg = SimConfig(ctx.run.t_end, ctx.run.config.epsilon)
+    inputs = {name: dataclasses.replace(trace, horizon=ctx.run.t_end) for name, trace in inputs.items()}
+    base = execute(circuit, inputs, cfg)
+    faulty = execute(circuit, inputs, cfg, make_transient(signal, at, width, kind, base))
     traces = [faulty.traces[m] for m in ctx.monitored]
     return any(tr.initial is Value.X or any(v is Value.X for _, v in tr.transitions) for tr in traces)
+
+
+def _full_snapshot_run(ctx):
+    """The context's fault-free run to T + settle in one kernel call, with a
+    snapshot per visit and no cycle finder."""
+    run = ctx.run
+    return _kernel(run.comp, run.in_transitions, run.in_initial, run.t_end, run.config.epsilon, (), keep_snapshots=True)
 
 
 def test_probe_engine_matches_plain_susceptibility():
@@ -131,7 +150,7 @@ def test_probe_engine_matches_plain_susceptibility():
                 signal = rng.choice(sorted(circuit.signals))
                 at = rng.uniform(0.0, cfg.horizon - 0.11)
                 fast = ctx.probe(signal, at, 0.1)
-                slow = _full_run_verdict(ctx, inputs, signal, at, 0.1)
+                slow = _full_run_verdict(circuit, ctx, inputs, signal, at, 0.1)
                 assert fast == slow, (signal, at)
                 checked += 1
 
@@ -148,7 +167,7 @@ def test_probe_engine_seeding_matches_full_runs():
             ctx = _ProbeContext(circuit, inputs, cfg, monitored)
             for at in (cfg.horizon * 0.55, cfg.horizon * 0.9):
                 signal = rng.choice(sorted(circuit.signals))
-                assert ctx.probe(signal, at, 0.1) == _full_run_verdict(ctx, inputs, signal, at, 0.1)
+                assert ctx.probe(signal, at, 0.1) == _full_run_verdict(circuit, ctx, inputs, signal, at, 0.1)
 
 
 def test_probe_engine_seeding_long_input_trace():
@@ -174,15 +193,15 @@ def test_probe_engine_seeding_long_input_trace():
             cfg = SimConfig(T, 0.1)
             monitored = monitored_for(rng, circuit)
             ctx = _ProbeContext(circuit, inputs, cfg, monitored)
-            base = _kernel(ctx.comp, ctx.in_transitions, ctx.in_initial, ctx.t_end, 0.1, (), keep_snapshots=True)
+            base, run = _full_snapshot_run(ctx), ctx.run
             for seed in (base.snapshots[len(base.snapshots) // 2], base.snapshots[-2]):
                 resumed = _kernel(
-                    ctx.comp, ctx.in_transitions, ctx.in_initial, ctx.t_end, 0.1, (), record=True, seed=seed
+                    run.comp, run.in_transitions, run.in_initial, run.t_end, 0.1, (), record=True, seed=seed
                 )
                 assert resumed.events == [ev for ev in base.events if ev[0] > seed.time]
             for at in (T * 0.55, T * 0.9, rng.uniform(0.0, T - 0.2), rng.uniform(0.0, T - 0.2)):
                 signal = rng.choice(sorted(circuit.signals))
-                assert ctx.probe(signal, at, 0.1) == _full_run_verdict(ctx, inputs, signal, at, 0.1)
+                assert ctx.probe(signal, at, 0.1) == _full_run_verdict(circuit, ctx, inputs, signal, at, 0.1)
 
 
 # --- the fault-free run --------------------------------------------------------------
@@ -214,7 +233,7 @@ def test_verdicts_near_horizon_and_both_pulse_kinds():
                 if rng.random() < 0.3:
                     at = rng.uniform(0.0, at)
                 fresh = _ProbeContext(circuit, inputs, cfg, monitored, fault_kind=kind)
-                slow = _verdict_or_error(_full_run_verdict, fresh, inputs, signal, at, 0.1, kind)
+                slow = _verdict_or_error(_full_run_verdict, circuit, fresh, inputs, signal, at, 0.1, kind)
                 assert _verdict_or_error(fresh.probe, signal, at, 0.1) == slow, (signal, at, kind)
                 assert _verdict_or_error(shared.probe, signal, at, 0.1) == slow, (signal, at, kind)
                 checked += 1
@@ -247,7 +266,7 @@ def test_monitored_x_only_after_horizon_makes_every_pulse_susceptible():
                 signal = rng.choice(sorted(circuit.signals))
                 at = rng.uniform(0.0, cfg.horizon - 0.11)
                 ctx = _ProbeContext(circuit, inputs, cfg, late[:1])
-                assert _full_run_verdict(ctx, inputs, signal, at, 0.1)
+                assert _full_run_verdict(circuit, ctx, inputs, signal, at, 0.1)
                 assert ctx.probe(signal, at, 0.1), (signal, at)
 
 
@@ -261,17 +280,17 @@ def test_lookups_and_regions_match_full_snapshot_run():
     for _ in range(30):
         circuit, inputs, cfg = _case(rng, horizon=20, allow_x=True)
         ctx = _ProbeContext(circuit, inputs, cfg, monitored_for(rng, circuit))
-        full = _kernel(ctx.comp, ctx.in_transitions, ctx.in_initial, ctx.t_end, 0.1, (), keep_snapshots=True)
+        full = _full_snapshot_run(ctx)
         if rng.random() < 0.5:
             ctx.probe(rng.choice(sorted(circuit.signals)), rng.uniform(1.0, cfg.horizon - 0.1), 0.1)
         times = rng.sample(full.visit_times, min(10, len(full.visit_times)))
-        times += [rng.uniform(0.0, ctx.t_end) for _ in range(10)]
+        times += [rng.uniform(0.0, ctx.run.t_end) for _ in range(10)]
         rng.shuffle(times)
         for t in times:
             i = bisect.bisect_right(full.visit_times, t) - 1
-            snap, want = ctx._snapshot(t), full.snapshots[i]
+            snap, want = ctx.run.snapshot(t), full.snapshots[i]
             assert snap.time <= t and (snap.values, snap.pend, snap.pend_x) == (want.values, want.pend, want.pend_x)
-        assert ctx.regions == analysis._regions_from_times((ev[0] for ev in full.events), cfg.horizon)
+        assert ctx.run.regions == analysis._regions_from_times((ev[0] for ev in full.events), cfg.horizon)
 
 
 def test_base_mon_x_counts_initial_x():
@@ -288,7 +307,7 @@ def test_base_mon_x_counts_initial_x():
     cfg = SimConfig(20.0, 0.1)
     ctx = _ProbeContext(circuit, inputs, cfg, {"a"})
     for at in (10.0, 5.0):
-        assert _full_run_verdict(ctx, inputs, "b", at, 0.1)
+        assert _full_run_verdict(circuit, ctx, inputs, "b", at, 0.1)
         assert ctx.probe("b", at, 0.1)
 
 
@@ -317,58 +336,132 @@ def _assert_base_runs_once_up_to(calls, t):
     assert [c["last"] for c in _base_runs(calls)] == [t]
 
 
-LIN3 = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+# Each test builds its own circuits: a circuit keeps its last fault-free run,
+# so a circuit shared between tests would carry one test's run into the
+# next test's kernel-call counts.
+def _lin3():
+    return linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+
+
 LIN3_CFG = SimConfig(horizon=32.0, epsilon=0.1)
 LIN3_T2 = 35.0  # LIN3's fault-free run repeats the stretch (13, 35]
-# LIN3 scaled by 1/10: its decimal delays take no cycle
-LIN3_DEC = linear_pipeline(PipelineSpec(3, 0.1, 0.5, 0.4, 0.4))
+
+
+def _lin3_dec():
+    """LIN3 scaled by 1/10: its decimal delays take no cycle."""
+    return linear_pipeline(PipelineSpec(3, 0.1, 0.5, 0.4, 0.4))
+
+
 LIN3_DEC_CFG = SimConfig(horizon=3.2, epsilon=0.01)
 LIN3_DEC_LAST = 6.3999999999999995  # the last visit of its run before T + settle, 6.4
 
 
-@pytest.mark.parametrize("case,last", [(LIN3 + (LIN3_CFG,), LIN3_T2), (LIN3_DEC + (LIN3_DEC_CFG,), LIN3_DEC_LAST)])
+@pytest.mark.parametrize("case,last", [((_lin3, LIN3_CFG), LIN3_T2), ((_lin3_dec, LIN3_DEC_CFG), LIN3_DEC_LAST)])
 def test_probe_context_runs_the_base_once_when_built(kernel_calls, case, last):
     """Construction makes the one fault-free run, on LIN3 up to t2 and
     without a cycle up to the last visit before T + settle; later lookups,
     regions, base_mon_x and probes run no fault-free kernel."""
-    circuit, monitored, cfg = case
+    make, cfg = case
+    circuit, monitored = make()
     ctx = _ProbeContext(circuit, {}, cfg, monitored)
     _assert_base_runs_once_up_to(kernel_calls, last)
     kernel_calls.clear()
-    for t in (0.0, cfg.horizon / 2, ctx.t_end):
-        ctx._snapshot(t)
-    assert ctx.regions and not ctx.base_mon_x
+    for t in (0.0, cfg.horizon / 2, ctx.run.t_end):
+        ctx.run.snapshot(t)
+    assert ctx.run.regions and not ctx.base_mon_x
     for at in (0.0, cfg.horizon / 3, cfg.horizon - 0.2):
         ctx.probe("en3", at, cfg.epsilon)
     assert kernel_calls and _base_runs(kernel_calls) == []
 
 
 def test_queries_run_the_base_once_up_to_its_repeat(kernel_calls):
-    """A query, whether its probe hits or not, runs the fault-free run once
-    until it repeats: on LIN3 to t2 and no further; on a circuit without a
-    cycle, on to T + settle."""
-    circuit, monitored = LIN3
+    """The first query on a circuit, inputs and config, whether its probe
+    hits or not, runs the fault-free run once until it repeats: on LIN3 to
+    t2 and no further; on a circuit without a cycle, on to T + settle.
+    Later queries and analyses on the same circuit, inputs and config share
+    that run; another T makes a new one."""
+    circuit, monitored = _lin3()
     # [9, 13) is susceptible throughout for c2, [0, 4) masked for en3
     assert is_susceptible(circuit, {}, monitored, Glitch("c2", 10.0, 0.1), LIN3_CFG)
     _assert_base_runs_once_up_to(kernel_calls, LIN3_T2)
     kernel_calls.clear()
     assert not is_susceptible(circuit, {}, monitored, Glitch("en3", 1.0, 0.1), LIN3_CFG)
+    rng = random.Random(24)
+    targets = sorted(circuit.signals - monitored)
+    for _ in range(198):  # 200 queries in all
+        is_susceptible(circuit, {}, monitored, Glitch(rng.choice(targets), rng.uniform(0.0, 31.9), 0.1), LIN3_CFG)
+    assert kernel_calls and _base_runs(kernel_calls) == []
+    # an analysis after the queries reads their run and reports what it
+    # reports on a circuit that answered none
+    report = analysis.analyze(circuit, {}, monitored, 0.1, 0.01, LIN3_CFG)
+    assert _base_runs(kernel_calls) == []
+    fresh, _ = _lin3()
+    assert report == analysis.analyze(fresh, {}, monitored, 0.1, 0.01, LIN3_CFG)
+    kernel_calls.clear()
+    assert not is_susceptible(circuit, {}, monitored, Glitch("en3", 1.0, 0.1), SimConfig(40.0, 0.1))
     _assert_base_runs_once_up_to(kernel_calls, LIN3_T2)
     kernel_calls.clear()
-    circuit, monitored = LIN3_DEC
+    circuit, monitored = _lin3_dec()
     assert not is_susceptible(circuit, {}, monitored, Glitch("en3", 0.1, 0.01), LIN3_DEC_CFG)
     _assert_base_runs_once_up_to(kernel_calls, LIN3_DEC_LAST)
+
+
+def test_queries_share_the_base_run_of_equal_inputs(kernel_calls):
+    """Inputs are compared by value: equal traces in a new dict reuse the
+    run, a trace that switches at another time makes a new one.  A horizon
+    of 20 where the run was made at 20.0 makes a new one too, as its
+    regions end at 20, not 20.0."""
+    circuit = Circuit(
+        inputs=["i"], locals=[], outputs=["o"], initial={"o": Value.ONE}, rules=gate_inverter("i", "o", 1.0)
+    )
+    cfg = SimConfig(20.0, 0.1)
+
+    def query(switch, config=cfg):
+        inputs = {"i": make_trace(Value.ZERO, [(switch, Value.ONE)])}
+        return is_susceptible(circuit, inputs, {"o"}, Glitch("i", 5.0, 0.1), config)
+
+    assert query(2.0)
+    assert len(_base_runs(kernel_calls)) == 1
+    assert query(2.0)
+    assert len(_base_runs(kernel_calls)) == 1
+    assert query(3.0)
+    assert len(_base_runs(kernel_calls)) == 2
+    assert query(3.0, SimConfig(20, 0.1))
+    assert len(_base_runs(kernel_calls)) == 3
+
+
+def test_inject_svg_runs_the_base_once(kernel_calls, tmp_path):
+    """faultscope inject --out-svg takes its verdict and its picture's pulse
+    from one fault-free run."""
+    path = tmp_path / "lin3.prs"
+    path.write_text(serialize_circuit(*_lin3()))
+    svg = tmp_path / "f.svg"
+    argv = ["inject", "--circuit", str(path), "--at", "c2@10:0.1", "--until", "32", "--out-svg", str(svg)]
+    assert cli.main(argv) == 0
+    _assert_base_runs_once_up_to(kernel_calls, LIN3_T2)
+
+
+def test_faulty_execution_reads_the_query_run(kernel_calls):
+    """faulty_execution after a query on the same circuit, inputs and config
+    makes no fault-free run of its own."""
+    circuit, monitored = _lin3()
+    glitch = Glitch("c2", 10.0, 0.1)
+    assert is_susceptible(circuit, {}, monitored, glitch, LIN3_CFG)
+    kernel_calls.clear()
+    faulty = analysis.faulty_execution(circuit, {}, glitch, LIN3_CFG)
+    assert kernel_calls == []
+    assert any(e.signal in monitored and e.value is Value.X for e in faulty.events)
 
 
 def test_base_mon_x_found_once(kernel_calls):
     """An analysis runs the fault-free run once: on LIN3 up to t2, without
     a cycle up to the last visit before T + settle."""
-    circuit, monitored = LIN3
+    circuit, monitored = _lin3()
     report = analysis.analyze(circuit, {}, monitored, 0.1, 0.01, LIN3_CFG)
     assert report.simulations > 100
     _assert_base_runs_once_up_to(kernel_calls, LIN3_T2)
     kernel_calls.clear()
-    circuit, monitored = LIN3_DEC
+    circuit, monitored = _lin3_dec()
     report = analysis.analyze(circuit, {}, monitored, 0.01, 0.001, LIN3_DEC_CFG)
     assert report.simulations > 100
     _assert_base_runs_once_up_to(kernel_calls, LIN3_DEC_LAST)
@@ -407,31 +500,31 @@ def _integer_case(seed: int):
     return circuit, inputs, monitored_for(rng, circuit), SimConfig(T, 0.1)
 
 
-def _check_against_full_run(ctx, inputs, full, rng, steps):
+def _check_against_full_run(circuit, ctx, inputs, full, rng, steps):
     """Run the context's lookups, regions, base_mon_x and probes in the
     order of ``steps`` and compare each with one full snapshot run."""
-    T = ctx.config.horizon
+    T = ctx.run.config.horizon
     for step in steps:
         if step == "lookups":
             times = rng.sample(full.visit_times, min(8, len(full.visit_times)))
-            times += [rng.uniform(0.0, ctx.t_end) for _ in range(8)] + [ctx.t_end]
+            times += [rng.uniform(0.0, ctx.run.t_end) for _ in range(8)] + [ctx.run.t_end]
             for t in times:
                 i = bisect.bisect_right(full.visit_times, t) - 1
-                snap, want = ctx._snapshot(t), full.snapshots[i]
+                snap, want = ctx.run.snapshot(t), full.snapshots[i]
                 assert snap.time <= t
                 assert (snap.values, snap.pend, snap.pend_x) == (want.values, want.pend, want.pend_x), t
         elif step == "regions":
-            assert ctx.regions == analysis._regions_from_times((ev[0] for ev in full.events), T)
+            assert ctx.run.regions == analysis._regions_from_times((ev[0] for ev in full.events), T)
         elif step == "base_mon_x":
             mon = ctx.mon_ids
-            want = any(ctx.initial_values[sid] == X for sid in mon) or any(
+            want = any(ctx.run.initial_values[sid] == X for sid in mon) or any(
                 fv == X and sid in mon for _, sid, fv, _ in full.events
             )
             assert ctx.base_mon_x == want
         else:
-            signal = rng.choice(sorted(ctx.circuit.signals))
+            signal = rng.choice(sorted(circuit.signals))
             at = rng.uniform(0.0, T - 0.1)
-            slow = _verdict_or_error(_full_run_verdict, ctx, inputs, signal, at, 0.1, ctx.fault_kind)
+            slow = _verdict_or_error(_full_run_verdict, circuit, ctx, inputs, signal, at, 0.1, ctx.fault_kind)
             assert _verdict_or_error(ctx.probe, signal, at, 0.1) == slow, (signal, at)
 
 
@@ -448,8 +541,8 @@ def test_cycle_shift_matches_full_run(seed, steps, kind):
     does not."""
     circuit, inputs, monitored, cfg = _integer_case(seed)
     ctx = _ProbeContext(circuit, inputs, cfg, monitored, fault_kind=kind)
-    full = _kernel(ctx.comp, ctx.in_transitions, ctx.in_initial, ctx.t_end, 0.1, (), keep_snapshots=True)
-    _check_against_full_run(ctx, inputs, full, random.Random(seed), steps)
+    full = _full_snapshot_run(ctx)
+    _check_against_full_run(circuit, ctx, inputs, full, random.Random(seed), steps)
 
 
 def test_integer_cases_repeat():
@@ -459,16 +552,16 @@ def test_integer_cases_repeat():
     for seed in range(60):
         circuit, inputs, monitored, cfg = _integer_case(seed)
         ctx = _ProbeContext(circuit, inputs, cfg, monitored)
-        if ctx._period is not None:
-            assert 0 <= ctx._finder.t1 < ctx._finder.t2 <= ctx.t_end
-            periods.append(ctx._period)
+        if ctx.run._period is not None:
+            assert 0 <= ctx.run._finder.t1 < ctx.run._finder.t2 <= ctx.run.t_end
+            periods.append(ctx.run._period)
     assert 15 <= len(periods) <= 50
 
 
 @pytest.mark.parametrize(
     "make,T,t1,t2",
     [
-        (lambda: LIN3, 32.0, 13.0, 35.0),
+        (lambda: _lin3(), 32.0, 13.0, 35.0),
         (lambda: multibit_linear_pipeline(MultiBitSpec(4)), 500.0, 13.0, 125.0),
         (lambda: ring_pipeline(RingSpec(20, 5)), 200.0, 5.0, 29.0),
     ],
@@ -480,11 +573,11 @@ def test_presets_repeat(kernel_calls, make, T, t1, t2):
     circuit, monitored = make()
     ctx = _ProbeContext(circuit, {}, SimConfig(T, 0.1), monitored)
     assert not ctx.base_mon_x
-    assert (ctx._finder.t1, ctx._finder.t2, ctx._period) == (t1, t2, t2 - t1)
+    assert (ctx.run._finder.t1, ctx.run._finder.t2, ctx.run._period) == (t1, t2, t2 - t1)
     assert [c["last"] for c in kernel_calls] == [t2]
     ctx = _ProbeContext(circuit, {}, SimConfig(T, 0.1), monitored)
-    ctx._snapshot(t2 + 1.0)
-    assert ctx._period == t2 - t1
+    ctx.run.snapshot(t2 + 1.0)
+    assert ctx.run._period == t2 - t1
     kernel_calls.clear()
     assert not ctx.base_mon_x and kernel_calls == []
 
@@ -503,41 +596,42 @@ def test_cycle_waits_for_the_last_input():
     )
     inputs = {"i0": make_trace(Value.ZERO, [(20.0, Value.ONE)])}
     ctx = _ProbeContext(circuit, inputs, SimConfig(30.0, 0.1), {"o"})
-    full = _kernel(ctx.comp, ctx.in_transitions, ctx.in_initial, ctx.t_end, 0.1, (), keep_snapshots=True)
-    _check_against_full_run(ctx, inputs, full, random.Random(23), ["lookups", "regions", "base_mon_x", "probe"])
-    assert ctx._finder.t1 > 20.0
+    full = _full_snapshot_run(ctx)
+    steps = ["lookups", "regions", "base_mon_x", "probe"]
+    _check_against_full_run(circuit, ctx, inputs, full, random.Random(23), steps)
+    assert ctx.run._finder.t1 > 20.0
 
 
 def test_lookups_after_a_probe_past_t1_match_full_run():
     """A fresh probe at 20 runs LIN3 a little past its pulse, past t1 = 13,
     and later lookups find t2 = 35.  Every lookup, also those shifted into
     the stretch (13, 35], equals the full run."""
-    circuit, monitored = LIN3
+    circuit, monitored = _lin3()
     ctx = _ProbeContext(circuit, {}, LIN3_CFG, monitored)
-    full = _kernel(ctx.comp, ctx.in_transitions, ctx.in_initial, ctx.t_end, 0.1, (), keep_snapshots=True)
+    full = _full_snapshot_run(ctx)
     ctx.probe("en3", 20.0, 0.1)
     for t in [40.0, 36.5, 61.0] + [float(t) for t in range(67)]:
         i = bisect.bisect_right(full.visit_times, t) - 1
-        snap, want = ctx._snapshot(t), full.snapshots[i]
+        snap, want = ctx.run.snapshot(t), full.snapshots[i]
         assert (snap.time, snap.values, snap.pend, snap.pend_x) == (want.time, want.values, want.pend, want.pend_x), t
-    assert (ctx._finder.t1, ctx._finder.t2) == (13.0, LIN3_T2)
+    assert (ctx.run._finder.t1, ctx.run._finder.t2) == (13.0, LIN3_T2)
 
 
 def test_decimal_delays_take_no_cycle():
     """With delays 0.1/0.5/0.4 the cursor looks for no cycle and runs on to
     T + settle; lookups, regions, base_mon_x and verdicts are unchanged."""
-    circuit, monitored = LIN3_DEC
+    circuit, monitored = _lin3_dec()
     ctx = _ProbeContext(circuit, {}, LIN3_DEC_CFG, monitored)
-    assert ctx._finder is None
-    full = _kernel(ctx.comp, ctx.in_transitions, ctx.in_initial, ctx.t_end, 0.01, (), keep_snapshots=True)
+    assert ctx.run._finder is None
+    full = _full_snapshot_run(ctx)
     rng = random.Random(21)
     steps = ["probe"] * 4 + ["base_mon_x", "regions", "lookups"] + ["probe"] * 8
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for step in steps:
             # probes of width 0.1 over a d_max of 0.5
-            _check_against_full_run(ctx, {}, full, rng, [step])
-    assert ctx._period is None
+            _check_against_full_run(circuit, ctx, {}, full, rng, [step])
+    assert ctx.run._period is None
 
 
 def test_x_in_steady_state_takes_no_cycle():
@@ -555,6 +649,7 @@ def test_x_in_steady_state_takes_no_cycle():
     inputs = {"i0": make_trace(Value.ONE, [(3.0, Value.X)])}
     cfg = SimConfig(20.0, 0.1)
     ctx = _ProbeContext(circuit, inputs, cfg, {"b1"})
-    full = _kernel(ctx.comp, ctx.in_transitions, ctx.in_initial, ctx.t_end, 0.1, (), keep_snapshots=True)
-    _check_against_full_run(ctx, inputs, full, random.Random(22), ["probe", "base_mon_x", "lookups", "regions", "probe"])
-    assert ctx._finder is not None and ctx._period is None
+    full = _full_snapshot_run(ctx)
+    steps = ["probe", "base_mon_x", "lookups", "regions", "probe"]
+    _check_against_full_run(circuit, ctx, inputs, full, random.Random(22), steps)
+    assert ctx.run._finder is not None and ctx.run._period is None
