@@ -38,7 +38,7 @@ from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .prs import Circuit, InputTraces, Value, trace_value_at
-from .sim import X, Execution, ExternalEvent, SimConfig, _CycleFinder, _kernel, _setup_run, execute
+from .sim import X, Execution, ExternalEvent, SimConfig, _CycleFinder, _kernel, _Seed, _setup_run, execute
 
 DEFAULT_EPSILON = 0.1
 DEFAULT_GAMMA = 0.1
@@ -243,17 +243,18 @@ class _FaultFreeRun:
     verdict on them overlays; built only by ``_fault_free_run``.
 
     Construction sets the run up and checks it as ``execute`` does, and
-    runs it to T + settle with a state snapshot per visit, from which
-    fault-free values are read.  It holds no reference to the circuit.
+    runs it to T + settle.  Its ``after_visit`` hook keeps the time of each
+    visit and a state snapshot at its end, from which fault-free values are
+    read.  It holds no reference to the circuit.
 
-    The run looks for a cycle when all rule delays are integers: the first
-    state, after the last input transition, that repeats one seen at an
-    earlier visit (t1 < t2, period p = t2 - t1).  The kernel then runs no
-    further than t2.  The visits past t2 are those of (t1, t2] shifted by
-    k·p, k = 1, 2, ...; the snapshot of such a visit is that of (t1, t2]
-    with its due times moved by k·p, made when first read and then kept, so
-    a probe resumed from it keeps its guard values.  The events past t2 are
-    those in (t1, t2] shifted.
+    The hook also hands each visit to a cycle finder, when ``sim`` makes one
+    for the run (``_CycleFinder.for_run``): the first state, after the last
+    input transition, that repeats one seen at an earlier visit (t1 < t2,
+    period p = t2 - t1) stops the kernel at t2.  The visits past t2 are
+    those of (t1, t2] shifted by k·p, k = 1, 2, ...; the snapshot of such a
+    visit is that of (t1, t2] with its due times moved by k·p, made when
+    first read and then kept, so a probe resumed from it keeps its guard
+    values.  The events past t2 are those in (t1, t2] shifted.
     """
 
     def __init__(self, circuit: Circuit, inputs: InputTraces, config: SimConfig, key: str):
@@ -273,23 +274,20 @@ class _FaultFreeRun:
         # kernel stops there, and the visits past it are those of (t1, t2],
         # _stretch, shifted by whole periods, whose snapshots are made when
         # first read.
-        self._finder = None
-        if all(float(d).is_integer() for d in comp.delays) and self.t_end < 2.0**52:
-            self._finder = _CycleFinder(self.in_transitions[-1][0] if self.in_transitions else -math.inf)
+        times, snaps = self._times, self._snaps = [], []
+        finder = self._finder = _CycleFinder.for_run(comp.delays, self.in_transitions, self.t_end)
+
+        def after_visit(t, values, pend, pend_x):
+            times.append(t)
+            snaps.append(_Seed(t, values[:], pend.copy(), pend_x.copy()))
+            return finder is not None and finder.visit(t, values, pend, pend_x)
+
         run = _kernel(
-            comp,
-            self.in_transitions,
-            self.in_initial,
-            self.t_end,
-            config.epsilon,
-            (),
-            keep_snapshots=True,
-            cycle=self._finder,
+            comp, self.in_transitions, self.in_initial, self.t_end, config.epsilon, (), after_visit=after_visit
         )
-        self._events, self._times, self._snaps = run.events, run.visit_times, run.snapshots
+        self._events = run.events
         self._past_t2 = len(self._times)  # the index of the first visit past t2
         self._period: float | None = None
-        finder = self._finder
         if finder is not None and finder.t2 is not None:
             finder.seen.clear()  # read no more
             self._period = finder.t2 - finder.t1
@@ -362,9 +360,10 @@ def _fault_free_run(circuit: Circuit, inputs: InputTraces | None, config: SimCon
 
 
 # The benchmark in bench/ wraps _ProbeContext.probe(signal, at, width) and
-# reads its positional arguments, wraps _ProbeContext.matches, the module
-# global _kernel (it tells probes by their record=False keyword, so only
-# probes pass it: the fault-free run counts as a base run),
+# reads its positional arguments, wraps _ProbeContext.matches (a probe's
+# after_visit hook calls it through self, so it counts the convergence
+# checks), the module global _kernel (it tells probes by their record=False
+# keyword, so only probes pass it: the fault-free run counts as a base run),
 # analyze, is_susceptible and value_regions, counts
 # PostfixViolationWarning, and outside this module wraps sim.execute,
 # cli._GENERATORS, cli.main and the public generators, netlist, prs and
@@ -419,6 +418,14 @@ class _ProbeContext:
         # resume from the last fault-free visit before the pulse: on float
         # times, the last one at or before the next float down
         seed = run.snapshot(math.nextafter(at, -math.inf))
+        end = events[1][0]
+
+        def converged(t, values, pend, pend_x):
+            # the pulse lies in (seed time, end] and end < T + settle, so
+            # from the visit at end on both externals are applied: converged
+            # with no X live or pending and the fault-free state at t
+            return t >= end and not pend_x and X not in values and self.matches(t, values, pend, pend_x)
+
         return _kernel(
             run.comp,
             run.in_transitions,
@@ -429,7 +436,7 @@ class _ProbeContext:
             record=False,
             watch=self.mon_ids,
             seed=seed,
-            base=self,
+            after_visit=converged,
         ).watch_hit
 
 
@@ -478,25 +485,21 @@ def _windows_for_signal(
     return out
 
 
-# a pool worker's probe context, built at its first task so that a bad
-# argument raises in that task, as it does without a pool
+# a pool worker's probe context arguments; each task builds its context from
+# them, so that a bad argument raises in the task, as it does without a pool,
+# and the worker's circuit keeps the fault-free run across tasks
 _worker_args: tuple = ()
-_worker_ctx: _ProbeContext | None = None
 
 
 def _init_worker(ctx_args: tuple) -> None:
-    global _worker_args, _worker_ctx
-    _worker_args, _worker_ctx = ctx_args, None
+    global _worker_args
+    _worker_args = ctx_args
 
 
 def _worker_windows(signal: str, gamma: float, delta: float):
-    """Windows of one signal from the worker's probe context, and its probe count."""
-    global _worker_ctx
-    if _worker_ctx is None:
-        _worker_ctx = _ProbeContext(*_worker_args)
-    before = _worker_ctx.simulations
-    windows = _windows_for_signal(_worker_ctx, signal, gamma, delta)
-    return windows, _worker_ctx.simulations - before
+    """Windows of one signal from a probe context in the worker, and its probe count."""
+    ctx = _ProbeContext(*_worker_args)
+    return _windows_for_signal(ctx, signal, gamma, delta), ctx.simulations
 
 
 # --- full analyses ----------------------------------------------------------------
@@ -574,7 +577,7 @@ def analyze(
     A monitored signal in the injection set is susceptible at every time by
     definition (the pulse itself drives it to X), so it contributes a full
     window without probing.  With ``jobs > 1`` the signals are bisected on a
-    process pool, one signal per task and one probe context per worker; the
+    process pool, one signal per task and one fault-free run per worker; the
     report is the same.  Rejects the configurations ``execute`` rejects, and
     gamma <= 0, delta <= 0 or jobs <= 0.
     """

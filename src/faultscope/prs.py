@@ -180,9 +180,10 @@ class Circuit:
         )
 
     def __getstate__(self):
-        # drop the memoized compiled form and fault-free run: they hold
-        # closures, and a copy rebuilds them on demand
-        return {k: v for k, v in self.__dict__.items() if k not in ("_compiled_form", "_fault_free_run")}
+        # drop what other modules memoize on the circuit (under names that
+        # start with "_", as no field does): it holds closures, and a copy
+        # rebuilds it on demand
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
     def __setstate__(self, state):
         self.__dict__.update(state)

@@ -260,7 +260,7 @@ class _CycleFinder:
     actions, whose visits change nothing), and no input or external is
     left.  So the two states, equal up to the shift of every due time by p,
     have futures equal up to that shift, as long as the run computes the
-    same due times in both.  The caller only sets up a finder when every
+    same due times in both.  ``for_run`` makes a finder only when every
     rule delay is an integer and the run ends before 2**52, so from integer
     visit times and due times the run schedules only integer due times,
     sums of integers below 2**53 that floats hold exactly.  The stretch
@@ -278,9 +278,22 @@ class _CycleFinder:
         self.seen: dict = {}  # key -> time of the eligible visit it was seen at
         self.t1 = self.t2 = None
 
+    @classmethod
+    def for_run(
+        cls, delays: Sequence[float], input_transitions: Sequence[tuple[float, int, float]], t_end: float
+    ) -> "_CycleFinder | None":
+        """A finder for a run under these rule delays and sorted input
+        transitions up to ``t_end``, or None when the argument above does
+        not hold for it: a delay that is not an integer, or ``t_end`` at or
+        past 2**52."""
+        if not (all(float(d).is_integer() for d in delays) and t_end < 2.0**52):
+            return None
+        return cls(input_transitions[-1][0] if input_transitions else -_INF)
+
     def visit(self, t: float, values, pend, pend_x) -> bool:
-        """Look at the state at the end of the visit at t; the kernel calls
-        this only for visits after ``after``."""
+        """Look at the state at the end of the visit at t."""
+        if t <= self.after:
+            return False
         if (
             t.is_integer()
             and not pend_x
@@ -298,19 +311,11 @@ class _CycleFinder:
 
 
 class _Run:
-    """One kernel run: final state, raw events and optional snapshots.
+    """One kernel run: final state and raw events.
 
     A recorded event is the tuple (time, signal id, value, cause)."""
 
-    __slots__ = (
-        "values",
-        "gv",
-        "initial_values",
-        "events",
-        "watch_hit",
-        "snapshots",
-        "visit_times",
-    )
+    __slots__ = ("values", "gv", "initial_values", "events", "watch_hit")
 
     def __init__(self):
         self.values = None
@@ -318,8 +323,6 @@ class _Run:
         self.initial_values = None
         self.events = None
         self.watch_hit = False
-        self.snapshots = None
-        self.visit_times = None
 
 
 def _kernel(
@@ -331,10 +334,8 @@ def _kernel(
     externals: Sequence[tuple[float, int, float]],
     record: bool = True,
     watch: frozenset = frozenset(),
-    keep_snapshots: bool = False,
     seed: _Seed | None = None,
-    base=None,
-    cycle: _CycleFinder | None = None,
+    after_visit=None,
 ) -> _Run:
     """Run the five-step loop over the visits before ``horizon``. Input
     transitions and externals are sorted (time, signal id, value) triples;
@@ -344,13 +345,13 @@ def _kernel(
     horizon and resumed from its last snapshot to a later horizon records
     the same events, and has the same state after each visit, as one run to
     the later horizon.  It only skips the due times of actions canceled
-    before the cut, visits at which nothing changes.  ``keep_snapshots``
-    keeps the state at the end of every visit.  The run stops as soon as a
-    ``watch`` signal attains X and is flagged as hit, and after the visit at
-    which a ``cycle`` finder sees a state repeat.  ``base`` enables the
-    early convergence exit for fault probes: once no X is present or pending
-    and the state matches the fault-free run at the same time, the suffix is
-    known to be identical and the run stops.
+    before the cut, visits at which nothing changes.  The run stops as soon
+    as a ``watch`` signal attains X and is flagged as hit.  At the end of
+    every other visit it calls ``after_visit(t, values, pend, pend_x)`` with
+    the visit's time and the state: the value list, and the due times of
+    the pending Boolean actions by rule id and of the X actions by signal
+    id.  The run stops when the hook returns True.  The hook must not
+    change the state; it copies what it keeps.
     """
     fns, targets, bvals, delays, labels = comp.fns, comp.targets, comp.bvals, comp.delays, comp.labels
     fan, own, affected = comp.fan, comp.own, comp.affected
@@ -376,9 +377,6 @@ def _kernel(
     events = run.events = [] if record else None
     if record:
         run.initial_values = values[:]
-    if keep_snapshots:
-        snapshots = run.snapshots = []
-        visit_times = run.visit_times = []
 
     if any(values[i] == X for i in watch):
         run.values, run.gv, run.watch_hit = values, gv, True
@@ -443,10 +441,6 @@ def _kernel(
         return len(changed)
 
     first_visit = seed is None
-    # one test per visit for the probes, which neither keep snapshots nor
-    # look for a cycle, and none for the finder before the last input
-    end_of_visit = keep_snapshots or cycle is not None
-    cycle_after = cycle.after if cycle is not None else _INF
 
     while True:
         # step 5 of the previous visit: advance to the earliest pending
@@ -546,25 +540,7 @@ def _kernel(
                     heapq.heappush(heap, (due, _XACT, sid))
                     break
 
-        if watch_hit:
-            break
-
-        if end_of_visit:
-            if keep_snapshots:
-                visit_times.append(t)
-                snapshots.append(_Seed(t, values[:], pend.copy(), pend_x.copy()))
-            if t > cycle_after and cycle.visit(t, values, pend, pend_x):
-                break
-
-        # early convergence exit for probes: externals consumed, no X live
-        # or pending, and state equal to the fault-free run at this time
-        if (
-            base is not None
-            and k_ext == n_ext
-            and not pend_x
-            and X not in values
-            and base.matches(t, values, pend, pend_x)
-        ):
+        if watch_hit or (after_visit is not None and after_visit(t, values, pend, pend_x)):
             break
 
     run.values = values

@@ -11,6 +11,7 @@ import pytest
 from faultscope import Circuit, CircuitInvalid, Not, ProductionRule, SignalRef, SimConfig, Value, execute, make_trace
 from faultscope.analysis import (
     Glitch,
+    _ProbeContext,
     analyze,
     analyze_naive,
     is_susceptible,
@@ -291,6 +292,25 @@ def test_kept_run_is_not_pickled():
     assert copy == circuit and "_fault_free_run" not in vars(copy)
     serial = write_report(analyze(circuit, {}, monitored, 0.1, 0.01, CFG))
     assert write_report(analyze(circuit, {}, monitored, 0.1, 0.01, CFG, jobs=2)) == serial
+
+
+def test_probes_exit_early_on_reconvergence(monkeypatch):
+    """A masked probe stops at the first visit, from its pulse's restore on,
+    whose state is the fault-free one.  Verdicts and probe counts would not
+    show a lost exit, so the convergence checks are counted: on the 3-stage
+    pipeline, the 150 probes make 71 checks, and 68 of them match."""
+    checks = []
+    matches = _ProbeContext.matches
+
+    def counted(self, *args):
+        checks.append(matches(self, *args))
+        return checks[-1]
+
+    monkeypatch.setattr(_ProbeContext, "matches", counted)
+    circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+    report = analyze(circuit, {}, monitored, 0.1, 0.05, CFG)
+    assert report.simulations == 150
+    assert (len(checks), checks.count(True)) == (71, 68)
 
 
 def test_kept_run_does_not_keep_its_circuit_alive():

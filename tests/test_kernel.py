@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from faultscope import And, Circuit, Not, Or, ProductionRule, SignalRef, Value, eval_guard
 from faultscope.sim import _compiled, _kernel, _prepare_inputs
-from util import random_circuit, random_input_traces
+from util import logged_kernel, random_circuit, random_input_traces
 
 
 def _fresh_guards(circuit, comp, values):
@@ -47,7 +47,7 @@ def test_guard_cache_matches_fresh_guards_at_every_visit():
         in_initial, in_transitions = _prepare_inputs(comp, random_input_traces(rng, circuit, T, allow_x=True), T)
         sid, at = rng.randrange(comp.n), rng.uniform(0.0, T - 1.0)
         pulse = [(at, sid, 0.5), (at + 0.3, sid, rng.choice((0.0, 1.0)))]
-        base = _kernel(comp, in_transitions, in_initial, T, 0.1, pulse, keep_snapshots=True)
+        _, base = logged_kernel(comp, in_transitions, in_initial, T, 0.1, pulse)
         ends = base.visit_times[1:] + [T]
         for i, (snap, end) in enumerate(zip(base.snapshots, ends)):
             # cut just after visit i

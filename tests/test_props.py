@@ -4,6 +4,7 @@ monotonicity of X, and probe-engine equivalence."""
 import bisect
 import dataclasses
 import random
+import types
 import warnings
 
 import pytest
@@ -34,7 +35,7 @@ from faultscope.generators import (
 )
 from faultscope.netlist import serialize_circuit
 from faultscope.sim import X, _kernel
-from util import monitored_for, random_circuit, random_input_traces
+from util import logged_kernel, monitored_for, random_circuit, random_input_traces
 
 N_QUICK = 30
 
@@ -130,9 +131,11 @@ def _full_run_verdict(circuit, ctx, inputs, signal, at, width, kind="xpulse"):
 
 def _full_snapshot_run(ctx):
     """The context's fault-free run to T + settle in one kernel call, with a
-    snapshot per visit and no cycle finder."""
+    snapshot per visit and no cycle finder: its events, visit times and
+    snapshots."""
     run = ctx.run
-    return _kernel(run.comp, run.in_transitions, run.in_initial, run.t_end, run.config.epsilon, (), keep_snapshots=True)
+    full, visits = logged_kernel(run.comp, run.in_transitions, run.in_initial, run.t_end, run.config.epsilon, ())
+    return types.SimpleNamespace(events=full.events, visit_times=visits.visit_times, snapshots=visits.snapshots)
 
 
 def test_probe_engine_matches_plain_susceptibility():
@@ -318,8 +321,8 @@ def kernel_calls(monkeypatch):
     calls = []
 
     def spy(*args, **kwargs):
-        run = _kernel(*args, **kwargs)
-        last = run.visit_times[-1] if run.visit_times else None
+        run, visits = logged_kernel(*args, **kwargs)
+        last = visits.visit_times[-1] if visits.visit_times else None
         calls.append({**kwargs, "last": last})
         return run
 

@@ -1,5 +1,5 @@
-"""Shared test helpers: random well-formed circuits, traces, fault probes
-and the region-equivalence check."""
+"""Shared test helpers: random well-formed circuits, traces, fault probes,
+the region-equivalence check and a kernel run that logs its visits."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from typing import Sequence
 
 from faultscope import Circuit, SignalTrace, Value, ValueRegion, execute, make_trace, make_transient, value_regions
 from faultscope.generators import gate_and, gate_inverter, gate_mce, gate_or
+from faultscope.sim import _kernel, _Seed
 
 GATES = ("inv", "mce", "or", "and")
 
@@ -122,3 +123,26 @@ def check_region_equivalence(
         faulty = execute(circuit, inputs, config, events)
         reaches.append(x_reach(faulty, regions))
     return all(reaches[i] <= reaches[i + 1] for i in range(len(reaches) - 1))
+
+
+class Visits:
+    """An ``after_visit`` hook for ``sim._kernel`` that keeps the time of
+    every visit (``visit_times``) and the state at its end (``snapshots``),
+    then stops the run where the hook ``then`` does, if there is one."""
+
+    def __init__(self, then=None):
+        self.then = then
+        self.visit_times: list[float] = []
+        self.snapshots: list[_Seed] = []
+
+    def __call__(self, t, values, pend, pend_x) -> bool:
+        self.visit_times.append(t)
+        self.snapshots.append(_Seed(t, values[:], pend.copy(), pend_x.copy()))
+        return self.then is not None and self.then(t, values, pend, pend_x)
+
+
+def logged_kernel(*args, **kwargs):
+    """``sim._kernel(*args, **kwargs)`` with a ``Visits`` hook in front of
+    the call's own ``after_visit``: the run and the hook."""
+    visits = Visits(kwargs.get("after_visit"))
+    return _kernel(*args, **{**kwargs, "after_visit": visits}), visits
