@@ -23,8 +23,11 @@ Susceptible times are located per value region of the fault-free execution
 (the interval between two consecutive value-switching times): within a region
 the susceptible times form a postfix, so one bisection per region
 (``_locate_window``) finds the boundary to the resolution δ, far cheaper than
-scanning a time grid.  The grid scan is kept as ``analyze_naive`` and doubles
-as the test oracle.
+scanning a time grid.  On a run that repeats, only the regions up to one
+period past t1 are bisected with real probes: a later region is an earlier
+one shifted by whole periods, and its bisection replays the earlier
+verdicts (``_windows_for_signal``).  The grid scan is kept as
+``analyze_naive`` and doubles as the test oracle.
 """
 
 from __future__ import annotations
@@ -254,7 +257,8 @@ class _FaultFreeRun:
     those of (t1, t2] shifted by k·p, k = 1, 2, ...; the snapshot of such a
     visit is that of (t1, t2] with its due times moved by k·p, made when
     first read and then kept, so a probe resumed from it keeps its guard
-    values.  The events past t2 are those in (t1, t2] shifted.
+    values.  The events past t2 are those in (t1, t2] shifted, and so are
+    the value regions that start past t2 (``period_sources``).
     """
 
     def __init__(self, circuit: Circuit, inputs: InputTraces, config: SimConfig, key: str):
@@ -302,6 +306,7 @@ class _FaultFreeRun:
             + [sid for _, sid, fv, _ in self._events if fv == X]
         )
         self._regions: list[ValueRegion] | None = None
+        self._sources: list[tuple[int, float] | None] | None = None
 
     def snapshot(self, t: float):
         """Snapshot of the last fault-free visit at or before t, or None."""
@@ -328,6 +333,29 @@ class _FaultFreeRun:
                 times += _repeated(times[_bisect_mod.bisect_right(times, self._finder.t1) :], self._period, T)
             self._regions = _regions_from_times(times, T)
         return self._regions
+
+    @property
+    def period_sources(self) -> list[tuple[int, float] | None]:
+        """Per value region, its period source: the index of the region
+        k·p earlier and the shift k·p, or None.
+
+        A region has one when it starts after t2 and is not the last
+        region, which T may cut: k = ceil((start - t2)/p) puts the source
+        in (t1, t2], and as the cuts past t2 are those of (t1, t2] shifted,
+        both regions have the same length.  All these times are integers
+        (see ``_CycleFinder``), so the shift is exact.
+        """
+        if self._sources is None:
+            regions = self.regions
+            self._sources = [None] * len(regions)
+            if self._period is not None:
+                t1, t2, p = self._finder.t1, self._finder.t2, self._period
+                by_start = {r.start: r.index for r in regions if t1 < r.start <= t2}
+                for r in regions[:-1]:
+                    if r.start > t2:
+                        shift = math.ceil((r.start - t2) / p) * p
+                        self._sources[r.index] = (by_start[r.start - shift], shift)
+        return self._sources
 
     def pulse_events(self, rule, sid: int, at: float, width: float):
         """The drive and restore events of a pulse on signal ``sid`` by the
@@ -403,14 +431,19 @@ class _ProbeContext:
         self.mon_ids = frozenset(run.comp.idx[m] for m in self.monitored)
         self.base_mon_x = not self.mon_ids.isdisjoint(run.x_ids)
         self.simulations = 0
+        self.hit_time = -math.inf
 
     def matches(self, t: float, values, pend, pend_x) -> bool:
         snap = self.run.snapshot(t)
         return snap is not None and snap.pend == pend and snap.pend_x == pend_x and snap.values == values
 
     def probe(self, signal: str, at: float, width: float) -> bool:
-        """Susceptibility verdict for one pulse; counts one simulation."""
+        """Susceptibility verdict for one pulse; counts one simulation and
+        keeps, in ``hit_time``, the time of the visit at which the probe
+        saw a monitored X (-inf when it saw none, or when the fault-free
+        run already has one and no probe runs)."""
         self.simulations += 1
+        self.hit_time = -math.inf
         run = self.run
         events = run.pulse_events(self.pulse_rule, run.comp.idx[signal], at, width)
         if self.base_mon_x:
@@ -426,7 +459,7 @@ class _ProbeContext:
             # with no X live or pending and the fault-free state at t
             return t >= end and not pend_x and X not in values and self.matches(t, values, pend, pend_x)
 
-        return _kernel(
+        faulty = _kernel(
             run.comp,
             run.in_transitions,
             run.in_initial,
@@ -437,49 +470,100 @@ class _ProbeContext:
             watch=self.mon_ids,
             seed=seed,
             after_visit=converged,
-        ).watch_hit
+        )
+        if faulty.watch_hit:
+            self.hit_time = faulty.time
+        return faulty.watch_hit
 
 
 # --- bisection -------------------------------------------------------------------
 
 
-def _locate_window(ctx: _ProbeContext, signal: str, region: ValueRegion, gamma: float, delta: float):
-    """Endpoint classification plus bisection within one region.
+def _locate_window(probe, region: ValueRegion, gamma: float, delta: float):
+    """Endpoint classification plus bisection within one region, on the
+    verdict function ``probe(at) -> bool`` of pulses of width gamma.
 
     Returns the susceptible part (start, end) of the region, empty when
     start == end.  It is a postfix unless the region start is susceptible and
     its end masked: the postfix shape does not hold at these finite pulse
-    parameters, and the part is the prefix up to the boundary.
+    parameters, and the part is the prefix up to the boundary, which ends
+    before the region does.
     """
     r0, r1 = region.start, region.end
     hi_cap = r1 - gamma
     if hi_cap <= r0:
-        return (r0, r1) if ctx.probe(signal, r0, gamma) else (r1, r1)
-    lo_sus = ctx.probe(signal, r0, gamma)
-    hi_sus = ctx.probe(signal, hi_cap, gamma)
+        return (r0, r1) if probe(r0) else (r1, r1)
+    lo_sus = probe(r0)
+    hi_sus = probe(hi_cap)
     if lo_sus == hi_sus:
         return (r0, r1) if lo_sus else (r1, r1)
-    if not hi_sus:
-        warnings.warn(
-            f"susceptible times in region [{r0}, {r1}) at {signal} do not form a postfix",
-            PostfixViolationWarning,
-        )
     lo, hi = r0, hi_cap
     while hi - lo > delta:
         mid = (lo + hi) / 2.0
-        if ctx.probe(signal, mid, gamma) == hi_sus:
+        if probe(mid) == hi_sus:
             hi = mid
         else:
             lo = mid
     return (hi, r1) if hi_sus else (r0, hi)
 
 
+class _Verdicts:
+    """The verdict function of one (signal, region) bisection: the verdicts
+    ``replay`` in order, then real probes of the context, whose verdicts it
+    keeps in ``verdicts`` with the latest hit time among them in
+    ``last_hit``."""
+
+    def __init__(self, ctx: _ProbeContext, signal: str, gamma: float, replay: Sequence[bool] = ()):
+        self.ctx, self.signal, self.gamma = ctx, signal, gamma
+        self.replay = iter(replay)
+        self.verdicts: list[bool] = []
+        self.last_hit = -math.inf
+
+    def __call__(self, at: float) -> bool:
+        verdict = next(self.replay, None)
+        if verdict is not None:
+            return verdict
+        sus = self.ctx.probe(self.signal, at, self.gamma)
+        self.verdicts.append(sus)
+        if sus:
+            self.last_hit = max(self.last_hit, self.ctx.hit_time)
+        return sus
+
+
 def _windows_for_signal(
     ctx: _ProbeContext, signal: str, gamma: float, delta: float
 ) -> list[SensitivityWindow]:
+    """The windows of one signal, one value region at a time.
+
+    A region with a period source (``_FaultFreeRun.period_sources``) is the
+    source shifted by k·p, and so is the fault-free run around it: a pulse
+    there sees the dynamics of the pulse k·p earlier, cut off k·p sooner by
+    T + settle.  So its verdict is the earlier one, provided a hit of the
+    earlier probe came before T + settle - k·p; a masked probe either
+    re-joined the fault-free run or met no monitored X up to T + settle,
+    and so does its shift.  When every hit of the source's bisection
+    qualifies, the region runs the same bisection on the source's verdicts,
+    in order, with its own arithmetic, and probes for real only if it asks
+    for more of them than the source did.
+    """
+    run = ctx.run
     out: list[SensitivityWindow] = []
-    for region in ctx.run.regions:
-        start, end = _locate_window(ctx, signal, region, gamma, delta)
+    used: list[_Verdicts] = []  # per region, by index
+    for region, source in zip(run.regions, run.period_sources):
+        replay: Sequence[bool] = ()
+        if source is not None:
+            # sources lie in (t1, t2] and were themselves probed for real
+            earlier, shift = used[source[0]], source[1]
+            if earlier.last_hit < run.t_end - shift:
+                replay = earlier.verdicts
+        probe = _Verdicts(ctx, signal, gamma, replay)
+        used.append(probe)
+        start, end = _locate_window(probe, region, gamma, delta)
+        if end < region.end:  # a prefix: see _locate_window
+            warnings.warn(
+                f"susceptible times in region [{region.start}, {region.end}) at {signal} do not form a postfix",
+                PostfixViolationWarning,
+            )
         if start < end:
             out.append(SensitivityWindow(signal, start, end))
     return out
@@ -572,6 +656,12 @@ def analyze(
 ) -> SensitivityReport:
     """Locate all sensitivity windows by per-region bisection and report the
     failure probability under a uniform single-fault distribution.
+
+    On a fault-free run that repeats with period p from t1 on, a region that
+    starts past t2 = t1 + p, except the last, replays the verdicts of the
+    region whole periods earlier (``_windows_for_signal``): the windows are
+    those real probes find, and ``simulations`` counts only the probes that
+    ran.
 
     The injection set defaults to every signal except the monitored ones.
     A monitored signal in the injection set is susceptible at every time by

@@ -313,9 +313,13 @@ class _CycleFinder:
 class _Run:
     """One kernel run: final state and raw events.
 
-    A recorded event is the tuple (time, signal id, value, cause)."""
+    A recorded event is the tuple (time, signal id, value, cause).  ``time``
+    is where the run stopped: the visit that hit a watched signal or whose
+    ``after_visit`` returned True, the first time at or past the horizon,
+    or the seed's time (-inf without one) when a watched signal starts at
+    X."""
 
-    __slots__ = ("values", "gv", "initial_values", "events", "watch_hit")
+    __slots__ = ("values", "gv", "initial_values", "events", "watch_hit", "time")
 
     def __init__(self):
         self.values = None
@@ -323,6 +327,7 @@ class _Run:
         self.initial_values = None
         self.events = None
         self.watch_hit = False
+        self.time = -_INF
 
 
 def _kernel(
@@ -379,7 +384,7 @@ def _kernel(
         run.initial_values = values[:]
 
     if any(values[i] == X for i in watch):
-        run.values, run.gv, run.watch_hit = values, gv, True
+        run.values, run.gv, run.watch_hit, run.time = values, gv, True, start
         return run
     watch_hit = False
 
@@ -546,6 +551,7 @@ def _kernel(
     run.values = values
     run.gv = gv
     run.watch_hit = watch_hit
+    run.time = t
     return run
 
 

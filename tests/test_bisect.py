@@ -2,7 +2,6 @@
 
 import math
 import random
-import warnings
 
 import pytest
 
@@ -25,11 +24,15 @@ def _region(ctx, start):
     return next(r for r in ctx.run.regions if r.start == start)
 
 
+def _verdicts(ctx, signal):
+    return lambda at: ctx.probe(signal, at, GAMMA)
+
+
 def test_fully_susceptible_region_two_probes(ctx):
     # [9, 13) for c2: both endpoint probes susceptible
     region = _region(ctx, 9.0)
     before = ctx.simulations
-    assert _locate_window(ctx, "c2", region, GAMMA, DELTA) == (region.start, region.end)
+    assert _locate_window(_verdicts(ctx, "c2"), region, GAMMA, DELTA) == (region.start, region.end)
     assert ctx.simulations - before == 2
 
 
@@ -38,14 +41,14 @@ def test_fully_masked_region_two_probes(ctx):
     # its pull-down is blocked with the output already low
     region = _region(ctx, 0.0)
     before = ctx.simulations
-    assert _locate_window(ctx, "en3", region, GAMMA, DELTA) == (region.end, region.end)
+    assert _locate_window(_verdicts(ctx, "en3"), region, GAMMA, DELTA) == (region.end, region.end)
     assert ctx.simulations - before == 2
 
 
 def test_region_shorter_than_pulse_single_probe(ctx):
     region = ValueRegion(9.0, 9.05, 99)
     before = ctx.simulations
-    window = _locate_window(ctx, "c2", region, GAMMA, DELTA)
+    window = _locate_window(_verdicts(ctx, "c2"), region, GAMMA, DELTA)
     assert window in ((region.start, region.end), (region.end, region.end))
     assert ctx.simulations - before == 1
 
@@ -54,9 +57,7 @@ def test_probe_budget_per_region(ctx):
     for signal in ("c2", "en1", "src"):
         for region in ctx.run.regions:
             before = ctx.simulations
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                _locate_window(ctx, signal, region, GAMMA, DELTA)
+            _locate_window(_verdicts(ctx, signal), region, GAMMA, DELTA)
             used = ctx.simulations - before
             bound = 2 + max(0, math.ceil(math.log2(max(region.length, DELTA) / DELTA)))
             assert used <= bound
@@ -74,7 +75,7 @@ def test_mixed_region_matches_grid_scan():
     ctx = _ProbeContext(circuit, inputs, cfg, monitored)
     region = next(r for r in ctx.run.regions if r.start == 2.875)
     assert region.end == 4.9375
-    tau, end = _locate_window(ctx, "d0", region, GAMMA, DELTA)
+    tau, end = _locate_window(_verdicts(ctx, "d0"), region, GAMMA, DELTA)
     assert end == region.end
     grid_first_susceptible = 3.59  # frozen from the 0.005-step scan
     assert abs(tau - grid_first_susceptible) <= DELTA
