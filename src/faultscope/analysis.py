@@ -14,19 +14,20 @@ on the circuit (``_fault_free_run``), so every query, analysis and
 ``faulty_execution`` on the same circuit, inputs and config reads the same
 run, and only the first pays for it.  It keeps a snapshot per visit and goes
 no further than the visit at which it starts to repeat: with integer delays
-and inputs that have stopped switching, the run becomes periodic, and every
-later time is read by shifting the stretch that repeats
-(``sim._CycleFinder``).  So on a periodic circuit a run costs the same at
-any T.
+and inputs that have stopped switching, the run becomes periodic
+(``sim._CycleFinder``), and every later time is read folded into the
+stretch that repeats, moved back by whole periods.  The fold is exact, as
+the periods are integers and times stay below 2**52.  So on a periodic
+circuit a run costs the same at any T.
 
 Susceptible times are located per value region of the fault-free execution
 (the interval between two consecutive value-switching times): within a region
 the susceptible times form a postfix, so one bisection per region
 (``_locate_window``) finds the boundary to the resolution δ, far cheaper than
 scanning a time grid.  On a run that repeats, only the regions up to one
-period past t1 are bisected with real probes: a later region is an earlier
-one shifted by whole periods, and its bisection replays the earlier
-verdicts (``_windows_for_signal``).  The grid scan is kept as
+period past t1 are bisected with real probes: a later region folds onto an
+earlier one, and its bisection replays the earlier verdicts
+(``_windows_for_signal``).  The grid scan is kept as
 ``analyze_naive`` and doubles as the test oracle.
 """
 
@@ -229,18 +230,6 @@ def _settle(circuit: Circuit, config: SimConfig) -> float:
     return circuit.size * max([config.epsilon, *(r.delay for r in circuit.rules)])
 
 
-def _repeated(times: list[float], period: float, until: float) -> list[float]:
-    """The sorted times shifted by 1, 2, ... periods, those before ``until``."""
-    out: list[float] = []
-    k = 1
-    while times and times[0] + k * period < until:
-        d = k * period
-        shifted = [t + d for t in times]
-        out += shifted[: _bisect_mod.bisect_left(shifted, until)]
-        k += 1
-    return out
-
-
 class _FaultFreeRun:
     """The fault-free run of one (circuit, inputs, config), which every
     verdict on them overlays; built only by ``_fault_free_run``.
@@ -253,12 +242,10 @@ class _FaultFreeRun:
     The hook also hands each visit to a cycle finder, when ``sim`` makes one
     for the run (``_CycleFinder.for_run``): the first state, after the last
     input transition, that repeats one seen at an earlier visit (t1 < t2,
-    period p = t2 - t1) stops the kernel at t2.  The visits past t2 are
-    those of (t1, t2] shifted by k·p, k = 1, 2, ...; the snapshot of such a
-    visit is that of (t1, t2] with its due times moved by k·p, made when
-    first read and then kept, so a probe resumed from it keeps its guard
-    values.  The events past t2 are those in (t1, t2] shifted, and so are
-    the value regions that start past t2 (``period_sources``).
+    period p = t2 - t1) stops the kernel at t2.  Past t2 the run is the
+    stretch (t1, t2] shifted by whole periods, so a time past t2 is read
+    folded into the stretch, exactly (``fold``): the visits, snapshots,
+    events and value regions there are those at t - k·p, shifted by k·p.
     """
 
     def __init__(self, circuit: Circuit, inputs: InputTraces, config: SimConfig, key: str):
@@ -268,16 +255,10 @@ class _FaultFreeRun:
         self.t_end = config.horizon + self.settle
         comp, self.in_initial, self.in_transitions = _setup_run(circuit, inputs, config, self.t_end)
         self.comp = comp
-        self.initial_values = list(comp.initial)
-        for sid, fv in self.in_initial.items():
-            self.initial_values[sid] = fv
 
-        # the fault-free run: _times holds the time of every visit before
-        # T + settle and _snaps a snapshot of each, _events the events of the
-        # visits the kernel ran.  When _finder sees the run repeat at t2, the
-        # kernel stops there, and the visits past it are those of (t1, t2],
-        # _stretch, shifted by whole periods, whose snapshots are made when
-        # first read.
+        # the fault-free run: _times holds the time of every visit the
+        # kernel ran and _snaps a snapshot of each, _events their events.
+        # When _finder sees the run repeat at t2, the kernel stops there.
         times, snaps = self._times, self._snaps = [], []
         finder = self._finder = _CycleFinder.for_run(comp.delays, self.in_transitions, self.t_end)
 
@@ -289,16 +270,14 @@ class _FaultFreeRun:
         run = _kernel(
             comp, self.in_transitions, self.in_initial, self.t_end, config.epsilon, (), after_visit=after_visit
         )
+        self.initial_values = run.initial_values
         self._events = run.events
-        self._past_t2 = len(self._times)  # the index of the first visit past t2
         self._period: float | None = None
+        self._t2 = math.inf  # no time is folded on a run that does not repeat
+        self._folded: dict[float, _Seed] = {}  # snapshots past t2, by visit time
         if finder is not None and finder.t2 is not None:
             finder.seen.clear()  # read no more
-            self._period = finder.t2 - finder.t1
-            i = _bisect_mod.bisect_right(self._times, finder.t1)
-            self._stretch = self._snaps[i:]
-            self._times += _repeated(self._times[i:], self._period, self.t_end)
-            self._snaps += [None] * (len(self._times) - self._past_t2)
+            self._period, self._t2 = finder.t2 - finder.t1, finder.t2
         # the signals the run drives to X before T + settle, counting initial
         # X values; past t2 the run repeats (t1, t2], which has no X
         self.x_ids = frozenset(
@@ -308,29 +287,49 @@ class _FaultFreeRun:
         self._regions: list[ValueRegion] | None = None
         self._sources: list[tuple[int, float] | None] | None = None
 
+    def fold(self, t: float) -> float:
+        """The k·p that folds a time t past t2 into the stretch (t1, t2];
+        0 at or before t2, and on a run that does not repeat.  It is exact,
+        and so is t - k·p: p is an integer and t < 2**52
+        (``_CycleFinder.for_run``), so t - k·p is a multiple of t's float
+        spacing, and ``//`` gives the exact k."""
+        if t <= self._t2:
+            return 0.0
+        return -((self._t2 - t) // self._period) * self._period
+
     def snapshot(self, t: float):
-        """Snapshot of the last fault-free visit at or before t, or None."""
-        i = _bisect_mod.bisect_right(self._times, t) - 1
-        if i < 0:
-            return None
-        snap = self._snaps[i]
-        if snap is None:
-            # a visit past t2: a visit of the stretch k periods later, its
-            # due times shifted by k·p, which is exact (see _CycleFinder)
-            k, j = divmod(i - self._past_t2, len(self._stretch))
-            snap = self._snaps[i] = self._stretch[j].shifted((k + 1) * self._period)
-        return snap
+        """Snapshot of the last fault-free visit at or before t, or None.
+
+        The run has no visit at or past T + settle.  Past t2 the snapshot
+        is the one at t folded by k·p (``fold``) with its due times moved
+        by k·p, made when first read and then kept, so a probe resumed from
+        it keeps its guard values.
+        """
+        if t <= self._t2:
+            i = _bisect_mod.bisect_right(self._times, t) - 1
+            return self._snaps[i] if i >= 0 else None
+        if t >= self.t_end:
+            t = math.nextafter(self.t_end, -math.inf)
+        shift = self.fold(t)
+        snap = self._snaps[_bisect_mod.bisect_right(self._times, t - shift) - 1]
+        key = snap.time + shift
+        folded = self._folded.get(key)
+        if folded is None:
+            folded = self._folded[key] = snap.shifted(shift)
+        return folded
 
     @property
     def regions(self) -> list[ValueRegion]:
         """The value regions of the fault-free run up to T, found at the
-        first access: past t2, from the events of (t1, t2] shifted by whole
-        periods."""
+        first access: past t2, from the events of (t1, t2] shifted by each
+        whole period up to ``fold(T)``."""
         if self._regions is None:
             T = self.config.horizon
             times = [ev[0] for ev in self._events]
             if self._period is not None:
-                times += _repeated(times[_bisect_mod.bisect_right(times, self._finder.t1) :], self._period, T)
+                stretch = times[_bisect_mod.bisect_right(times, self._finder.t1) :]
+                p = int(self._period)
+                times += [t + shift for shift in range(p, int(self.fold(T)) + 1, p) for t in stretch]
             self._regions = _regions_from_times(times, T)
         return self._regions
 
@@ -340,21 +339,18 @@ class _FaultFreeRun:
         k·p earlier and the shift k·p, or None.
 
         A region has one when it starts after t2 and is not the last
-        region, which T may cut: k = ceil((start - t2)/p) puts the source
-        in (t1, t2], and as the cuts past t2 are those of (t1, t2] shifted,
-        both regions have the same length.  All these times are integers
-        (see ``_CycleFinder``), so the shift is exact.
+        region, which T may cut: ``fold`` puts the source in (t1, t2], and
+        as the cuts past t2 are those of (t1, t2] shifted, both regions
+        have the same length.
         """
         if self._sources is None:
             regions = self.regions
+            by_start = {r.start: r.index for r in regions}
             self._sources = [None] * len(regions)
-            if self._period is not None:
-                t1, t2, p = self._finder.t1, self._finder.t2, self._period
-                by_start = {r.start: r.index for r in regions if t1 < r.start <= t2}
-                for r in regions[:-1]:
-                    if r.start > t2:
-                        shift = math.ceil((r.start - t2) / p) * p
-                        self._sources[r.index] = (by_start[r.start - shift], shift)
+            for r in regions[:-1]:
+                shift = self.fold(r.start)
+                if shift:
+                    self._sources[r.index] = (by_start[r.start - shift], shift)
         return self._sources
 
     def pulse_events(self, rule, sid: int, at: float, width: float):

@@ -316,16 +316,23 @@ def _sweep_point(kind, spec, T, epsilon, gamma, delta):
     return row
 
 
+def _parse_assignment(flag: str, text: str) -> tuple[str, str]:
+    name, eq, value = text.partition("=")
+    if not eq:
+        raise UsageError(f"{flag} expects PARAM=VALUE, got {text!r}")
+    return name, value
+
+
 def cmd_sweep(args) -> int:
     if args.spec:
         spec = parse_sweep_spec(_read(args.spec))
     elif args.generator and args.sweep:
         spec = {
             "generator": args.generator,
-            "params": dict(kv.split("=", 1) for kv in (args.set or [])),
+            "params": dict(_parse_assignment("--set", kv) for kv in (args.set or [])),
             "sweeps": [
                 {"name": name, "values": _parse_sweep_values(vals)}
-                for name, vals in (kv.split("=", 1) for kv in args.sweep)
+                for name, vals in (_parse_assignment("--sweep", kv) for kv in args.sweep)
             ],
         }
     else:

@@ -269,6 +269,8 @@ def parse_traces(text: str) -> dict[str, SignalTrace]:
             raise NetlistError(f"trace for {name!r} must start with a time-0 row", lineno)
         if steps and t <= steps[-1][0]:
             raise NetlistError(f"trace for {name!r} has unsorted or duplicate time {t}", lineno)
+        if steps and v == steps[-1][1]:
+            raise NetlistError(f"trace for {name!r} does not change its value ({v}) at time {t}", lineno)
         steps.append((t, v))
     return {name: make_trace(steps[0][1], steps[1:]) for name, steps in per_signal.items()}
 

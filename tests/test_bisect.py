@@ -6,7 +6,7 @@ import random
 import pytest
 
 from faultscope import SimConfig
-from faultscope.analysis import _ProbeContext, ValueRegion, _locate_window, analyze
+from faultscope.analysis import _ProbeContext, ValueRegion, _locate_window, analyze, analyze_naive
 from faultscope.generators import PipelineSpec, linear_pipeline
 from util import monitored_for, random_circuit, random_input_traces
 
@@ -84,6 +84,18 @@ def test_mixed_region_matches_grid_scan():
     while t < tau - DELTA:
         assert not ctx.probe("d0", t, GAMMA)
         t += DELTA / 2 * 10
+
+
+def test_bisection_alone_beats_the_grid(ctx):
+    """Criterion 7's bound on the bisection by itself: at T=32, before
+    linear-3's run repeats at t2 = 35, no region has a period source, so
+    no verdict is replayed, and the grid still takes 10x the probes."""
+    assert ctx.run.period_sources == [None] * len(ctx.run.regions)
+    circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+    rep = analyze(circuit, {}, monitored, GAMMA, DELTA, CFG)
+    naive = analyze_naive(circuit, {}, monitored, GAMMA, DELTA, CFG)
+    assert naive.simulations == len(naive.injected) * math.ceil(CFG.horizon / DELTA)
+    assert naive.simulations >= 10 * rep.simulations
 
 
 def test_delta_must_be_positive():

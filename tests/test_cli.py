@@ -203,8 +203,9 @@ def test_trace_row_with_non_finite_time_rejected(inv_file, tmp_path, capsys, tim
         ("signal,time,value\ni,5,1\n", 2),  # no time-0 row
         ("signal,time,value\ni,0,0\ni,5,1\ni,3,0\n", 4),  # unsorted
         ("# comment\nsignal,time,value\n\ni,0,0\ni,5,1\ni,5,0\n", 6),  # duplicate
+        ("signal,time,value\ni,0,0\ni,5,0\n", 3),  # no change of value
     ],
-    ids=["header", "time-0", "unsorted", "duplicate"],
+    ids=["header", "time-0", "unsorted", "duplicate", "no-change"],
 )
 def test_whole_trace_errors_exit_1_with_line(inv_file, tmp_path, capsys, rows, line):
     # before, these exited 3 with no line number
@@ -369,6 +370,20 @@ def test_sweep_int_field_rejects_fraction(capsys):
     for argv in (["--set", "stages=8", "--sweep", "tokens=1,1.5"], ["--set", "stages=8.5", "--sweep", "tokens=1"]):
         code, out, err = run(capsys, "sweep", "--generator", "ring", *argv, "--until", "20")
         assert code == 1 and out == "" and "must be an integer" in err, argv
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--set", "stages", "--sweep", "tokens=1"], "--set expects PARAM=VALUE, got 'stages'"),
+        (["--set", "stages=8", "--sweep", "tokens"], "--sweep expects PARAM=VALUE, got 'tokens'"),
+    ],
+    ids=["set", "sweep"],
+)
+def test_sweep_flag_without_equals_is_usage_error(capsys, argv, message):
+    # before, these exited 3 with Python's unpacking error
+    code, out, err = run(capsys, "sweep", "--generator", "ring", *argv, "--until", "20")
+    assert code == 1 and out == "" and message in err
 
 
 def test_sweep_csv_deterministic_across_jobs(tmp_path, capsys):

@@ -3,6 +3,7 @@ monotonicity of X, and probe-engine equivalence."""
 
 import bisect
 import dataclasses
+import math
 import random
 import types
 import warnings
@@ -618,6 +619,23 @@ def test_lookups_after_a_probe_past_t1_match_full_run():
         snap, want = ctx.run.snapshot(t), full.snapshots[i]
         assert (snap.time, snap.values, snap.pend, snap.pend_x) == (want.time, want.values, want.pend, want.pend_x), t
     assert (ctx.run._finder.t1, ctx.run._finder.t2) == (13.0, LIN3_T2)
+
+
+def test_fold_edges_match_full_run():
+    """At T=44 LIN3's run ends at T + settle = 79 = t2 + 2p, with p = 22,
+    and has no visit there.  Lookups at t2 + p, at t2 + 2p and at the float
+    just below each fold into the stretch (13, 35] and equal the full run:
+    the one at 79 finds the visit at 78."""
+    circuit, monitored = _lin3()
+    ctx = _ProbeContext(circuit, {}, SimConfig(44.0, 0.1), monitored)
+    run, full = ctx.run, _full_snapshot_run(ctx)
+    assert (run._finder.t1, run._finder.t2, run.t_end) == (13.0, LIN3_T2, 79.0)
+    edges = [LIN3_T2 + 22.0, LIN3_T2 + 44.0]
+    for t in edges + [math.nextafter(t, -math.inf) for t in edges]:
+        i = bisect.bisect_right(full.visit_times, t) - 1
+        snap, want = run.snapshot(t), full.snapshots[i]
+        assert (snap.time, snap.values, snap.pend, snap.pend_x) == (want.time, want.values, want.pend, want.pend_x), t
+    assert run.snapshot(run.t_end).time == 78.0
 
 
 def test_decimal_delays_take_no_cycle():
