@@ -14,21 +14,24 @@ on the circuit (``_fault_free_run``), so every query, analysis and
 ``faulty_execution`` on the same circuit, inputs and config reads the same
 run, and only the first pays for it.  It keeps a snapshot per visit and goes
 no further than the visit at which it starts to repeat: with integer delays
-and inputs that have stopped switching, the run becomes periodic
-(``sim._CycleFinder``), and every later time is read folded into the
-stretch that repeats, moved back by whole periods.  The fold is exact, as
-the periods are integers and times stay below 2**52.  So on a periodic
-circuit a run costs the same at any T.
+and inputs that have stopped switching, the run becomes periodic, and every
+later time is read folded into the stretch that repeats, moved back by whole
+periods (``_FaultFreeRun.fold``).  The fold is exact, as the periods are
+integers and times stay below 2**52.  So on a periodic circuit a run costs
+the same at any T.
 
 Susceptible times are located per value region of the fault-free execution
-(the interval between two consecutive value-switching times): within a region
-the susceptible times form a postfix, so one bisection per region
-(``_locate_window``) finds the boundary to the resolution δ, far cheaper than
-scanning a time grid.  On a run that repeats, only the regions up to one
-period past t1 are bisected with real probes: a later region folds onto an
-earlier one, and its bisection replays the earlier verdicts
-(``_windows_for_signal``).  The grid scan is kept as
-``analyze_naive`` and doubles as the test oracle.
+(the interval between two consecutive value-switching times).  The
+bisection (``_locate_window``) assumes that within a region the susceptible
+times form a postfix, or, when the region start is susceptible and its end
+masked, a prefix; from the two ends and one bisection it finds the boundary
+to the resolution δ, far cheaper than scanning a time grid.  The assumption
+can fail: a susceptible stretch inside a region with both ends masked is
+missed (ROADMAP item 4, pinned as an expected failure in the tests).  On a
+run that repeats, only the regions up to one period past t1 are bisected
+with real probes: a later region folds onto an earlier one, and its
+bisection replays the earlier verdicts (``_windows_for_signal``).  The grid
+scan is kept as ``analyze_naive`` and doubles as the test oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .prs import Circuit, InputTraces, Value, trace_value_at
-from .sim import X, Execution, ExternalEvent, SimConfig, _CycleFinder, _kernel, _Seed, _setup_run, execute
+from .sim import X, Execution, ExternalEvent, SimConfig, _kernel, _Seed, _setup_run, execute
 
 DEFAULT_EPSILON = 0.1
 DEFAULT_GAMMA = 0.1
@@ -230,6 +233,13 @@ def _settle(circuit: Circuit, config: SimConfig) -> float:
     return circuit.size * max([config.epsilon, *(r.delay for r in circuit.rules)])
 
 
+def _may_repeat(delays: Sequence[float], t_end: float) -> bool:
+    """Whether a fault-free run under these rule delays to ``t_end`` is
+    watched for a repeat (see ``_FaultFreeRun``): every delay is an
+    integer and the run ends before 2**52."""
+    return all(float(d).is_integer() for d in delays) and t_end < 2.0**52
+
+
 class _FaultFreeRun:
     """The fault-free run of one (circuit, inputs, config), which every
     verdict on them overlays; built only by ``_fault_free_run``.
@@ -239,13 +249,30 @@ class _FaultFreeRun:
     visit and a state snapshot at its end, from which fault-free values are
     read.  It holds no reference to the circuit.
 
-    The hook also hands each visit to a cycle finder, when ``sim`` makes one
-    for the run (``_CycleFinder.for_run``): the first state, after the last
-    input transition, that repeats one seen at an earlier visit (t1 < t2,
-    period p = t2 - t1) stops the kernel at t2.  Past t2 the run is the
-    stretch (t1, t2] shifted by whole periods, so a time past t2 is read
-    folded into the stretch, exactly (``fold``): the visits, snapshots,
-    events and value regions there are those at t - k·p, shifted by k·p.
+    When ``_may_repeat`` holds, the hook also stops the run where it starts
+    to repeat.  A visit is eligible when it comes after the last input
+    transition, its time and every pending due time are integers, no value
+    is X and no X action is pending.  The state at the end of an eligible
+    visit is keyed by (values, {rule: due - t}); a visit that is not
+    eligible clears the table.  The first key seen twice gives the visits
+    t1 < t2, period p = t2 - t1, and the kernel stops at t2.
+
+    Why the run from t2 is the run from t1 shifted by p, forever: the
+    kernel state at the end of a visit is (values, pend, pend_x) plus what
+    follows from it (the guard values, and heap entries of canceled
+    actions, whose visits change nothing), and no input or external is
+    left.  So the two states, equal up to the shift of every due time by p,
+    have futures equal up to that shift, as long as the run computes the
+    same due times in both.  With integer delays and a run that ends
+    before 2**52, integer visit and due times schedule only integer due
+    times, sums of integers below 2**53 that floats hold exactly.  The
+    stretch (t1, t2] holds only eligible visits: it schedules no X action
+    and needs no epsilon, since a guard on X-free values is never X and a
+    visit that drives a value to X keeps it at X to its end.  Its shift by
+    p is exact for the same reason, so the stretch repeats unchanged, one
+    period after the other.  A time past t2 is therefore read folded into
+    the stretch (``fold``): the visits, snapshots, events and value regions
+    there are those at t - k·p, shifted by k·p.
     """
 
     def __init__(self, circuit: Circuit, inputs: InputTraces, config: SimConfig, key: str):
@@ -257,27 +284,37 @@ class _FaultFreeRun:
         self.comp = comp
 
         # the fault-free run: _times holds the time of every visit the
-        # kernel ran and _snaps a snapshot of each, _events their events.
-        # When _finder sees the run repeat at t2, the kernel stops there.
+        # kernel ran and _snaps a snapshot of each; seen keys the states of
+        # the latest run of eligible visits, until one repeats
         times, snaps = self._times, self._snaps = [], []
-        finder = self._finder = _CycleFinder.for_run(comp.delays, self.in_transitions, self.t_end)
+        self._period: float | None = None
+        self._t1: float | None = None
+        self._t2 = math.inf  # no time is folded on a run that does not repeat
+        seen: dict | None = {} if _may_repeat(comp.delays, self.t_end) else None
+        after = self.in_transitions[-1][0] if self.in_transitions else -math.inf
 
         def after_visit(t, values, pend, pend_x):
             times.append(t)
             snaps.append(_Seed(t, values[:], pend.copy(), pend_x.copy()))
-            return finder is not None and finder.visit(t, values, pend, pend_x)
+            if seen is None or t <= after:
+                return False
+            eligible = t.is_integer() and not pend_x and X not in values
+            if eligible and all(due.is_integer() for due in pend.values()):
+                key = (tuple(values), frozenset([(rid, due - t) for rid, due in pend.items()]))
+                t1 = seen.setdefault(key, t)
+                if t1 != t:
+                    self._t1, self._t2, self._period = t1, t, t - t1
+                    return True
+            else:
+                seen.clear()
+            return False
 
         run = _kernel(
             comp, self.in_transitions, self.in_initial, self.t_end, config.epsilon, (), after_visit=after_visit
         )
         self.initial_values = run.initial_values
         self._events = run.events
-        self._period: float | None = None
-        self._t2 = math.inf  # no time is folded on a run that does not repeat
         self._folded: dict[float, _Seed] = {}  # snapshots past t2, by visit time
-        if finder is not None and finder.t2 is not None:
-            finder.seen.clear()  # read no more
-            self._period, self._t2 = finder.t2 - finder.t1, finder.t2
         # the signals the run drives to X before T + settle, counting initial
         # X values; past t2 the run repeats (t1, t2], which has no X
         self.x_ids = frozenset(
@@ -285,14 +322,13 @@ class _FaultFreeRun:
             + [sid for _, sid, fv, _ in self._events if fv == X]
         )
         self._regions: list[ValueRegion] | None = None
-        self._sources: list[tuple[int, float] | None] | None = None
 
     def fold(self, t: float) -> float:
         """The k·p that folds a time t past t2 into the stretch (t1, t2];
         0 at or before t2, and on a run that does not repeat.  It is exact,
-        and so is t - k·p: p is an integer and t < 2**52
-        (``_CycleFinder.for_run``), so t - k·p is a multiple of t's float
-        spacing, and ``//`` gives the exact k."""
+        and so is t - k·p: p is an integer and t < 2**52 (``_may_repeat``),
+        so t - k·p is a multiple of t's float spacing, and ``//`` gives the
+        exact k."""
         if t <= self._t2:
             return 0.0
         return -((self._t2 - t) // self._period) * self._period
@@ -327,31 +363,11 @@ class _FaultFreeRun:
             T = self.config.horizon
             times = [ev[0] for ev in self._events]
             if self._period is not None:
-                stretch = times[_bisect_mod.bisect_right(times, self._finder.t1) :]
+                stretch = times[_bisect_mod.bisect_right(times, self._t1) :]
                 p = int(self._period)
                 times += [t + shift for shift in range(p, int(self.fold(T)) + 1, p) for t in stretch]
             self._regions = _regions_from_times(times, T)
         return self._regions
-
-    @property
-    def period_sources(self) -> list[tuple[int, float] | None]:
-        """Per value region, its period source: the index of the region
-        k·p earlier and the shift k·p, or None.
-
-        A region has one when it starts after t2 and is not the last
-        region, which T may cut: ``fold`` puts the source in (t1, t2], and
-        as the cuts past t2 are those of (t1, t2] shifted, both regions
-        have the same length.
-        """
-        if self._sources is None:
-            regions = self.regions
-            by_start = {r.start: r.index for r in regions}
-            self._sources = [None] * len(regions)
-            for r in regions[:-1]:
-                shift = self.fold(r.start)
-                if shift:
-                    self._sources[r.index] = (by_start[r.start - shift], shift)
-        return self._sources
 
     def pulse_events(self, rule, sid: int, at: float, width: float):
         """The drive and restore events of a pulse on signal ``sid`` by the
@@ -531,29 +547,33 @@ def _windows_for_signal(
 ) -> list[SensitivityWindow]:
     """The windows of one signal, one value region at a time.
 
-    A region with a period source (``_FaultFreeRun.period_sources``) is the
-    source shifted by k·p, and so is the fault-free run around it: a pulse
-    there sees the dynamics of the pulse k·p earlier, cut off k·p sooner by
-    T + settle.  So its verdict is the earlier one, provided a hit of the
+    A region that starts past t2, except the last, which T may cut, is the
+    region k·p earlier shifted by k·p, with k·p = ``fold(start)``: the
+    earlier region lies in (t1, t2], and as the cuts past t2 are those of
+    (t1, t2] shifted, both have the same length.  The fault-free run around
+    them is the same up to that shift, so a pulse in the later region sees
+    the dynamics of the pulse k·p earlier, cut off k·p sooner by
+    T + settle.  Its verdict is the earlier one, provided a hit of the
     earlier probe came before T + settle - k·p; a masked probe either
     re-joined the fault-free run or met no monitored X up to T + settle,
-    and so does its shift.  When every hit of the source's bisection
-    qualifies, the region runs the same bisection on the source's verdicts,
-    in order, with its own arithmetic, and probes for real only if it asks
-    for more of them than the source did.
+    and so does its shift.  When every hit of the earlier region's
+    bisection qualifies, the later region runs the same bisection on its
+    verdicts, in order, with its own arithmetic, and probes for real only
+    if it asks for more of them than the earlier region did.
     """
     run = ctx.run
+    regions = run.regions
     out: list[SensitivityWindow] = []
-    used: list[_Verdicts] = []  # per region, by index
-    for region, source in zip(run.regions, run.period_sources):
+    used: dict[float, _Verdicts] = {}  # per region, by start
+    for region in regions:
         replay: Sequence[bool] = ()
-        if source is not None:
-            # sources lie in (t1, t2] and were themselves probed for real
-            earlier, shift = used[source[0]], source[1]
+        shift = run.fold(region.start) if region is not regions[-1] else 0.0
+        if shift:
+            # the earlier region lies in (t1, t2] and was probed for real
+            earlier = used[region.start - shift]
             if earlier.last_hit < run.t_end - shift:
                 replay = earlier.verdicts
-        probe = _Verdicts(ctx, signal, gamma, replay)
-        used.append(probe)
+        probe = used[region.start] = _Verdicts(ctx, signal, gamma, replay)
         start, end = _locate_window(probe, region, gamma, delta)
         if end < region.end:  # a prefix: see _locate_window
             warnings.warn(

@@ -177,10 +177,15 @@ def _parse_weights(text: str) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        name, eq, value = (p.strip() for p in line.partition("="))
+        if not (eq and name):
             raise ValueError(f"weights line {lineno}: expected 'signal = weight'")
-        name, value = (p.strip() for p in line.split("=", 1))
-        weights[name] = float(value)
+        if name in weights:
+            raise ValueError(f"weights line {lineno}: {name!r} has a weight already")
+        try:
+            weights[name] = float(value)
+        except ValueError:
+            raise ValueError(f"weights line {lineno}: weight {value!r} is not a number") from None
     return weights
 
 

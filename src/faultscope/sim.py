@@ -244,72 +244,6 @@ class _Seed:
         )
 
 
-class _CycleFinder:
-    """Finds where a fault-free run starts to repeat itself.
-
-    A visit is eligible when it comes after the last input transition, its
-    time and every pending due time are integers, no value is X and no X
-    action is pending.  The state at the end of an eligible visit is keyed
-    by (values, {rule: due - t}); a visit that is not eligible clears the
-    table.  The first key seen twice gives the visits t1 < t2, and
-    ``visit`` returns True at t2.
-
-    Why the run from t2 is the run from t1 shifted by p = t2 - t1, forever:
-    the kernel state at the end of a visit is (values, pend, pend_x) plus
-    what follows from it (the guard values, and heap entries of canceled
-    actions, whose visits change nothing), and no input or external is
-    left.  So the two states, equal up to the shift of every due time by p,
-    have futures equal up to that shift, as long as the run computes the
-    same due times in both.  ``for_run`` makes a finder only when every
-    rule delay is an integer and the run ends before 2**52, so from integer
-    visit times and due times the run schedules only integer due times,
-    sums of integers below 2**53 that floats hold exactly.  The stretch
-    (t1, t2] holds only eligible visits: it schedules no X action and needs
-    no epsilon, since a guard on X-free values is never X and a visit that
-    drives a value to X keeps it at X to its end.  Its shift by p is exact
-    for the same reason, so the stretch repeats unchanged, one period after
-    the other.
-    """
-
-    __slots__ = ("after", "seen", "t1", "t2")
-
-    def __init__(self, after: float):
-        self.after = after  # time of the last input transition
-        self.seen: dict = {}  # key -> time of the eligible visit it was seen at
-        self.t1 = self.t2 = None
-
-    @classmethod
-    def for_run(
-        cls, delays: Sequence[float], input_transitions: Sequence[tuple[float, int, float]], t_end: float
-    ) -> "_CycleFinder | None":
-        """A finder for a run under these rule delays and sorted input
-        transitions up to ``t_end``, or None when the argument above does
-        not hold for it: a delay that is not an integer, or ``t_end`` at or
-        past 2**52."""
-        if not (all(float(d).is_integer() for d in delays) and t_end < 2.0**52):
-            return None
-        return cls(input_transitions[-1][0] if input_transitions else -_INF)
-
-    def visit(self, t: float, values, pend, pend_x) -> bool:
-        """Look at the state at the end of the visit at t."""
-        if t <= self.after:
-            return False
-        if (
-            t.is_integer()
-            and not pend_x
-            and X not in values
-            and all(due.is_integer() for due in pend.values())
-        ):
-            key = (tuple(values), frozenset([(rid, due - t) for rid, due in pend.items()]))
-            first = self.seen.setdefault(key, t)
-            if first != t:
-                self.t1, self.t2 = first, t
-                return True
-        elif self.seen:
-            self.seen.clear()
-        return False
-
-
 class _Run:
     """One kernel run: final state and raw events.
 

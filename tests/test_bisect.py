@@ -6,8 +6,16 @@ import random
 import pytest
 
 from faultscope import SimConfig
-from faultscope.analysis import _ProbeContext, ValueRegion, _locate_window, analyze, analyze_naive
-from faultscope.generators import PipelineSpec, linear_pipeline
+from faultscope.analysis import (
+    Glitch,
+    _ProbeContext,
+    ValueRegion,
+    _locate_window,
+    analyze,
+    analyze_naive,
+    is_susceptible,
+)
+from faultscope.generators import MultiBitSpec, PipelineSpec, linear_pipeline, multibit_linear_pipeline
 from util import monitored_for, random_circuit, random_input_traces
 
 CFG = SimConfig(horizon=32.0, epsilon=0.1)
@@ -88,9 +96,9 @@ def test_mixed_region_matches_grid_scan():
 
 def test_bisection_alone_beats_the_grid(ctx):
     """Criterion 7's bound on the bisection by itself: at T=32, before
-    linear-3's run repeats at t2 = 35, no region has a period source, so
-    no verdict is replayed, and the grid still takes 10x the probes."""
-    assert ctx.run.period_sources == [None] * len(ctx.run.regions)
+    linear-3's run repeats at t2 = 35, no region start folds back by a
+    period, so no verdict is replayed, and the grid still takes 10x the probes."""
+    assert all(ctx.run.fold(r.start) == 0.0 for r in ctx.run.regions)
     circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
     rep = analyze(circuit, {}, monitored, GAMMA, DELTA, CFG)
     naive = analyze_naive(circuit, {}, monitored, GAMMA, DELTA, CFG)
@@ -102,3 +110,36 @@ def test_delta_must_be_positive():
     circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
     with pytest.raises(ValueError):
         analyze(circuit, {}, monitored, GAMMA, 0.0, CFG)
+
+
+# --- a window the bisection misses (ROADMAP item 4) ----------------------------------
+
+
+def _mb4_at_100():
+    circuit, monitored = multibit_linear_pipeline(MultiBitSpec(4, 3, 1, 5, 4, 4))
+    return circuit, monitored, SimConfig(100.0, 0.1)
+
+
+def test_susceptible_pulse_between_masked_region_ends():
+    """On the 4-bit pipeline at T=100, src.m1 is susceptible at 16.75 and
+    masked at 16.0 and 16.9, the two ends the bisection probes in the
+    value region [16, 17)."""
+    circuit, monitored, cfg = _mb4_at_100()
+    ctx = _ProbeContext(circuit, {}, cfg, monitored)
+    region = next(r for r in ctx.run.regions if r.start <= 16.75 < r.end)
+    assert (region.start, region.end - GAMMA) == (16.0, 16.9)
+    verdicts = {
+        at: is_susceptible(circuit, {}, monitored, Glitch("src.m1", at, GAMMA), cfg) for at in (16.0, 16.75, 16.9)
+    }
+    assert verdicts == {16.0: False, 16.75: True, 16.9: False}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: the endpoint bisection misses a susceptible stretch inside a region "
+    "with both ends masked",
+)
+def test_analyze_finds_the_window_inside_a_region():
+    circuit, monitored, cfg = _mb4_at_100()
+    report = analyze(circuit, {}, monitored, GAMMA, 0.01, cfg, injection_set=["src.m1"])
+    assert any(w.start < 17.0 and w.end > 16.0 for w in report.windows)

@@ -319,8 +319,20 @@ UNIFORM_WEIGHTS = "src = 1\nc2 = 1\nen1 = 1\nen2 = 1\nen3 = 1\n"
         ("src 1\n", [], "expected 'signal = weight'"),
         # the monitored c1 and c3 are injected too, and have no weight
         (UNIFORM_WEIGHTS, ["--include-monitored"], "weights missing for: c1, c3"),
+        (UNIFORM_WEIGHTS.replace("c2 = 1", "c2 = abc"), [], "weights line 2: weight 'abc' is not a number"),
+        (UNIFORM_WEIGHTS + "# no name\n= 4\n", [], "weights line 7: expected 'signal = weight'"),
+        (UNIFORM_WEIGHTS + "en3 = 9\n", [], "weights line 6: 'en3' has a weight already"),
     ],
-    ids=["missing", "negative", "zero-total", "syntax", "monitored-injected"],
+    ids=[
+        "missing",
+        "negative",
+        "zero-total",
+        "syntax",
+        "monitored-injected",
+        "not-a-number",
+        "no-name",
+        "repeated",
+    ],
 )
 def test_analyze_bad_weights_fail_before_the_analysis(lin3_file, tmp_path, capsys, weights, flags, why):
     """A weights file that does not fit the injection set exits 3 before the

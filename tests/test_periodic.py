@@ -60,7 +60,7 @@ def _check_replay_equals_bisection(circuit, monitored, T):
 def test_replay_equals_bisection(make, T, cycle):
     circuit, monitored = make()
     run = _ProbeContext(circuit, {}, SimConfig(T, 0.1), monitored).run
-    assert (run._finder.t1, run._finder.t2) == cycle and cycle[1] < T
+    assert (run._t1, run._t2) == cycle and cycle[1] < T
     replayed, real = _check_replay_equals_bisection(circuit, monitored, T)
     assert replayed < real
 
@@ -113,15 +113,56 @@ def test_probe_keeps_its_hit_time():
     assert ctx.hit_time == -math.inf
 
 
+@pytest.mark.parametrize(
+    "make,T",
+    [
+        pytest.param(lambda: ring_pipeline(RingSpec(8, 2, 1, 5)), 40.0, id="ring8/2"),
+        pytest.param(lambda: linear_pipeline(PipelineSpec(3, 1, 5, 4, 4)), 500.0, id="linear-3"),
+    ],
+)
+def test_last_region_is_bisected_for_real(make, T):
+    """The last region starts past t2 and folds onto an earlier one, but T
+    may cut it, so it replays nothing: every verdict with ``at`` in it is a
+    real probe, and its windows are those of a real bisection."""
+    circuit, monitored = make()
+    cfg = SimConfig(T, 0.1)
+    ctx, real = _ProbeContext(circuit, {}, cfg, monitored), _ProbeContext(circuit, {}, cfg, monitored)
+    last = ctx.run.regions[-1]
+    assert last.start > ctx.run._t2 and ctx.run.fold(last.start) > 0
+    probed, real_probed = _recording(ctx), _recording(real)
+    for signal in sorted(circuit.signals - monitored):
+        probed.clear(), real_probed.clear()
+        windows = _windows_for_signal(ctx, signal, GAMMA, DELTA)
+        start, end = _locate_window(lambda at: real.probe(signal, at, GAMMA), last, GAMMA, DELTA)
+        assert [at for at in probed if at >= last.start] == real_probed, signal
+        expected = [SensitivityWindow(signal, start, end)] if start < end else []
+        assert [w for w in windows if w.start >= last.start] == expected, signal
+
+
+def _recording(ctx):
+    """Make the context log the ``at`` of every real probe it runs."""
+    probe, log = ctx.probe, []
+
+    def recorded(signal, at, width):
+        log.append(at)
+        return probe(signal, at, width)
+
+    ctx.probe = recorded
+    return log
+
+
 # --- the hit-time rule, on scripted verdicts ---------------------------------------------
 
 
 class _ScriptedRun:
-    """Two regions of length 10, the second the first shifted by 10."""
+    """Three regions, each the one before shifted by 10, the last cut at
+    T = 25; ``fold`` moves a time back by whole periods of 10 into [0, 10)."""
 
-    regions = [ValueRegion(0.0, 10.0, 0), ValueRegion(10.0, 20.0, 1)]
-    period_sources = [None, (0, 10.0)]
+    regions = [ValueRegion(0.0, 10.0, 0), ValueRegion(10.0, 20.0, 1), ValueRegion(20.0, 25.0, 2)]
     t_end = 25.0
+
+    def fold(self, t):
+        return t // 10.0 * 10.0
 
 
 class _ScriptedContext:
@@ -161,14 +202,18 @@ def test_late_hit_in_source_bisects_for_real(hit, replays):
     assert abs(first.start - 5.0) <= DELTA and first.end == 10.0
     assert abs(second.start - 15.0) <= DELTA and second.end == 20.0
     in_source = sum(1 for at in ctx.probed if at < 10.0)
-    in_later = len(ctx.probed) - in_source
+    in_later = sum(1 for at in ctx.probed if 10.0 <= at < 20.0)
     assert in_later == (0 if replays else in_source)
+    # the last region, masked at both ends, is probed for real
+    assert [at for at in ctx.probed if at >= 20.0] == [20.0, 24.9]
 
 
 def test_masked_source_always_replays():
+    # the second region replays the masked first one; the last region,
+    # which T cuts, is probed for real although fold gives it a source
     ctx = _ScriptedContext(lambda at: math.inf, susceptible=False)
     assert _windows_for_signal(ctx, "s", GAMMA, DELTA) == []
-    assert all(at < 10.0 for at in ctx.probed) and len(ctx.probed) == 2
+    assert ctx.probed == [0.0, 9.9, 20.0, 24.9]
 
 
 def test_replay_falls_back_to_real_probes():
@@ -198,19 +243,22 @@ def test_replay_falls_back_to_real_probes():
     ],
 )
 def test_period_sources(make, T):
+    """``fold`` gives each region that starts past t2, except the last, a
+    source in (t1, t2] of the same length, whole periods earlier."""
     circuit, monitored = make()
     run = _ProbeContext(circuit, {}, SimConfig(T, 0.1), monitored).run
-    t1, t2, p = run._finder.t1, run._finder.t2, run._period
-    regions, sources = run.regions, run.period_sources
-    assert len(sources) == len(regions)
+    t1, t2, p = run._t1, run._t2, run._period
+    regions = run.regions
+    by_start = {r.start: r for r in regions}
     later = [r for r in regions[:-1] if r.start > t2]
     assert later
-    for r, source in zip(regions, sources):
+    for r in regions:
+        shift = run.fold(r.start)
+        if r.start <= t2:
+            assert shift == 0.0
         if r not in later:
-            assert source is None
             continue
-        j, shift = source
-        s = regions[j]
+        s = by_start[r.start - shift]
         assert t1 < s.start <= t2
         assert s.length == r.length
-        assert shift == r.start - s.start and (shift / p).is_integer()
+        assert shift > 0 and (shift / p).is_integer()

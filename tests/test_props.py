@@ -23,7 +23,7 @@ from faultscope import (
     make_trace,
     trace_value_at,
 )
-from faultscope.analysis import Glitch, _ProbeContext, is_susceptible, make_transient
+from faultscope.analysis import Glitch, _may_repeat, _ProbeContext, is_susceptible, make_transient
 from faultscope.generators import (
     MultiBitSpec,
     PipelineSpec,
@@ -557,7 +557,7 @@ def test_integer_cases_repeat():
         circuit, inputs, monitored, cfg = _integer_case(seed)
         ctx = _ProbeContext(circuit, inputs, cfg, monitored)
         if ctx.run._period is not None:
-            assert 0 <= ctx.run._finder.t1 < ctx.run._finder.t2 <= ctx.run.t_end
+            assert 0 <= ctx.run._t1 < ctx.run._t2 <= ctx.run.t_end
             periods.append(ctx.run._period)
     assert 15 <= len(periods) <= 50
 
@@ -577,7 +577,7 @@ def test_presets_repeat(kernel_calls, make, T, t1, t2):
     circuit, monitored = make()
     ctx = _ProbeContext(circuit, {}, SimConfig(T, 0.1), monitored)
     assert not ctx.base_mon_x
-    assert (ctx.run._finder.t1, ctx.run._finder.t2, ctx.run._period) == (t1, t2, t2 - t1)
+    assert (ctx.run._t1, ctx.run._t2, ctx.run._period) == (t1, t2, t2 - t1)
     assert [c["last"] for c in kernel_calls] == [t2]
     ctx = _ProbeContext(circuit, {}, SimConfig(T, 0.1), monitored)
     ctx.run.snapshot(t2 + 1.0)
@@ -603,7 +603,7 @@ def test_cycle_waits_for_the_last_input():
     full = _full_snapshot_run(ctx)
     steps = ["lookups", "regions", "base_mon_x", "probe"]
     _check_against_full_run(circuit, ctx, inputs, full, random.Random(23), steps)
-    assert ctx.run._finder.t1 > 20.0
+    assert ctx.run._t1 > 20.0
 
 
 def test_lookups_after_a_probe_past_t1_match_full_run():
@@ -618,7 +618,7 @@ def test_lookups_after_a_probe_past_t1_match_full_run():
         i = bisect.bisect_right(full.visit_times, t) - 1
         snap, want = ctx.run.snapshot(t), full.snapshots[i]
         assert (snap.time, snap.values, snap.pend, snap.pend_x) == (want.time, want.values, want.pend, want.pend_x), t
-    assert (ctx.run._finder.t1, ctx.run._finder.t2) == (13.0, LIN3_T2)
+    assert (ctx.run._t1, ctx.run._t2) == (13.0, LIN3_T2)
 
 
 def test_fold_edges_match_full_run():
@@ -629,7 +629,7 @@ def test_fold_edges_match_full_run():
     circuit, monitored = _lin3()
     ctx = _ProbeContext(circuit, {}, SimConfig(44.0, 0.1), monitored)
     run, full = ctx.run, _full_snapshot_run(ctx)
-    assert (run._finder.t1, run._finder.t2, run.t_end) == (13.0, LIN3_T2, 79.0)
+    assert (run._t1, run._t2, run.t_end) == (13.0, LIN3_T2, 79.0)
     edges = [LIN3_T2 + 22.0, LIN3_T2 + 44.0]
     for t in edges + [math.nextafter(t, -math.inf) for t in edges]:
         i = bisect.bisect_right(full.visit_times, t) - 1
@@ -643,7 +643,7 @@ def test_decimal_delays_take_no_cycle():
     T + settle; lookups, regions, base_mon_x and verdicts are unchanged."""
     circuit, monitored = _lin3_dec()
     ctx = _ProbeContext(circuit, {}, LIN3_DEC_CFG, monitored)
-    assert ctx.run._finder is None
+    assert not _may_repeat(ctx.run.comp.delays, ctx.run.t_end)
     full = _full_snapshot_run(ctx)
     rng = random.Random(21)
     steps = ["probe"] * 4 + ["base_mon_x", "regions", "lookups"] + ["probe"] * 8
@@ -673,4 +673,4 @@ def test_x_in_steady_state_takes_no_cycle():
     full = _full_snapshot_run(ctx)
     steps = ["probe", "base_mon_x", "lookups", "regions", "probe"]
     _check_against_full_run(circuit, ctx, inputs, full, random.Random(22), steps)
-    assert ctx.run._finder is not None and ctx.run._period is None
+    assert _may_repeat(ctx.run.comp.delays, ctx.run.t_end) and ctx.run._period is None
