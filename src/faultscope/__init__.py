@@ -9,6 +9,7 @@ windows and the failure probability P(fail) by per-region bisection.
 from .prs import (
     And,
     Circuit,
+    CircuitInvalid,
     GuardExpr,
     Not,
     Or,
@@ -24,7 +25,6 @@ from .prs import (
     validate_circuit,
 )
 from .sim import (
-    CircuitInvalid,
     Event,
     Execution,
     ExternalEvent,

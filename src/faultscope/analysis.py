@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
-from .prs import Circuit, InputTraces, Value, trace_value_at
+from .prs import Circuit, CircuitInvalid, InputTraces, Value, monitor_violations, trace_value_at
 from .sim import X, Execution, ExternalEvent, SimConfig, _kernel, _Seed, _setup_run, execute
 
 DEFAULT_EPSILON = 0.1
@@ -437,9 +437,9 @@ class _ProbeContext:
         self.fault_kind = fault_kind
         self.pulse_rule = _pulse_rule(fault_kind)
         run = self.run = _fault_free_run(circuit, inputs, config)
-        unknown = [m for m in self.monitored if m not in run.comp.idx]
+        unknown = monitor_violations(circuit, self.monitored)
         if unknown:
-            raise ValueError(f"monitored signals not in circuit: {', '.join(unknown)}")
+            raise CircuitInvalid(unknown)
         self.mon_ids = frozenset(run.comp.idx[m] for m in self.monitored)
         self.base_mon_x = not self.mon_ids.isdisjoint(run.x_ids)
         self.simulations = 0
@@ -611,15 +611,13 @@ def _require_positive(**params: float) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _resolve_injection(circuit, monitored, injection_set, include_monitored):
+def _resolve_injection(circuit, monitored, injection_set):
     if injection_set is not None:
         injected = sorted(injection_set)
         unknown = [s for s in injected if s not in circuit.signals]
         if unknown:
             raise ValueError(f"injection signals not in circuit: {', '.join(unknown)}")
         return injected
-    if include_monitored:
-        return sorted(circuit.signals)
     return sorted(circuit.signals - frozenset(monitored))
 
 
@@ -666,7 +664,6 @@ def analyze(
     delta: float = DEFAULT_DELTA,
     config: SimConfig = SimConfig(horizon=100.0),
     injection_set: Iterable[str] | None = None,
-    include_monitored: bool = False,
     fault_kind: str = X_PULSE,
     jobs: int = 1,
 ) -> SensitivityReport:
@@ -689,7 +686,7 @@ def analyze(
     """
     _require_positive(gamma=gamma, delta=delta, jobs=jobs)
     monitored = sorted(monitored)
-    injected = _resolve_injection(circuit, monitored, injection_set, include_monitored)
+    injected = _resolve_injection(circuit, monitored, injection_set)
     probed = [s for s in injected if s not in monitored]
     workers = min(jobs, len(probed))
     if workers > 1:
@@ -716,14 +713,13 @@ def analyze_naive(
     step: float = 0.25,
     config: SimConfig = SimConfig(horizon=100.0),
     injection_set: Iterable[str] | None = None,
-    include_monitored: bool = False,
     fault_kind: str = X_PULSE,
 ) -> SensitivityReport:
     """Grid-scan reference: one pulse at every multiple of the step, for every
     injection signal.  Exactly |injected| * ceil(T/step) simulations."""
     _require_positive(gamma=gamma, step=step)
     monitored = sorted(monitored)
-    injected = _resolve_injection(circuit, monitored, injection_set, include_monitored)
+    injected = _resolve_injection(circuit, monitored, injection_set)
     ctx = _ProbeContext(circuit, inputs, config, monitored, fault_kind=fault_kind)
     T = config.horizon
     npoints = math.ceil(T / step)

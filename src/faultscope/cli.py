@@ -18,7 +18,8 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import analysis, netlist, waveform
-from .sim import CircuitInvalid, SimConfig, execute
+from .prs import CircuitInvalid, monitor_violations
+from .sim import SimConfig, execute
 from .generators import (
     GenerationError,
     MultiBitSpec,
@@ -75,13 +76,11 @@ def _load_traces(path: str | None):
 
 def _monitor_set(arg, declared, circuit):
     if arg:
-        names = [n for n in arg.split(",") if n]
-        unknown = sorted(set(names) - circuit.signals)
+        names = frozenset(n for n in arg.split(",") if n)
+        unknown = monitor_violations(circuit, names)
         if unknown:
-            raise CircuitInvalid(
-                [f"monitor names unknown signals: {', '.join(unknown)}"]
-            )
-        return frozenset(names)
+            raise CircuitInvalid(unknown)
+        return names
     if declared:
         return frozenset(declared)
     raise UsageError("no monitored signals: pass --monitor or add a 'monitor' line to the netlist")
@@ -145,17 +144,14 @@ def cmd_analyze(args) -> int:
     traces = _load_traces(args.traces)
     monitored = _monitor_set(args.monitor, declared, circuit)
     config = SimConfig(horizon=args.until, epsilon=args.epsilon)
+    injection_set = circuit.signals if args.include_monitored else None
     weights = None
     if args.weights:
         # a bad weights file fails before the analysis runs or writes anything
-        weights = _parse_weights(_read(args.weights))
-        injected = analysis._resolve_injection(circuit, monitored, None, args.include_monitored)
+        weights = _parse_weights(_read(args.weights), circuit.signals)
+        injected = analysis._resolve_injection(circuit, monitored, injection_set)
         analysis.check_weights(injected, weights)
-    common = dict(
-        gamma=args.gamma,
-        config=config,
-        include_monitored=args.include_monitored,
-    )
+    common = dict(gamma=args.gamma, config=config, injection_set=injection_set)
     if args.naive_step:
         report = analysis.analyze_naive(circuit, traces, monitored, step=args.naive_step, **common)
     else:
@@ -171,7 +167,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _parse_weights(text: str) -> dict:
+def _parse_weights(text: str, signals: frozenset) -> dict:
     weights = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -180,6 +176,8 @@ def _parse_weights(text: str) -> dict:
         name, eq, value = (p.strip() for p in line.partition("="))
         if not (eq and name):
             raise ValueError(f"weights line {lineno}: expected 'signal = weight'")
+        if name not in signals:
+            raise ValueError(f"weights line {lineno}: {name!r} is not a signal of the circuit")
         if name in weights:
             raise ValueError(f"weights line {lineno}: {name!r} has a weight already")
         try:
@@ -465,7 +463,7 @@ def main(argv=None) -> int:
     except netlist.NetlistError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (netlist.NetlistSemanticError, CircuitInvalid, GenerationError) as exc:
+    except (CircuitInvalid, GenerationError) as exc:
         print(f"invalid circuit: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

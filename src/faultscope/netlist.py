@@ -14,6 +14,11 @@ Guard expressions use ``!``, ``&``, ``|`` and parentheses, with the usual
 precedence (NOT over AND over OR); ``#`` starts a comment.  Serialization is
 canonical (sorted declarations, per-target rules with the up-rule first), so
 parse and serialize round-trip structurally.
+
+Malformed text raises ``NetlistError`` with its line.  Well-formed text for
+an invalid circuit or monitor line raises ``prs.CircuitInvalid``: parsing
+compiles the circuit (``sim._compiled``), which validates it once and keeps
+the compiled form that later runs of the circuit reuse.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .analysis import SensitivityReport, SensitivityWindow
 from .prs import (
     And,
     Circuit,
+    CircuitInvalid,
     GuardExpr,
     Not,
     Or,
@@ -34,10 +40,10 @@ from .prs import (
     SignalRef,
     SignalTrace,
     Value,
-    Violation,
     make_trace,
-    validate_circuit,
+    monitor_violations,
 )
+from .sim import _compiled
 
 NUMBER_RE = re.compile(r"(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?\Z")
 
@@ -49,14 +55,6 @@ class NetlistError(ValueError):
         self.line = line
         self.column = column
         super().__init__(f"line {line}: {message}")
-
-
-class NetlistSemanticError(ValueError):
-    """Well-formed text describing an invalid circuit."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(str(v) for v in self.violations))
 
 
 # --- guard expression parsing -------------------------------------------------
@@ -205,15 +203,15 @@ def parse_circuit(text: str) -> tuple[Circuit, frozenset]:
         rules=rules,
         name=name,
     )
-    monitored = sections.get("monitor", [])
-    violations = validate_circuit(circuit) + [
-        Violation("unknown-signal", m, "monitor names an undeclared signal")
-        for m in monitored
-        if m not in circuit.signals
-    ]
-    if violations:
-        raise NetlistSemanticError(violations)
-    return circuit, frozenset(monitored)
+    monitored = frozenset(sections.get("monitor", ()))
+    unknown = monitor_violations(circuit, monitored)
+    try:
+        _compiled(circuit)
+    except CircuitInvalid as exc:
+        raise CircuitInvalid(exc.violations + unknown) from None
+    if unknown:
+        raise CircuitInvalid(unknown)
+    return circuit, monitored
 
 
 def _fmt_num(x: float) -> str:

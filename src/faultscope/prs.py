@@ -6,6 +6,12 @@ driven to the bit b.  Signals carry one of three values: 0, 1, or X, where X
 stands for a potentially non-binary waveform (glitch, oscillation,
 metastability).  Guards evaluate under Kleene semantics with X treated as 1/2:
 ``not a == 1-a``, ``a and b == min(a,b)``, ``a or b == max(a,b)``.
+
+This module owns circuit validity: ``validate_circuit`` lists a circuit's
+``Violation``s, ``monitor_violations`` those of a monitored set, and every
+module reports either as one ``CircuitInvalid``.  The compiler
+(``sim._Compiled``) is the only caller of ``validate_circuit``, so a circuit
+is checked once, when it is first compiled.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import enum
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 
 class Value(enum.Enum):
@@ -167,26 +173,11 @@ class Circuit:
         object.__setattr__(self, "rules", tuple(sorted(rules, key=lambda r: (r.target, -r.value, str(r.guard)))))
         object.__setattr__(self, "name", name)
 
-    def __eq__(self, other):
-        if not isinstance(other, Circuit):
-            return NotImplemented
-        return (
-            self.inputs == other.inputs
-            and self.locals == other.locals
-            and self.outputs == other.outputs
-            and self.initial == other.initial
-            and self.rules == other.rules
-            and self.name == other.name
-        )
-
     def __getstate__(self):
         # drop what other modules memoize on the circuit (under names that
         # start with "_", as no field does): it holds closures, and a copy
         # rebuilds it on demand
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
 
     @property
     def driven(self) -> frozenset:
@@ -224,6 +215,23 @@ class Violation:
             w = ", ".join(f"{k}={v}" for k, v in sorted(self.witness.items()))
             return f"{self.kind} on {self.subject}: {self.message} (witness: {w})"
         return f"{self.kind} on {self.subject}: {self.message}"
+
+
+class CircuitInvalid(ValueError):
+    """A circuit, or the signals monitored on it, failed validation."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__("; ".join(str(v) for v in self.violations))
+
+
+def monitor_violations(circuit: Circuit, monitored: Iterable[str]) -> list[Violation]:
+    """One violation per monitored name, in sorted order, that is not a
+    signal of the circuit."""
+    return [
+        Violation("unknown-signal", m, "monitor names an undeclared signal")
+        for m in sorted(set(monitored) - circuit.signals)
+    ]
 
 
 def validate_circuit(circuit: Circuit) -> list[Violation]:

@@ -27,6 +27,10 @@ Scheduling is edge-triggered: while a guard stays at 1 a rule never
 re-schedules an action it has already scheduled or applied.  Equal-time events
 are drained as one batch and processed in canonical (sorted signal name)
 order, so identical arguments always produce identical executions.
+
+A circuit runs in its compiled form (``_compiled``), made once per circuit
+and kept on it.  Compiling is where a circuit is validated: an invalid one
+raises ``prs.CircuitInvalid`` with all its violations.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from typing import Iterable, Mapping, Sequence
 from .prs import (
     And,
     Circuit,
+    CircuitInvalid,
     InputTraces,
     Not,
     Or,
@@ -54,14 +59,6 @@ from .prs import (
 
 X = 0.5  # numeric encoding used throughout the kernel
 _VALUES = {v.value: v for v in Value}
-
-
-class CircuitInvalid(ValueError):
-    """Raised when a circuit fails validation before execution."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(str(v) for v in self.violations))
 
 
 @dataclass(frozen=True)

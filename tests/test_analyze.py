@@ -106,7 +106,7 @@ def test_include_monitored_pins_probability_one(pipeline):
     circuit, monitored = pipeline
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rep = analyze(circuit, {}, monitored, 0.1, 0.05, CFG, include_monitored=True)
+        rep = analyze(circuit, {}, monitored, 0.1, 0.05, CFG, injection_set=circuit.signals)
     for m in monitored:
         assert rep.p_per_signal[m] == 1.0
     assert set(rep.injected) == set(circuit.signals)
@@ -116,7 +116,7 @@ def test_monitored_shortcut_emits_full_window(pipeline):
     circuit, monitored = pipeline
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rep = analyze(circuit, {}, monitored, 0.1, 0.05, CFG, include_monitored=True)
+        rep = analyze(circuit, {}, monitored, 0.1, 0.05, CFG, injection_set=circuit.signals)
     for m in monitored:
         wins = [w for w in rep.windows if w.signal == m]
         assert len(wins) == 1 and (wins[0].start, wins[0].end) == (0.0, CFG.horizon)

@@ -8,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from faultscope import SimConfig, analysis
+from faultscope import CircuitInvalid, SimConfig, analysis, netlist, prs, sim
 from faultscope.cli import main
 from faultscope.generators import PipelineSpec, linear_pipeline
 from faultscope.waveform import WAVE_H, X_FILL
@@ -136,6 +136,47 @@ def test_inject_past_horizon_exit_3(lin3_file, capsys):
 def test_inject_unknown_signal_exit_3(lin3_file, capsys):
     code, _, err = run(capsys, "inject", "--circuit", lin3_file, "--at", "zz@10:0.1", "--until", "32")
     assert code == 3 and "zz" in err
+
+
+UNKNOWN_MONITOR = "unknown-signal on nosuch: monitor names an undeclared signal"
+
+
+def test_unknown_monitor_same_error_everywhere(inv_file, tmp_path, capsys):
+    """--monitor, the netlist monitor line and the library name an unknown
+    monitored signal with one text, and the CLI exits 2 for both."""
+    code, _, err = run(capsys, "analyze", "--circuit", inv_file, "--monitor", "nosuch")
+    assert code == 2 and err == f"invalid circuit: {UNKNOWN_MONITOR}\n"
+    bad = tmp_path / "bad.prs"
+    bad.write_text(INVERTER.replace("monitor o", "monitor nosuch"))
+    code, _, err = run(capsys, "validate", "--circuit", str(bad))
+    assert code == 2 and err == f"invalid circuit: {UNKNOWN_MONITOR}\n"
+    circuit, _ = netlist.parse_circuit(INVERTER)
+    traces = netlist.parse_traces(TRACE_B)
+    with pytest.raises(CircuitInvalid) as exc:
+        analysis.is_susceptible(circuit, traces, {"nosuch"}, analysis.Glitch("i", 1.0, 0.1), SimConfig(4.0, 0.1))
+    assert str(exc.value) == UNKNOWN_MONITOR
+
+
+@pytest.mark.parametrize("then", ["execute", "analyze", "simulate"])
+def test_parsed_circuit_is_validated_once(lin3_file, monkeypatch, capsys, then):
+    calls = []
+
+    def counted(circuit):
+        calls.append(circuit)
+        return prs.validate_circuit(circuit)
+
+    for mod in (netlist, sim):
+        monkeypatch.setattr(mod, "validate_circuit", counted, raising=False)
+    if then == "simulate":
+        assert run(capsys, "simulate", "--circuit", lin3_file, "--until", "32")[0] == 0
+    else:
+        with open(lin3_file, encoding="utf-8") as fh:
+            circuit, monitored = netlist.parse_circuit(fh.read())
+        if then == "execute":
+            sim.execute(circuit, {}, SimConfig(32.0, 0.1))
+        else:
+            analysis.analyze(circuit, {}, monitored, config=SimConfig(32.0, 0.1))
+    assert len(calls) == 1
 
 
 def _x_on_monitored(svg: str) -> bool:
@@ -322,6 +363,7 @@ UNIFORM_WEIGHTS = "src = 1\nc2 = 1\nen1 = 1\nen2 = 1\nen3 = 1\n"
         (UNIFORM_WEIGHTS.replace("c2 = 1", "c2 = abc"), [], "weights line 2: weight 'abc' is not a number"),
         (UNIFORM_WEIGHTS + "# no name\n= 4\n", [], "weights line 7: expected 'signal = weight'"),
         (UNIFORM_WEIGHTS + "en3 = 9\n", [], "weights line 6: 'en3' has a weight already"),
+        ("nosuch = 7\n" + UNIFORM_WEIGHTS, [], "weights line 1: 'nosuch' is not a signal of the circuit"),
     ],
     ids=[
         "missing",
@@ -332,6 +374,7 @@ UNIFORM_WEIGHTS = "src = 1\nc2 = 1\nen1 = 1\nen2 = 1\nen3 = 1\n"
         "not-a-number",
         "no-name",
         "repeated",
+        "not-a-signal",
     ],
 )
 def test_analyze_bad_weights_fail_before_the_analysis(lin3_file, tmp_path, capsys, weights, flags, why):

@@ -5,13 +5,12 @@ import warnings
 
 import pytest
 
-from faultscope import Circuit, Not, ProductionRule, SignalRef, SimConfig, Value, execute, make_trace
+from faultscope import Circuit, CircuitInvalid, Not, ProductionRule, SignalRef, SimConfig, Value, execute, make_trace
 from faultscope.analysis import analyze, make_transient
 from faultscope.generators import MultiBitSpec, PipelineSpec, RingSpec, linear_pipeline, multibit_linear_pipeline, ring_pipeline
 from faultscope.netlist import (
     NetlistError,
     NetlistError,
-    NetlistSemanticError,
     parse_circuit,
     parse_traces,
     read_report,
@@ -61,13 +60,13 @@ def test_parse_comments_and_monitor():
 
 def test_rule_targeting_input_is_semantic_error():
     text = "circuit bad\ninputs i\noutputs o\ninit o = 0\nrule o -> i = 1 [1.0]\n"
-    with pytest.raises(NetlistSemanticError):
+    with pytest.raises(CircuitInvalid):
         parse_circuit(text)
 
 
 def test_missing_init_is_semantic_error():
     text = "circuit bad\ninputs i\noutputs o\nrule i -> o = 1 [1.0]\nrule !i -> o = 0 [1.0]\n"
-    with pytest.raises(NetlistSemanticError):
+    with pytest.raises(CircuitInvalid):
         parse_circuit(text)
 
 
@@ -111,7 +110,7 @@ def test_parse_error_messages_pinned(text, message):
 
 def test_unknown_monitor_follows_circuit_violations():
     text = "circuit c\ninputs i\noutputs o\nrule i -> o = 0 [1.0]\nmonitor q\n"
-    with pytest.raises(NetlistSemanticError) as err:
+    with pytest.raises(CircuitInvalid) as err:
         parse_circuit(text)
     assert str(err.value) == (
         "missing-init on o: driven signal has no initial value; "
@@ -239,7 +238,7 @@ def test_report_monitored_probability_one_when_included():
     circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rep = analyze(circuit, {}, monitored, 0.1, 0.05, SimConfig(32.0, 0.1), include_monitored=True)
+        rep = analyze(circuit, {}, monitored, 0.1, 0.05, SimConfig(32.0, 0.1), injection_set=circuit.signals)
     obj = report_to_dict(rep)
     for m in monitored:
         assert obj["p_per_signal"][m] == 1.0
