@@ -41,6 +41,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
@@ -409,10 +410,11 @@ def _fault_free_run(circuit: Circuit, inputs: InputTraces | None, config: SimCon
 # cli._GENERATORS, cli.main and the public generators, netlist, prs and
 # waveform functions it runs: keep these names and call shapes.
 class _ProbeContext:
-    """The per-query state of probes on one (circuit, inputs, config): the
-    monitored set, the pulse rule and the probe count, over the shared
-    fault-free run ``run`` (``_fault_free_run``).  The context holds no
-    circuit and runs no fault-free kernel itself.
+    """The one owner of an analysis query: the monitored set, the pulse rule
+    and the probe count, over the fault-free run ``run``
+    (``_fault_free_run``) of the circuit, inputs and config.  Building it
+    checks all of them, so every analysis builds it first, in the caller.
+    It holds no circuit and runs no fault-free kernel itself.
 
     When the fault-free run itself drives a monitored signal to X before
     T + settle (``base_mon_x``), every pulse is susceptible and no probe
@@ -585,21 +587,24 @@ def _windows_for_signal(
     return out
 
 
-# a pool worker's probe context arguments; each task builds its context from
-# them, so that a bad argument raises in the task, as it does without a pool,
-# and the worker's circuit keeps the fault-free run across tasks
-_worker_args: tuple = ()
+def _signal_windows(ctx: _ProbeContext, signal: str, gamma: float, delta: float):
+    """Windows of one signal, and the number of probes they took."""
+    before = ctx.simulations
+    return _windows_for_signal(ctx, signal, gamma, delta), ctx.simulations - before
+
+
+# a pool worker's probe context: a worker started by fork inherits the
+# caller's circuit with its fault-free run, one started by spawn rebuilds it
+_worker_ctx: _ProbeContext | None = None
 
 
 def _init_worker(ctx_args: tuple) -> None:
-    global _worker_args
-    _worker_args = ctx_args
+    global _worker_ctx
+    _worker_ctx = _ProbeContext(*ctx_args)
 
 
 def _worker_windows(signal: str, gamma: float, delta: float):
-    """Windows of one signal from a probe context in the worker, and its probe count."""
-    ctx = _ProbeContext(*_worker_args)
-    return _windows_for_signal(ctx, signal, gamma, delta), ctx.simulations
+    return _signal_windows(_worker_ctx, signal, gamma, delta)
 
 
 # --- full analyses ----------------------------------------------------------------
@@ -622,16 +627,11 @@ def _resolve_injection(circuit, monitored, injection_set):
 
 
 def _report(
-    per_signal: Mapping[str, Sequence[SensitivityWindow]],
-    monitored: Sequence[str],
-    config: SimConfig,
-    settle: float,
-    gamma: float,
-    delta: float,
-    fault_kind: str,
-    simulations: int,
+    ctx: _ProbeContext, per_signal: Mapping[str, Sequence[SensitivityWindow]], gamma: float, delta: float, simulations: int
 ) -> SensitivityReport:
-    """Report on the windows of each injected signal, in injection order."""
+    """Report on the query of the context from the windows of each injected
+    signal, in injection order."""
+    config = ctx.run.config
     T = config.horizon
     windows = tuple(w for sig_windows in per_signal.values() for w in sig_windows)
     p_per_signal = {
@@ -645,10 +645,10 @@ def _report(
         epsilon=config.epsilon,
         gamma=gamma,
         delta=delta,
-        settle=settle,
-        monitored=tuple(monitored),
+        settle=ctx.run.settle,
+        monitored=tuple(ctx.monitored),
         injected=tuple(per_signal),
-        fault_kind=fault_kind,
+        fault_kind=ctx.fault_kind,
         windows=windows,
         p_fail=p_fail,
         p_per_signal=p_per_signal,
@@ -677,32 +677,33 @@ def analyze(
     ran.
 
     The injection set defaults to every signal except the monitored ones.
-    A monitored signal in the injection set is susceptible at every time by
-    definition (the pulse itself drives it to X), so it contributes a full
-    window without probing.  With ``jobs > 1`` the signals are bisected on a
-    process pool, one signal per task and one fault-free run per worker; the
-    report is the same.  Rejects the configurations ``execute`` rejects, and
-    gamma <= 0, delta <= 0 or jobs <= 0.
+    Under X-pulses a monitored signal in the injection set is susceptible at
+    every time by definition (the pulse itself drives it to X), so it gets a
+    full window without probing; under flip-pulses it is probed.  The query
+    is built and checked in the caller for every ``jobs``, rejecting what
+    ``execute`` rejects, gamma <= 0, delta <= 0 and a ``jobs`` that is not
+    an integer >= 1.  With ``jobs > 1`` the signals are then bisected on a
+    process pool, one signal per task and one probe context per worker (a
+    fork-started worker shares the caller's fault-free run); the report is
+    the same.
     """
+    if not isinstance(jobs, int):
+        raise ValueError(f"jobs must be an integer, got {jobs!r}")
     _require_positive(gamma=gamma, delta=delta, jobs=jobs)
-    monitored = sorted(monitored)
-    injected = _resolve_injection(circuit, monitored, injection_set)
-    probed = [s for s in injected if s not in monitored]
+    ctx = _ProbeContext(circuit, inputs, config, monitored, fault_kind=fault_kind)
+    injected = _resolve_injection(circuit, ctx.monitored, injection_set)
+    full = ctx.monitored if fault_kind == X_PULSE else ()
+    probed = [s for s in injected if s not in full]
     workers = min(jobs, len(probed))
     if workers > 1:
-        ctx_args = (circuit, inputs, config, monitored, fault_kind)
+        ctx_args = (circuit, inputs, config, ctx.monitored, fault_kind)
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(ctx_args,)) as pool:
             results = list(pool.map(_worker_windows, probed, repeat(gamma), repeat(delta)))
-        found = {s: windows for s, (windows, _) in zip(probed, results)}
-        simulations = sum(sims for _, sims in results)
     else:
-        ctx = _ProbeContext(circuit, inputs, config, monitored, fault_kind=fault_kind)
-        found = {s: _windows_for_signal(ctx, s, gamma, delta) for s in probed}
-        simulations = ctx.simulations
-    T = config.horizon
-    per_signal = {s: [SensitivityWindow(s, 0.0, T)] if s in monitored else found[s] for s in injected}
-    settle = _settle(circuit, config)
-    return _report(per_signal, monitored, config, settle, gamma, delta, fault_kind, simulations)
+        results = list(map(partial(_signal_windows, ctx), probed, repeat(gamma), repeat(delta)))
+    found = {s: windows for s, (windows, _) in zip(probed, results)}
+    per_signal = {s: [SensitivityWindow(s, 0.0, config.horizon)] if s in full else found[s] for s in injected}
+    return _report(ctx, per_signal, gamma, delta, sum(probes for _, probes in results))
 
 
 def analyze_naive(
@@ -718,9 +719,8 @@ def analyze_naive(
     """Grid-scan reference: one pulse at every multiple of the step, for every
     injection signal.  Exactly |injected| * ceil(T/step) simulations."""
     _require_positive(gamma=gamma, step=step)
-    monitored = sorted(monitored)
-    injected = _resolve_injection(circuit, monitored, injection_set)
     ctx = _ProbeContext(circuit, inputs, config, monitored, fault_kind=fault_kind)
+    injected = _resolve_injection(circuit, ctx.monitored, injection_set)
     T = config.horizon
     npoints = math.ceil(T / step)
     per_signal: dict[str, list[SensitivityWindow]] = {}
@@ -737,7 +737,7 @@ def analyze_naive(
                 start = None
         if start is not None:
             sig_windows.append(SensitivityWindow(s, start, T))
-    return _report(per_signal, monitored, config, ctx.run.settle, gamma, step, fault_kind, ctx.simulations)
+    return _report(ctx, per_signal, gamma, step, ctx.simulations)
 
 
 def check_weights(injected: Sequence[str], weights: Mapping[str, float]) -> float:

@@ -224,6 +224,9 @@ class CircuitInvalid(ValueError):
         self.violations = list(violations)
         super().__init__("; ".join(str(v) for v in self.violations))
 
+    def __reduce__(self):  # from the violations, not the joined text
+        return type(self), (self.violations,)
+
 
 def monitor_violations(circuit: Circuit, monitored: Iterable[str]) -> list[Violation]:
     """One violation per monitored name, in sorted order, that is not a

@@ -246,9 +246,8 @@ class _Run:
 
     A recorded event is the tuple (time, signal id, value, cause).  ``time``
     is where the run stopped: the visit that hit a watched signal or whose
-    ``after_visit`` returned True, the first time at or past the horizon,
-    or the seed's time (-inf without one) when a watched signal starts at
-    X."""
+    ``after_visit`` returned True, or the first time at or past the
+    horizon."""
 
     __slots__ = ("values", "gv", "initial_values", "events", "watch_hit", "time")
 
@@ -282,12 +281,13 @@ def _kernel(
     the same events, and has the same state after each visit, as one run to
     the later horizon.  It only skips the due times of actions canceled
     before the cut, visits at which nothing changes.  The run stops as soon
-    as a ``watch`` signal attains X and is flagged as hit.  At the end of
-    every other visit it calls ``after_visit(t, values, pend, pend_x)`` with
-    the visit's time and the state: the value list, and the due times of
-    the pending Boolean actions by rule id and of the X actions by signal
-    id.  The run stops when the hook returns True.  The hook must not
-    change the state; it copies what it keeps.
+    as a ``watch`` signal changes to X and is flagged as hit; no ``watch``
+    signal may start at X, in the initial values or the seed's.  At the end
+    of every other visit it calls ``after_visit(t, values, pend, pend_x)``
+    with the visit's time and the state: the value list, and the due times
+    of the pending Boolean actions by rule id and of the X actions by signal
+    id.  The run stops when the hook returns True.  The hook must not change
+    the state; it copies what it keeps.
     """
     fns, targets, bvals, delays, labels = comp.fns, comp.targets, comp.bvals, comp.delays, comp.labels
     fan, own, affected = comp.fan, comp.own, comp.affected
@@ -314,9 +314,6 @@ def _kernel(
     if record:
         run.initial_values = values[:]
 
-    if any(values[i] == X for i in watch):
-        run.values, run.gv, run.watch_hit, run.time = values, gv, True, start
-        return run
     watch_hit = False
 
     # inputs and externals are consumed in order, from the first after start

@@ -2,14 +2,22 @@
 
 import gc
 import math
+import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
 import warnings
 import weakref
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
-from faultscope import Circuit, CircuitInvalid, Not, ProductionRule, SignalRef, SimConfig, Value, execute, make_trace
+import faultscope
+from faultscope import Circuit, CircuitInvalid, Not, ProductionRule, SignalRef, SimConfig, Value, analysis, execute, make_trace
 from faultscope.analysis import (
+    FLIP_PULSE,
     Glitch,
     _ProbeContext,
     analyze,
@@ -268,6 +276,158 @@ def test_invalid_circuit_without_rules_rejected_as_execute_does():
         execute(circuit, {}, CFG)
     with pytest.raises(CircuitInvalid):
         analyze(circuit, {}, {"o"}, config=CFG)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The keyword arguments of every process pool an analysis starts."""
+    started = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+def _missing_init():
+    # a library-built chain of two buffers i -> a -> o, with two signals to
+    # probe; o is driven but has no initial value
+    return Circuit(
+        inputs={"i"},
+        locals={"a"},
+        outputs={"o"},
+        initial={"a": Value.ZERO},
+        rules=[
+            ProductionRule(SignalRef("i"), "a", 1, 1.0),
+            ProductionRule(Not(SignalRef("i")), "a", 0, 1.0),
+            ProductionRule(SignalRef("a"), "o", 1, 1.0),
+            ProductionRule(Not(SignalRef("a")), "o", 0, 1.0),
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "case,text",
+    [
+        ("missing-init", "missing-init on o: driven signal has no initial value"),
+        ("unknown-monitor", "unknown-signal on nosuch: monitor names an undeclared signal"),
+    ],
+    ids=["missing-init", "unknown-monitor"],
+)
+def test_query_errors_are_the_same_for_every_jobs(pools, case, text):
+    """An invalid query raises in the caller, before any pool starts, with
+    the one CircuitInvalid, text and violations, for every jobs."""
+    if case == "missing-init":
+        circuit, inputs, monitored = _missing_init(), {"i": make_trace(Value.ZERO, horizon=32.0)}, {"o"}
+    else:
+        circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+        inputs, monitored = {}, monitored | {"nosuch"}
+    errors = []
+    for jobs in (1, 2):
+        with pytest.raises(CircuitInvalid) as info:
+            analyze(circuit, inputs, monitored, config=CFG, jobs=jobs)
+        errors.append((str(info.value), info.value.violations))
+    assert errors[0] == errors[1] and errors[0][0] == text
+    assert pools == []
+
+
+@pytest.mark.parametrize("jobs", [2.0, 1.5, "2", None])
+def test_analyze_rejects_jobs_that_is_not_an_integer(pools, jobs):
+    """A jobs that is not an integer fails before any work starts: no pool
+    and no fault-free run."""
+    circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+    with pytest.raises(ValueError, match="jobs must be an integer"):
+        analyze(circuit, {}, monitored, config=CFG, jobs=jobs)
+    assert pools == [] and "_fault_free_run" not in vars(circuit)
+
+
+def test_unknown_injection_signal_rejected(pipeline):
+    circuit, monitored = pipeline
+    for run in (analyze, analyze_naive):
+        with pytest.raises(ValueError, match="injection signals not in circuit: nosuch$"):
+            run(circuit, {}, monitored, config=CFG, injection_set={"c2", "nosuch"})
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers share the run only under fork")
+def test_fork_workers_share_the_callers_run(pools, monkeypatch, tmp_path):
+    """With jobs=3 the caller builds the query's fault-free run before the
+    pool starts, and fork-started workers read it: one run is built in all
+    the processes together, not one per worker."""
+    log = tmp_path / "runs"
+    build = analysis._FaultFreeRun.__init__
+
+    def logged(self, *args):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        build(self, *args)
+
+    monkeypatch.setattr(analysis._FaultFreeRun, "__init__", logged)
+    circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+    report = analyze(circuit, {}, monitored, 0.1, 0.01, CFG, jobs=3)
+    assert len(pools) == 1 and log.read_text().split() == [str(os.getpid())]
+    assert report.p_fail == P_FAIL_3STAGE_T32
+
+
+SPAWN_SCRIPT = """
+import multiprocessing
+import warnings
+from concurrent.futures import ProcessPoolExecutor
+
+from faultscope import SimConfig, analysis
+from faultscope.generators import PipelineSpec, linear_pipeline
+from faultscope.netlist import write_report
+
+pools = []
+
+
+class CountingPool(ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        pools.append(multiprocessing.get_start_method())
+        super().__init__(*args, **kwargs)
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    analysis.ProcessPoolExecutor = CountingPool
+    warnings.simplefilter("ignore")
+    circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+    config = SimConfig(32.0, 0.1)
+    reports = [write_report(analysis.analyze(circuit, {}, monitored, 0.1, 0.01, config, jobs=jobs)) for jobs in (1, 2)]
+    print(pools, reports[0] == reports[1])
+"""
+
+
+def test_spawn_workers_write_the_serial_report():
+    """Spawn-started workers get the circuit pickled, without its run, and
+    rebuild the run; the report they help write is the serial one, byte
+    for byte."""
+    src = str(Path(faultscope.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", SPAWN_SCRIPT], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert done.stdout.split("\n")[0] == "['spawn'] True"
+
+
+def test_flip_pulses_probe_the_monitored_signals():
+    """Under flip-pulses a monitored signal in the injection set is probed
+    like any other, as a flip on it need not drive a monitored signal to X:
+    its windows hold no masked grid pulse, and flips on c1 at 9 and 20 are
+    masked."""
+    circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+    report = analyze(circuit, {}, monitored, 0.1, 0.01, CFG, injection_set=circuit.signals, fault_kind=FLIP_PULSE)
+    assert report.p_per_signal["c1"] == pytest.approx(0.99937, abs=1e-5)
+    assert report.p_per_signal["c3"] == pytest.approx(0.75254, abs=1e-5)
+    for w in report.windows:
+        if w.signal in monitored:
+            grid = [k * 0.25 for k in range(128) if w.start <= k * 0.25 < w.end]
+            for at in grid:
+                assert is_susceptible(circuit, {}, monitored, Glitch(w.signal, at, 0.1, FLIP_PULSE), CFG), (w, at)
+    for at in (9.0, 20.0):
+        assert not is_susceptible(circuit, {}, monitored, Glitch("c1", at, 0.1, FLIP_PULSE), CFG)
 
 
 def test_unknown_pulse_kind_rejected_without_probes(pipeline):

@@ -1,10 +1,13 @@
 """Circuit validation and signal traces."""
 
+import pickle
+
 import pytest
 
 from faultscope import (
     And,
     Circuit,
+    CircuitInvalid,
     Not,
     ProductionRule,
     SignalRef,
@@ -13,6 +16,7 @@ from faultscope import (
     trace_value_at,
     validate_circuit,
 )
+from faultscope.prs import check_input_traces
 
 
 def inverter():
@@ -95,6 +99,17 @@ def test_missing_and_extra_initials():
     )
     kinds = {v.kind for v in validate_circuit(c)}
     assert "missing-init" in kinds and "extra-init" in kinds
+
+
+def test_circuit_invalid_survives_pickling():
+    """A CircuitInvalid crossing a process boundary keeps its violations,
+    and so its text."""
+    missing_init = Circuit(inputs={"i"}, locals=set(), outputs={"o"}, initial={}, rules=inverter().rules)
+    for violations in (["a b"], validate_circuit(missing_init)):
+        err = pickle.loads(pickle.dumps(CircuitInvalid(violations)))
+        assert type(err) is CircuitInvalid
+        assert err.violations == violations and str(err) == str(CircuitInvalid(violations))
+    assert str(err) == "missing-init on o: driven signal has no initial value"
 
 
 def test_duplicate_up_rule():
@@ -200,3 +215,18 @@ def test_trace_consistency_with_transition_list():
         assert trace_value_at(tr, t) is v
         assert trace_value_at(tr, t - 1e-9) is prev
         prev = v
+
+
+def test_trace_transition_past_its_horizon_rejected():
+    with pytest.raises(ValueError, match="transition at 5.0 beyond horizon 4.0"):
+        make_trace(Value.ZERO, [(1.0, Value.ONE), (5.0, Value.ZERO)], horizon=4.0)
+
+
+def test_input_traces_checked_against_the_circuit():
+    circuit = inverter()
+    trace = make_trace(Value.ZERO, horizon=4.0)
+    check_input_traces(circuit, {"i": trace}, 4.0)
+    with pytest.raises(ValueError, match="traces given for non-input signals: o"):
+        check_input_traces(circuit, {"i": trace, "o": trace}, 4.0)
+    with pytest.raises(ValueError, match="input trace for 'i' ends at 4.0, before horizon 6.0"):
+        check_input_traces(circuit, {"i": trace}, 6.0)
