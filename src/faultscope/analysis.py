@@ -2,36 +2,34 @@
 
 A transient fault is an X-pulse: a pair of external events driving a signal to
 X and, a pulse width later, back to its fault-free value (``_pulse_rule`` is
-the one rule for X- and flip-pulses).  The circuit is susceptible to a fault if the
-fault makes a monitored signal attain X before T + settle, where T is the
-horizon and settle = |C|·max(ε, d_max) gives a fault near T time to cross the
-circuit.  Every verdict (``is_susceptible``, ``analyze``, ``analyze_naive``)
-comes from ``_ProbeContext.probe``, an overlay on the fault-free execution
-prefix of the circuit, its inputs and (T, ε).  That run (``_FaultFreeRun``)
-is set up and checked as ``execute`` is, so the analyses reject what
-``execute`` rejects.  It is made once per (circuit, inputs, config) and kept
-on the circuit (``_fault_free_run``), so every query, analysis and
-``faulty_execution`` on the same circuit, inputs and config reads the same
-run, and only the first pays for it.  It keeps a snapshot per visit and goes
-no further than the visit at which it starts to repeat: with integer delays
-and inputs that have stopped switching, the run becomes periodic, and every
-later time is read folded into the stretch that repeats, moved back by whole
-periods (``_FaultFreeRun.fold``).  The fold is exact, as the periods are
-integers and times stay below 2**52.  So on a periodic circuit a run costs
-the same at any T.
+the one rule for X- and flip-pulses).  The circuit is susceptible to a fault if
+it makes a monitored signal attain X before T + settle, where T is the horizon
+and settle = |C|·max(ε, d_max) gives a fault near T time to cross the circuit.
+Every verdict (``is_susceptible``, ``analyze``, ``analyze_naive``) comes from
+``_ProbeContext.probe``, an overlay on the fault-free run of the circuit, its
+inputs and (T, ε) (``_FaultFreeRun``).  That run is set up and checked as
+``execute`` is, made once per (circuit, inputs, config) and kept on the
+circuit (``_fault_free_run``), so only the first query on them pays for it.
+It keeps a snapshot per visit and stops at the visit where it starts to
+repeat: with integer delays and inputs that have stopped switching, the run
+becomes periodic, and a later time is read folded back by whole periods into
+the stretch that repeats (``_FaultFreeRun.fold``), exactly, as the periods
+are integers and times stay below 2**52.  So a periodic run costs the same
+at any T.
 
-Susceptible times are located per value region of the fault-free execution
-(the interval between two consecutive value-switching times).  The
-bisection (``_locate_window``) assumes that within a region the susceptible
-times form a postfix, or, when the region start is susceptible and its end
-masked, a prefix; from the two ends and one bisection it finds the boundary
-to the resolution δ, far cheaper than scanning a time grid.  The assumption
-can fail: a susceptible stretch inside a region with both ends masked is
-missed (ROADMAP item 4, pinned as an expected failure in the tests).  On a
-run that repeats, only the regions up to one period past t1 are bisected
-with real probes: a later region folds onto an earlier one, and its
-bisection replays the earlier verdicts (``_windows_for_signal``).  The grid
-scan is kept as ``analyze_naive`` and doubles as the test oracle.
+An analysis query has one lifecycle in the calling process, for every
+``jobs``: it is checked in full before the first kernel run, then run, then
+reported in full.  Susceptible times are located per value region of the
+fault-free run (between two consecutive value-switching times).  The
+bisection (``_locate_window``) assumes that within a region they form a
+postfix, or, when the region start is susceptible and its end masked, a
+prefix, which the caller reports as a ``PostfixViolationWarning``; from the
+two ends and one bisection it finds the boundary to the resolution δ, far
+cheaper than a time grid.  A susceptible stretch inside a region with both
+ends masked is missed (ROADMAP item 4, pinned as an expected failure in the
+tests).  On a run that repeats, a region more than one period past t1
+replays the verdicts of the region it folds onto (``_windows_for_signal``).
+The grid scan is kept as ``analyze_naive`` and doubles as the test oracle.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .prs import Circuit, CircuitInvalid, InputTraces, Value, monitor_violations, trace_value_at
-from .sim import X, Execution, ExternalEvent, SimConfig, _kernel, _Seed, _setup_run, execute
+from .sim import X, Execution, ExternalEvent, SimConfig, _compiled, _kernel, _Seed, _setup_run, execute
 
 DEFAULT_EPSILON = 0.1
 DEFAULT_GAMMA = 0.1
@@ -158,7 +156,9 @@ def make_transient(
         raise ValueError(f"pulse start must be nonnegative and finite, got {at}")
     if not 0 < width < math.inf:
         raise ValueError(f"pulse width must be positive and finite, got {width}")
-    trace = base_execution.traces[signal]
+    trace = base_execution.traces.get(signal)
+    if trace is None:
+        raise ValueError(f"pulse signal {signal!r} not in execution")
     end = at + width
     rule = _pulse_rule(kind)
     drive, restore = rule(signal, at, end, lambda t: trace_value_at(trace, t).value, trace.horizon)
@@ -177,8 +177,7 @@ def is_susceptible(
     The verdict is the one ``analyze`` finds for the same pulse.
     """
     _check_glitch(circuit, glitch, config)
-    ctx = _ProbeContext(circuit, inputs, config, monitored, fault_kind=glitch.kind)
-    return ctx.probe(glitch.signal, glitch.at, glitch.width)
+    return _ProbeContext(circuit, inputs, config, monitored, glitch.kind).probe(glitch.signal, glitch.at, glitch.width)
 
 
 def _check_glitch(circuit: Circuit, glitch: Glitch, config: SimConfig) -> None:
@@ -413,8 +412,8 @@ class _ProbeContext:
     """The one owner of an analysis query: the monitored set, the pulse rule
     and the probe count, over the fault-free run ``run``
     (``_fault_free_run``) of the circuit, inputs and config.  Building it
-    checks all of them, so every analysis builds it first, in the caller.
-    It holds no circuit and runs no fault-free kernel itself.
+    checks all of them, the monitored names before the run is built, so an
+    analysis builds it in the caller.  It holds no circuit.
 
     When the fault-free run itself drives a monitored signal to X before
     T + settle (``base_mon_x``), every pulse is susceptible and no probe
@@ -436,12 +435,12 @@ class _ProbeContext:
         self.monitored = sorted(monitored)
         if not self.monitored:
             raise ValueError("monitored set must not be empty")
-        self.fault_kind = fault_kind
-        self.pulse_rule = _pulse_rule(fault_kind)
-        run = self.run = _fault_free_run(circuit, inputs, config)
+        self.fault_kind, self.pulse_rule = fault_kind, _pulse_rule(fault_kind)
         unknown = monitor_violations(circuit, self.monitored)
         if unknown:
+            _compiled(circuit)  # an invalid circuit raises its own violations
             raise CircuitInvalid(unknown)
+        run = self.run = _fault_free_run(circuit, inputs, config)
         self.mon_ids = frozenset(run.comp.idx[m] for m in self.monitored)
         self.base_mon_x = not self.mon_ids.isdisjoint(run.x_ids)
         self.simulations = 0
@@ -544,10 +543,10 @@ class _Verdicts:
         return sus
 
 
-def _windows_for_signal(
-    ctx: _ProbeContext, signal: str, gamma: float, delta: float
-) -> list[SensitivityWindow]:
-    """The windows of one signal, one value region at a time.
+def _windows_for_signal(ctx: _ProbeContext, signal: str, gamma: float, delta: float):
+    """The windows of one signal, one value region at a time, the number of
+    real probes they took and the prefix-shaped regions (``_locate_window``).
+    Probing is its only effect, so any process may run it for the caller.
 
     A region that starts past t2, except the last, which T may cut, is the
     region k·p earlier shifted by k·p, with k·p = ``fold(start)``: the
@@ -565,7 +564,7 @@ def _windows_for_signal(
     """
     run = ctx.run
     regions = run.regions
-    out: list[SensitivityWindow] = []
+    windows, prefixes = [], []  # SensitivityWindows, ValueRegions
     used: dict[float, _Verdicts] = {}  # per region, by start
     for region in regions:
         replay: Sequence[bool] = ()
@@ -578,19 +577,10 @@ def _windows_for_signal(
         probe = used[region.start] = _Verdicts(ctx, signal, gamma, replay)
         start, end = _locate_window(probe, region, gamma, delta)
         if end < region.end:  # a prefix: see _locate_window
-            warnings.warn(
-                f"susceptible times in region [{region.start}, {region.end}) at {signal} do not form a postfix",
-                PostfixViolationWarning,
-            )
+            prefixes.append(region)
         if start < end:
-            out.append(SensitivityWindow(signal, start, end))
-    return out
-
-
-def _signal_windows(ctx: _ProbeContext, signal: str, gamma: float, delta: float):
-    """Windows of one signal, and the number of probes they took."""
-    before = ctx.simulations
-    return _windows_for_signal(ctx, signal, gamma, delta), ctx.simulations - before
+            windows.append(SensitivityWindow(signal, start, end))
+    return windows, sum(len(v.verdicts) for v in used.values()), prefixes
 
 
 # a pool worker's probe context: a worker started by fork inherits the
@@ -604,7 +594,7 @@ def _init_worker(ctx_args: tuple) -> None:
 
 
 def _worker_windows(signal: str, gamma: float, delta: float):
-    return _signal_windows(_worker_ctx, signal, gamma, delta)
+    return _windows_for_signal(_worker_ctx, signal, gamma, delta)
 
 
 # --- full analyses ----------------------------------------------------------------
@@ -617,13 +607,12 @@ def _require_positive(**params: float) -> None:
 
 
 def _resolve_injection(circuit, monitored, injection_set):
-    if injection_set is not None:
-        injected = sorted(injection_set)
-        unknown = [s for s in injected if s not in circuit.signals]
-        if unknown:
-            raise ValueError(f"injection signals not in circuit: {', '.join(unknown)}")
-        return injected
-    return sorted(circuit.signals - frozenset(monitored))
+    injected = sorted(circuit.signals.difference(monitored) if injection_set is None else injection_set)
+    unknown = sorted(set(injected) - circuit.signals)
+    if unknown:
+        _compiled(circuit)  # an invalid circuit raises its own violations
+        raise ValueError(f"injection signals not in circuit: {', '.join(unknown)}")
+    return injected
 
 
 def _report(
@@ -679,19 +668,23 @@ def analyze(
     The injection set defaults to every signal except the monitored ones.
     Under X-pulses a monitored signal in the injection set is susceptible at
     every time by definition (the pulse itself drives it to X), so it gets a
-    full window without probing; under flip-pulses it is probed.  The query
-    is built and checked in the caller for every ``jobs``, rejecting what
-    ``execute`` rejects, gamma <= 0, delta <= 0 and a ``jobs`` that is not
-    an integer >= 1.  With ``jobs > 1`` the signals are then bisected on a
-    process pool, one signal per task and one probe context per worker (a
-    fork-started worker shares the caller's fault-free run); the report is
-    the same.
+    full window without probing; under flip-pulses it is probed.
+
+    For every ``jobs`` the caller checks the whole query before the first
+    kernel run (what ``execute`` rejects, unknown monitored or injection
+    signals, gamma or delta <= 0, a ``jobs`` that is not an integer >= 1),
+    bisects the signals, one per task on a pool of ``jobs`` processes when
+    ``jobs > 1`` (a fork-started worker shares the caller's fault-free run),
+    and then warns once per prefix-shaped region, in injection and region
+    order (``PostfixViolationWarning``): report and warnings are the same
+    for every ``jobs``.
     """
-    if not isinstance(jobs, int):
+    if isinstance(jobs, bool) or not isinstance(jobs, int):
         raise ValueError(f"jobs must be an integer, got {jobs!r}")
     _require_positive(gamma=gamma, delta=delta, jobs=jobs)
+    monitored = sorted(monitored)
+    injected = _resolve_injection(circuit, monitored, injection_set)
     ctx = _ProbeContext(circuit, inputs, config, monitored, fault_kind=fault_kind)
-    injected = _resolve_injection(circuit, ctx.monitored, injection_set)
     full = ctx.monitored if fault_kind == X_PULSE else ()
     probed = [s for s in injected if s not in full]
     workers = min(jobs, len(probed))
@@ -700,10 +693,14 @@ def analyze(
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(ctx_args,)) as pool:
             results = list(pool.map(_worker_windows, probed, repeat(gamma), repeat(delta)))
     else:
-        results = list(map(partial(_signal_windows, ctx), probed, repeat(gamma), repeat(delta)))
-    found = {s: windows for s, (windows, _) in zip(probed, results)}
+        results = list(map(partial(_windows_for_signal, ctx), probed, repeat(gamma), repeat(delta)))
+    found = {s: windows for s, (windows, _, _) in zip(probed, results)}
     per_signal = {s: [SensitivityWindow(s, 0.0, config.horizon)] if s in full else found[s] for s in injected}
-    return _report(ctx, per_signal, gamma, delta, sum(probes for _, probes in results))
+    for s, (_, _, prefixes) in zip(probed, results):
+        for r in prefixes:
+            message = f"susceptible times in region [{r.start}, {r.end}) at {s} do not form a postfix"
+            warnings.warn(message, PostfixViolationWarning)
+    return _report(ctx, per_signal, gamma, delta, sum(probes for _, probes, _ in results))
 
 
 def analyze_naive(
@@ -719,8 +716,9 @@ def analyze_naive(
     """Grid-scan reference: one pulse at every multiple of the step, for every
     injection signal.  Exactly |injected| * ceil(T/step) simulations."""
     _require_positive(gamma=gamma, step=step)
+    monitored = sorted(monitored)
+    injected = _resolve_injection(circuit, monitored, injection_set)
     ctx = _ProbeContext(circuit, inputs, config, monitored, fault_kind=fault_kind)
-    injected = _resolve_injection(circuit, ctx.monitored, injection_set)
     T = config.horizon
     npoints = math.ceil(T / step)
     per_signal: dict[str, list[SensitivityWindow]] = {}

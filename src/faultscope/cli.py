@@ -340,8 +340,11 @@ def cmd_sweep(args) -> int:
         }
     else:
         raise UsageError("sweep needs --spec FILE, or --generator plus at least one --sweep")
-    if not 1 <= len(spec["sweeps"]) <= 2:
+    names = [s["name"] for s in spec["sweeps"]]
+    if not 1 <= len(names) <= 2:
         raise UsageError("sweep needs one or two swept parameters")
+    if len(set(names)) < len(names):
+        raise UsageError(f"sweep parameter {names[0]!r} is swept twice")
     for sweep in spec["sweeps"]:
         if not sweep["values"]:
             raise UsageError(f"sweep {sweep['name']!r} has no values")
@@ -353,7 +356,6 @@ def cmd_sweep(args) -> int:
     gamma = spec.get("gamma", args.gamma)
     delta = spec.get("delta", args.delta)
 
-    names = [s["name"] for s in spec["sweeps"]]
     points = list(itertools.product(*(s["values"] for s in spec["sweeps"])))
     # every point's parameters are checked before the first analysis runs
     specs = [_generator_spec(kind, {**spec["params"], **dict(zip(names, point))}) for point in points]

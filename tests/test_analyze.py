@@ -334,7 +334,7 @@ def test_query_errors_are_the_same_for_every_jobs(pools, case, text):
     assert pools == []
 
 
-@pytest.mark.parametrize("jobs", [2.0, 1.5, "2", None])
+@pytest.mark.parametrize("jobs", [2.0, 1.5, "2", None, True])
 def test_analyze_rejects_jobs_that_is_not_an_integer(pools, jobs):
     """A jobs that is not an integer fails before any work starts: no pool
     and no fault-free run."""
@@ -349,6 +349,91 @@ def test_unknown_injection_signal_rejected(pipeline):
     for run in (analyze, analyze_naive):
         with pytest.raises(ValueError, match="injection signals not in circuit: nosuch$"):
             run(circuit, {}, monitored, config=CFG, injection_set={"c2", "nosuch"})
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The number of kernel runs the analyses start."""
+    runs = []
+    kernel = analysis._kernel
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_kernel", counted)
+    return runs
+
+
+UNKNOWN_MONITOR = (CircuitInvalid, "unknown-signal on nosuch: monitor names an undeclared signal")
+UNKNOWN_INJECTION = (ValueError, "injection signals not in circuit: nosuch")
+
+
+@pytest.mark.parametrize(
+    "query,error,text",
+    [
+        (lambda c, m: is_susceptible(c, {}, m | {"nosuch"}, Glitch("c2", 10.0, 0.1), CFG), *UNKNOWN_MONITOR),
+        (lambda c, m: analyze(c, {}, m | {"nosuch"}, config=CFG), *UNKNOWN_MONITOR),
+        (lambda c, m: analyze_naive(c, {}, m | {"nosuch"}, config=CFG), *UNKNOWN_MONITOR),
+        (lambda c, m: analyze(c, {}, m, config=CFG, injection_set={"nosuch"}), *UNKNOWN_INJECTION),
+        (lambda c, m: analyze_naive(c, {}, m, config=CFG, injection_set={"nosuch"}), *UNKNOWN_INJECTION),
+    ],
+    ids=["is_susceptible-monitor", "analyze-monitor", "analyze_naive-monitor", "analyze-injection", "analyze_naive-injection"],
+)
+def test_unknown_signal_rejected_before_any_kernel_run(kernel_runs, query, error, text):
+    """An unknown monitored or injection signal is rejected before the
+    fault-free run is built; it used to cost one fault-free kernel run."""
+    circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+    with pytest.raises(error) as info:
+        query(circuit, monitored)
+    assert type(info.value) is error and str(info.value) == text
+    assert kernel_runs == [] and "_fault_free_run" not in vars(circuit)
+
+
+def test_invalid_circuit_raises_its_own_violations_before_unknown_signals(kernel_runs):
+    circuit, inputs = _missing_init(), {"i": make_trace(Value.ZERO, horizon=32.0)}
+    for query in (
+        lambda: analyze(circuit, inputs, {"o", "nosuch"}, config=CFG),
+        lambda: analyze(circuit, inputs, {"o"}, config=CFG, injection_set={"nosuch"}),
+        lambda: is_susceptible(circuit, inputs, {"nosuch"}, Glitch("a", 1.0, 0.1), CFG),
+    ):
+        with pytest.raises(CircuitInvalid, match="^missing-init on o: driven signal has no initial value$"):
+            query()
+    assert kernel_runs == []
+
+
+def test_monitored_may_be_a_one_shot_iterable(pipeline):
+    circuit, monitored = pipeline
+    report = analyze(circuit, {}, iter(sorted(monitored)), config=CFG)
+    assert report.monitored == tuple(sorted(monitored)) and report.p_fail == P_FAIL_3STAGE_T32
+    naive = analyze_naive(circuit, {}, iter(sorted(monitored)), step=1.0, config=CFG)
+    assert naive.injected == report.injected
+
+
+# the prefix-shaped regions of linear-3 (γ=0.1): at T=100 the run repeats
+# from t2=35 on, so the regions from [41, 42) on replay [30, 31)'s verdicts
+PREFIX_REGIONS = {
+    (32.0, 0.01): [(19.0, 20.0), (30.0, 31.0)],
+    (100.0, 0.05): [(t, t + 1.0) for t in (19.0, 30.0, 41.0, 52.0, 63.0, 74.0, 85.0, 96.0)],
+}
+
+
+@pytest.mark.parametrize("horizon,delta", sorted(PREFIX_REGIONS))
+def test_postfix_warnings_are_the_same_for_every_jobs(horizon, delta):
+    """Every jobs warns in the caller, once per prefix-shaped region, in
+    injection and then region order; a pool used to lose them all."""
+    circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+    messages = []
+    for jobs in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            analyze(circuit, {}, monitored, 0.1, delta, SimConfig(horizon, 0.1), jobs=jobs)
+        assert all(w.category is analysis.PostfixViolationWarning for w in caught)
+        messages.append([str(w.message) for w in caught])
+    expected = [
+        f"susceptible times in region [{a}, {b}) at c2 do not form a postfix" for a, b in PREFIX_REGIONS[horizon, delta]
+    ]
+    assert messages == [expected, expected]
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers share the run only under fork")

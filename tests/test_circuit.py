@@ -1,6 +1,7 @@
 """Circuit validation and signal traces."""
 
 import pickle
+import re
 
 import pytest
 
@@ -11,7 +12,9 @@ from faultscope import (
     Not,
     ProductionRule,
     SignalRef,
+    SimConfig,
     Value,
+    execute,
     make_trace,
     trace_value_at,
     validate_circuit,
@@ -110,6 +113,30 @@ def test_circuit_invalid_survives_pickling():
         assert type(err) is CircuitInvalid
         assert err.violations == violations and str(err) == str(CircuitInvalid(violations))
     assert str(err) == "missing-init on o: driven signal has no initial value"
+
+
+@pytest.mark.parametrize(
+    "case,text",
+    [
+        ("bad-name", "bad-name on o-1: signal names must match [A-Za-z_][A-Za-z0-9_.]*"),
+        ("bad-action", "bad-action on o: action value must be 0 or 1: i -> o = 2 [1.0]"),
+        ("unknown-signal", "unknown-signal on ghost: guard references undeclared signal in: ghost -> o = 1 [1.0]"),
+    ],
+    ids=["bad-name", "bad-action", "unknown-signal"],
+)
+def test_library_built_circuit_violations(case, text):
+    """Each violation on a circuit built in code, with its text."""
+    out, guard, value = "o", SignalRef("i"), 1
+    if case == "bad-name":
+        out = "o-1"
+    elif case == "bad-action":
+        value = 2
+    else:
+        guard = SignalRef("ghost")
+    c = Circuit(inputs={"i"}, locals=set(), outputs={out}, initial={out: Value.ZERO}, rules=[ProductionRule(guard, out, value, 1.0)])
+    assert [str(v) for v in validate_circuit(c)] == [text]
+    with pytest.raises(CircuitInvalid, match="^" + re.escape(text) + "$"):
+        execute(c, {"i": make_trace(Value.ZERO, horizon=1.0)}, SimConfig(1.0, 0.1))
 
 
 def test_duplicate_up_rule():

@@ -601,6 +601,59 @@ def test_sweep_count_checked_for_spec_file(tmp_path, capsys):
     assert code == 1 and "one or two swept parameters" in err
 
 
+def test_sweeping_a_parameter_twice_is_usage_error(tmp_path, capsys):
+    """Two sweeps of one parameter used to print a header naming it twice
+    and rows whose first value was overridden by the second."""
+    spec = tmp_path / "twice.spec"
+    spec.write_text("generator = ring\nstages = 6\n[sweep.tokens]\nvalues = 1 2\n[sweep.tokens]\nvalues = 1 2\n")
+    flags = ["--generator", "ring", "--set", "stages=6", "--sweep", "tokens=1,2", "--sweep", "tokens=1,2"]
+    for argv in (flags, ["--spec", str(spec)]):
+        code, out, err = run(capsys, "sweep", *argv, "--until", "20")
+        assert (code, out, err) == (1, "", "error: sweep parameter 'tokens' is swept twice\n"), argv
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("generator = linear\n[sweep stages]\n", "line 2: expected [sweep.<param>] section"),
+        ("generator = linear\nstages 3\n", "line 2: expected key = value"),
+        ("generator = linear\n[sweep.stages]\nvalue = 1 2\n", "line 3: unknown sweep key 'value'"),
+        ("generator = linear\n[sweep.stages]\nfrom = 1\nto = 3\n", "sweep 'stages' needs values or from/to/step"),
+        ("stages = 3\n[sweep.T]\nvalues = 10\n", "sweep spec needs a generator"),
+    ],
+    ids=["section", "no-equals", "sweep-key", "no-values", "no-generator"],
+)
+def test_sweep_spec_errors(tmp_path, capsys, text, message):
+    from faultscope.cli import parse_sweep_spec
+
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        parse_sweep_spec(text)
+    spec = tmp_path / "bad.spec"
+    spec.write_text(text)
+    assert run(capsys, "sweep", "--spec", str(spec)) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--generator", "linear"], "sweep needs --spec FILE, or --generator plus at least one --sweep"),
+        (["--generator", "linear", "--set", "nosuch=1", "--sweep", "stages=3"],
+         "unknown linear parameter 'nosuch' (expected stages, inv_delay, mce_delay, source_delay, sink_delay)"),
+        (["--generator", "linear", "--sweep", "stages=1:3:0"], "sweep step must be positive in 1:3:0"),
+        (["--generator", "linear", "--sweep", "stages=3:1:-1"], "sweep step must be positive in 3:1:-1"),
+    ],
+    ids=["no-source", "unknown-parameter", "zero-step", "negative-step"],
+)
+def test_sweep_usage_errors(capsys, argv, message):
+    assert run(capsys, "sweep", *argv, "--until", "10") == (1, "", f"error: {message}\n")
+
+
+def test_sweep_unknown_generator_is_usage_error(tmp_path, capsys):
+    spec = tmp_path / "gen.spec"
+    spec.write_text("generator = nosuch\n[sweep.stages]\nvalues = 3\n")
+    assert run(capsys, "sweep", "--spec", str(spec)) == (1, "", "error: unknown generator 'nosuch'\n")
+
+
 @pytest.mark.parametrize("bound", ["inf", "nan"])
 def test_non_finite_range_exits_3(tmp_path, capsys, bound):
     code, _, err = run(capsys, "sweep", "--generator", "linear", "--sweep", f"stages=1:{bound}:1", "--until", "10")

@@ -71,6 +71,12 @@ def test_bad_pulse_parameters(base):
         make_transient("c2", 1.0, 0.1, "zap", base)
 
 
+def test_transient_on_unknown_signal_rejected(base):
+    # used to raise a bare KeyError: 'nosuch'
+    with pytest.raises(ValueError, match="^pulse signal 'nosuch' not in execution$"):
+        make_transient("nosuch", 1.0, 0.1, X_PULSE, base)
+
+
 def test_susceptible_at_10(pipeline):
     circuit, monitored = pipeline
     assert is_susceptible(circuit, {}, monitored, Glitch("c2", 10.0, 0.1), CFG)

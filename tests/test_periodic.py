@@ -52,7 +52,7 @@ def _check_replay_equals_bisection(circuit, monitored, T):
     replayed = _ProbeContext(circuit, {}, cfg, monitored)
     real = _ProbeContext(circuit, {}, cfg, monitored)
     for signal in sorted(circuit.signals - monitored):
-        assert _windows_for_signal(replayed, signal, GAMMA, DELTA) == _bisected(real, signal), signal
+        assert _windows_for_signal(replayed, signal, GAMMA, DELTA)[0] == _bisected(real, signal), signal
     return replayed.simulations, real.simulations
 
 
@@ -132,7 +132,7 @@ def test_last_region_is_bisected_for_real(make, T):
     probed, real_probed = _recording(ctx), _recording(real)
     for signal in sorted(circuit.signals - monitored):
         probed.clear(), real_probed.clear()
-        windows = _windows_for_signal(ctx, signal, GAMMA, DELTA)
+        windows, _, _ = _windows_for_signal(ctx, signal, GAMMA, DELTA)
         start, end = _locate_window(lambda at: real.probe(signal, at, GAMMA), last, GAMMA, DELTA)
         assert [at for at in probed if at >= last.start] == real_probed, signal
         expected = [SensitivityWindow(signal, start, end)] if start < end else []
@@ -198,7 +198,7 @@ def test_late_hit_in_source_bisects_for_real(hit, replays):
     # T + settle - k·p = 25 - 10 = 15: a source hit at or after it may not
     # come before T + settle once shifted
     ctx = _ScriptedContext(hit)
-    first, second = _windows_for_signal(ctx, "s", GAMMA, DELTA)
+    first, second = _windows_for_signal(ctx, "s", GAMMA, DELTA)[0]
     assert abs(first.start - 5.0) <= DELTA and first.end == 10.0
     assert abs(second.start - 15.0) <= DELTA and second.end == 20.0
     in_source = sum(1 for at in ctx.probed if at < 10.0)
@@ -212,7 +212,7 @@ def test_masked_source_always_replays():
     # the second region replays the masked first one; the last region,
     # which T cuts, is probed for real although fold gives it a source
     ctx = _ScriptedContext(lambda at: math.inf, susceptible=False)
-    assert _windows_for_signal(ctx, "s", GAMMA, DELTA) == []
+    assert _windows_for_signal(ctx, "s", GAMMA, DELTA)[0] == []
     assert ctx.probed == [0.0, 9.9, 20.0, 24.9]
 
 
