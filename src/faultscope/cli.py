@@ -36,8 +36,8 @@ DEFAULT_GAMMA = analysis.DEFAULT_GAMMA
 DEFAULT_DELTA = analysis.DEFAULT_DELTA
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A usage error, or a parse error of a sweep spec file: exit 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -210,6 +210,15 @@ def _int_param(kind: str, name: str, value) -> int:
     return int(exact)
 
 
+def _float_param(kind: str, name: str, value) -> float:
+    """A ``float`` generator parameter; text that is not a number is a usage
+    error."""
+    try:
+        return float(value)
+    except ValueError:
+        raise UsageError(f"{kind} parameter {name!r} must be a number, got {value}") from None
+
+
 def _generator_spec(kind: str, params: dict):
     """The generator spec built from params, each converted to its field's
     type."""
@@ -219,7 +228,7 @@ def _generator_spec(kind: str, params: dict):
     for name, value in params.items():
         if name not in fields:
             raise UsageError(f"unknown {kind} parameter {name!r} (expected {', '.join(fields)})")
-        kwargs[name] = _int_param(kind, name, value) if types[name] is int else types[name](value)
+        kwargs[name] = (_int_param if types[name] is int else _float_param)(kind, name, value)
     return spec_cls(**kwargs)
 
 
@@ -240,11 +249,19 @@ def cmd_generate(args) -> int:
 # --- sweep ------------------------------------------------------------------------
 
 
+def _number(text: str) -> float:
+    """A number of a sweep: the literals float() accepts, so no "1/2"."""
+    try:
+        return float(text)
+    except ValueError:
+        raise UsageError(f"expected a number, got {text.strip()!r}") from None
+
+
 def _sweep_range(lo: str, to: str, step: str) -> list[float]:
     """lo, lo + step, ... up to and including ``to``.  Each point is computed
     exactly from the decimal texts and rounded to float once."""
     for text in (lo, to, step):
-        float(text)  # the literals float() accepts: no "1/2"
+        _number(text)
     lo_q, to_q, step_q = Fraction(lo), Fraction(to), Fraction(step)  # no inf or nan
     if step_q <= 0:
         raise UsageError(f"sweep step must be positive in {lo}:{to}:{step}")
@@ -256,9 +273,11 @@ def _parse_sweep_values(text: str) -> list[float]:
     """``FROM:TO:STEP`` or a list separated by commas or spaces."""
     text = text.strip()
     if ":" in text:
-        lo, to, step = text.split(":")
-        return _sweep_range(lo, to, step)
-    return [float(p) for p in text.replace(",", " ").split()]
+        bounds = text.split(":")
+        if len(bounds) != 3:
+            raise UsageError(f"expected FROM:TO:STEP, got {text!r}")
+        return _sweep_range(*bounds)
+    return [_number(p) for p in text.replace(",", " ").split()]
 
 
 def parse_sweep_spec(text: str) -> dict:
@@ -277,34 +296,38 @@ def parse_sweep_spec(text: str) -> dict:
             continue
         if line.startswith("["):
             if not (line.endswith("]") and line.startswith("[sweep.")):
-                raise ValueError(f"line {lineno}: expected [sweep.<param>] section")
+                raise UsageError(f"line {lineno}: expected [sweep.<param>] section")
             section = {"name": line[len("[sweep."):-1], "values": None}
             spec["sweeps"].append(section)
             ranges.append({})
             continue
         if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key = value")
+            raise UsageError(f"line {lineno}: expected key = value")
         key, value = (p.strip() for p in line.split("=", 1))
-        if section is None:
-            if key == "generator":
-                spec["generator"] = value
-            elif key in ("T", "epsilon", "gamma", "delta"):
-                spec[key] = float(value)
+        try:
+            if section is None:
+                if key == "generator":
+                    spec["generator"] = value
+                elif key in ("T", "epsilon", "gamma", "delta"):
+                    spec[key] = _number(value)
+                else:
+                    spec["params"][key] = value
+            elif key == "values":
+                section["values"] = _parse_sweep_values(value)
+            elif key in ("from", "to", "step"):
+                _number(value)
+                ranges[-1][key] = value
             else:
-                spec["params"][key] = value
-        elif key == "values":
-            section["values"] = _parse_sweep_values(value)
-        elif key in ("from", "to", "step"):
-            ranges[-1][key] = value
-        else:
-            raise ValueError(f"line {lineno}: unknown sweep key {key!r}")
+                raise UsageError(f"unknown sweep key {key!r}")
+        except UsageError as exc:
+            raise UsageError(f"line {lineno}: {exc}") from None
     for section, bounds in zip(spec["sweeps"], ranges):
         if section["values"] is None:
             if len(bounds) < 3:
-                raise ValueError(f"sweep {section['name']!r} needs values or from/to/step")
+                raise UsageError(f"sweep {section['name']!r} needs values or from/to/step")
             section["values"] = _sweep_range(bounds["from"], bounds["to"], bounds["step"])
     if "generator" not in spec:
-        raise ValueError("sweep spec needs a generator")
+        raise UsageError("sweep spec needs a generator")
     return spec
 
 

@@ -122,17 +122,22 @@ def eval_guard(guard: GuardExpr, assignment: Mapping[str, Value]) -> Value:
 
     Raises LookupError for a signal missing from the assignment.
     """
+    try:
+        return Value(_kleene(guard, {s: v.value for s, v in assignment.items()}))
+    except KeyError as exc:
+        raise LookupError(f"guard references undeclared signal {exc.args[0]!r}") from None
+
+
+def _kleene(guard: GuardExpr, env: Mapping[str, float]) -> float:
+    """``eval_guard`` on the numeric values 0.0, 0.5 and 1.0 of the signals."""
     if isinstance(guard, SignalRef):
-        try:
-            return assignment[guard.name]
-        except KeyError:
-            raise LookupError(f"guard references undeclared signal {guard.name!r}") from None
+        return env[guard.name]
     if isinstance(guard, Not):
-        return Value(1.0 - eval_guard(guard.child, assignment).value)
+        return 1.0 - _kleene(guard.child, env)
     if isinstance(guard, And):
-        return Value(min(eval_guard(c, assignment).value for c in guard.children))
+        return min(_kleene(c, env) for c in guard.children)
     if isinstance(guard, Or):
-        return Value(max(eval_guard(c, assignment).value for c in guard.children))
+        return max(_kleene(c, env) for c in guard.children)
     raise TypeError(f"not a guard expression: {guard!r}")
 
 
@@ -242,7 +247,11 @@ def validate_circuit(circuit: Circuit) -> list[Violation]:
 
     Mutual exclusion of a signal's up/down guards is checked by exhaustive
     enumeration of Boolean assignments over the signals the two guards
-    reference (guard supports are small in practice).
+    reference (guard supports are small in practice), in
+    ``itertools.product`` order over the sorted support.  The guards are
+    evaluated on the numeric values 0.0 and 1.0 (``_kleene``, the core of
+    ``eval_guard``), and only a witness is made into ``Value``s: the first
+    assignment under which both guards are 1.
     """
     out: list[Violation] = []
     for kind, a, b in (
@@ -295,15 +304,15 @@ def validate_circuit(circuit: Circuit) -> list[Violation]:
         support = sorted(guard_signals(up.guard) | guard_signals(down.guard))
         if any(s not in declared for s in support):
             continue  # already reported above
-        for bits in itertools.product((Value.ZERO, Value.ONE), repeat=len(support)):
-            assignment = dict(zip(support, bits))
-            if eval_guard(up.guard, assignment) is Value.ONE and eval_guard(down.guard, assignment) is Value.ONE:
+        for bits in itertools.product((0.0, 1.0), repeat=len(support)):
+            env = dict(zip(support, bits))
+            if _kleene(up.guard, env) == 1.0 and _kleene(down.guard, env) == 1.0:
                 out.append(
                     Violation(
                         "not-exclusive",
                         target,
                         f"up and down guards of {target} are simultaneously true",
-                        witness=assignment,
+                        witness={s: Value(b) for s, b in env.items()},
                     )
                 )
                 break

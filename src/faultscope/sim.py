@@ -38,6 +38,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
+import types
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -101,20 +102,26 @@ def count_events(execution: Execution) -> int:
 # --- compiled circuit -------------------------------------------------------
 
 
-def _guard_source(expr, idx, temps) -> str:
-    """Python expression for a guard over the value list ``v``: Kleene min
-    and max as conditional expressions, sub-results held in walrus
-    temporaries drawn from ``temps``."""
+_SLOT = 2**40  # placeholder index of a guard shape's first signal occurrence
+
+
+def _guard_source(expr, slots, temps) -> str:
+    """Python expression for a guard's shape over the value list ``v``:
+    Kleene min and max as conditional expressions, sub-results held in
+    walrus temporaries drawn from ``temps``.  The k-th signal occurrence
+    reads ``v[_SLOT + k]`` and its name is appended to ``slots``, so guards
+    that differ only in the signals they read share one source."""
     if isinstance(expr, SignalRef):
-        return f"v[{idx[expr.name]}]"
+        slots.append(expr.name)
+        return f"v[{_SLOT + len(slots) - 1}]"
     if isinstance(expr, Not):
-        return f"(1.0-{_guard_source(expr.child, idx, temps)})"
+        return f"(1.0-{_guard_source(expr.child, slots, temps)})"
     if isinstance(expr, (And, Or)):
         op = "<" if isinstance(expr, And) else ">"
-        acc = _guard_source(expr.children[0], idx, temps)
+        acc = _guard_source(expr.children[0], slots, temps)
         for child in expr.children[1:]:
             a, b = f"_{next(temps)}", f"_{next(temps)}"
-            acc = f"({a} if ({a}:={acc}) {op} ({b}:={_guard_source(child, idx, temps)}) else {b})"
+            acc = f"({a} if ({a}:={acc}) {op} ({b}:={_guard_source(child, slots, temps)}) else {b})"
         return acc
     raise TypeError(f"not a guard expression: {expr!r}")
 
@@ -124,10 +131,16 @@ class _Compiled:
 
     Rules are numbered in the circuit's canonical order (target, up-rule
     first), so rule id order is target order.  Per rule: guard function
-    ``fns`` (compiled under the file name ``<guard LABEL>`` so that profiles
-    tell guards apart), target signal id, action value, delay and label.  Per
-    signal: ``fan``, the rules whose guard reads it, ``own``, the rules that
-    drive it, and ``affected``, both as a bitmask over rule ids.
+    ``fns``, target signal id, action value, delay and label.  Per signal:
+    ``fan``, the rules whose guard reads it, ``own``, the rules that drive
+    it, and ``affected``, both as a bitmask over rule ids.
+
+    A circuit repeats a few gate shapes once per bit and stage, so guards
+    are compiled once per shape, not once per rule.  A rule's function is
+    its shape's code with the placeholder slots in its constants replaced
+    by the rule's signal ids, under the file name ``<guard LABEL>`` so that
+    profiles tell guards apart: the same bytecode a lambda compiled for the
+    rule alone would have.
     """
 
     __slots__ = (
@@ -157,10 +170,18 @@ class _Compiled:
         fns, targets, bvals, delays, labels = [], [], [], [], []
         fan: list[list[int]] = [[] for _ in range(self.n)]
         own: list[list[int]] = [[] for _ in range(self.n)]
+        shapes: dict[str, types.CodeType] = {}
         for rid, rule in enumerate(circuit.rules):
             label = f"{rule.target}{'+' if rule.value else '-'}"
-            source = f"lambda v: {_guard_source(rule.guard, idx, itertools.count())}"
-            fns.append(eval(compile(source, f"<guard {label}>", "eval")))
+            slots: list[str] = []
+            source = f"lambda v: {_guard_source(rule.guard, slots, itertools.count())}"
+            code = shapes.get(source)
+            if code is None:
+                module = compile(source, "<guard>", "eval")
+                code = shapes[source] = next(c for c in module.co_consts if isinstance(c, types.CodeType))
+            ids = [idx[s] for s in slots]
+            consts = tuple(ids[c - _SLOT] if type(c) is int and c >= _SLOT else c for c in code.co_consts)
+            fns.append(types.FunctionType(code.replace(co_consts=consts, co_filename=f"<guard {label}>"), {}))
             targets.append(idx[rule.target])
             bvals.append(float(rule.value))
             delays.append(rule.delay)

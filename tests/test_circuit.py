@@ -1,20 +1,26 @@
 """Circuit validation and signal traces."""
 
+import itertools
 import pickle
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from faultscope import (
     And,
     Circuit,
     CircuitInvalid,
     Not,
+    Or,
     ProductionRule,
     SignalRef,
     SimConfig,
     Value,
+    Violation,
+    eval_guard,
     execute,
+    guard_signals,
     make_trace,
     trace_value_at,
     validate_circuit,
@@ -55,6 +61,60 @@ def test_same_guard_not_exclusive():
     assert "not-exclusive" in kinds
     v = next(v for v in validate_circuit(c) if v.kind == "not-exclusive")
     assert v.witness == {"a": Value.ONE}
+
+
+GUARD_NAMES = ("a", "b", "c", "d")
+
+
+def _guards(names=GUARD_NAMES):
+    return st.recursive(
+        st.sampled_from(names).map(SignalRef),
+        lambda sub: st.one_of(
+            sub.map(Not),
+            st.lists(sub, min_size=2, max_size=3).map(lambda cs: And(*cs)),
+            st.lists(sub, min_size=2, max_size=3).map(lambda cs: Or(*cs)),
+        ),
+        max_leaves=6,
+    )
+
+
+def _guard_pairs():
+    """Up/down guard pairs: independent ones (often not exclusive), pairs
+    over one shared pair of signals, and a guard against its complement
+    (exclusive) or against itself and more (not exclusive)."""
+    shared = st.sampled_from(GUARD_NAMES).flatmap(lambda n: st.tuples(_guards((n, "d")), _guards((n, "d"))))
+    derived = _guards().flatmap(
+        lambda g: st.sampled_from([(g, Not(g)), (g, And(g, SignalRef("c"))), (Or(g, SignalRef("a")), g)])
+    )
+    return st.one_of(st.tuples(_guards(), _guards()), shared, derived)
+
+
+@given(_guard_pairs())
+def test_exclusion_matches_enumeration_through_eval_guard(pair):
+    """The up/down exclusion check finds a violation exactly when some
+    Boolean assignment makes both guards 1, and its witness is the first
+    such assignment in product order over the sorted support."""
+    up, down = pair
+    circuit = Circuit(
+        inputs=GUARD_NAMES,
+        locals=(),
+        outputs={"o"},
+        initial={"o": Value.ZERO},
+        rules=[ProductionRule(up, "o", 1, 1.0), ProductionRule(down, "o", 0, 1.0)],
+    )
+    support = sorted(guard_signals(up) | guard_signals(down))
+    expected = [
+        Violation("not-exclusive", "o", "up and down guards of o are simultaneously true", witness=assignment)
+        for assignment in (
+            dict(zip(support, bits)) for bits in itertools.product((Value.ZERO, Value.ONE), repeat=len(support))
+        )
+        if eval_guard(up, assignment) is Value.ONE and eval_guard(down, assignment) is Value.ONE
+    ][:1]
+    violations = validate_circuit(circuit)
+    assert violations == expected
+    assert [str(v) for v in violations] == [str(v) for v in expected]
+    for v in violations:
+        assert list(v.witness) == support and all(type(b) is Value for b in v.witness.values())
 
 
 def test_zero_delay_rejected():

@@ -415,6 +415,18 @@ def test_generate_int_field_rejects_non_integer(capsys, tokens):
     assert code == 1 and out == "" and f"ring parameter 'tokens' must be an integer, got {tokens}" in err
 
 
+def test_float_field_rejects_non_number(tmp_path, capsys):
+    spec = tmp_path / "delay.spec"
+    spec.write_text("generator = linear\ninv_delay = abc\n[sweep.stages]\nvalues = 3\n")
+    message = "error: linear parameter 'inv_delay' must be a number, got abc\n"
+    for argv in (
+        ["generate", "linear", "3", "abc"],
+        ["sweep", "--generator", "linear", "--set", "inv_delay=abc", "--sweep", "stages=3", "--until", "10"],
+        ["sweep", "--spec", str(spec)],
+    ):
+        assert run(capsys, *argv) == (1, "", message), argv
+
+
 def test_generate_int_field_accepts_integral_decimal(capsys):
     assert run(capsys, "generate", "ring", "8", "2.0") == run(capsys, "generate", "ring", "8", "2")
 
@@ -620,17 +632,23 @@ def test_sweeping_a_parameter_twice_is_usage_error(tmp_path, capsys):
         ("generator = linear\n[sweep.stages]\nvalue = 1 2\n", "line 3: unknown sweep key 'value'"),
         ("generator = linear\n[sweep.stages]\nfrom = 1\nto = 3\n", "sweep 'stages' needs values or from/to/step"),
         ("stages = 3\n[sweep.T]\nvalues = 10\n", "sweep spec needs a generator"),
+        ("generator = linear\nT = abc\n[sweep.stages]\nvalues = 3\n", "line 2: expected a number, got 'abc'"),
+        ("generator = linear\n[sweep.stages]\nvalues = 1,x\n", "line 3: expected a number, got 'x'"),
+        ("generator = linear\n[sweep.stages]\nvalues = 1:3\n", "line 3: expected FROM:TO:STEP, got '1:3'"),
+        ("generator = linear\n[sweep.stages]\nfrom = 1\nto = three\nstep = 1\n",
+         "line 4: expected a number, got 'three'"),
     ],
-    ids=["section", "no-equals", "sweep-key", "no-values", "no-generator"],
+    ids=["section", "no-equals", "sweep-key", "no-values", "no-generator", "T", "values", "range", "to"],
 )
 def test_sweep_spec_errors(tmp_path, capsys, text, message):
+    """A malformed spec file is a parse error: exit 1."""
     from faultscope.cli import parse_sweep_spec
 
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         parse_sweep_spec(text)
     spec = tmp_path / "bad.spec"
     spec.write_text(text)
-    assert run(capsys, "sweep", "--spec", str(spec)) == (3, "", f"error: {message}\n")
+    assert run(capsys, "sweep", "--spec", str(spec)) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -641,8 +659,10 @@ def test_sweep_spec_errors(tmp_path, capsys, text, message):
          "unknown linear parameter 'nosuch' (expected stages, inv_delay, mce_delay, source_delay, sink_delay)"),
         (["--generator", "linear", "--sweep", "stages=1:3:0"], "sweep step must be positive in 1:3:0"),
         (["--generator", "linear", "--sweep", "stages=3:1:-1"], "sweep step must be positive in 3:1:-1"),
+        (["--generator", "linear", "--sweep", "stages=1,x"], "expected a number, got 'x'"),
+        (["--generator", "linear", "--sweep", "stages=1:3"], "expected FROM:TO:STEP, got '1:3'"),
     ],
-    ids=["no-source", "unknown-parameter", "zero-step", "negative-step"],
+    ids=["no-source", "unknown-parameter", "zero-step", "negative-step", "not-a-number", "not-a-range"],
 )
 def test_sweep_usage_errors(capsys, argv, message):
     assert run(capsys, "sweep", *argv, "--until", "10") == (1, "", f"error: {message}\n")

@@ -5,8 +5,16 @@ import random
 
 from hypothesis import given, strategies as st
 
-from faultscope import And, Circuit, Not, Or, ProductionRule, SignalRef, Value, eval_guard
-from faultscope.sim import _compiled, _kernel, _prepare_inputs
+from faultscope import And, Circuit, Not, Or, ProductionRule, SignalRef, Value, eval_guard, sim
+from faultscope.generators import (
+    MultiBitSpec,
+    PipelineSpec,
+    RingSpec,
+    linear_pipeline,
+    multibit_linear_pipeline,
+    ring_pipeline,
+)
+from faultscope.sim import X, _compiled, _kernel, _prepare_inputs
 from util import logged_kernel, random_circuit, random_input_traces
 
 
@@ -88,3 +96,64 @@ def test_compiled_guard_matches_kleene(guard, env):
     comp = _compiled(circuit)
     values = [env[name].value if name in env else 0.0 for name in comp.names]
     assert comp.fns[0](values) == eval_guard(guard, env).value
+
+
+def _check_fns_against_kleene(circuit, rng, vectors=40):
+    """Every compiled guard against ``eval_guard`` on random ternary vectors."""
+    comp = _compiled(circuit)
+    for _ in range(vectors):
+        values = [rng.choice((0.0, X, 1.0)) for _ in range(comp.n)]
+        assert [fn(values) for fn in comp.fns] == _fresh_guards(circuit, comp, values)
+
+
+def test_guards_of_one_shape_read_their_own_signals():
+    """Rules compiled from one shape each read their own signals, and a
+    guard that reads a signal twice fills each of its slots."""
+    a, b, c, d = map(SignalRef, NAMES)
+    circuit = Circuit(
+        inputs=NAMES,
+        locals=(),
+        outputs={"w", "x", "y", "z"},
+        initial={s: Value.ZERO for s in "wxyz"},
+        rules=[
+            ProductionRule(And(a, b), "x", 1, 1.0),
+            ProductionRule(And(Not(a), Not(b)), "x", 0, 1.0),
+            ProductionRule(And(d, c), "y", 1, 2.0),
+            ProductionRule(And(Not(d), Not(c)), "y", 0, 2.0),
+            ProductionRule(And(a, Not(a)), "z", 1, 1.0),
+            ProductionRule(Or(a, And(a, b)), "w", 1, 1.0),
+            ProductionRule(And(Not(a), Not(b)), "w", 0, 1.0),
+        ],
+    )
+    comp = _compiled(circuit)
+    rid = {label: i for i, label in enumerate(comp.labels)}
+    x_up, y_up = comp.fns[rid["x+"]].__code__, comp.fns[rid["y+"]].__code__
+    assert x_up.co_code == y_up.co_code and x_up.co_consts != y_up.co_consts
+    assert comp.fns[rid["y+"]]([1.0, 1.0, 0.0, 1.0, 0, 0, 0, 0]) == 0.0  # reads c and d, not a and b
+    _check_fns_against_kleene(circuit, random.Random(31))
+
+
+def test_preset_guards_match_kleene():
+    rng = random.Random(32)
+    for circuit, _ in (
+        multibit_linear_pipeline(MultiBitSpec(8, 3, 1, 5, 4, 4)),
+        ring_pipeline(RingSpec(20, 5, 1, 5)),
+        linear_pipeline(PipelineSpec(3, 1, 5, 4, 4)),
+    ):
+        _check_fns_against_kleene(circuit, rng, vectors=10)
+
+
+def test_guards_compile_once_per_shape(monkeypatch):
+    """mb8's 254 rules have 23 guard shapes: compiling the circuit calls
+    ``compile`` once per shape."""
+    calls = []
+
+    def counting_compile(*args, **kwargs):
+        calls.append(args[0])
+        return compile(*args, **kwargs)
+
+    circuit, _ = multibit_linear_pipeline(MultiBitSpec(8, 3, 1, 5, 4, 4))
+    monkeypatch.setattr(sim, "compile", counting_compile, raising=False)
+    comp = sim._Compiled(circuit)
+    assert len(comp.fns) == 254
+    assert len(calls) == len(set(calls)) == 23
