@@ -259,7 +259,7 @@ class _FaultFreeRun:
 
     Why the run from t2 is the run from t1 shifted by p, forever: the
     kernel state at the end of a visit is (values, pend, pend_x) plus what
-    follows from it (the guard values, and heap entries of canceled
+    follows from it (the guard values, and queue entries of canceled
     actions, whose visits change nothing), and no input or external is
     left.  So the two states, equal up to the shift of every due time by p,
     have futures equal up to that shift, as long as the run computes the

@@ -152,7 +152,7 @@ def cmd_analyze(args) -> int:
         injected = analysis._resolve_injection(circuit, monitored, injection_set)
         analysis.check_weights(injected, weights)
     common = dict(gamma=args.gamma, config=config, injection_set=injection_set)
-    if args.naive_step:
+    if args.naive_step is not None:
         report = analysis.analyze_naive(circuit, traces, monitored, step=args.naive_step, **common)
     else:
         report = analysis.analyze(circuit, traces, monitored, delta=args.delta, jobs=args.jobs, **common)

@@ -12,8 +12,10 @@ An execution advances through visited time points. At each visit:
     the guards that read a changed signal are evaluated again; a rule acts
     when its guard value changed, or when its guard stays at X and its
     target changed;
-5.  time advances to the earliest pending action, input transition, or
-    external event; the run stops at the horizon.
+5.  time advances to the earliest due time in the queue of actions, input
+    transition, or external event; the run stops at the horizon.  A
+    canceled action stays queued, so its due time is still visited, with
+    nothing left to apply.
 
 Each of steps 1-3 that changed a value is followed by the handling of
 unstable guards: a pending Boolean action whose guard no longer evaluates to
@@ -212,7 +214,6 @@ def _compiled(circuit: Circuit) -> _Compiled:
 
 # --- kernel -----------------------------------------------------------------
 
-_BOOL, _XACT = 1, 2  # heap entry tags: a rule's Boolean action, an X action
 _INF = float("inf")
 
 
@@ -221,12 +222,14 @@ class _Seed:
 
     ``pend`` maps rule ids and ``pend_x`` signal ids to the due times of
     their pending actions.  The rest of the kernel state follows from these
-    and is built on the first resume: the guard values, which equal every
-    guard evaluated on ``values``, the event heap of the pending actions and
-    the bitmask of the pending rules.
+    and is built on the first resume, then kept: the guard values, which
+    equal every guard evaluated on ``values``, the bitmask of the pending
+    rules, and a template of the queue of the pending actions (``_kernel``):
+    their distinct due times in ascending order, a valid heap, and by due
+    time the tuple of its entries.
     """
 
-    __slots__ = ("time", "values", "pend", "pend_x", "_gv", "_heap", "_pend_mask")
+    __slots__ = ("time", "values", "pend", "pend_x", "_gv", "_pend_mask", "_times", "_batches")
 
     def __init__(self, time, values, pend, pend_x):
         self.time = time
@@ -234,23 +237,28 @@ class _Seed:
         self.pend = pend  # dict rule id -> due
         self.pend_x = pend_x  # dict signal id -> due
         self._gv = None
-        self._heap = None
         self._pend_mask = 0
+        self._times = None
+        self._batches = None
 
-    def resume(self, fns) -> tuple[list, list, int]:
-        """Fresh copies of the guard values and the event heap, and the
-        bitmask of the pending rules."""
+    def resume(self, fns) -> tuple[list, int, list, dict]:
+        """Fresh copies of the guard values, the bitmask of the pending
+        rules, and the queue: the heap of due times and the dict from each
+        due time to its list of entries."""
         if self._gv is None:
             values = self.values
             # kept for every later resume, so hold the three shared floats,
             # not the new float a negated guard returns
             self._gv = [_VALUES[fn(values)].value for fn in fns]
-            heap = [(due, _BOOL, rid) for rid, due in self.pend.items()]
-            heap += [(due, _XACT, sid) for sid, due in self.pend_x.items()]
-            heapq.heapify(heap)
-            self._heap = heap
             self._pend_mask = sum(1 << rid for rid in self.pend)
-        return self._gv[:], self._heap[:], self._pend_mask
+            queue: dict[float, list[int]] = {}
+            for rid, due in self.pend.items():
+                queue.setdefault(due, []).append(rid)
+            for sid, due in self.pend_x.items():
+                queue.setdefault(due, []).append(len(fns) + sid)
+            self._times = sorted(queue)
+            self._batches = tuple(tuple(queue[due]) for due in self._times)
+        return self._gv[:], self._pend_mask, self._times[:], dict(zip(self._times, map(list, self._batches)))
 
     def shifted(self, d: float) -> "_Seed":
         """The same state ``d`` time units later: every due time moves by d."""
@@ -297,36 +305,47 @@ def _kernel(
     transitions and externals are sorted (time, signal id, value) triples;
     times are exact floats.
 
-    A ``seed`` resumes a run after the visit it was taken at: a run cut at a
-    horizon and resumed from its last snapshot to a later horizon records
-    the same events, and has the same state after each visit, as one run to
-    the later horizon.  It only skips the due times of actions canceled
-    before the cut, visits at which nothing changes.  The run stops as soon
-    as a ``watch`` signal changes to X and is flagged as hit; no ``watch``
-    signal may start at X, in the initial values or the seed's.  At the end
-    of every other visit it calls ``after_visit(t, values, pend, pend_x)``
-    with the visit's time and the state: the value list, and the due times
-    of the pending Boolean actions by rule id and of the X actions by signal
-    id.  The run stops when the hook returns True.  The hook must not change
-    the state; it copies what it keeps.
+    Pending actions wait in a queue with one bucket per due time: a dict
+    from the due time to its list of entries, and a heap of those due
+    times.  An entry is the rule id of a Boolean action, or ``n_rules +
+    signal id`` of an X action, so one sort of a bucket gives step 2's
+    order: Boolean actions by rule id, then X actions by signal id.  A
+    canceled action leaves its entry in its bucket, so its due time is
+    still visited, and the entry no longer matches the rule's due time.
+
+    A ``seed`` resumes a run after the visit it was taken at, with only the
+    seed's pending actions queued: a run cut at a horizon and resumed from
+    its last snapshot to a later horizon records the same events, and has
+    the same state after each visit, as one run to the later horizon.  It
+    only skips the due times of actions canceled before the cut, visits at
+    which nothing changes.  The run stops as soon as a ``watch`` signal
+    changes to X and is flagged as hit; no ``watch`` signal may start at X,
+    in the initial values or the seed's.  At the end of every other visit
+    it calls ``after_visit(t, values, pend, pend_x)`` with the visit's time
+    and the state: the value list, and the due times of the pending Boolean
+    actions by rule id and of the X actions by signal id.  The run stops
+    when the hook returns True.  The hook must not change the state; it
+    copies what it keeps.
     """
     fns, targets, bvals, delays, labels = comp.fns, comp.targets, comp.bvals, comp.delays, comp.labels
     fan, own, affected = comp.fan, comp.own, comp.affected
+    n_rules = len(fns)
     run = _Run()
 
     if seed is None:
         values = list(comp.initial)
         for i, fv in input_initial.items():
             values[i] = fv
-        gv: list = [None] * len(fns)  # no guard value yet: every rule sees an edge at t=0
+        gv: list = [None] * n_rules  # no guard value yet: every rule sees an edge at t=0
         pend: dict[int, float] = {}  # rule id -> due time of its Boolean action
         pend_x: dict[int, float] = {}  # signal id -> due time of an X action
-        heap: list[tuple[float, int, int]] = []
         pend_mask = 0  # bitmask of the rule ids in pend
+        times: list[float] = []  # heap of the due times in queue
+        queue: dict[float, list[int]] = {}  # due time -> its entries
         start = -_INF
     else:
         values = seed.values[:]
-        gv, heap, pend_mask = seed.resume(fns)
+        gv, pend_mask, times, queue = seed.resume(fns)
         pend = seed.pend.copy()
         pend_x = seed.pend_x.copy()
         start = seed.time
@@ -349,121 +368,134 @@ def _kernel(
 
     changed: list[int] = []  # signals changed during the current visit
     t = 0.0
-
-    def set_value(sid: int, fv: float, cause: str) -> None:
-        nonlocal watch_hit
-        if values[sid] == fv:
-            return
-        values[sid] = fv
-        changed.append(sid)
-        if fv == X and sid in watch:
-            watch_hit = True
-        if record:
-            events.append((t, sid, fv, cause))
-
-    def cancel_unstable(seen: int) -> int:
-        # A rule whose pending action no longer has a solidly true guard is
-        # mid-switching with a degraded drive: cancel the action and corrupt
-        # the target.  Runs to a fixpoint after every batch of value changes,
-        # so X generation does not depend on when the next event happens to
-        # be scheduled.  Only pending rules that read or drive a signal
-        # changed since the last fixpoint (changed[seen:]) can cancel.  They
-        # are checked in passes of ascending rule id; a cancellation dirties
-        # the pending rules of its target, a higher id for this pass, a lower
-        # one for the next.  Returns the new fixpoint mark.
-        nonlocal pend_mask
-        dirty = 0
-        for sid in changed[seen:]:
-            dirty |= affected[sid]
-        todo = dirty & pend_mask  # this pass, as a bitmask over rule ids
-        later = 0  # the next pass
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            rid = bit.bit_length() - 1
-            tgt = targets[rid]
-            if fns[rid](values) != 1.0 and values[tgt] != bvals[rid]:
-                del pend[rid]
-                pend_mask ^= bit
-                if values[tgt] != X:
-                    set_value(tgt, X, "unstable " + labels[rid])
-                    dirty = affected[tgt] & pend_mask
-                    todo |= dirty & -(bit << 1)
-                    later |= dirty & (bit - 1)
-            if not todo:
-                todo, later = later, 0
-        return len(changed)
-
     first_visit = seed is None
 
+    # Every value change below is written inline, not through a helper, as a
+    # call per event costs more than the write: the value, the changed list,
+    # the watch flag when the value is X, and the event when recording.
     while True:
-        # step 5 of the previous visit: advance to the earliest pending
-        # action, input transition or external event
+        # step 5 of the previous visit: advance to the earliest due time,
+        # input transition or external event
         if not first_visit:
-            t = heap[0][0] if heap else _INF
+            t = times[0] if times else _INF
             if t_in < t:
                 t = t_in
             if t_ext < t:
                 t = t_ext
         if t >= horizon:
             break
-
-        # drain the actions due at t; step 2 applies them
-        due_bool: list[int] = []
-        due_x: list[int] = []
-        while heap and heap[0][0] == t:
-            _, tag, key = heapq.heappop(heap)
-            if tag == _BOOL:
-                due_bool.append(key)
-            else:
-                due_x.append(key)
+        if times and times[0] == t:
+            heapq.heappop(times)
+            batch = queue.pop(t)
+            batch.sort()
+        else:
+            batch = ()
         changed.clear()
-        seen = 0
+        seen = 0  # changed[:seen] is handled by the last fixpoint
 
-        # step 1: input-trace transitions at t, in signal order
-        while t_in == t:
-            _, sid, fv = ins[k_in]
-            set_value(sid, fv, "in")
-            k_in += 1
-            t_in = ins[k_in][0] if k_in < n_in else _INF
-        # unstable guards, after each of steps 1-3 that changed a value
-        if len(changed) > seen:
-            seen = cancel_unstable(seen)
+        for step in (1, 2, 3):
+            if step == 1:
+                # step 1: input-trace transitions at t, in signal order
+                while t_in == t:
+                    _, sid, fv = ins[k_in]
+                    if values[sid] != fv:
+                        values[sid] = fv
+                        changed.append(sid)
+                        if fv == X and sid in watch:
+                            watch_hit = True
+                        if record:
+                            events.append((t, sid, fv, "in"))
+                    k_in += 1
+                    t_in = ins[k_in][0] if k_in < n_in else _INF
+            elif step == 2:
+                # step 2: apply the actions due at t, in the bucket's order
+                for e in batch:
+                    if e < n_rules:
+                        if pend.get(e) != t:
+                            continue  # canceled
+                        del pend[e]
+                        pend_mask ^= 1 << e
+                        sid, fv = targets[e], bvals[e]
+                        if values[sid] != fv:
+                            values[sid] = fv
+                            changed.append(sid)
+                            if record:
+                                events.append((t, sid, fv, labels[e]))
+                    else:
+                        sid = e - n_rules
+                        del pend_x[sid]  # X actions are never canceled
+                        if values[sid] != X:
+                            values[sid] = X
+                            changed.append(sid)
+                            if sid in watch:
+                                watch_hit = True
+                            if record:
+                                events.append((t, sid, X, "xprop"))
+            else:
+                # step 3: external events at t
+                while t_ext == t:
+                    _, sid, fv = exts[k_ext]
+                    if values[sid] != fv:
+                        values[sid] = fv
+                        changed.append(sid)
+                        if fv == X and sid in watch:
+                            watch_hit = True
+                        if record:
+                            events.append((t, sid, fv, "ext"))
+                    k_ext += 1
+                    t_ext = exts[k_ext][0] if k_ext < n_ext else _INF
+            if len(changed) == seen:
+                continue
 
-        # step 2: apply actions due at t (Boolean first, in target order,
-        # then X); a stale heap entry no longer matches its due time
-        if due_bool:
-            due_bool.sort()
-            for rid in due_bool:
-                if pend.get(rid) == t:
+            # Unstable guards, after each step that changed a value.  A rule
+            # whose pending action no longer has a solidly true guard is
+            # mid-switching with a degraded drive: cancel the action and
+            # corrupt the target.  Runs to a fixpoint after every batch of
+            # value changes, so X generation does not depend on when the
+            # next event happens to be scheduled.  Only pending rules that
+            # read or drive a signal changed since the last fixpoint
+            # (changed[seen:]) can cancel.  They are checked in passes of
+            # ascending rule id; a cancellation dirties the pending rules of
+            # its target, a higher id for this pass, a lower one for the
+            # next.
+            dirty = 0
+            for sid in changed[seen:]:
+                dirty |= affected[sid]
+            todo = dirty & pend_mask  # this pass, as a bitmask over rule ids
+            later = 0  # the next pass
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                rid = bit.bit_length() - 1
+                tgt = targets[rid]
+                if fns[rid](values) != 1.0 and values[tgt] != bvals[rid]:
                     del pend[rid]
-                    pend_mask ^= 1 << rid
-                    set_value(targets[rid], bvals[rid], labels[rid])
-        if due_x:
-            due_x.sort()
-            for sid in due_x:
-                if pend_x.get(sid) == t:
-                    del pend_x[sid]
-                    set_value(sid, X, "xprop")
-        if len(changed) > seen:
-            seen = cancel_unstable(seen)
-
-        # step 3: external events at t
-        while t_ext == t:
-            _, sid, fv = exts[k_ext]
-            set_value(sid, fv, "ext")
-            k_ext += 1
-            t_ext = exts[k_ext][0] if k_ext < n_ext else _INF
-        if len(changed) > seen:
-            seen = cancel_unstable(seen)
+                    pend_mask ^= bit
+                    if values[tgt] != X:
+                        values[tgt] = X
+                        changed.append(tgt)
+                        if tgt in watch:
+                            watch_hit = True
+                        if record:
+                            events.append((t, tgt, X, "unstable " + labels[rid]))
+                        dirty = affected[tgt] & pend_mask
+                        todo |= dirty & -(bit << 1)
+                        later |= dirty & (bit - 1)
+                if not todo:
+                    todo, later = later, 0
+            seen = len(changed)
 
         # step 4: re-evaluate the guards that read a changed signal; a fresh
         # edge to 1 schedules the rule's action, a fresh X an X on its target
         if first_visit:
             first_visit = False
-            touched = range(len(fns))
+            touched = range(n_rules)
+        elif len(changed) == 1:
+            touched = fan[changed[0]]
         else:
             touched = set().union(*[fan[sid] for sid in changed])
+        t_x = t + epsilon
+        new_x = []  # entries of the X actions scheduled here, all due at t_x
         for rid in touched:
             g = fns[rid](values)
             if g == gv[rid]:
@@ -474,14 +506,18 @@ def _kernel(
                     due = t + delays[rid]
                     pend[rid] = due
                     pend_mask |= 1 << rid
-                    heapq.heappush(heap, (due, _BOOL, rid))
+                    bucket = queue.get(due)
+                    if bucket is None:
+                        queue[due] = [rid]
+                        heapq.heappush(times, due)
+                    else:
+                        bucket.append(rid)
             elif g == X:
                 tgt = targets[rid]
                 cur = values[tgt]
                 if cur != bvals[rid] and cur != X and tgt not in pend_x:
-                    due = t + epsilon
-                    pend_x[tgt] = due
-                    heapq.heappush(heap, (due, _XACT, tgt))
+                    pend_x[tgt] = t_x
+                    new_x.append(n_rules + tgt)
         # a changed target under a guard that stayed at X: propagate X
         for sid in changed:
             cur = values[sid]
@@ -489,10 +525,16 @@ def _kernel(
                 continue
             for rid in own[sid]:
                 if gv[rid] == X and cur != bvals[rid]:
-                    due = t + epsilon
-                    pend_x[sid] = due
-                    heapq.heappush(heap, (due, _XACT, sid))
+                    pend_x[sid] = t_x
+                    new_x.append(n_rules + sid)
                     break
+        if new_x:
+            bucket = queue.get(t_x)
+            if bucket is None:
+                queue[t_x] = new_x
+                heapq.heappush(times, t_x)
+            else:
+                bucket += new_x
 
         if watch_hit or (after_visit is not None and after_visit(t, values, pend, pend_x)):
             break

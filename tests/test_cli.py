@@ -207,8 +207,8 @@ def test_inject_svg(lin3_file, tmp_path, capsys, at):
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == INJECT_SVG_SHA256[at]
 
 
-# a non-finite horizon, pulse time, pulse width, gamma or grid step fails
-# loudly: no hang, no P(fail), no verdict
+# a non-finite horizon, pulse time, pulse width, gamma or grid step, or a
+# zero grid step, fails loudly: no hang, no P(fail), no verdict
 @pytest.mark.parametrize(
     "argv",
     [
@@ -220,6 +220,7 @@ def test_inject_svg(lin3_file, tmp_path, capsys, at):
         ["inject", "--at", "c2@10:nan", "--until", "32"],
         ["analyze", "--gamma", "inf", "--until", "32"],
         ["analyze", "--naive-step", "inf", "--until", "32"],
+        ["analyze", "--naive-step", "0", "--until", "32"],
     ],
     ids=lambda argv: " ".join(argv),
 )

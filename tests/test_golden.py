@@ -11,7 +11,14 @@ import hashlib
 
 from faultscope import And, Circuit, Not, ProductionRule, SignalRef, SimConfig, Value, execute, make_trace
 from faultscope.analysis import analyze
-from faultscope.generators import MultiBitSpec, PipelineSpec, linear_pipeline, multibit_linear_pipeline
+from faultscope.generators import (
+    MultiBitSpec,
+    PipelineSpec,
+    RingSpec,
+    linear_pipeline,
+    multibit_linear_pipeline,
+    ring_pipeline,
+)
 from faultscope.netlist import write_report
 
 
@@ -105,3 +112,29 @@ def test_mb1_report_bytes():
     digest, report = _report_digest(*multibit_linear_pipeline(MultiBitSpec(1, 2, 1, 5, 4, 4)), 30.0)
     assert (report.p_fail, len(report.windows), report.simulations) == (0.6426244212962963, 76, 279)
     assert digest == "e583396651e23fa58f14c72f2c321408609fc66852015f8d746e5de44dd24dd5"
+
+
+def _execute_digest(circuit, horizon):
+    """Event count and sha256 of the events of a fault-free execution, one
+    line per event: time, signal, value and cause."""
+    ex = execute(circuit, {}, SimConfig(horizon, 0.1))
+    text = "\n".join(f"{e.time!r} {e.signal} {e.value} {e.cause}" for e in ex.events)
+    return len(ex.events), hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_mb4_execute_events():
+    """Four bits switch in step: up to six changes at one time."""
+    circuit, _ = multibit_linear_pipeline(MultiBitSpec(4, 3, 1, 5, 4, 4))
+    assert _execute_digest(circuit, 500.0) == (
+        1546,
+        "1b6645d6173c297546e30f1cbf4e8abe6937a6b9e28c099515a5879054f2fb1a",
+    )
+
+
+def test_ring20_execute_events():
+    """Nine tokens on twenty stages: two changes at each of 66 times."""
+    circuit, _ = ring_pipeline(RingSpec(20, 9, 1, 5))
+    assert _execute_digest(circuit, 200.0) == (
+        132,
+        "90b7dd72d3c72318a33962bbadbc1c62e2266cb32bf0f3cd24a5873f2cd2e046",
+    )

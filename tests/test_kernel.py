@@ -5,7 +5,7 @@ import random
 
 from hypothesis import given, strategies as st
 
-from faultscope import And, Circuit, Not, Or, ProductionRule, SignalRef, Value, eval_guard, sim
+from faultscope import And, Circuit, Not, Or, ProductionRule, SignalRef, Value, eval_guard, make_trace, sim
 from faultscope.generators import (
     MultiBitSpec,
     PipelineSpec,
@@ -15,6 +15,7 @@ from faultscope.generators import (
     ring_pipeline,
 )
 from faultscope.sim import X, _compiled, _kernel, _prepare_inputs
+from test_golden import _pass_order_circuit
 from util import logged_kernel, random_circuit, random_input_traces
 
 
@@ -157,3 +158,23 @@ def test_guards_compile_once_per_shape(monkeypatch):
     comp = sim._Compiled(circuit)
     assert len(comp.fns) == 254
     assert len(calls) == len(set(calls)) == 23
+
+
+def test_visit_times_of_the_queue():
+    """A visit for every input time and every due time, those of actions
+    canceled before they fall due included (4 and 6: b+, c+ and a+ are
+    canceled at 2); a run resumed from a snapshot queues only the actions
+    pending in it."""
+    circuit = _pass_order_circuit()
+    inputs = {
+        "i": make_trace(Value.ZERO, [(1.0, Value.ONE), (2.0, Value.X), (3.0, Value.ONE)]),
+        "k": make_trace(Value.ZERO, [(1.0, Value.ONE)]),
+    }
+    comp = _compiled(circuit)
+    in_initial, in_transitions = _prepare_inputs(comp, inputs, 15.0)
+    _, base = logged_kernel(comp, in_transitions, in_initial, 15.0, 0.1, ())
+    assert base.visit_times == [0, 1, 2, 3, 4, 6, 11]
+    for at, times in ((1.0, [2, 3, 4, 6, 11]), (2.0, [3, 6, 11])):
+        seed = base.snapshots[base.visit_times.index(at)]
+        _, resumed = logged_kernel(comp, in_transitions, in_initial, 15.0, 0.1, (), seed=seed)
+        assert resumed.visit_times == times
