@@ -29,7 +29,12 @@ cheaper than a time grid.  A susceptible stretch inside a region with both
 ends masked is missed (ROADMAP item 4, pinned as an expected failure in the
 tests).  On a run that repeats, a region more than one period past t1
 replays the verdicts of the region it folds onto (``_windows_for_signal``).
-The grid scan is kept as ``analyze_naive`` and doubles as the test oracle.
+The probes of one signal's bisection share a memo of the kernel states they
+reached at fault-free visit times after their pulse ended, with the verdict
+each led to: probes at nearby times often meet in one state, and a probe
+that reaches a known state stops there with its verdict, exactly
+(``_ProbeContext.probe``).  The grid scan is kept as ``analyze_naive``,
+without the memo, and doubles as the test oracle.
 """
 
 from __future__ import annotations
@@ -399,8 +404,9 @@ def _fault_free_run(circuit: Circuit, inputs: InputTraces | None, config: SimCon
     return run
 
 
-# The benchmark in bench/ wraps _ProbeContext.probe(signal, at, width) and
-# reads its positional arguments, wraps _ProbeContext.matches (a probe's
+# The benchmark in bench/ wraps _ProbeContext.probe(signal, at, width,
+# memo=None) and reads its positional arguments (a bisection passes its memo
+# by keyword), wraps _ProbeContext.matches (a probe's
 # after_visit hook calls it through self, so it counts the convergence
 # checks), the module global _kernel (it tells probes by their record=False
 # keyword, so only probes pass it: the fault-free run counts as a base run),
@@ -420,8 +426,11 @@ class _ProbeContext:
     runs.  Otherwise a probe resumes from the snapshot of the last visit
     before the pulse and stops as soon as a monitored signal attains X
     (susceptible) or the state re-converges to the fault-free run with no X
-    left in flight.  Verdicts are identical to re-running the full
-    execution to T + settle with the pulse overlaid.
+    left in flight, or, given a memo, reaches a state that an earlier probe
+    of the memo reached.  Verdicts are identical to re-running the full
+    execution to T + settle with the pulse overlaid.  The context keeps no
+    memo: ``_windows_for_signal`` makes one per signal, so ``is_susceptible``
+    and ``analyze_naive`` build no key.
     """
 
     def __init__(
@@ -450,11 +459,28 @@ class _ProbeContext:
         snap = self.run.snapshot(t)
         return snap is not None and snap.pend == pend and snap.pend_x == pend_x and snap.values == values
 
-    def probe(self, signal: str, at: float, width: float) -> bool:
+    def probe(self, signal: str, at: float, width: float, memo: dict | None = None) -> bool:
         """Susceptibility verdict for one pulse; counts one simulation and
         keeps, in ``hit_time``, the time of the visit at which the probe
         saw a monitored X (-inf when it saw none, or when the fault-free
-        run already has one and no probe runs)."""
+        run already has one and no probe runs).
+
+        A ``memo`` dict, shared by the probes of one signal's bisection,
+        maps the kernel states that earlier probes passed through to their
+        verdicts and hit times.  A state is keyed at the end of a visit at
+        or after the pulse end whose time t is a fault-free visit time, as
+        (t, values, pend, pend_x).  The probe stops at the first key it
+        finds and takes that verdict and hit time; every key it adds on the
+        way maps to one list, filled with its own when the run ends, so a
+        miss hashes its key once.  This is exact: from the visit at the
+        pulse end on, both externals are applied and no other is left, the
+        guard values follow from the values, the inputs still to come from
+        t, and queue entries of canceled actions only add visits that change
+        nothing.  So equal keys have equal futures: the same monitored X at
+        the same time, or none.  Keying only at fault-free visit times keeps
+        the keys few and the ones that recur, as probes at nearby times
+        meet there.
+        """
         self.simulations += 1
         self.hit_time = -math.inf
         run = self.run
@@ -472,6 +498,22 @@ class _ProbeContext:
             # with no X live or pending and the fault-free state at t
             return t >= end and not pend_x and X not in values and self.matches(t, values, pend, pend_x)
 
+        after_visit = converged
+        if memo is not None:
+            mine: list = []  # [verdict, hit time] of this probe, for the keys it adds
+            found = mine  # the memo's entry for the last state keyed
+
+            def memoized(t, values, pend, pend_x):
+                nonlocal found
+                if converged(t, values, pend, pend_x):
+                    return True
+                if t < end or run.snapshot(t).time != t:
+                    return False
+                found = memo.setdefault((t, tuple(values), frozenset(pend.items()), frozenset(pend_x.items())), mine)
+                return found is not mine
+
+            after_visit = memoized
+
         faulty = _kernel(
             run.comp,
             run.in_transitions,
@@ -482,11 +524,16 @@ class _ProbeContext:
             record=False,
             watch=self.mon_ids,
             seed=seed,
-            after_visit=converged,
+            after_visit=after_visit,
         )
-        if faulty.watch_hit:
+        sus = faulty.watch_hit
+        if sus:
             self.hit_time = faulty.time
-        return faulty.watch_hit
+        if memo is not None:
+            if found is not mine:
+                sus, self.hit_time = found
+            mine += (sus, self.hit_time)
+        return sus
 
 
 # --- bisection -------------------------------------------------------------------
@@ -526,8 +573,10 @@ class _Verdicts:
     keeps in ``verdicts`` with the latest hit time among them in
     ``last_hit``."""
 
-    def __init__(self, ctx: _ProbeContext, signal: str, gamma: float, replay: Sequence[bool] = ()):
-        self.ctx, self.signal, self.gamma = ctx, signal, gamma
+    def __init__(
+        self, ctx: _ProbeContext, signal: str, gamma: float, replay: Sequence[bool] = (), memo: dict | None = None
+    ):
+        self.ctx, self.signal, self.gamma, self.memo = ctx, signal, gamma, memo
         self.replay = iter(replay)
         self.verdicts: list[bool] = []
         self.last_hit = -math.inf
@@ -536,7 +585,7 @@ class _Verdicts:
         verdict = next(self.replay, None)
         if verdict is not None:
             return verdict
-        sus = self.ctx.probe(self.signal, at, self.gamma)
+        sus = self.ctx.probe(self.signal, at, self.gamma, memo=self.memo)
         self.verdicts.append(sus)
         if sus:
             self.last_hit = max(self.last_hit, self.ctx.hit_time)
@@ -547,6 +596,9 @@ def _windows_for_signal(ctx: _ProbeContext, signal: str, gamma: float, delta: fl
     """The windows of one signal, one value region at a time, the number of
     real probes they took and the prefix-shaped regions (``_locate_window``).
     Probing is its only effect, so any process may run it for the caller.
+    Its real probes share one memo of kernel states (``_ProbeContext.probe``),
+    dropped when the signal is done: keys hold a time and a whole state, so
+    the memo's size follows the probes of one signal, not of the analysis.
 
     A region that starts past t2, except the last, which T may cut, is the
     region k·p earlier shifted by k·p, with k·p = ``fold(start)``: the
@@ -566,6 +618,7 @@ def _windows_for_signal(ctx: _ProbeContext, signal: str, gamma: float, delta: fl
     regions = run.regions
     windows, prefixes = [], []  # SensitivityWindows, ValueRegions
     used: dict[float, _Verdicts] = {}  # per region, by start
+    memo: dict = {}  # the verdicts of the states this signal's probes reached
     for region in regions:
         replay: Sequence[bool] = ()
         shift = run.fold(region.start) if region is not regions[-1] else 0.0
@@ -574,7 +627,7 @@ def _windows_for_signal(ctx: _ProbeContext, signal: str, gamma: float, delta: fl
             earlier = used[region.start - shift]
             if earlier.last_hit < run.t_end - shift:
                 replay = earlier.verdicts
-        probe = used[region.start] = _Verdicts(ctx, signal, gamma, replay)
+        probe = used[region.start] = _Verdicts(ctx, signal, gamma, replay, memo)
         start, end = _locate_window(probe, region, gamma, delta)
         if end < region.end:  # a prefix: see _locate_window
             prefixes.append(region)

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import typing
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -477,8 +478,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    # warnings still go through the warnings module, so a caller can filter
+    # or record them; shown, each is one line instead of two with the source
+    shown, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
@@ -497,6 +505,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -316,6 +319,28 @@ def test_analyze_prints_p_fail(lin3_file, tmp_path, capsys):
     obj = json.loads(rep.read_text())
     assert obj["config"]["T"] == 32.0
     assert svg.read_text().startswith("<svg")
+
+
+def test_analyze_shows_each_warning_on_one_line(lin3_file, capsys):
+    """The installed command shows a warning as one ``warning:`` line; in
+    process, main still raises it through ``warnings``, so it can be
+    recorded, and leaves the warning format as it found it."""
+    src = os.path.dirname(os.path.dirname(analysis.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "faultscope", "analyze", "--circuit", lin3_file, "--until", "32"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (0, "P(fail) = 0.5425\n")
+    assert done.stderr.splitlines() == [
+        f"warning: susceptible times in region [{r}) at c2 do not form a postfix" for r in ("19.0, 20.0", "30.0, 31.0")
+    ]
+    shown = warnings.formatwarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(capsys, "analyze", "--circuit", lin3_file, "--until", "32") == (0, "P(fail) = 0.5425\n", "")
+    assert [w.category for w in caught] == [analysis.PostfixViolationWarning] * 2
+    assert warnings.formatwarning is shown
 
 
 def test_analyze_naive_step_agrees(lin3_file, capsys):

@@ -143,9 +143,9 @@ def _recording(ctx):
     """Make the context log the ``at`` of every real probe it runs."""
     probe, log = ctx.probe, []
 
-    def recorded(signal, at, width):
+    def recorded(signal, at, width, memo=None):
         log.append(at)
-        return probe(signal, at, width)
+        return probe(signal, at, width, memo=memo)
 
     ctx.probe = recorded
     return log
@@ -177,7 +177,7 @@ class _ScriptedContext:
         self.probed: list[float] = []
         self.hit_time = -math.inf
 
-    def probe(self, signal, at, width):
+    def probe(self, signal, at, width, memo=None):
         self.simulations += 1
         self.probed.append(at)
         sus = self.susceptible and at % 10.0 >= 5.0
