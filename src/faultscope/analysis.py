@@ -320,12 +320,11 @@ class _FaultFreeRun:
         self.initial_values = run.initial_values
         self._events = run.events
         self._folded: dict[float, _Seed] = {}  # snapshots past t2, by visit time
-        # the signals the run drives to X before T + settle, counting initial
-        # X values; past t2 the run repeats (t1, t2], which has no X
-        self.x_ids = frozenset(
-            [sid for sid, fv in enumerate(self.initial_values) if fv == X]
-            + [sid for _, sid, fv, _ in self._events if fv == X]
-        )
+        # (time, signal id) of each X the run drives before T + settle, an
+        # initial X at -inf; past t2 the run repeats (t1, t2], which has no X
+        self.x_events = [(-math.inf, sid) for sid, fv in enumerate(self.initial_values) if fv == X] + [
+            (t, sid) for t, sid, fv, _ in self._events if fv == X
+        ]
         self._regions: list[ValueRegion] | None = None
 
     def fold(self, t: float) -> float:
@@ -421,13 +420,15 @@ class _ProbeContext:
     checks all of them, the monitored names before the run is built, so an
     analysis builds it in the caller.  It holds no circuit.
 
-    When the fault-free run itself drives a monitored signal to X before
-    T + settle (``base_mon_x``), every pulse is susceptible and no probe
-    runs.  Otherwise a probe resumes from the snapshot of the last visit
-    before the pulse and stops as soon as a monitored signal attains X
-    (susceptible) or the state re-converges to the fault-free run with no X
-    left in flight, or, given a memo, reaches a state that an earlier probe
-    of the memo reached.  Verdicts are identical to re-running the full
+    A probe resumes from the snapshot of the last visit before the pulse
+    and stops as soon as a monitored signal attains X (susceptible) or the
+    state re-converges to the fault-free run with no X left in flight, or,
+    given a memo, reaches a state that an earlier probe of the memo
+    reached.  A re-converged probe is susceptible when the fault-free run
+    drives a monitored signal to X later (``base_mon_x`` says whether it
+    ever does), and a pulse after such an X is susceptible with no probe
+    run.  A pulse before it can still mask it, so the fault-free X alone
+    decides nothing.  Verdicts are identical to re-running the full
     execution to T + settle with the pulse overlaid.  The context keeps no
     memo: ``_windows_for_signal`` makes one per signal, so ``is_susceptible``
     and ``analyze_naive`` build no key.
@@ -451,7 +452,9 @@ class _ProbeContext:
             raise CircuitInvalid(unknown)
         run = self.run = _fault_free_run(circuit, inputs, config)
         self.mon_ids = frozenset(run.comp.idx[m] for m in self.monitored)
-        self.base_mon_x = not self.mon_ids.isdisjoint(run.x_ids)
+        # the times at which the fault-free run drives a monitored signal to X
+        self.mon_x_times = [t for t, sid in run.x_events if sid in self.mon_ids]
+        self.base_mon_x = bool(self.mon_x_times)
         self.simulations = 0
         self.hit_time = -math.inf
 
@@ -462,8 +465,9 @@ class _ProbeContext:
     def probe(self, signal: str, at: float, width: float, memo: dict | None = None) -> bool:
         """Susceptibility verdict for one pulse; counts one simulation and
         keeps, in ``hit_time``, the time of the visit at which the probe
-        saw a monitored X (-inf when it saw none, or when the fault-free
-        run already has one and no probe runs).
+        saw a monitored X, or of the fault-free X it re-converged before
+        (-inf when it saw none, or when the fault-free run has one before
+        the pulse and no probe runs).
 
         A ``memo`` dict, shared by the probes of one signal's bisection,
         maps the kernel states that earlier probes passed through to their
@@ -485,11 +489,11 @@ class _ProbeContext:
         self.hit_time = -math.inf
         run = self.run
         events = run.pulse_events(self.pulse_rule, run.comp.idx[signal], at, width)
-        if self.base_mon_x:
-            return True
         # resume from the last fault-free visit before the pulse: on float
         # times, the last one at or before the next float down
         seed = run.snapshot(math.nextafter(at, -math.inf))
+        if self.base_mon_x and self.mon_x_times[0] <= (-math.inf if seed is None else seed.time):
+            return True  # the faulty run repeats that monitored X
         end = events[1][0]
 
         def converged(t, values, pend, pend_x):
@@ -529,6 +533,12 @@ class _ProbeContext:
         sus = faulty.watch_hit
         if sus:
             self.hit_time = faulty.time
+        elif faulty.time < run.t_end and self.base_mon_x:
+            # re-converged at faulty.time, so the fault-free future follows:
+            # the first monitored X after it, if any, is the probe's hit
+            i = _bisect_mod.bisect_right(self.mon_x_times, faulty.time)
+            if i < len(self.mon_x_times):
+                sus, self.hit_time = True, self.mon_x_times[i]
         if memo is not None:
             if found is not mine:
                 sus, self.hit_time = found

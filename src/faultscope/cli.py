@@ -333,14 +333,18 @@ def parse_sweep_spec(text: str) -> dict:
 
 
 def _sweep_point(kind, spec, T, epsilon, gamma, delta):
-    circuit, monitored = _GENERATORS[kind][1](spec)
-    config = SimConfig(horizon=T, epsilon=epsilon)
-    report = analysis.analyze(circuit, {}, monitored, gamma=gamma, delta=delta, config=config)
-    row = {"p_fail": report.p_fail}
-    if kind == "ring":
-        execution = execute(circuit, {}, config)
-        row["throughput"] = measure_throughput(execution, "c1", spec.inv_delay)
-    return row
+    """One grid point's row, and the warnings it raised, recorded in the
+    process that ran it, so that the caller shows them for every --jobs."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        circuit, monitored = _GENERATORS[kind][1](spec)
+        config = SimConfig(horizon=T, epsilon=epsilon)
+        report = analysis.analyze(circuit, {}, monitored, gamma=gamma, delta=delta, config=config)
+        row = {"p_fail": report.p_fail}
+        if kind == "ring":
+            execution = execute(circuit, {}, config)
+            row["throughput"] = measure_throughput(execution, "c1", spec.inv_delay)
+    return row, [w.message for w in caught]
 
 
 def _parse_assignment(flag: str, text: str) -> tuple[str, str]:
@@ -387,9 +391,15 @@ def cmd_sweep(args) -> int:
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_point, *zip(*tasks)))
+            results = list(pool.map(_sweep_point, *zip(*tasks)))
     else:
-        rows = [_sweep_point(*task) for task in tasks]
+        results = [_sweep_point(*task) for task in tasks]
+    rows = [row for row, _ in results]
+    # re-raised here in point order: the filters of this process decide,
+    # and a message repeated by a later point shows as the filters say
+    for _, messages in results:
+        for message in messages:
+            warnings.warn(message)
 
     header = list(names) + ["p_fail"] + (["throughput"] if kind == "ring" else [])
     lines = [",".join(header)]

@@ -9,9 +9,11 @@ An execution advances through visited time points. At each visit:
     action after its delay; a guard at X with the target neither at X nor at
     the rule's value schedules an X on the target after the small propagation
     delay epsilon.  The kernel keeps every rule's last guard value, so only
-    the guards that read a changed signal are evaluated again; a rule acts
-    when its guard value changed, or when its guard stays at X and its
-    target changed;
+    the guards that read a changed signal are evaluated again, by that
+    signal's handler: code generated once per fan-out shape that evaluates
+    each reader's guard inline and schedules its action.  A rule acts when
+    its guard value changed, or when its guard stays at X and its target
+    changed;
 5.  time advances to the earliest due time in the queue of actions, input
     transition, or external event; the run stops at the horizon.  A
     canceled action stays queued, so its due time is still visited, with
@@ -104,18 +106,27 @@ def count_events(execution: Execution) -> int:
 # --- compiled circuit -------------------------------------------------------
 
 
-_SLOT = 2**40  # placeholder index of a guard shape's first signal occurrence
+_SLOT = 2**40  # placeholder constant k of a shape's code is _SLOT + k
+_GLOBALS = {"heappush": heapq.heappush}  # the names a stamped function reads
+_STEP4_SHAPES: dict[tuple, types.CodeType] = {}  # step-4 code by fan-out shape, per process
+_STEP4_SHAPES_MAX = 512  # as re caps its pattern cache
+
+
+def _slot(slots: list, value) -> int:
+    """A new placeholder constant that stands for ``value``."""
+    slots.append(value)
+    return _SLOT + len(slots) - 1
 
 
 def _guard_source(expr, slots, temps) -> str:
     """Python expression for a guard's shape over the value list ``v``:
     Kleene min and max as conditional expressions, sub-results held in
-    walrus temporaries drawn from ``temps``.  The k-th signal occurrence
-    reads ``v[_SLOT + k]`` and its name is appended to ``slots``, so guards
-    that differ only in the signals they read share one source."""
+    walrus temporaries drawn from ``temps``.  Each signal occurrence reads
+    ``v`` at a new placeholder that stands for the signal's name
+    (``_slot``), so guards that differ only in the signals they read share
+    one source."""
     if isinstance(expr, SignalRef):
-        slots.append(expr.name)
-        return f"v[{_SLOT + len(slots) - 1}]"
+        return f"v[{_slot(slots, expr.name)}]"
     if isinstance(expr, Not):
         return f"(1.0-{_guard_source(expr.child, slots, temps)})"
     if isinstance(expr, (And, Or)):
@@ -128,6 +139,58 @@ def _guard_source(expr, slots, temps) -> str:
     raise TypeError(f"not a guard expression: {expr!r}")
 
 
+def _step4_source(rules) -> str:
+    """Source of the step-4 handler of a signal read by ``rules``, in rule
+    id order: each rule's guard inline, then step 4's scheduling.  Besides
+    the guard's placeholders, each rule has five, in this order: its rule
+    id, ``1 << rule id``, target id, delay and ``n_rules + target id``."""
+    lines = ["def step4(v, gv, pend, pend_x, queue, times, t, t_x, new_x, pend_mask):"]
+    slots: list = []
+    temps = itertools.count()
+    for rule in rules:
+        guard = _guard_source(rule.guard, slots, temps)
+        r, bit, tgt, delay, x_entry = (_slot(slots, None) for _ in range(5))
+        b = float(rule.value)
+        lines += [
+            f"    g = {guard}",
+            f"    if g != gv[{r}]:",
+            f"        gv[{r}] = g",
+            "        if g == 1.0:",
+            f"            if v[{tgt}] != {b} and not pend_mask & {bit}:",
+            f"                due = t + {delay}",
+            f"                pend[{r}] = due",
+            f"                pend_mask |= {bit}",
+            "                bucket = queue.get(due)",
+            "                if bucket is None:",
+            f"                    queue[due] = [{r}]",
+            "                    heappush(times, due)",
+            "                else:",
+            f"                    bucket.append({r})",
+            f"        elif g == {X}:",
+            f"            cur = v[{tgt}]",
+            f"            if cur != {b} and cur != {X} and {tgt} not in pend_x:",
+            f"                pend_x[{tgt}] = t_x",
+            f"                new_x.append({x_entry})",
+        ]
+    lines.append("    return pend_mask")
+    return "\n".join(lines) + "\n"
+
+
+def _code(source: str) -> types.CodeType:
+    """The code of the one function that ``source`` defines."""
+    module = compile(source, "<shape>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, types.CodeType))
+
+
+def _stamped(code: types.CodeType, slots: Sequence, filename: str) -> types.FunctionType:
+    """A function of ``code`` with each placeholder constant replaced by
+    the value it stands for in ``slots``, under ``filename`` so that
+    profiles tell the functions of one shape apart: the bytecode a function
+    compiled for these values alone would have."""
+    consts = tuple(slots[c - _SLOT] if type(c) is int and c >= _SLOT else c for c in code.co_consts)
+    return types.FunctionType(code.replace(co_consts=consts, co_filename=filename), _GLOBALS)
+
+
 class _Compiled:
     """Index-based form of a circuit shared by all runs.
 
@@ -135,20 +198,36 @@ class _Compiled:
     first), so rule id order is target order.  Per rule: guard function
     ``fns``, target signal id, action value, delay and label.  Per signal:
     ``fan``, the rules whose guard reads it, ``own``, the rules that drive
-    it, and ``affected``, both as a bitmask over rule ids.
+    it, ``affected``, both as a bitmask over rule ids, and ``step4``, its
+    step-4 handler (``_kernel``).
 
     A circuit repeats a few gate shapes once per bit and stage, so guards
     are compiled once per shape, not once per rule.  A rule's function is
-    its shape's code with the placeholder slots in its constants replaced
-    by the rule's signal ids, under the file name ``<guard LABEL>`` so that
-    profiles tell guards apart: the same bytecode a lambda compiled for the
-    rule alone would have.
+    its shape's code with the placeholder constants replaced by the rule's
+    signal ids (``_stamped``), under the file name ``<guard LABEL>``: the
+    same bytecode a lambda compiled for the rule alone would have.
+
+    A signal's handler ``step4[sid](v, gv, pend, pend_x, queue, times, t,
+    t_x, new_x, pend_mask) -> pend_mask`` evaluates the guard of each rule
+    in ``fan[sid]`` inline, in rule id order, and, when its value changed,
+    updates ``gv`` and schedules the rule's action as step 4 says.  It is
+    stamped the same way from code compiled once per fan-out shape (the
+    readers' guard shapes and action values) and kept per process in
+    ``_STEP4_SHAPES``, as ``re`` keeps patterns: mb8 has 11 such shapes for
+    its 127 signals.  The signal ids, rule ids, targets, delays, ``1 <<
+    rid`` and ``n_rules + target`` are its placeholders, and its file name
+    is ``<step4 NAME>``.  The handlers are built by the first kernel run
+    with a visit to make (``build_step4``), not here, so parsing a circuit
+    and a T=0 run build none.
     """
 
     __slots__ = (
         "names",
         "idx",
         "n",
+        "rules",
+        "guard_shapes",
+        "guard_ids",
         "fns",
         "targets",
         "bvals",
@@ -157,6 +236,7 @@ class _Compiled:
         "fan",
         "own",
         "affected",
+        "step4",
         "initial",
         "d_min",
     )
@@ -168,22 +248,24 @@ class _Compiled:
         self.names = sorted(circuit.signals)
         idx = self.idx = {s: i for i, s in enumerate(self.names)}
         self.n = len(self.names)
+        self.rules = circuit.rules
 
         fns, targets, bvals, delays, labels = [], [], [], [], []
         fan: list[list[int]] = [[] for _ in range(self.n)]
         own: list[list[int]] = [[] for _ in range(self.n)]
         shapes: dict[str, types.CodeType] = {}
+        guard_shapes, guard_ids = [], []
         for rid, rule in enumerate(circuit.rules):
             label = f"{rule.target}{'+' if rule.value else '-'}"
             slots: list[str] = []
             source = f"lambda v: {_guard_source(rule.guard, slots, itertools.count())}"
             code = shapes.get(source)
             if code is None:
-                module = compile(source, "<guard>", "eval")
-                code = shapes[source] = next(c for c in module.co_consts if isinstance(c, types.CodeType))
-            ids = [idx[s] for s in slots]
-            consts = tuple(ids[c - _SLOT] if type(c) is int and c >= _SLOT else c for c in code.co_consts)
-            fns.append(types.FunctionType(code.replace(co_consts=consts, co_filename=f"<guard {label}>"), {}))
+                code = shapes[source] = _code(source)
+            ids = tuple(idx[s] for s in slots)
+            fns.append(_stamped(code, ids, f"<guard {label}>"))
+            guard_shapes.append(source)
+            guard_ids.append(ids)
             targets.append(idx[rule.target])
             bvals.append(float(rule.value))
             delays.append(rule.delay)
@@ -191,17 +273,39 @@ class _Compiled:
             own[idx[rule.target]].append(rid)
             for s in guard_signals(rule.guard):
                 fan[idx[s]].append(rid)
+        self.guard_shapes, self.guard_ids = tuple(guard_shapes), tuple(guard_ids)
         self.fns, self.targets, self.bvals = tuple(fns), tuple(targets), tuple(bvals)
         self.delays, self.labels = tuple(delays), tuple(labels)
         self.fan = tuple(map(tuple, fan))
         self.own = tuple(map(tuple, own))
         # a rule whose guard reads its own target is in both lists
         self.affected = tuple(sum(1 << rid for rid in set(f + o)) for f, o in zip(fan, own))
+        self.step4 = None
         self.d_min = min(delays) if delays else float("inf")
 
         self.initial = [X] * self.n
         for s, v in circuit.initial.items():
             self.initial[idx[s]] = v.value
+
+    def build_step4(self) -> tuple:
+        """Build, keep and return ``step4``, one handler per signal."""
+        n_rules = len(self.fns)
+        handlers = []
+        for sid, readers in enumerate(self.fan):
+            shape = tuple((self.guard_shapes[rid], self.bvals[rid]) for rid in readers)
+            code = _STEP4_SHAPES.get(shape)
+            if code is None:
+                if len(_STEP4_SHAPES) >= _STEP4_SHAPES_MAX:
+                    del _STEP4_SHAPES[next(iter(_STEP4_SHAPES))]
+                code = _STEP4_SHAPES[shape] = _code(_step4_source([self.rules[rid] for rid in readers]))
+            slots: list = []
+            for rid in readers:  # in _step4_source's order
+                tgt = self.targets[rid]
+                slots += self.guard_ids[rid]
+                slots += (rid, 1 << rid, tgt, self.delays[rid], n_rules + tgt)
+            handlers.append(_stamped(code, slots, f"<step4 {self.names[sid]}>"))
+        self.step4 = tuple(handlers)
+        return self.step4
 
 
 def _compiled(circuit: Circuit) -> _Compiled:
@@ -313,6 +417,18 @@ def _kernel(
     canceled action leaves its entry in its bucket, so its due time is
     still visited, and the entry no longer matches the rule's due time.
 
+    Step 4 calls the handler (``_Compiled.step4``) of each signal changed
+    during the visit, in the order of the changes, and at a run's first
+    visit every signal's handler, since every guard reads a signal.  A rule
+    read by two changed signals, or by one changed twice, is evaluated
+    again, and the second evaluation is a no-op: its guard equals the
+    value just cached.  The order in which readers are evaluated does not
+    change step 4's end state.  Each decision reads only the visit's final
+    values, the rule's own ``gv`` and ``pend`` entries and, for an X,
+    ``pend_x[target]``, which each rule that schedules an X on the target
+    at this visit sets to the same ``t_x``.  The bucket entries a visit
+    adds are sorted when popped, and the heap holds each due time once.
+
     A ``seed`` resumes a run after the visit it was taken at, with only the
     seed's pending actions queued: a run cut at a horizon and resumed from
     its last snapshot to a later horizon records the same events, and has
@@ -327,9 +443,12 @@ def _kernel(
     when the hook returns True.  The hook must not change the state; it
     copies what it keeps.
     """
-    fns, targets, bvals, delays, labels = comp.fns, comp.targets, comp.bvals, comp.delays, comp.labels
-    fan, own, affected = comp.fan, comp.own, comp.affected
+    fns, targets, bvals, labels = comp.fns, comp.targets, comp.bvals, comp.labels
+    own, affected, n = comp.own, comp.affected, comp.n
     n_rules = len(fns)
+    step4 = comp.step4
+    if step4 is None and horizon > 0:  # a run with a visit to make
+        step4 = comp.build_step4()
     run = _Run()
 
     if seed is None:
@@ -485,39 +604,13 @@ def _kernel(
                     todo, later = later, 0
             seen = len(changed)
 
-        # step 4: re-evaluate the guards that read a changed signal; a fresh
-        # edge to 1 schedules the rule's action, a fresh X an X on its target
-        if first_visit:
-            first_visit = False
-            touched = range(n_rules)
-        elif len(changed) == 1:
-            touched = fan[changed[0]]
-        else:
-            touched = set().union(*[fan[sid] for sid in changed])
+        # step 4: re-evaluate the guards that read a changed signal, each
+        # signal's by its handler; the first visit evaluates every guard
         t_x = t + epsilon
         new_x = []  # entries of the X actions scheduled here, all due at t_x
-        for rid in touched:
-            g = fns[rid](values)
-            if g == gv[rid]:
-                continue
-            gv[rid] = g
-            if g == 1.0:
-                if values[targets[rid]] != bvals[rid] and rid not in pend:
-                    due = t + delays[rid]
-                    pend[rid] = due
-                    pend_mask |= 1 << rid
-                    bucket = queue.get(due)
-                    if bucket is None:
-                        queue[due] = [rid]
-                        heapq.heappush(times, due)
-                    else:
-                        bucket.append(rid)
-            elif g == X:
-                tgt = targets[rid]
-                cur = values[tgt]
-                if cur != bvals[rid] and cur != X and tgt not in pend_x:
-                    pend_x[tgt] = t_x
-                    new_x.append(n_rules + tgt)
+        for sid in range(n) if first_visit else changed:
+            pend_mask = step4[sid](values, gv, pend, pend_x, queue, times, t, t_x, new_x, pend_mask)
+        first_visit = False
         # a changed target under a guard that stayed at X: propagate X
         for sid in changed:
             cur = values[sid]

@@ -343,6 +343,26 @@ def test_analyze_shows_each_warning_on_one_line(lin3_file, capsys):
     assert warnings.formatwarning is shown
 
 
+def test_sweep_warnings_do_not_depend_on_jobs():
+    """Each sweep point records its warnings where it runs, and the caller
+    shows them in point order, so ``--jobs 2`` prints what ``--jobs 1``
+    does: each of the two warnings once, though both points raise them."""
+    src = os.path.dirname(os.path.dirname(analysis.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["sweep", "--generator", "linear", "--set", "stages=3", "--sweep", "source_delay=4,4.0", "--until", "32"]
+    one, two = (
+        subprocess.run(
+            [sys.executable, "-m", "faultscope", *argv, "--jobs", jobs],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        for jobs in ("1", "2")
+    )
+    assert (two.returncode, two.stdout, two.stderr) == (one.returncode, one.stdout, one.stderr)
+    assert one.stdout == "source_delay,p_fail\n4,0.5425\n4,0.5425\n"
+    assert one.stderr.splitlines() == [
+        f"warning: susceptible times in region [{r}) at c2 do not form a postfix" for r in ("19.0, 20.0", "30.0, 31.0")
+    ]
+
 def test_analyze_naive_step_agrees(lin3_file, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -5,7 +5,7 @@ import random
 
 from hypothesis import given, strategies as st
 
-from faultscope import And, Circuit, Not, Or, ProductionRule, SignalRef, Value, eval_guard, make_trace, sim
+from faultscope import And, Circuit, Not, Or, ProductionRule, SignalRef, SimConfig, Value, eval_guard, execute, make_trace, sim
 from faultscope.generators import (
     MultiBitSpec,
     PipelineSpec,
@@ -14,6 +14,7 @@ from faultscope.generators import (
     multibit_linear_pipeline,
     ring_pipeline,
 )
+from faultscope.netlist import parse_circuit, serialize_circuit
 from faultscope.sim import X, _compiled, _kernel, _prepare_inputs
 from test_golden import _pass_order_circuit
 from util import logged_kernel, random_circuit, random_input_traces
@@ -144,21 +145,84 @@ def test_preset_guards_match_kleene():
         _check_fns_against_kleene(circuit, rng, vectors=10)
 
 
-def test_guards_compile_once_per_shape(monkeypatch):
-    """mb8's 254 rules have 23 guard shapes: compiling the circuit calls
-    ``compile`` once per shape."""
+def _counting_compile(monkeypatch):
+    """Clear the per-process step-4 shapes and record the source of every
+    ``compile`` call made by ``sim``."""
     calls = []
 
     def counting_compile(*args, **kwargs):
         calls.append(args[0])
         return compile(*args, **kwargs)
 
-    circuit, _ = multibit_linear_pipeline(MultiBitSpec(8, 3, 1, 5, 4, 4))
+    monkeypatch.setattr(sim, "_STEP4_SHAPES", {})
     monkeypatch.setattr(sim, "compile", counting_compile, raising=False)
+    return calls
+
+
+def test_guards_compile_once_per_shape(monkeypatch):
+    """mb8's 254 rules have 23 guard shapes: compiling the circuit calls
+    ``compile`` once per shape."""
+    circuit, _ = multibit_linear_pipeline(MultiBitSpec(8, 3, 1, 5, 4, 4))
+    calls = _counting_compile(monkeypatch)
     comp = sim._Compiled(circuit)
     assert len(comp.fns) == 254
     assert len(calls) == len(set(calls)) == 23
 
+
+def test_step4_compiles_once_per_fan_out_shape(monkeypatch):
+    """mb8's 127 step-4 handlers come from 11 fan-out shapes, each compiled
+    once per process, by the first run that makes a visit: not by parsing,
+    not by a T=0 run, and not again for a second parse of the netlist."""
+    calls = _counting_compile(monkeypatch)
+    text = serialize_circuit(*multibit_linear_pipeline(MultiBitSpec(8, 3, 1, 5, 4, 4)))
+    circuit, _ = parse_circuit(text)
+    execute(circuit, {}, SimConfig(0.0))
+    assert _compiled(circuit).step4 is None
+    assert len(calls) == len(set(calls)) == 23  # the guard shapes
+    execute(circuit, {}, SimConfig(10.0))
+    shapes = [c for c in calls if c.startswith("def step4")]
+    assert len(shapes) == len(set(shapes)) == 11
+    again, _ = parse_circuit(text)
+    execute(again, {}, SimConfig(0.0))
+    execute(again, {}, SimConfig(10.0))
+    assert [c for c in calls if c.startswith("def step4")] == shapes
+    comp = _compiled(again)
+    assert [h.__code__.co_filename for h in comp.step4] == [f"<step4 {name}>" for name in comp.names]
+
+
+def test_step4_handlers_of_one_shape_schedule_their_own_readers(monkeypatch):
+    """The handlers of a and c share their code, and each evaluates and
+    schedules its own readers: x's rules for a, y's for c, with y's delay."""
+    monkeypatch.setattr(sim, "_STEP4_SHAPES", {})
+    a, b, c, d = map(SignalRef, NAMES)
+    circuit = Circuit(
+        inputs=NAMES,
+        locals=(),
+        outputs={"x", "y"},
+        initial={"x": Value.ZERO, "y": Value.ZERO},
+        rules=[
+            ProductionRule(And(a, b), "x", 1, 1.0),
+            ProductionRule(And(Not(a), Not(b)), "x", 0, 1.0),
+            ProductionRule(And(c, d), "y", 1, 2.0),
+            ProductionRule(And(Not(c), Not(d)), "y", 0, 2.0),
+        ],
+    )
+    comp = _compiled(circuit)
+    step4 = comp.build_step4()
+    ia, ib, ic, ix, iy = (comp.idx[s] for s in "abcxy")
+    x_up, y_up = comp.labels.index("x+"), comp.labels.index("y+")
+    assert step4[ia].__code__.co_code == step4[ic].__code__.co_code
+    assert step4[ia].__code__.co_consts != step4[ic].__code__.co_consts
+
+    values = [1.0, 0.0, 1.0, 1.0, 0.0, 0.0]  # a b c d x y: c and d are 1
+    gv = [0.0, 0.0, 0.0, 0.0]
+    pend, pend_x, queue, times, new_x = {}, {}, {}, [], []
+    mask = step4[ic](values, gv, pend, pend_x, queue, times, 3.0, 3.1, new_x, 0)
+    assert (pend, mask, queue, times, gv) == ({y_up: 5.0}, 1 << y_up, {5.0: [y_up]}, [5.0], [0.0, 0.0, 1.0, 0.0])
+    values[ia], values[ib] = X, 1.0  # a at X and b at 1: x+ at X, an X on x at t_x
+    assert step4[ia](values, gv, pend, pend_x, queue, times, 4.0, 4.1, new_x, mask) == mask
+    assert (pend_x, new_x, gv) == ({ix: 4.1}, [len(gv) + ix], [X, 0.0, 1.0, 0.0])
+    assert iy not in pend_x and list(pend) == [y_up]
 
 def test_visit_times_of_the_queue():
     """A visit for every input time and every due time, those of actions

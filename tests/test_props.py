@@ -674,3 +674,17 @@ def test_x_in_steady_state_takes_no_cycle():
     steps = ["probe", "base_mon_x", "lookups", "regions", "probe"]
     _check_against_full_run(circuit, ctx, inputs, full, random.Random(22), steps)
     assert _may_repeat(ctx.run.comp.delays, ctx.run.t_end) and ctx.run._period is None
+
+
+def test_pulse_can_mask_a_fault_free_x():
+    """A fault-free run that drives a monitored signal to X does not make
+    every pulse susceptible: here a flip-pulse on d3 just before i0 falls
+    keeps d3 from rising, so d1 never goes X, and the probe agrees with the
+    full run.  A pulse after the fault-free X is susceptible."""
+    circuit, inputs, monitored, cfg = _integer_case(3049)
+    ctx = _ProbeContext(circuit, inputs, cfg, monitored, fault_kind="flip")
+    assert ctx.base_mon_x
+    for at, want in ((12.65204645274385, False), (14.0, True)):
+        assert _full_run_verdict(circuit, ctx, inputs, "d3", at, 0.1, "flip") is want
+        assert ctx.probe("d3", at, 0.1) is want
+        assert ctx.probe("d3", at, 0.1, memo={}) is want
