@@ -10,6 +10,9 @@ Every verdict (``is_susceptible``, ``analyze``, ``analyze_naive``) comes from
 inputs and (T, ε) (``_FaultFreeRun``).  That run is set up and checked as
 ``execute`` is, made once per (circuit, inputs, config) and kept on the
 circuit (``_fault_free_run``), so only the first query on them pays for it.
+``is_susceptible`` keeps its last probe context beside it, so a later query
+with the same monitored set and pulse kind costs one probe; ``analyze`` and
+``analyze_naive`` build their own, which count only their own probes.
 It keeps a snapshot per visit and stops at the visit where it starts to
 repeat: with integer delays and inputs that have stopped switching, the run
 becomes periodic, and a later time is read folded back by whole periods into
@@ -179,10 +182,26 @@ def is_susceptible(
 ) -> bool:
     """True iff the glitch makes a monitored signal attain X before T + settle.
 
-    The verdict is the one ``analyze`` finds for the same pulse.
+    The verdict is the one ``analyze`` finds for the same pulse.  The last
+    probe context built here is kept on the circuit, in one slot beside the
+    fault-free run (``_fault_free_run``), and reused while it overlays the
+    kept run and has the same monitored set and pulse kind.  So a later
+    query on them costs one probe, and a new monitored set is checked
+    before any kernel run.  The context holds no circuit, so the circuit
+    and what it keeps form no reference cycle.
     """
     _check_glitch(circuit, glitch, config)
-    return _ProbeContext(circuit, inputs, config, monitored, glitch.kind).probe(glitch.signal, glitch.at, glitch.width)
+    monitored = sorted(monitored)
+    ctx = getattr(circuit, "_probe_context", None)
+    if (
+        ctx is None
+        or ctx.monitored != monitored
+        or ctx.fault_kind != glitch.kind
+        or ctx.run is not _fault_free_run(circuit, inputs, config)
+    ):
+        ctx = _ProbeContext(circuit, inputs, config, monitored, glitch.kind)
+        object.__setattr__(circuit, "_probe_context", ctx)
+    return ctx.probe(glitch.signal, glitch.at, glitch.width)
 
 
 def _check_glitch(circuit: Circuit, glitch: Glitch, config: SimConfig) -> None:
@@ -398,6 +417,9 @@ def _fault_free_run(circuit: Circuit, inputs: InputTraces | None, config: SimCon
     key = repr((config, sorted((inputs or {}).items())))
     run = getattr(circuit, "_fault_free_run", None)
     if run is None or run.key != key:
+        # a kept probe context overlays the kept run (``is_susceptible``):
+        # dropped with it, so that the circuit never keeps two runs
+        circuit.__dict__.pop("_probe_context", None)
         run = _FaultFreeRun(circuit, inputs, config, key)
         object.__setattr__(circuit, "_fault_free_run", run)
     return run

@@ -184,13 +184,23 @@ class Circuit:
         # rebuilds it on demand
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
+    # driven and signals are kept at their first access, under names that
+    # __getstate__ drops and that no field comparison reads
     @property
     def driven(self) -> frozenset:
-        return self.locals | self.outputs
+        driven = self.__dict__.get("_driven")
+        if driven is None:
+            driven = self.locals | self.outputs
+            object.__setattr__(self, "_driven", driven)
+        return driven
 
     @property
     def signals(self) -> frozenset:
-        return self.inputs | self.locals | self.outputs
+        signals = self.__dict__.get("_signals")
+        if signals is None:
+            signals = self.inputs | self.locals | self.outputs
+            object.__setattr__(self, "_signals", signals)
+        return signals
 
     @property
     def size(self) -> int:

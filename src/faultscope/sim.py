@@ -108,8 +108,9 @@ def count_events(execution: Execution) -> int:
 
 _SLOT = 2**40  # placeholder constant k of a shape's code is _SLOT + k
 _GLOBALS = {"heappush": heapq.heappush}  # the names a stamped function reads
+_GUARD_SHAPES: dict[str, types.CodeType] = {}  # guard code by its source, per process
 _STEP4_SHAPES: dict[tuple, types.CodeType] = {}  # step-4 code by fan-out shape, per process
-_STEP4_SHAPES_MAX = 512  # as re caps its pattern cache
+_SHAPES_MAX = 512  # each cache's cap, as re caps its pattern cache
 
 
 def _slot(slots: list, value) -> int:
@@ -182,6 +183,18 @@ def _code(source: str) -> types.CodeType:
     return next(c for c in module.co_consts if isinstance(c, types.CodeType))
 
 
+def _shape_code(cache: dict, shape, source) -> types.CodeType:
+    """The code of a shape from a per-process ``cache``, compiled from
+    ``source()`` at the shape's first use; the oldest shape is dropped when
+    the cache is full."""
+    code = cache.get(shape)
+    if code is None:
+        if len(cache) >= _SHAPES_MAX:
+            del cache[next(iter(cache))]
+        code = cache[shape] = _code(source())
+    return code
+
+
 def _stamped(code: types.CodeType, slots: Sequence, filename: str) -> types.FunctionType:
     """A function of ``code`` with each placeholder constant replaced by
     the value it stands for in ``slots``, under ``filename`` so that
@@ -202,10 +215,12 @@ class _Compiled:
     step-4 handler (``_kernel``).
 
     A circuit repeats a few gate shapes once per bit and stage, so guards
-    are compiled once per shape, not once per rule.  A rule's function is
-    its shape's code with the placeholder constants replaced by the rule's
-    signal ids (``_stamped``), under the file name ``<guard LABEL>``: the
-    same bytecode a lambda compiled for the rule alone would have.
+    are compiled once per shape and kept per process in ``_GUARD_SHAPES``,
+    not compiled once per rule or again for each circuit: a second parse
+    of a netlist compiles none.  A rule's function is its shape's code with
+    the placeholder constants replaced by the rule's signal ids
+    (``_stamped``), under the file name ``<guard LABEL>``: the same
+    bytecode a lambda compiled for the rule alone would have.
 
     A signal's handler ``step4[sid](v, gv, pend, pend_x, queue, times, t,
     t_x, new_x, pend_mask) -> pend_mask`` evaluates the guard of each rule
@@ -213,12 +228,12 @@ class _Compiled:
     updates ``gv`` and schedules the rule's action as step 4 says.  It is
     stamped the same way from code compiled once per fan-out shape (the
     readers' guard shapes and action values) and kept per process in
-    ``_STEP4_SHAPES``, as ``re`` keeps patterns: mb8 has 11 such shapes for
-    its 127 signals.  The signal ids, rule ids, targets, delays, ``1 <<
-    rid`` and ``n_rules + target`` are its placeholders, and its file name
-    is ``<step4 NAME>``.  The handlers are built by the first kernel run
-    with a visit to make (``build_step4``), not here, so parsing a circuit
-    and a T=0 run build none.
+    ``_STEP4_SHAPES``, as ``re`` keeps patterns (``_shape_code``): mb8 has
+    11 such shapes for its 127 signals.  The signal ids, rule ids, targets,
+    delays, ``1 << rid`` and ``n_rules + target`` are its placeholders, and
+    its file name is ``<step4 NAME>``.  The handlers are built by the first
+    kernel run with a visit to make (``build_step4``), not here, so parsing
+    a circuit and a T=0 run build none.
     """
 
     __slots__ = (
@@ -253,15 +268,12 @@ class _Compiled:
         fns, targets, bvals, delays, labels = [], [], [], [], []
         fan: list[list[int]] = [[] for _ in range(self.n)]
         own: list[list[int]] = [[] for _ in range(self.n)]
-        shapes: dict[str, types.CodeType] = {}
         guard_shapes, guard_ids = [], []
         for rid, rule in enumerate(circuit.rules):
             label = f"{rule.target}{'+' if rule.value else '-'}"
             slots: list[str] = []
             source = f"lambda v: {_guard_source(rule.guard, slots, itertools.count())}"
-            code = shapes.get(source)
-            if code is None:
-                code = shapes[source] = _code(source)
+            code = _shape_code(_GUARD_SHAPES, source, lambda: source)
             ids = tuple(idx[s] for s in slots)
             fns.append(_stamped(code, ids, f"<guard {label}>"))
             guard_shapes.append(source)
@@ -293,11 +305,7 @@ class _Compiled:
         handlers = []
         for sid, readers in enumerate(self.fan):
             shape = tuple((self.guard_shapes[rid], self.bvals[rid]) for rid in readers)
-            code = _STEP4_SHAPES.get(shape)
-            if code is None:
-                if len(_STEP4_SHAPES) >= _STEP4_SHAPES_MAX:
-                    del _STEP4_SHAPES[next(iter(_STEP4_SHAPES))]
-                code = _STEP4_SHAPES[shape] = _code(_step4_source([self.rules[rid] for rid in readers]))
+            code = _shape_code(_STEP4_SHAPES, shape, lambda: _step4_source([self.rules[rid] for rid in readers]))
             slots: list = []
             for rid in readers:  # in _step4_source's order
                 tgt = self.targets[rid]

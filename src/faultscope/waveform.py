@@ -2,7 +2,9 @@
 
 One lane per signal in canonical (sorted name) order.  Values are drawn as a
 stepped line with X at mid-level; intervals at X are shaded red, sensitivity
-windows blue.  Output is deterministic for identical inputs.
+windows blue.  Output is deterministic for identical inputs.  A render
+formats each distinct time as an x-coordinate once, however many lanes,
+grid lines and rectangles share it.
 """
 
 from __future__ import annotations
@@ -50,12 +52,29 @@ def _segments(trace, horizon: float):
     yield cur_t, horizon, cur_v
 
 
+class _Coords(dict):
+    """The formatted x-coordinate of each time, formatted at its first lookup."""
+
+    def __init__(self, sx: float):
+        super().__init__()
+        self.sx = sx
+
+    def __missing__(self, t: float) -> str:
+        x = self[t] = _fmt(LABEL_W + MARGIN + t * self.sx)
+        return x
+
+
 def render_waveform(
     execution: Execution,
     windows: Iterable[SensitivityWindow] = (),
     monitored: Iterable[str] = (),
 ) -> str:
-    """Render the execution as an SVG document string."""
+    """Render the execution as an SVG document string.
+
+    Each distinct time is formatted as an x-coordinate once per render
+    (``_Coords``), shared by the grid, the windows, the X intervals and the
+    value lines of every lane, and each lane's three levels once per lane.
+    """
     names = sorted(execution.traces)
     horizon = execution.horizon if execution.horizon > 0 else 1.0
     monitored = frozenset(monitored)
@@ -66,16 +85,16 @@ def render_waveform(
     width = LABEL_W + PLOT_W + 2 * MARGIN
     height = 2 * MARGIN + LANE_H * len(names) + AXIS_H
     sx = PLOT_W / horizon
+    xs = _Coords(sx)
 
     def px(t: float) -> float:
         return LABEL_W + MARGIN + t * sx
 
-    def level_y(top: float, value: Value) -> float:
-        if value is Value.ONE:
-            return top
-        if value is Value.ZERO:
-            return top + WAVE_H
-        return top + WAVE_H / 2.0
+    def rect(a: float, b: float, top: float, fill: str, opacity: str) -> str:
+        return (
+            f'<rect x="{xs[a]}" y="{top - 2}" width="{_fmt(px(b) - px(a))}" '
+            f'height="{WAVE_H + 4}" fill="{fill}" fill-opacity="{opacity}"/>'
+        )
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -83,18 +102,15 @@ def render_waveform(
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
 
-    # time grid and axis
+    # time grid and axis; the slack absorbs the rounding of the repeated
+    # sum, and is relative to the step so that no tick past T is drawn
     step = _tick_step(horizon)
     axis_y = MARGIN + LANE_H * len(names) + 14
     tick = 0.0
-    while tick <= horizon + 1e-9:
-        x = px(min(tick, horizon))
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{MARGIN}" x2="{_fmt(x)}" y2="{axis_y - 10}" stroke="{GRID}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{axis_y}" text-anchor="middle">{_fmt(tick)}</text>'
-        )
+    while tick <= horizon + step * 1e-9:
+        x = xs[min(tick, horizon)]
+        parts.append(f'<line x1="{x}" y1="{MARGIN}" x2="{x}" y2="{axis_y - 10}" stroke="{GRID}" stroke-width="1"/>')
+        parts.append(f'<text x="{x}" y="{axis_y}" text-anchor="middle">{_fmt(tick)}</text>')
         tick += step
 
     for lane, name in enumerate(names):
@@ -106,31 +122,20 @@ def render_waveform(
         )
         # sensitivity windows under the wave
         for w in sorted(win_by_sig.get(name, ()), key=lambda w: w.start):
-            x0, x1 = px(w.start), px(min(w.end, horizon))
-            parts.append(
-                f'<rect x="{_fmt(x0)}" y="{top - 2}" width="{_fmt(x1 - x0)}" '
-                f'height="{WAVE_H + 4}" fill="{WINDOW_FILL}" fill-opacity="0.30"/>'
-            )
+            parts.append(rect(w.start, min(w.end, horizon), top, WINDOW_FILL, "0.30"))
+        segments = list(_segments(trace, horizon))
         # X intervals shaded red
-        for a, b, v in _segments(trace, horizon):
+        for a, b, v in segments:
             if v is Value.X and b > a:
-                x0, x1 = px(a), px(min(b, horizon))
-                parts.append(
-                    f'<rect x="{_fmt(x0)}" y="{top - 2}" width="{_fmt(x1 - x0)}" '
-                    f'height="{WAVE_H + 4}" fill="{X_FILL}" fill-opacity="0.35"/>'
-                )
-        # stepped value line
-        points = []
-        prev_y = None
-        for a, b, v in _segments(trace, horizon):
-            y = level_y(top, v)
-            if prev_y is None:
-                points.append(f"{_fmt(px(a))},{_fmt(y)}")
-            else:
-                points.append(f"{_fmt(px(a))},{_fmt(prev_y)}")
-                points.append(f"{_fmt(px(a))},{_fmt(y)}")
-            points.append(f"{_fmt(px(min(b, horizon)))},{_fmt(y)}")
-            prev_y = y
+                parts.append(rect(a, min(b, horizon), top, X_FILL, "0.35"))
+        # stepped value line: a level per value, a vertical step at each change
+        level = {Value.ONE: _fmt(top), Value.ZERO: _fmt(top + WAVE_H), Value.X: _fmt(top + WAVE_H / 2.0)}
+        a, b, v = segments[0]
+        y = level[v]
+        points = [f"{xs[a]},{y}", f"{xs[min(b, horizon)]},{y}"]
+        for a, b, v in segments[1:]:
+            xa, prev_y, y = xs[a], y, level[v]
+            points += (f"{xa},{prev_y}", f"{xa},{y}", f"{xs[min(b, horizon)]},{y}")
         parts.append(
             f'<polyline points="{" ".join(points)}" fill="none" stroke="{LINE}" stroke-width="1.3"/>'
         )

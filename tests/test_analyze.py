@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import random
 import subprocess
 import sys
 import warnings
@@ -26,7 +27,7 @@ from faultscope.analysis import (
     p_fail_weighted,
     value_regions,
 )
-from faultscope.generators import PipelineSpec, linear_pipeline
+from faultscope.generators import MultiBitSpec, PipelineSpec, linear_pipeline, multibit_linear_pipeline
 from faultscope.netlist import write_report
 
 CFG = SimConfig(horizon=32.0, epsilon=0.1)
@@ -559,15 +560,133 @@ def test_probes_exit_early_on_reconvergence(monkeypatch):
 
 
 def test_kept_run_does_not_keep_its_circuit_alive():
-    """The run a circuit keeps holds no reference back to it, so reference
-    counting alone frees both."""
+    """The run and the probe context a circuit keeps hold no reference back
+    to it, so reference counting alone frees all three."""
     circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
     verdict = is_susceptible(circuit, {}, monitored, Glitch("c2", 10.0, 0.1), CFG)
-    assert verdict and "_fault_free_run" in vars(circuit)
-    ref = weakref.ref(circuit)
+    kept = vars(circuit)
+    assert verdict and "_fault_free_run" in kept and "_probe_context" in kept
+    refs = [weakref.ref(x) for x in (circuit, kept["_fault_free_run"], kept["_probe_context"])]
+    del kept
     gc.disable()
     try:
         del circuit
-        assert ref() is None
+        assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()
+
+
+# --- the probe context is_susceptible keeps ---------------------------------------
+
+
+def _kept_context(circuit):
+    return vars(circuit).get("_probe_context")
+
+
+@pytest.mark.parametrize(
+    "spec, horizon",
+    [(PipelineSpec(3, 1, 5, 4, 4), 32.0), (MultiBitSpec(4, 3, 1, 5, 4, 4), 500.0)],
+    ids=["lin3", "mb4"],
+)
+def test_kept_context_gives_a_fresh_contexts_verdicts(spec, horizon):
+    """200 seeded queries share one kept context, and each verdict is the
+    one a new context gives."""
+    circuit, monitored = (linear_pipeline if isinstance(spec, PipelineSpec) else multibit_linear_pipeline)(spec)
+    config = SimConfig(horizon, 0.1)
+    rng = random.Random(22)
+    signals = sorted(circuit.signals - monitored)
+    kept, verdicts = None, []
+    for _ in range(200):
+        glitch = Glitch(rng.choice(signals), rng.uniform(0.0, horizon - 0.1), 0.1)
+        verdict = is_susceptible(circuit, {}, monitored, glitch, config)
+        kept = kept or _kept_context(circuit)
+        assert _kept_context(circuit) is kept
+        fresh = _ProbeContext(circuit, {}, config, monitored, glitch.kind)
+        assert verdict == fresh.probe(glitch.signal, glitch.at, glitch.width), glitch
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_kept_context_is_rebuilt_for_another_query():
+    """A change of the monitored set, the pulse kind, the horizon (32 is not
+    32.0) or the inputs builds a new context, which overlays the run the
+    circuit keeps; the same query again keeps it."""
+    circuit = Circuit(
+        inputs={"i"},
+        locals={"a"},
+        outputs={"o"},
+        initial={"a": Value.ONE, "o": Value.ZERO},
+        rules=[
+            ProductionRule(SignalRef("i"), "a", 0, 1.0),
+            ProductionRule(Not(SignalRef("i")), "a", 1, 1.0),
+            ProductionRule(SignalRef("a"), "o", 1, 1.0),
+            ProductionRule(Not(SignalRef("a")), "o", 0, 1.0),
+        ],
+    )
+    rise = {"i": make_trace(Value.ZERO, [(4.0, Value.ONE)])}
+    fall = {"i": make_trace(Value.ONE, [(4.0, Value.ZERO)])}
+    queries = [
+        ({"o"}, Glitch("a", 2.0, 0.1), SimConfig(32.0, 0.1), rise),
+        ({"o"}, Glitch("a", 2.0, 0.1), SimConfig(32.0, 0.1), rise),
+        ({"a", "o"}, Glitch("a", 2.0, 0.1), SimConfig(32.0, 0.1), rise),
+        ({"a", "o"}, Glitch("a", 2.0, 0.1, FLIP_PULSE), SimConfig(32.0, 0.1), rise),
+        ({"a", "o"}, Glitch("a", 2.0, 0.1, FLIP_PULSE), SimConfig(32, 0.1), rise),
+        ({"a", "o"}, Glitch("a", 2.0, 0.1, FLIP_PULSE), SimConfig(32, 0.1), fall),
+        ({"o"}, Glitch("a", 2.0, 0.1), SimConfig(32.0, 0.1), rise),
+    ]
+    contexts = []
+    for monitored, glitch, config, inputs in queries:
+        is_susceptible(circuit, inputs, monitored, glitch, config)
+        ctx = _kept_context(circuit)
+        assert ctx.run is vars(circuit)["_fault_free_run"]
+        assert (ctx.monitored, ctx.fault_kind, ctx.run.config, ctx.run.key) == (
+            sorted(monitored), glitch.kind, config, repr((config, sorted(inputs.items())))
+        )
+        contexts.append(ctx)
+    assert contexts[1] is contexts[0]
+    assert len({id(ctx) for ctx in contexts}) == 6
+
+
+def test_kept_context_goes_with_its_run():
+    """A new fault-free run on the circuit drops the kept context with the
+    run it overlays, so the circuit never keeps two runs."""
+    circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+    is_susceptible(circuit, {}, monitored, Glitch("c2", 10.0, 0.1), CFG)
+    old = weakref.ref(vars(circuit)["_fault_free_run"])
+    analyze(circuit, {}, monitored, 0.1, 0.05, SimConfig(20.0, 0.1))
+    assert old() is None and _kept_context(circuit) is None
+
+
+def test_unknown_monitored_name_raises_on_every_query():
+    """An unknown monitored name raises before any kernel run, with or
+    without a kept context, and leaves the kept context and run alone."""
+    circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+    bad = set(monitored) | {"nope"}
+    glitch = Glitch("c2", 10.0, 0.1)
+    for _ in range(2):
+        with pytest.raises(CircuitInvalid, match="nope"):
+            is_susceptible(circuit, {}, bad, glitch, CFG)
+    assert _kept_context(circuit) is None and "_fault_free_run" not in vars(circuit)
+    assert is_susceptible(circuit, {}, monitored, glitch, CFG)
+    ctx, run = _kept_context(circuit), vars(circuit)["_fault_free_run"]
+    for config in (CFG, SimConfig(40.0, 0.1)):
+        with pytest.raises(CircuitInvalid, match="nope"):
+            is_susceptible(circuit, {}, bad, glitch, config)
+    assert _kept_context(circuit) is ctx and vars(circuit)["_fault_free_run"] is run
+
+
+def test_analyses_count_their_own_probes_after_queries():
+    """``analyze`` and ``analyze_naive`` build their own context, so queries
+    made before them on the circuit add nothing to ``simulations``."""
+    fresh, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+    used, _ = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+    for at in (1.0, 10.0, 20.0):
+        is_susceptible(used, {}, monitored, Glitch("c2", at, 0.1), CFG)
+    assert _kept_context(used).simulations == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for run, probes in (
+            (lambda c: analyze(c, {}, monitored, 0.1, 0.05, CFG), 150),
+            (lambda c: analyze_naive(c, {}, monitored, 0.1, 1.0, CFG), 5 * 32),
+        ):
+            assert run(used).simulations == run(fresh).simulations == probes

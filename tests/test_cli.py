@@ -210,6 +210,29 @@ def test_inject_svg(lin3_file, tmp_path, capsys, at):
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == INJECT_SVG_SHA256[at]
 
 
+# the drawing the inject benchmark makes (the 4-bit pipeline at T=500), and
+# an analysis drawing with windows and monitored labels (linear-3 at T=32)
+SIMULATE_MB4_SVG_SHA256 = "40de406719d21541b96b77dc0c1d9a4f8afd7fd8afa2d14cc4e9a7b9c638123c"
+ANALYZE_LIN3_SVG_SHA256 = "52ccf8fc3053f473e45e293333d49b022ceb6c9516e2e3ad29e1ce62269c2fdc"
+
+
+def test_simulate_svg_of_mb4(tmp_path, capsys):
+    prs, svg = tmp_path / "mb4.prs", tmp_path / "mb4.svg"
+    assert main(["generate", "multibit", "4", "3", "1", "5", "4", "4", "--out", str(prs)]) == 0
+    code, out, _ = run(capsys, "simulate", "--circuit", str(prs), "--until", "500", "--out-svg", str(svg))
+    assert code == 0 and out == "1546 events until T=500\n"
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == SIMULATE_MB4_SVG_SHA256
+
+
+def test_analyze_svg_of_lin3(lin3_file, tmp_path, capsys):
+    svg = tmp_path / "lin3.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, _ = run(capsys, "analyze", "--circuit", lin3_file, "--until", "32", "--out-svg", str(svg))
+    assert code == 0 and out == "P(fail) = 0.5425\n"
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == ANALYZE_LIN3_SVG_SHA256
+
+
 # a non-finite horizon, pulse time, pulse width, gamma or grid step, or a
 # zero grid step, fails loudly: no hang, no P(fail), no verdict
 @pytest.mark.parametrize(

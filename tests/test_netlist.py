@@ -1,6 +1,7 @@
 """DSL parsing/serialization, trace CSV, report JSON, and SVG rendering."""
 
 import json
+import re
 import warnings
 
 import pytest
@@ -285,6 +286,24 @@ def test_svg_deterministic(report):
     a = render_waveform(ex, report.windows, monitored)
     b = render_waveform(ex, report.windows, monitored)
     assert a == b
+
+
+@pytest.mark.parametrize("horizon", [5e-9, 1e-10])
+def test_svg_time_axis_ends_at_the_horizon(horizon):
+    """The axis runs from 0 to T, with no tick past T, also where T is far
+    below the rounding slack a fixed tolerance would allow."""
+    o = SignalRef("o")
+    circuit = Circuit(
+        inputs=set(),
+        locals=set(),
+        outputs={"o"},
+        initial={"o": Value.ZERO},
+        rules=[ProductionRule(Not(o), "o", 1, 1.0), ProductionRule(o, "o", 0, 1.0)],
+    )
+    svg = render_waveform(execute(circuit, {}, SimConfig(horizon, 0.1)))
+    labels = [float(x) for x in re.findall(r'text-anchor="middle">([^<]*)</text>', svg)]
+    assert labels[0] == 0.0
+    assert labels[-1] == pytest.approx(horizon) and labels[-1] <= horizon
 
 
 def test_svg_renders_glitched_trace():
