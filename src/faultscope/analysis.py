@@ -34,8 +34,9 @@ tests).  On a run that repeats, a region more than one period past t1
 replays the verdicts of the region it folds onto (``_windows_for_signal``).
 The probes of one signal's bisection share a memo of the kernel states they
 reached at fault-free visit times after their pulse ended, with the verdict
-each led to: probes at nearby times often meet in one state, and a probe
-that reaches a known state stops there with its verdict, exactly
+each led to, indexed by that time: probes at nearby times often meet in one
+state, and a probe compares its state at such a time with the few stored
+there and stops at an equal one with its verdict, exactly
 (``_ProbeContext.probe``).  The grid scan is kept as ``analyze_naive``,
 without the memo, and doubles as the test oracle.
 """
@@ -299,7 +300,7 @@ class _FaultFreeRun:
     there are those at t - k·p, shifted by k·p.
     """
 
-    def __init__(self, circuit: Circuit, inputs: InputTraces, config: SimConfig, key: str):
+    def __init__(self, circuit: Circuit, inputs: InputTraces, config: SimConfig, key: tuple[str, str]):
         self.key = key
         self.config = config
         self.settle = _settle(circuit, config)
@@ -412,10 +413,13 @@ def _fault_free_run(circuit: Circuit, inputs: InputTraces | None, config: SimCon
     keeps the compiled form, and is reused while the inputs and config are
     the same.  They are compared by their ``repr``: by value, but telling
     1 from 1.0 and 0.0 from -0.0, which a run's regions and report bytes
-    would show, so a reused run is the run a fresh build would make.
+    would show, so a reused run is the run a fresh build would make.  The
+    kept run's own config object is not rendered again: ``SimConfig`` is
+    frozen, so its ``repr`` has not changed.
     """
-    key = repr((config, sorted((inputs or {}).items())))
     run = getattr(circuit, "_fault_free_run", None)
+    config_key = run.key[0] if run is not None and config is run.config else repr(config)
+    key = (config_key, repr(sorted((inputs or {}).items())))
     if run is None or run.key != key:
         # a kept probe context overlays the kept run (``is_susceptible``):
         # dropped with it, so that the circuit never keeps two runs
@@ -453,7 +457,7 @@ class _ProbeContext:
     decides nothing.  Verdicts are identical to re-running the full
     execution to T + settle with the pulse overlaid.  The context keeps no
     memo: ``_windows_for_signal`` makes one per signal, so ``is_susceptible``
-    and ``analyze_naive`` build no key.
+    and ``analyze_naive`` store no state.
     """
 
     def __init__(
@@ -492,20 +496,23 @@ class _ProbeContext:
         the pulse and no probe runs).
 
         A ``memo`` dict, shared by the probes of one signal's bisection,
-        maps the kernel states that earlier probes passed through to their
-        verdicts and hit times.  A state is keyed at the end of a visit at
-        or after the pulse end whose time t is a fault-free visit time, as
-        (t, values, pend, pend_x).  The probe stops at the first key it
-        finds and takes that verdict and hit time; every key it adds on the
-        way maps to one list, filled with its own when the run ends, so a
-        miss hashes its key once.  This is exact: from the visit at the
-        pulse end on, both externals are applied and no other is left, the
-        guard values follow from the values, the inputs still to come from
-        t, and queue entries of canceled actions only add visits that change
-        nothing.  So equal keys have equal futures: the same monitored X at
-        the same time, or none.  Keying only at fault-free visit times keeps
-        the keys few and the ones that recur, as probes at nearby times
-        meet there.
+        holds the kernel states that earlier probes passed through with
+        their verdicts and hit times.  It maps a fault-free visit time t to
+        the states (values, pend, pend_x, entry) that those probes had at
+        the end of their visit at t, at or after their pulse end; ``entry``
+        is the [verdict, hit time] list of the probe that stored the state.
+        At such a visit the probe compares its own state with each one
+        stored at t, by list and dict equality.  At an equal one it stops
+        and takes that entry's verdict and hit time; otherwise it stores a
+        copy of its state with its own entry, which it fills when the run
+        ends.  This is exact: from the visit at the pulse end on, both
+        externals are applied and no other is left, the guard values follow
+        from the values, the inputs still to come from t, and queue entries
+        of canceled actions only add visits that change nothing.  So equal
+        (t, values, pend, pend_x) have equal futures: the same monitored X
+        at the same time, or none.  Storing only at fault-free visit times
+        keeps the states few, a handful per time, and the ones that recur,
+        as probes at nearby times meet there.
         """
         self.simulations += 1
         self.hit_time = -math.inf
@@ -526,8 +533,8 @@ class _ProbeContext:
 
         after_visit = converged
         if memo is not None:
-            mine: list = []  # [verdict, hit time] of this probe, for the keys it adds
-            found = mine  # the memo's entry for the last state keyed
+            mine: list = []  # [verdict, hit time] of this probe, for the states it adds
+            found = mine  # the entry of the stored state it stopped at
 
             def memoized(t, values, pend, pend_x):
                 nonlocal found
@@ -535,8 +542,15 @@ class _ProbeContext:
                     return True
                 if t < end or run.snapshot(t).time != t:
                     return False
-                found = memo.setdefault((t, tuple(values), frozenset(pend.items()), frozenset(pend_x.items())), mine)
-                return found is not mine
+                states = memo.get(t)
+                if states is None:
+                    states = memo[t] = []
+                for seen_values, seen_pend, seen_pend_x, entry in states:
+                    if seen_pend == pend and seen_pend_x == pend_x and seen_values == values:
+                        found = entry
+                        return True
+                states.append((values[:], pend.copy(), pend_x.copy(), mine))
+                return False
 
             after_visit = memoized
 
@@ -628,9 +642,10 @@ def _windows_for_signal(ctx: _ProbeContext, signal: str, gamma: float, delta: fl
     """The windows of one signal, one value region at a time, the number of
     real probes they took and the prefix-shaped regions (``_locate_window``).
     Probing is its only effect, so any process may run it for the caller.
-    Its real probes share one memo of kernel states (``_ProbeContext.probe``),
-    dropped when the signal is done: keys hold a time and a whole state, so
-    the memo's size follows the probes of one signal, not of the analysis.
+    Its real probes share one memo of kernel states, indexed by fault-free
+    visit time (``_ProbeContext.probe``), dropped when the signal is done:
+    each entry holds a whole state, so the memo's size follows the probes
+    of one signal, not of the analysis.
 
     A region that starts past t2, except the last, which T may cut, is the
     region k·p earlier shifted by k·p, with k·p = ``fold(start)``: the
@@ -650,7 +665,7 @@ def _windows_for_signal(ctx: _ProbeContext, signal: str, gamma: float, delta: fl
     regions = run.regions
     windows, prefixes = [], []  # SensitivityWindows, ValueRegions
     used: dict[float, _Verdicts] = {}  # per region, by start
-    memo: dict = {}  # the verdicts of the states this signal's probes reached
+    memo: dict = {}  # by visit time, the states this signal's probes reached there
     for region in regions:
         replay: Sequence[bool] = ()
         shift = run.fold(region.start) if region is not regions[-1] else 0.0

@@ -607,6 +607,28 @@ def test_kept_context_gives_a_fresh_contexts_verdicts(spec, horizon):
     assert True in verdicts and False in verdicts
 
 
+def test_queries_with_one_config_object_render_it_once(monkeypatch):
+    """200 queries with one config object render it for the first run's key
+    only: the kept run's own config needs no ``repr``, as ``SimConfig`` is
+    frozen."""
+    circuit, monitored = multibit_linear_pipeline(MultiBitSpec(4, 3, 1, 5, 4, 4))
+    config = SimConfig(500.0, 0.1)
+    renders = 0
+    render = SimConfig.__repr__
+
+    def counting(self):
+        nonlocal renders
+        renders += 1
+        return render(self)
+
+    monkeypatch.setattr(SimConfig, "__repr__", counting)
+    rng = random.Random(22)
+    signals = sorted(circuit.signals - monitored)
+    for _ in range(200):
+        is_susceptible(circuit, {}, monitored, Glitch(rng.choice(signals), rng.uniform(0.0, 499.9), 0.1), config)
+    assert renders == 1
+
+
 def test_kept_context_is_rebuilt_for_another_query():
     """A change of the monitored set, the pulse kind, the horizon (32 is not
     32.0) or the inputs builds a new context, which overlays the run the
@@ -640,7 +662,7 @@ def test_kept_context_is_rebuilt_for_another_query():
         ctx = _kept_context(circuit)
         assert ctx.run is vars(circuit)["_fault_free_run"]
         assert (ctx.monitored, ctx.fault_kind, ctx.run.config, ctx.run.key) == (
-            sorted(monitored), glitch.kind, config, repr((config, sorted(inputs.items())))
+            sorted(monitored), glitch.kind, config, (repr(config), repr(sorted(inputs.items())))
         )
         contexts.append(ctx)
     assert contexts[1] is contexts[0]

@@ -78,10 +78,20 @@ def test_memo_is_exact_on_presets(make, T):
     assert _check_memo_is_exact(circuit, {}, monitored, SimConfig(T, 0.1)) > 0
 
 
-def test_memo_saves_probe_visits(monkeypatch):
-    """The probe-kernel visits of one analysis of ring20/9 at T=200, pinned:
-    104,903 without the memo."""
-    visits = 0
+@pytest.mark.parametrize(
+    "make,T,probes,visits,without",
+    [
+        pytest.param(lambda: ring_pipeline(RingSpec(20, 9, 1, 5)), 200.0, 3829, 45035, 104903, id="ring20/9"),
+        pytest.param(
+            lambda: multibit_linear_pipeline(MultiBitSpec(4, 3, 1, 5, 4, 4)), 500.0, 14698, 59866, 104766, id="mb4/500"
+        ),
+    ],
+)
+def test_memo_saves_probe_visits(monkeypatch, make, T, probes, visits, without):
+    """The probes and probe-kernel visits of one analysis, pinned, against
+    the visits the same probes make without the memo; a memo that misses
+    a state an earlier probe reached makes more visits."""
+    counted_visits = 0
     kernel = analysis._kernel
 
     def counting(*args, **kwargs):
@@ -89,15 +99,15 @@ def test_memo_saves_probe_visits(monkeypatch):
             hook = kwargs["after_visit"]
 
             def counted(*state):
-                nonlocal visits
-                visits += 1
+                nonlocal counted_visits
+                counted_visits += 1
                 return hook(*state)
 
             kwargs["after_visit"] = counted
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "_kernel", counting)
-    circuit, monitored = ring_pipeline(RingSpec(20, 9, 1, 5))
-    report = analyze(circuit, {}, monitored, GAMMA, DELTA, SimConfig(200.0, 0.1))
-    assert report.simulations == 3829
-    assert visits == 45035 < 104903
+    circuit, monitored = make()
+    report = analyze(circuit, {}, monitored, GAMMA, DELTA, SimConfig(T, 0.1))
+    assert report.simulations == probes
+    assert counted_visits == visits < without
