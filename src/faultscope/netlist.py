@@ -15,7 +15,8 @@ precedence (NOT over AND over OR); ``#`` starts a comment.  Serialization is
 canonical (sorted declarations, per-target rules with the up-rule first), so
 parse and serialize round-trip structurally.
 
-Malformed text raises ``NetlistError`` with its line.  Well-formed text for
+Malformed text raises ``NetlistError`` with its line, and for a stray
+character its 1-based column in that line.  Well-formed text for
 an invalid circuit or monitor line raises ``prs.CircuitInvalid``: parsing
 compiles the circuit (``sim._compiled``), which validates it once and keeps
 the compiled form that later runs of the circuit reuse.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import string
 
 from .analysis import SensitivityReport, SensitivityWindow
 from .prs import (
@@ -59,105 +61,138 @@ class NetlistError(ValueError):
 
 # --- guard expression parsing -------------------------------------------------
 
+# a rule's tokens: a signal name, a number, "->" or an operator character.
+# split() on this pattern returns them between the text no token matches,
+# which is whitespace unless the rule holds a stray character
+_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_.]*|\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|->|[!&|()=\[\]])")
+_NAME_START = frozenset(string.ascii_letters + "_")  # a name token's first character
 
-class _ExprParser:
-    def __init__(self, tokens: list[str], line: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.line = line
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+def _tokens(text: str, line: int, column: int) -> list[str]:
+    """The tokens of ``text``, which starts at 1-based ``column`` of its
+    line, from one regex pass; a stray character raises with its column."""
+    parts = _TOKEN_RE.split(text)
+    if "".join(parts[::2]).strip():
+        for i, part in enumerate(parts):
+            stray = "" if i % 2 else part.lstrip()
+            if stray:
+                raise NetlistError(f"stray character {stray[0]!r}", line, column + len(part) - len(stray))
+            column += len(part)
+    return parts[1::2]
 
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
 
-    def expect(self, tok: str):
-        got = self.take()
-        if got != tok:
-            raise NetlistError(f"expected {tok!r}, got {got!r}", self.line)
+class _GuardParser:
+    """Recursive descent over a guard's tokens: NOT binds tighter than AND,
+    AND tighter than OR.  One parser reads every guard of a netlist and
+    makes one ``SignalRef`` per signal name."""
 
-    def parse(self) -> GuardExpr:
+    def __init__(self):
+        self.refs: dict[str, SignalRef] = {}
+
+    def parse(self, tokens: list[str], line: int) -> GuardExpr:
+        tokens.append(None)  # the end of the expression
+        self.tokens, self.pos, self.line = tokens, 0, line
         expr = self.or_expr()
-        if self.peek() is not None:
-            raise NetlistError(f"unexpected {self.peek()!r} after expression", self.line)
+        if tokens[self.pos] is not None:
+            raise NetlistError(f"unexpected {tokens[self.pos]!r} after expression", line)
         return expr
 
     def or_expr(self) -> GuardExpr:
         parts = [self.and_expr()]
-        while self.peek() == "|":
-            self.take()
+        while self.tokens[self.pos] == "|":
+            self.pos += 1
             parts.append(self.and_expr())
         return parts[0] if len(parts) == 1 else Or(*parts)
 
     def and_expr(self) -> GuardExpr:
         parts = [self.unary()]
-        while self.peek() == "&":
-            self.take()
+        while self.tokens[self.pos] == "&":
+            self.pos += 1
             parts.append(self.unary())
         return parts[0] if len(parts) == 1 else And(*parts)
 
     def unary(self) -> GuardExpr:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok is None:
             raise NetlistError("unexpected end of expression", self.line)
+        self.pos += 1
         if tok == "!":
-            self.take()
             return Not(self.unary())
         if tok == "(":
-            self.take()
             inner = self.or_expr()
-            self.expect(")")
+            got = self.tokens[self.pos]
+            if got != ")":
+                raise NetlistError(f"expected ')', got {got!r}", self.line)
+            self.pos += 1
             return inner
-        self.take()
-        if not SIGNAL_NAME_RE.match(tok):
+        if tok[0] not in _NAME_START:
             raise NetlistError(f"expected signal name, got {tok!r}", self.line)
-        return SignalRef(tok)
-
-
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*|\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|->|[!&|()=\[\]]|\S")
-
-
-def _tokens(text: str, line: int) -> list[str]:
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        tok = m.group(0)
-        if tok not in ("->", "!", "&", "|", "(", ")", "=", "[", "]") and not SIGNAL_NAME_RE.match(tok) and not NUMBER_RE.match(tok):
-            raise NetlistError(f"stray character {tok!r}", line, m.start() + 1)
-        out.append(tok)
-    return out
+        ref = self.refs.get(tok)
+        if ref is None:
+            ref = self.refs[tok] = SignalRef(tok)
+        return ref
 
 
 def parse_circuit(text: str) -> tuple[Circuit, frozenset]:
-    """Parse and validate; returns the circuit and its monitored set."""
+    """Parse and validate; returns the circuit and its monitored set.
+
+    A rule line is tokenized by one regex pass (``_tokens``) and its guard
+    parsed from the tokens; each other line is split into words.  The
+    circuit is then compiled (``sim._compiled``), which validates it and
+    builds every guard function before this returns.  A ``NetlistError``
+    names the first malformed line, and for a stray character its 1-based
+    column in that line.
+    """
     name = None
     sections: dict[str, list[str]] = {}  # inputs, locals, outputs, monitor
     inits: dict[str, Value] = {}
     rules: list[ProductionRule] = []
+    parser = _GuardParser()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        words = line.split()
-        head = words[0]
+        head = line.split(None, 1)[0]
         if name is None:
+            words = line.split()
             if head != "circuit" or len(words) != 2:
                 raise NetlistError("netlist must start with 'circuit <name>'", lineno)
             if not SIGNAL_NAME_RE.match(words[1]):
                 raise NetlistError(f"bad circuit name {words[1]!r}", lineno)
             name = words[1]
             circuit_line = lineno
-            continue
-        if head in ("inputs", "locals", "outputs", "monitor"):
+        elif head == "rule":
+            # the text after "rule" starts 4 characters into the stripped line
+            toks = _tokens(line[4:], lineno, len(raw) - len(raw.lstrip()) + 5)
+            try:
+                arrow = toks.index("->")
+            except ValueError:
+                raise NetlistError("rule needs '->'", lineno) from None
+            guard = parser.parse(toks[:arrow], lineno)
+            rest = toks[arrow + 1:]
+            if len(rest) != 6 or rest[1] != "=" or rest[3] != "[" or rest[5] != "]":
+                raise NetlistError("expected '<target> = 0|1 [<delay>]' after '->'", lineno)
+            target, bit, delay_tok = rest[0], rest[2], rest[4]
+            if target[0] not in _NAME_START:
+                raise NetlistError(f"bad target name {target!r}", lineno)
+            if bit not in ("0", "1"):
+                raise NetlistError(f"rule action must be 0 or 1, got {bit!r}", lineno)
+            if not NUMBER_RE.match(delay_tok):
+                raise NetlistError(f"bad delay {delay_tok!r}", lineno)
+            delay = float(delay_tok)
+            if not delay > 0:
+                raise NetlistError(f"delay must be positive, got {delay_tok}", lineno)
+            rules.append(ProductionRule(guard, target, int(bit), delay))
+        elif head in ("inputs", "locals", "outputs", "monitor"):
             if head in sections:
                 raise NetlistError(f"duplicate {head!r} declaration", lineno)
+            words = line.split()
             for n in words[1:]:
                 if not SIGNAL_NAME_RE.match(n):
                     raise NetlistError(f"bad signal name {n!r}", lineno)
             sections[head] = words[1:]
         elif head == "init":
+            words = line.split()
             if len(words) != 4 or words[2] != "=":
                 raise NetlistError("expected 'init <signal> = 0|1|X'", lineno)
             signal, value = words[1], words[3]
@@ -168,27 +203,6 @@ def parse_circuit(text: str) -> tuple[Circuit, frozenset]:
             if signal in inits:
                 raise NetlistError(f"duplicate init for {signal!r}", lineno)
             inits[signal] = Value.from_text(value)
-        elif head == "rule":
-            toks = _tokens(line[len("rule"):], lineno)
-            try:
-                arrow = toks.index("->")
-            except ValueError:
-                raise NetlistError("rule needs '->'", lineno) from None
-            guard = _ExprParser(toks[:arrow], lineno).parse()
-            rest = toks[arrow + 1:]
-            if len(rest) != 6 or rest[1] != "=" or rest[3] != "[" or rest[5] != "]":
-                raise NetlistError("expected '<target> = 0|1 [<delay>]' after '->'", lineno)
-            target, bit, delay_tok = rest[0], rest[2], rest[4]
-            if not SIGNAL_NAME_RE.match(target):
-                raise NetlistError(f"bad target name {target!r}", lineno)
-            if bit not in ("0", "1"):
-                raise NetlistError(f"rule action must be 0 or 1, got {bit!r}", lineno)
-            if not NUMBER_RE.match(delay_tok):
-                raise NetlistError(f"bad delay {delay_tok!r}", lineno)
-            delay = float(delay_tok)
-            if not delay > 0:
-                raise NetlistError(f"delay must be positive, got {delay_tok}", lineno)
-            rules.append(ProductionRule(guard, target, int(bit), delay))
         else:
             raise NetlistError(f"unknown declaration {head!r}", lineno)
     if name is None:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import bisect
 import enum
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
@@ -67,7 +66,7 @@ class Not:
     child: "GuardExpr"
 
     def __str__(self) -> str:
-        return f"!{_wrap(self.child, atom_only=True)}"
+        return "!" + _wrap(self.child, (And, Or))
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ class And:
         object.__setattr__(self, "children", tuple(children))
 
     def __str__(self) -> str:
-        return " & ".join(_wrap(c) for c in self.children)
+        return " & ".join(_wrap(c, (And, Or)) for c in self.children)
 
 
 @dataclass(frozen=True)
@@ -93,16 +92,17 @@ class Or:
         object.__setattr__(self, "children", tuple(children))
 
     def __str__(self) -> str:
-        return " | ".join(str(c) for c in self.children)
+        return " | ".join(_wrap(c, Or) for c in self.children)
 
 
 GuardExpr = Union[SignalRef, Not, And, Or]
 
 
-def _wrap(expr: GuardExpr, atom_only: bool = False) -> str:
-    if isinstance(expr, Or) or (atom_only and isinstance(expr, And)):
-        return f"({expr})"
-    return str(expr)
+def _wrap(expr: GuardExpr, grouped) -> str:
+    """A child's text, in parentheses when it is of a kind in ``grouped``:
+    one that binds less tightly than its parent, or one of the parent's own
+    kind, which parsing would merge into the parent."""
+    return f"({expr})" if isinstance(expr, grouped) else str(expr)
 
 
 def guard_signals(expr: GuardExpr) -> frozenset:
@@ -157,6 +157,11 @@ class ProductionRule:
         return f"{self.guard} -> {self.target} = {self.value} [{self.delay!r}]"
 
 
+def _action(rule: ProductionRule) -> tuple:
+    """A rule's place in a circuit's canonical order, short of its guard."""
+    return (rule.target, -rule.value)
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Input/local/output signal sets, initial values, and production rules."""
@@ -174,8 +179,16 @@ class Circuit:
         object.__setattr__(self, "outputs", frozenset(outputs))
         object.__setattr__(self, "initial", dict(initial))
         # rules form a set; keep them in canonical order (by target, the
-        # up-rule first) so structurally equal circuits compare equal
-        object.__setattr__(self, "rules", tuple(sorted(rules, key=lambda r: (r.target, -r.value, str(r.guard)))))
+        # up-rule first, then by guard text) so structurally equal circuits
+        # compare equal.  The guard text decides only between two rules that
+        # set one target to one value, which no valid circuit has, so it is
+        # rendered only when there are such rules
+        rules = tuple(rules)
+        ordered = sorted(rules, key=_action)
+        keys = [_action(r) for r in ordered]
+        if any(a == b for a, b in zip(keys, keys[1:])):
+            ordered = sorted(rules, key=lambda r: (*_action(r), str(r.guard)))
+        object.__setattr__(self, "rules", tuple(ordered))
         object.__setattr__(self, "name", name)
 
     def __getstate__(self):
@@ -255,13 +268,13 @@ def monitor_violations(circuit: Circuit, monitored: Iterable[str]) -> list[Viola
 def validate_circuit(circuit: Circuit) -> list[Violation]:
     """Check all structural circuit invariants; empty result means ok.
 
-    Mutual exclusion of a signal's up/down guards is checked by exhaustive
-    enumeration of Boolean assignments over the signals the two guards
-    reference (guard supports are small in practice), in
-    ``itertools.product`` order over the sorted support.  The guards are
-    evaluated on the numeric values 0.0 and 1.0 (``_kleene``, the core of
-    ``eval_guard``), and only a witness is made into ``Value``s: the first
-    assignment under which both guards are 1.
+    Mutual exclusion of a signal's up/down guards is checked over every
+    Boolean assignment of the signals the two guards reference, in
+    ``itertools.product`` order over the sorted support: each guard is
+    walked once, on truth tables (``_first_common_assignment``), and the
+    violation's witness is the first assignment under which both are 1.
+    Each guard's support is found once and serves both the undeclared-signal
+    check and the exclusion check.
     """
     out: list[Violation] = []
     for kind, a, b in (
@@ -286,7 +299,7 @@ def validate_circuit(circuit: Circuit) -> list[Violation]:
         if s not in driven:
             out.append(Violation("extra-init", s, "initial value for a signal that is not local/output"))
 
-    by_action: dict[tuple[str, int], list[ProductionRule]] = {}
+    by_action: dict[tuple[str, int], list[tuple[ProductionRule, frozenset]]] = {}
     for rule in circuit.rules:
         if rule.target not in driven:
             which = "an input" if rule.target in circuit.inputs else "undeclared"
@@ -295,10 +308,10 @@ def validate_circuit(circuit: Circuit) -> list[Violation]:
             out.append(Violation("bad-delay", rule.target, f"delay must be positive and finite: {rule}"))
         if rule.value not in (0, 1):
             out.append(Violation("bad-action", rule.target, f"action value must be 0 or 1: {rule}"))
-        for s in sorted(guard_signals(rule.guard)):
-            if s not in declared:
-                out.append(Violation("unknown-signal", s, f"guard references undeclared signal in: {rule}"))
-        by_action.setdefault((rule.target, rule.value), []).append(rule)
+        support = guard_signals(rule.guard)
+        for s in sorted(support - declared):
+            out.append(Violation("unknown-signal", s, f"guard references undeclared signal in: {rule}"))
+        by_action.setdefault((rule.target, rule.value), []).append((rule, support))
 
     for (target, value), rules in sorted(by_action.items()):
         if len(rules) > 1:
@@ -310,23 +323,73 @@ def validate_circuit(circuit: Circuit) -> list[Violation]:
         downs = by_action.get((target, 0), [])
         if not ups or not downs:
             continue
-        up, down = ups[0], downs[0]
-        support = sorted(guard_signals(up.guard) | guard_signals(down.guard))
-        if any(s not in declared for s in support):
+        (up, up_support), (down, down_support) = ups[0], downs[0]
+        support = sorted(up_support | down_support)
+        if not declared.issuperset(support):
             continue  # already reported above
-        for bits in itertools.product((0.0, 1.0), repeat=len(support)):
-            env = dict(zip(support, bits))
-            if _kleene(up.guard, env) == 1.0 and _kleene(down.guard, env) == 1.0:
-                out.append(
-                    Violation(
-                        "not-exclusive",
-                        target,
-                        f"up and down guards of {target} are simultaneously true",
-                        witness={s: Value(b) for s, b in env.items()},
-                    )
+        j = _first_common_assignment(up.guard, down.guard, support)
+        if j is not None:
+            last = len(support) - 1
+            out.append(
+                Violation(
+                    "not-exclusive",
+                    target,
+                    f"up and down guards of {target} are simultaneously true",
+                    witness={s: Value.ONE if j >> (last - p) & 1 else Value.ZERO for p, s in enumerate(support)},
                 )
-                break
+            )
     return out
+
+
+_TABLE_BITS = 12  # a truth table covers at most 2**12 assignments
+
+
+def _truth(guard: GuardExpr, env: Mapping[str, int], ones: int) -> int:
+    """Truth table of a guard, one bit per Boolean assignment: ``env`` maps
+    each signal to its own table and ``ones`` is the table of constant 1.
+    On Boolean values Kleene complement, min and max are not, and and or."""
+    if isinstance(guard, SignalRef):
+        return env[guard.name]
+    if isinstance(guard, Not):
+        return ones ^ _truth(guard.child, env, ones)
+    if isinstance(guard, And):
+        table = ones
+        for c in guard.children:
+            table &= _truth(c, env, ones)
+        return table
+    if isinstance(guard, Or):
+        table = 0
+        for c in guard.children:
+            table |= _truth(c, env, ones)
+        return table
+    raise TypeError(f"not a guard expression: {guard!r}")
+
+
+def _first_common_assignment(a: GuardExpr, b: GuardExpr, support: list[str]) -> int | None:
+    """Index, in ``itertools.product((0, 1), repeat=len(support))`` order,
+    of the first assignment under which guards a and b are both 1, or None.
+
+    In assignment j, ``support[p]`` has bit ``len(support) - 1 - p`` of j.
+    Both guards are walked once per truth table: a table holds the
+    assignments of the last (at most ``_TABLE_BITS``) signals of the support
+    for one fixed assignment of the others, and tables are taken in
+    ascending order of j, so only supports wider than ``_TABLE_BITS`` take
+    more than one."""
+    k = len(support)
+    low = min(k, _TABLE_BITS)
+    ones = (1 << (1 << low)) - 1
+    env = {}
+    for q in range(low):  # support[k - 1 - q] is bit q of j
+        half = 1 << q
+        env[support[k - 1 - q]] = ones // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
+    high = support[: k - low]
+    for block in range(1 << len(high)):
+        for p, s in enumerate(high):
+            env[s] = ones if block >> (len(high) - 1 - p) & 1 else 0
+        both = _truth(a, env, ones) & _truth(b, env, ones)
+        if both:
+            return (block << low) | ((both & -both).bit_length() - 1)
+    return None
 
 
 # --- signal traces ----------------------------------------------------------

@@ -58,7 +58,6 @@ from .prs import (
     SignalTrace,
     Value,
     check_input_traces,
-    guard_signals,
     validate_circuit,
 )
 
@@ -214,6 +213,11 @@ class _Compiled:
     it, ``affected``, both as a bitmask over rule ids, and ``step4``, its
     step-4 handler (``_kernel``).
 
+    Compiling validates the circuit first (``validate_circuit``) and then
+    walks each guard once, through ``_guard_source``: the slots it fills
+    name the signals the guard reads, so they give both the rule's guard
+    function its signal ids and the rule its place in ``fan``.
+
     A circuit repeats a few gate shapes once per bit and stage, so guards
     are compiled once per shape and kept per process in ``_GUARD_SHAPES``,
     not compiled once per rule or again for each circuit: a second parse
@@ -283,8 +287,8 @@ class _Compiled:
             delays.append(rule.delay)
             labels.append(label)
             own[idx[rule.target]].append(rid)
-            for s in guard_signals(rule.guard):
-                fan[idx[s]].append(rid)
+            for sid in set(ids):
+                fan[sid].append(rid)
         self.guard_shapes, self.guard_ids = tuple(guard_shapes), tuple(guard_ids)
         self.fns, self.targets, self.bvals = tuple(fns), tuple(targets), tuple(bvals)
         self.delays, self.labels = tuple(delays), tuple(labels)

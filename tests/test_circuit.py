@@ -25,6 +25,8 @@ from faultscope import (
     trace_value_at,
     validate_circuit,
 )
+from faultscope import prs
+from faultscope.netlist import parse_circuit, serialize_circuit
 from faultscope.prs import check_input_traces
 
 
@@ -89,11 +91,12 @@ def _guard_pairs():
     return st.one_of(st.tuples(_guards(), _guards()), shared, derived)
 
 
-@given(_guard_pairs())
-def test_exclusion_matches_enumeration_through_eval_guard(pair):
+@given(_guard_pairs(), st.sampled_from([1, 2, 3, prs._TABLE_BITS]))
+def test_exclusion_matches_enumeration_through_eval_guard(pair, table_bits):
     """The up/down exclusion check finds a violation exactly when some
     Boolean assignment makes both guards 1, and its witness is the first
-    such assignment in product order over the sorted support."""
+    such assignment in product order over the sorted support, also where
+    the support is wider than a truth table and takes several."""
     up, down = pair
     circuit = Circuit(
         inputs=GUARD_NAMES,
@@ -110,11 +113,58 @@ def test_exclusion_matches_enumeration_through_eval_guard(pair):
         )
         if eval_guard(up, assignment) is Value.ONE and eval_guard(down, assignment) is Value.ONE
     ][:1]
-    violations = validate_circuit(circuit)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prs, "_TABLE_BITS", table_bits)
+        violations = validate_circuit(circuit)
     assert violations == expected
     assert [str(v) for v in violations] == [str(v) for v in expected]
     for v in violations:
         assert list(v.witness) == support and all(type(b) is Value for b in v.witness.values())
+
+
+def test_exclusion_witness_past_the_first_truth_table(monkeypatch):
+    """A 14-signal support takes four 12-bit tables; the only common
+    assignment sets every signal to 1, the last one of the last table."""
+    names = [f"s{i:02d}" for i in range(14)]
+    refs = [SignalRef(n) for n in names]
+    circuit = Circuit(
+        inputs=names,
+        locals=(),
+        outputs={"o"},
+        initial={"o": Value.ZERO},
+        rules=[ProductionRule(And(*refs[:7]), "o", 1, 1.0), ProductionRule(And(*refs[7:]), "o", 0, 1.0)],
+    )
+    (violation,) = validate_circuit(circuit)
+    assert violation.witness == {n: Value.ONE for n in names}
+    monkeypatch.setattr(prs, "_TABLE_BITS", 3)
+    assert validate_circuit(circuit) == [violation]
+
+
+@given(_guards())
+def test_guard_text_round_trips(guard):
+    """Serialized text parses back to the same guard, also where a guard
+    nests an And in an And or an Or in an Or, and serializes again to the
+    same text."""
+    circuit = Circuit(
+        inputs=GUARD_NAMES,
+        locals=(),
+        outputs={"o"},
+        initial={"o": Value.ZERO},
+        rules=[ProductionRule(guard, "o", 1, 1.0), ProductionRule(Not(guard), "o", 0, 1.0)],
+    )
+    text = serialize_circuit(circuit)
+    parsed, _ = parse_circuit(text)
+    assert parsed == circuit
+    assert serialize_circuit(parsed) == text
+
+
+def test_nested_guards_of_one_kind_keep_their_parentheses():
+    a, b, c = SignalRef("a"), SignalRef("b"), SignalRef("c")
+    assert str(And(a, And(b, c))) == "a & (b & c)"
+    assert str(Or(Or(a, b), c)) == "(a | b) | c"
+    assert str(Or(And(a, b), c)) == "a & b | c"
+    assert str(And(Or(a, b), c)) == "(a | b) & c"
+    assert str(Not(And(a, b))) == "!(a & b)"
 
 
 def test_zero_delay_rejected():
@@ -211,6 +261,28 @@ def test_duplicate_up_rule():
         ],
     )
     assert any(v.kind == "duplicate-rule" for v in validate_circuit(c))
+
+
+def test_rules_that_set_one_value_are_ordered_by_guard_text():
+    """Rules are ordered by target and up-rule first; two rules that set one
+    target to one value also by guard text, in any order they were given."""
+    a, b = SignalRef("a"), SignalRef("b")
+    rules = [
+        ProductionRule(b, "s", 1, 1.0),
+        ProductionRule(Not(a), "t", 0, 1.0),
+        ProductionRule(And(a, b), "s", 0, 1.0),
+        ProductionRule(a, "s", 1, 2.0),
+        ProductionRule(a, "t", 1, 1.0),
+    ]
+    for given_rules in (rules, rules[::-1]):
+        c = Circuit(inputs={"a", "b"}, locals=set(), outputs={"s", "t"}, initial={}, rules=given_rules)
+        assert [str(r) for r in c.rules] == [
+            "a -> s = 1 [2.0]",
+            "b -> s = 1 [1.0]",
+            "a & b -> s = 0 [1.0]",
+            "a -> t = 1 [1.0]",
+            "!a -> t = 0 [1.0]",
+        ]
 
 
 def test_x_initial_permitted():

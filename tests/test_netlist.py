@@ -2,11 +2,12 @@
 
 import json
 import re
+import sys
 import warnings
 
 import pytest
 
-from faultscope import Circuit, CircuitInvalid, Not, ProductionRule, SignalRef, SimConfig, Value, execute, make_trace
+from faultscope import And, Circuit, CircuitInvalid, Not, Or, ProductionRule, SignalRef, SimConfig, Value, execute, make_trace, prs, sim
 from faultscope.analysis import analyze, make_transient
 from faultscope.generators import MultiBitSpec, PipelineSpec, RingSpec, linear_pipeline, multibit_linear_pipeline, ring_pipeline
 from faultscope.netlist import (
@@ -91,22 +92,58 @@ def test_parse_errors_carry_line_info(text, fragment):
     assert "line" in str(err.value)
 
 
-@pytest.mark.parametrize(
-    "text,message",
-    [
-        ("\n# c\ncircuit c\ninputs i\n", "line 3: netlist declares no outputs"),
-        ("circuit c\noutputs\n", "line 1: netlist declares no outputs"),
-        ("circuit c\noutputs o\noutputs p\n", "line 3: duplicate 'outputs' declaration"),
-        ("circuit c\noutputs o\nlocals 9a\n", "line 3: bad signal name '9a'"),
-        ("circuit c\noutputs o\ninit o = 0\ninit o = 1\n", "line 4: duplicate init for 'o'"),
-        ("circuit c\noutputs o\ninit o = 0\nrule x $ y -> o = 1 [1.0]\n", "line 4: stray character '$'"),
-        ("circuit c\noutputs o\ninit o = 0\nrule x -> o = 1 [1e]\n", "line 4: expected '<target> = 0|1 [<delay>]' after '->'"),
-    ],
-)
-def test_parse_error_messages_pinned(text, message):
+_HEAD = "circuit c\noutputs o\ninit o = 0\n"
+
+# malformed netlists: (text, message, line, column); the column is the stray
+# character's 1-based column in its raw line, and 0 for every other error
+MALFORMED = [
+    ("\n# c\ncircuit c\ninputs i\n", "line 3: netlist declares no outputs", 3, 0),
+    ("circuit c\noutputs\n", "line 1: netlist declares no outputs", 1, 0),
+    ("circuit c\noutputs o\noutputs p\n", "line 3: duplicate 'outputs' declaration", 3, 0),
+    ("circuit c\noutputs o\nlocals 9a\n", "line 3: bad signal name '9a'", 3, 0),
+    ("circuit c\noutputs o\ninit o = 0\ninit o = 1\n", "line 4: duplicate init for 'o'", 4, 0),
+    (_HEAD + "rule x $ y -> o = 1 [1.0]\n", "line 4: stray character '$'", 4, 8),
+    (_HEAD + "rule x -> o = 1 [1e]\n", "line 4: expected '<target> = 0|1 [<delay>]' after '->'", 4, 0),
+    ("outputs o\n", "line 1: netlist must start with 'circuit <name>'", 1, 0),
+    ("circuit c\noutputs o\ninit o = 2\n", "line 3: bad initial value '2' (expected 0, 1 or X)", 3, 0),
+    (_HEAD + "rule o = 1 [1.0]\n", "line 4: rule needs '->'", 4, 0),
+    (_HEAD + "rule x -> o = 1 [0]\n", "line 4: delay must be positive, got 0", 4, 0),
+    (_HEAD + "rule x -> o = 3 [1.0]\n", "line 4: rule action must be 0 or 1, got '3'", 4, 0),
+    (_HEAD + "rule x -> o = X [1.0]\n", "line 4: rule action must be 0 or 1, got 'X'", 4, 0),
+    ("circuit c\nwibble o\n", "line 2: unknown declaration 'wibble'", 2, 0),
+    ("", "line 1: empty netlist", 1, 0),
+    # a stray character at the start and at the end of a guard, after
+    # leading whitespace, and where a token's prefix is one
+    (_HEAD + "rule $x -> o = 1 [1.0]\n", "line 4: stray character '$'", 4, 6),
+    (_HEAD + "rule x & y; -> o = 1 [1.0]\n", "line 4: stray character ';'", 4, 11),
+    (_HEAD + "   rule a & b -> o = 1 [1.0] ;\n", "line 4: stray character ';'", 4, 30),
+    (_HEAD + "\trule x -> o = 1 [1.0] , # note\n", "line 4: stray character ','", 4, 24),
+    (_HEAD + "rule x - > o = 1 [1.0]\n", "line 4: stray character '-'", 4, 8),
+    (_HEAD + "rule . -> o = 1 [1.0]\n", "line 4: stray character '.'", 4, 6),
+    (_HEAD + "rule x -> o = 1 [.]\n", "line 4: stray character '.'", 4, 18),
+    (_HEAD + "rule x -> o = 1 [-1]\n", "line 4: stray character '-'", 4, 18),
+    # tokens in the wrong place
+    (_HEAD + "rule 1e -> o = 1 [1.0]\n", "line 4: expected signal name, got '1'", 4, 0),
+    (_HEAD + "rule x y -> o = 1 [1.0]\n", "line 4: unexpected 'y' after expression", 4, 0),
+    (_HEAD + "rule x & -> o = 1 [1.0]\n", "line 4: unexpected end of expression", 4, 0),
+    (_HEAD + "rule -> o = 1 [1.0]\n", "line 4: unexpected end of expression", 4, 0),
+    (_HEAD + "rule x -> 5 = 1 [1.0]\n", "line 4: bad target name '5'", 4, 0),
+    (_HEAD + "rule x -> o = 1 [x]\n", "line 4: bad delay 'x'", 4, 0),
+    (_HEAD + "rule x -> o = 1 [1.0] ]\n", "line 4: expected '<target> = 0|1 [<delay>]' after '->'", 4, 0),
+    # unbalanced parentheses
+    (_HEAD + "rule (x -> o = 1 [1.0]\n", "line 4: expected ')', got None", 4, 0),
+    (_HEAD + "rule ((x) -> o = 1 [1.0]\n", "line 4: expected ')', got None", 4, 0),
+    (_HEAD + "rule x) -> o = 1 [1.0]\n", "line 4: unexpected ')' after expression", 4, 0),
+    (_HEAD + "rule (x)) -> o = 1 [1.0]\n", "line 4: unexpected ')' after expression", 4, 0),
+]
+
+
+@pytest.mark.parametrize("text,message,line,column", MALFORMED, ids=[f"{c[0]}-{c[1]}" for c in MALFORMED])
+def test_parse_error_messages_pinned(text, message, line, column):
     with pytest.raises(NetlistError) as err:
         parse_circuit(text)
     assert str(err.value) == message
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_unknown_monitor_follows_circuit_violations():
@@ -154,6 +191,54 @@ def test_roundtrip_generated(build):
     parsed, parsed_mon = parse_circuit(text)
     assert parsed == circuit
     assert parsed_mon == monitored
+
+
+def _count_walks(monkeypatch, walks, key, *functions):
+    """Count in ``walks[key]`` the outermost calls of the recursive guard
+    walkers ``(owner, name)``: one per walk of a guard tree, whichever of
+    them it starts in.  A walker is replaced on its owner and under every
+    faultscope module attribute bound to it."""
+    depth = [0]
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            walks[key] += not depth[0]
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return counted
+
+    walks[key] = 0
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "faultscope"]
+    for owner, name in functions:
+        fn = getattr(owner, name)
+        counted = counting(fn)
+        monkeypatch.setattr(owner, name, counted)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+def test_parse_walks_each_guard_once_per_purpose(monkeypatch):
+    """Parsing mb8 walks each of its 254 guards once for its support, once
+    for its truth table in the exclusion check and once for its shape
+    source, and renders no guard as text: valid rules are ordered without
+    it.  A walk that comes back shows here, since verdicts and bytes would
+    not show it."""
+    text = serialize_circuit(*multibit_linear_pipeline(MultiBitSpec(8, 3, 1, 5, 4, 4)))
+    walks: dict[str, int] = {}
+    _count_walks(monkeypatch, walks, "support", (prs, "guard_signals"))
+    _count_walks(monkeypatch, walks, "truth table", (prs, "_truth"))
+    _count_walks(monkeypatch, walks, "kleene", (prs, "_kleene"))
+    _count_walks(monkeypatch, walks, "shape source", (sim, "_guard_source"))
+    _count_walks(monkeypatch, walks, "text", *((cls, "__str__") for cls in (SignalRef, Not, And, Or)))
+    circuit, _ = parse_circuit(text)
+    assert len(circuit.rules) == 254
+    assert walks == {"support": 254, "truth table": 254, "kleene": 0, "shape source": 254, "text": 0}
 
 
 # --- traces ------------------------------------------------------------------
