@@ -1,7 +1,7 @@
 """Transient-fault injection and sensitivity analysis.
 
 A transient fault is an X-pulse: a pair of external events driving a signal to
-X and, a pulse width later, back to its fault-free value (``_pulse_rule`` is
+X and, a pulse width later, back to its fault-free value (``_pulse_values`` is
 the one rule for X- and flip-pulses).  The circuit is susceptible to a fault if
 it makes a monitored signal attain X before T + settle, where T is the horizon
 and settle = |C|·max(ε, d_max) gives a fault near T time to cross the circuit.
@@ -32,13 +32,16 @@ cheaper than a time grid.  A susceptible stretch inside a region with both
 ends masked is missed (ROADMAP item 4, pinned as an expected failure in the
 tests).  On a run that repeats, a region more than one period past t1
 replays the verdicts of the region it folds onto (``_windows_for_signal``).
-The probes of one signal's bisection share a memo of the kernel states they
-reached at fault-free visit times after their pulse ended, with the verdict
-each led to, indexed by that time: probes at nearby times often meet in one
-state, and a probe compares its state at such a time with the few stored
-there and stops at an equal one with its verdict, exactly
-(``_ProbeContext.probe``).  The grid scan is kept as ``analyze_naive``,
-without the memo, and doubles as the test oracle.
+A probe runs the kernel with one after-visit hook, which stops it where it
+re-converges to the fault-free run and, given a memo, where it meets a state
+an earlier probe reached; it keeps its verdict and hit time in one record.
+The probes of one signal's bisection share such a memo of the kernel states
+they reached at fault-free visit times after their pulse ended, each with
+the record of the probe that stored it, indexed by that time: probes at
+nearby times often meet in one state, and a probe compares its state at
+such a time with the few stored there and stops at an equal one with its
+record, exactly (``_ProbeContext.probe``).  The grid scan is kept as
+``analyze_naive``, without the memo, and doubles as the test oracle.
 """
 
 from __future__ import annotations
@@ -122,33 +125,25 @@ class SensitivityReport:
 # --- fault construction -------------------------------------------------------
 
 
-def _x_pulse(signal: str, at: float, end: float, value_at, horizon: float) -> tuple[float, float]:
-    return X, value_at(min(end, horizon))
+def _pulse_values(kind: str, signal: str, value_at, at: float, end: float) -> tuple[float, float]:
+    """The drive and restore values, as kernel floats, of a pulse of the kind
+    on the signal from ``at`` to ``end``, where ``value_at(t)`` is the
+    fault-free value at t; the one rule for X- and flip-pulses.
 
-
-def _flip_pulse(signal: str, at: float, end: float, value_at, horizon: float) -> tuple[float, float]:
+    An X-pulse drives the signal to X and restores the value the fault-free
+    execution holds at ``end``, so outside the pulse the overlay tracks the
+    fault-free trace even across a switching time; a caller whose trace
+    ends sooner passes its end instead.  A flip-pulse drives the complement
+    of the fault-free value at ``at`` and restores that value afterwards.
+    """
+    if kind == X_PULSE:
+        return X, value_at(end)
+    if kind != FLIP_PULSE:
+        raise ValueError(f"unknown pulse kind {kind!r}")
     v = value_at(at)
     if v == X:
         raise ValueError(f"flip-pulse at {signal}@{at}: pre-fault value is X, nothing to flip")
     return 1.0 - v, v
-
-
-def _pulse_rule(kind: str):
-    """The rule of a pulse kind: ``rule(signal, at, end, value_at, horizon)``
-    gives the drive and restore values of a pulse on the signal from ``at``
-    to ``end``, as kernel floats, where ``value_at(t)`` is the fault-free
-    value at t.
-
-    An X-pulse drives the signal to X and restores the value the fault-free
-    execution holds when the pulse ends (at the horizon if it ends later), so
-    outside the pulse the overlay tracks the fault-free trace even across a
-    switching time.  A flip-pulse drives the complement of the fault-free
-    value at the pulse start and restores that value afterwards.
-    """
-    rule = {X_PULSE: _x_pulse, FLIP_PULSE: _flip_pulse}.get(kind)
-    if rule is None:
-        raise ValueError(f"unknown pulse kind {kind!r}")
-    return rule
 
 
 def make_transient(
@@ -159,7 +154,7 @@ def make_transient(
     base_execution: Execution,
 ) -> tuple[ExternalEvent, ExternalEvent]:
     """Two external events forming a pulse at the signal, by the rule of the
-    pulse kind (``_pulse_rule``) on the fault-free execution's trace.  The
+    pulse kind (``_pulse_values``) on the fault-free execution's trace.  The
     checks are written so that a NaN fails them."""
     if not 0 <= at < math.inf:
         raise ValueError(f"pulse start must be nonnegative and finite, got {at}")
@@ -169,8 +164,7 @@ def make_transient(
     if trace is None:
         raise ValueError(f"pulse signal {signal!r} not in execution")
     end = at + width
-    rule = _pulse_rule(kind)
-    drive, restore = rule(signal, at, end, lambda t: trace_value_at(trace, t).value, trace.horizon)
+    drive, restore = _pulse_values(kind, signal, lambda t: trace_value_at(trace, t).value, at, min(end, trace.horizon))
     return (ExternalEvent(at, signal, Value(drive)), ExternalEvent(end, signal, Value(restore)))
 
 
@@ -226,7 +220,7 @@ def faulty_execution(
     read from the fault-free run as a probe reads it."""
     _check_glitch(circuit, glitch, config)
     run = _fault_free_run(circuit, inputs, config)
-    pulse = run.pulse_events(_pulse_rule(glitch.kind), run.comp.idx[glitch.signal], glitch.at, glitch.width)
+    pulse = run.pulse_events(glitch.kind, run.comp.idx[glitch.signal], glitch.at, glitch.width)
     long = replace(config, horizon=run.t_end)
     inputs = {name: replace(trace, horizon=run.t_end) for name, trace in (inputs or {}).items()}
     return execute(circuit, inputs, long, [ExternalEvent(t, glitch.signal, Value(fv)) for t, _, fv in pulse])
@@ -393,16 +387,12 @@ class _FaultFreeRun:
             self._regions = _regions_from_times(times, T)
         return self._regions
 
-    def pulse_events(self, rule, sid: int, at: float, width: float):
-        """The drive and restore events of a pulse on signal ``sid`` by the
-        pulse ``rule`` (``_pulse_rule``), read from this run."""
-
-        def value_at(t):
-            snap = self.snapshot(t)
-            return snap.values[sid] if snap is not None else self.initial_values[sid]
-
+    def pulse_events(self, kind: str, sid: int, at: float, width: float):
+        """The drive and restore events of a pulse of the kind on signal
+        ``sid`` (``_pulse_values``), read from this run: it visits t = 0,
+        and past T + settle reads as its last visit."""
         end = at + width
-        drive, restore = rule(self.comp.names[sid], at, end, value_at, self.t_end)
+        drive, restore = _pulse_values(kind, self.comp.names[sid], lambda t: self.snapshot(t).values[sid], at, end)
         return ((at, sid, drive), (end, sid, restore))
 
 
@@ -440,24 +430,25 @@ def _fault_free_run(circuit: Circuit, inputs: InputTraces | None, config: SimCon
 # cli._GENERATORS, cli.main and the public generators, netlist, prs and
 # waveform functions it runs: keep these names and call shapes.
 class _ProbeContext:
-    """The one owner of an analysis query: the monitored set, the pulse rule
+    """The one owner of an analysis query: the monitored set, the pulse kind
     and the probe count, over the fault-free run ``run``
     (``_fault_free_run``) of the circuit, inputs and config.  Building it
     checks all of them, the monitored names before the run is built, so an
     analysis builds it in the caller.  It holds no circuit.
 
     A probe resumes from the snapshot of the last visit before the pulse
-    and stops as soon as a monitored signal attains X (susceptible) or the
-    state re-converges to the fault-free run with no X left in flight, or,
-    given a memo, reaches a state that an earlier probe of the memo
-    reached.  A re-converged probe is susceptible when the fault-free run
-    drives a monitored signal to X later (``base_mon_x`` says whether it
-    ever does), and a pulse after such an X is susceptible with no probe
-    run.  A pulse before it can still mask it, so the fault-free X alone
-    decides nothing.  Verdicts are identical to re-running the full
-    execution to T + settle with the pulse overlaid.  The context keeps no
-    memo: ``_windows_for_signal`` makes one per signal, so ``is_susceptible``
-    and ``analyze_naive`` store no state.
+    and stops as soon as a monitored signal attains X (susceptible), or,
+    from the pulse end on, where its one after-visit hook finds the state
+    re-converged to the fault-free run with no X left in flight or, given a
+    memo, equal to a state that an earlier probe of the memo reached.  A
+    re-converged probe is susceptible when the fault-free run drives a
+    monitored signal to X later (``base_mon_x`` says whether it ever does),
+    and a pulse after such an X is susceptible with no probe run.  A pulse
+    before it can still mask it, so the fault-free X alone decides nothing.
+    Verdicts are identical to re-running the full execution to T + settle
+    with the pulse overlaid.  The context keeps no memo:
+    ``_windows_for_signal`` makes one per signal, so ``is_susceptible`` and
+    ``analyze_naive`` store no state.
     """
 
     def __init__(
@@ -471,7 +462,9 @@ class _ProbeContext:
         self.monitored = sorted(monitored)
         if not self.monitored:
             raise ValueError("monitored set must not be empty")
-        self.fault_kind, self.pulse_rule = fault_kind, _pulse_rule(fault_kind)
+        if fault_kind not in (X_PULSE, FLIP_PULSE):
+            raise ValueError(f"unknown pulse kind {fault_kind!r}")
+        self.fault_kind = fault_kind
         unknown = monitor_violations(circuit, self.monitored)
         if unknown:
             _compiled(circuit)  # an invalid circuit raises its own violations
@@ -493,66 +486,59 @@ class _ProbeContext:
         keeps, in ``hit_time``, the time of the visit at which the probe
         saw a monitored X, or of the fault-free X it re-converged before
         (-inf when it saw none, or when the fault-free run has one before
-        the pulse and no probe runs).
+        the pulse and no probe runs).  Both come from the probe's one
+        [verdict, hit time] record, filled when the run ends or copied from
+        the stored state it meets.
 
         A ``memo`` dict, shared by the probes of one signal's bisection,
-        holds the kernel states that earlier probes passed through with
-        their verdicts and hit times.  It maps a fault-free visit time t to
-        the states (values, pend, pend_x, entry) that those probes had at
-        the end of their visit at t, at or after their pulse end; ``entry``
-        is the [verdict, hit time] list of the probe that stored the state.
-        At such a visit the probe compares its own state with each one
-        stored at t, by list and dict equality.  At an equal one it stops
-        and takes that entry's verdict and hit time; otherwise it stores a
-        copy of its state with its own entry, which it fills when the run
-        ends.  This is exact: from the visit at the pulse end on, both
-        externals are applied and no other is left, the guard values follow
-        from the values, the inputs still to come from t, and queue entries
-        of canceled actions only add visits that change nothing.  So equal
-        (t, values, pend, pend_x) have equal futures: the same monitored X
-        at the same time, or none.  Storing only at fault-free visit times
-        keeps the states few, a handful per time, and the ones that recur,
-        as probes at nearby times meet there.
+        holds the kernel states that earlier probes passed through, each
+        with the record of the probe that stored it.  It maps a fault-free
+        visit time t to the states (values, pend, pend_x, record) that
+        those probes had at the end of their visit at t, at or after their
+        pulse end.  At such a visit the after-visit hook compares the
+        probe's state with each one stored at t, by list and dict equality.
+        At an equal one it stops and copies that record into the probe's
+        own, which the states the probe stored before share; otherwise it
+        stores a copy of the state with the probe's record.  This is exact:
+        from the visit at the pulse end on, both externals are applied and
+        no other is left, the guard values follow from the values, the
+        inputs still to come from t, and queue entries of canceled actions
+        only add visits that change nothing.  So equal (t, values, pend,
+        pend_x) have equal futures: the same monitored X at the same time,
+        or none.  Storing only at fault-free visit times keeps the states
+        few, a handful per time, and the ones that recur, as probes at
+        nearby times meet there.
         """
         self.simulations += 1
-        self.hit_time = -math.inf
         run = self.run
-        events = run.pulse_events(self.pulse_rule, run.comp.idx[signal], at, width)
+        events = run.pulse_events(self.fault_kind, run.comp.idx[signal], at, width)
         # resume from the last fault-free visit before the pulse: on float
         # times, the last one at or before the next float down
         seed = run.snapshot(math.nextafter(at, -math.inf))
         if self.base_mon_x and self.mon_x_times[0] <= (-math.inf if seed is None else seed.time):
+            self.hit_time = -math.inf
             return True  # the faulty run repeats that monitored X
         end = events[1][0]
+        record = [None, -math.inf]  # [verdict, hit time]; None until known
 
-        def converged(t, values, pend, pend_x):
+        def after_visit(t, values, pend, pend_x):
             # the pulse lies in (seed time, end] and end < T + settle, so
-            # from the visit at end on both externals are applied: converged
-            # with no X live or pending and the fault-free state at t
-            return t >= end and not pend_x and X not in values and self.matches(t, values, pend, pend_x)
-
-        after_visit = converged
-        if memo is not None:
-            mine: list = []  # [verdict, hit time] of this probe, for the states it adds
-            found = mine  # the entry of the stored state it stopped at
-
-            def memoized(t, values, pend, pend_x):
-                nonlocal found
-                if converged(t, values, pend, pend_x):
-                    return True
-                if t < end or run.snapshot(t).time != t:
-                    return False
-                states = memo.get(t)
-                if states is None:
-                    states = memo[t] = []
-                for seen_values, seen_pend, seen_pend_x, entry in states:
-                    if seen_pend == pend and seen_pend_x == pend_x and seen_values == values:
-                        found = entry
-                        return True
-                states.append((values[:], pend.copy(), pend_x.copy(), mine))
+            # from the visit at end on both externals are applied
+            if t < end:
                 return False
-
-            after_visit = memoized
+            if not pend_x and X not in values and self.matches(t, values, pend, pend_x):
+                return True  # converged, with no X live or pending
+            if memo is None or run.snapshot(t).time != t:
+                return False
+            states = memo.get(t)
+            if states is None:
+                states = memo[t] = []
+            for seen_values, seen_pend, seen_pend_x, seen in states:
+                if seen_pend == pend and seen_pend_x == pend_x and seen_values == values:
+                    record[:] = seen  # the states this probe stored hold its record
+                    return True
+            states.append((values[:], pend.copy(), pend_x.copy(), record))
+            return False
 
         faulty = _kernel(
             run.comp,
@@ -566,19 +552,17 @@ class _ProbeContext:
             seed=seed,
             after_visit=after_visit,
         )
-        sus = faulty.watch_hit
-        if sus:
-            self.hit_time = faulty.time
-        elif faulty.time < run.t_end and self.base_mon_x:
-            # re-converged at faulty.time, so the fault-free future follows:
-            # the first monitored X after it, if any, is the probe's hit
-            i = _bisect_mod.bisect_right(self.mon_x_times, faulty.time)
-            if i < len(self.mon_x_times):
-                sus, self.hit_time = True, self.mon_x_times[i]
-        if memo is not None:
-            if found is not mine:
-                sus, self.hit_time = found
-            mine += (sus, self.hit_time)
+        if record[0] is None:
+            record[0] = faulty.watch_hit
+            if faulty.watch_hit:
+                record[1] = faulty.time
+            elif faulty.time < run.t_end and self.base_mon_x:
+                # re-converged at faulty.time, so the fault-free future
+                # follows: the first monitored X after it, if any, is the hit
+                i = _bisect_mod.bisect_right(self.mon_x_times, faulty.time)
+                if i < len(self.mon_x_times):
+                    record[:] = True, self.mon_x_times[i]
+        sus, self.hit_time = record
         return sus
 
 
@@ -664,23 +648,26 @@ def _windows_for_signal(ctx: _ProbeContext, signal: str, gamma: float, delta: fl
     run = ctx.run
     regions = run.regions
     windows, prefixes = [], []  # SensitivityWindows, ValueRegions
-    used: dict[float, _Verdicts] = {}  # per region, by start
+    used: dict[float, _Verdicts] = {}  # per region at or before t2, by start
     memo: dict = {}  # by visit time, the states this signal's probes reached there
+    probes = ctx.simulations
     for region in regions:
         replay: Sequence[bool] = ()
-        shift = run.fold(region.start) if region is not regions[-1] else 0.0
-        if shift:
+        shift = run.fold(region.start)
+        if shift and region is not regions[-1]:
             # the earlier region lies in (t1, t2] and was probed for real
             earlier = used[region.start - shift]
             if earlier.last_hit < run.t_end - shift:
                 replay = earlier.verdicts
-        probe = used[region.start] = _Verdicts(ctx, signal, gamma, replay, memo)
+        probe = _Verdicts(ctx, signal, gamma, replay, memo)
+        if not shift:
+            used[region.start] = probe
         start, end = _locate_window(probe, region, gamma, delta)
         if end < region.end:  # a prefix: see _locate_window
             prefixes.append(region)
         if start < end:
             windows.append(SensitivityWindow(signal, start, end))
-    return windows, sum(len(v.verdicts) for v in used.values()), prefixes
+    return windows, ctx.simulations - probes, prefixes
 
 
 # a pool worker's probe context: a worker started by fork inherits the
@@ -707,7 +694,7 @@ def _require_positive(**params: float) -> None:
 
 
 def _resolve_injection(circuit, monitored, injection_set):
-    injected = sorted(circuit.signals.difference(monitored) if injection_set is None else injection_set)
+    injected = sorted(circuit.signals.difference(monitored) if injection_set is None else set(injection_set))
     unknown = sorted(set(injected) - circuit.signals)
     if unknown:
         _compiled(circuit)  # an invalid circuit raises its own violations

@@ -291,6 +291,7 @@ def parse_sweep_spec(text: str) -> dict:
     spec = {"params": {}, "sweeps": []}
     ranges: list[dict] = []  # per sweep section: its from/to/step texts
     section = None
+    keys: set[str] = set()  # the keys set so far in the top part or the section
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -301,10 +302,14 @@ def parse_sweep_spec(text: str) -> dict:
             section = {"name": line[len("[sweep."):-1], "values": None}
             spec["sweeps"].append(section)
             ranges.append({})
+            keys = set()
             continue
         if "=" not in line:
             raise UsageError(f"line {lineno}: expected key = value")
         key, value = (p.strip() for p in line.split("=", 1))
+        if key in keys:
+            raise UsageError(f"line {lineno}: key {key!r} is set twice")
+        keys.add(key)
         try:
             if section is None:
                 if key == "generator":
@@ -358,9 +363,15 @@ def cmd_sweep(args) -> int:
     if args.spec:
         spec = parse_sweep_spec(_read(args.spec))
     elif args.generator and args.sweep:
+        params = {}
+        for kv in args.set or []:
+            name, value = _parse_assignment("--set", kv)
+            if name in params:
+                raise UsageError(f"--set sets {name!r} twice")
+            params[name] = value
         spec = {
             "generator": args.generator,
-            "params": dict(_parse_assignment("--set", kv) for kv in (args.set or [])),
+            "params": params,
             "sweeps": [
                 {"name": name, "values": _parse_sweep_values(vals)}
                 for name, vals in (_parse_assignment("--sweep", kv) for kv in args.sweep)
@@ -389,8 +400,10 @@ def cmd_sweep(args) -> int:
     specs = [_generator_spec(kind, {**spec["params"], **dict(zip(names, point))}) for point in points]
     tasks = [(kind, point_spec, T, epsilon, gamma, delta) for point_spec in specs]
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a pool forks all its workers at the first task: no more than points
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, *zip(*tasks)))
     else:
         results = [_sweep_point(*task) for task in tasks]

@@ -149,6 +149,22 @@ def test_naive_simulation_count_formula(pipeline):
     assert rep.simulations == len(rep.injected) * math.ceil(CFG.horizon / 0.25)
 
 
+def test_repeated_injection_name_probed_once(pipeline):
+    """A name given twice in the injection set is one injected signal: it
+    used to be probed twice (84 simulations against 42, naive 128 against
+    64) and to warn twice per prefix region."""
+    circuit, monitored = pipeline
+    for run, arg in ((analyze, 0.01), (analyze_naive, 0.5)):
+        reports = []
+        for names in (["c2"], ["c2", "c2"]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rep = run(circuit, {}, monitored, 0.1, arg, CFG, injection_set=names)
+            reports.append((write_report(rep), rep.simulations, [str(w.message) for w in caught]))
+        assert reports[1] == reports[0], run.__name__
+        assert reports[0][1] == {analyze: 42, analyze_naive: 64}[run]
+
+
 def test_no_path_no_failures():
     # the glitched local drives nothing that reaches the monitored output
     circuit = Circuit(

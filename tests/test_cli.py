@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from faultscope import CircuitInvalid, SimConfig, analysis, netlist, prs, sim
+from faultscope import CircuitInvalid, SimConfig, analysis, cli, netlist, prs, sim
 from faultscope.cli import main
 from faultscope.generators import PipelineSpec, linear_pipeline
 from faultscope.waveform import WAVE_H, X_FILL
@@ -598,6 +598,29 @@ def test_analyze_jobs_deterministic(lin3_file, tmp_path, capsys, monkeypatch):
     assert len(pools) == 2
 
 
+def test_sweep_pool_has_at_most_one_worker_per_point(tmp_path, capsys, monkeypatch):
+    """A pool forks all its workers at the first task, so the sweep asks for
+    no more workers than it has points, and runs one point in-process."""
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    flags = ["sweep", "--generator", "linear", "--set", "stages=3", "--until", "20", "--delta", "0.1"]
+    outs = []
+    for points, jobs in (("4", "3"), ("4,5", "3"), ("4,5", "1")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, _ = run(capsys, *flags, "--sweep", f"source_delay={points}", "--jobs", jobs)
+        assert code == 0
+        outs.append(out)
+    assert pools == [2]
+    assert outs[1] == outs[2]
+
+
 def test_help_documents_defaults(capsys):
     with pytest.raises(SystemExit):
         main(["analyze", "--help"])
@@ -706,8 +729,16 @@ def test_sweeping_a_parameter_twice_is_usage_error(tmp_path, capsys):
         ("generator = linear\n[sweep.stages]\nvalues = 1:3\n", "line 3: expected FROM:TO:STEP, got '1:3'"),
         ("generator = linear\n[sweep.stages]\nfrom = 1\nto = three\nstep = 1\n",
          "line 4: expected a number, got 'three'"),
+        ("generator = linear\nsource_delay = 3\nsource_delay = 4\n[sweep.stages]\nvalues = 3\n",
+         "line 3: key 'source_delay' is set twice"),
+        ("generator = linear\n[sweep.stages]\nvalues = 3\nvalues = 4\n", "line 4: key 'values' is set twice"),
+        ("generator = linear\n[sweep.stages]\nfrom = 1\nto = 3\nfrom = 2\nstep = 1\n",
+         "line 5: key 'from' is set twice"),
     ],
-    ids=["section", "no-equals", "sweep-key", "no-values", "no-generator", "T", "values", "range", "to"],
+    ids=[
+        "section", "no-equals", "sweep-key", "no-values", "no-generator", "T", "values", "range", "to",
+        "repeated-param", "repeated-values", "repeated-from",
+    ],
 )
 def test_sweep_spec_errors(tmp_path, capsys, text, message):
     """A malformed spec file is a parse error: exit 1."""
@@ -730,8 +761,10 @@ def test_sweep_spec_errors(tmp_path, capsys, text, message):
         (["--generator", "linear", "--sweep", "stages=3:1:-1"], "sweep step must be positive in 3:1:-1"),
         (["--generator", "linear", "--sweep", "stages=1,x"], "expected a number, got 'x'"),
         (["--generator", "linear", "--sweep", "stages=1:3"], "expected FROM:TO:STEP, got '1:3'"),
+        (["--generator", "linear", "--set", "source_delay=3", "--set", "source_delay=4", "--sweep", "stages=3"],
+         "--set sets 'source_delay' twice"),
     ],
-    ids=["no-source", "unknown-parameter", "zero-step", "negative-step", "not-a-number", "not-a-range"],
+    ids=["no-source", "unknown-parameter", "zero-step", "negative-step", "not-a-number", "not-a-range", "repeated-set"],
 )
 def test_sweep_usage_errors(capsys, argv, message):
     assert run(capsys, "sweep", *argv, "--until", "10") == (1, "", f"error: {message}\n")
