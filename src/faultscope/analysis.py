@@ -266,7 +266,9 @@ class _FaultFreeRun:
     Construction sets the run up and checks it as ``execute`` does, and
     runs it to T + settle.  Its ``after_visit`` hook keeps the time of each
     visit and a state snapshot at its end, from which fault-free values are
-    read.  It holds no reference to the circuit.
+    read; ``visit_times`` holds the same times as a frozenset, so that a
+    probe asks whether t is a visit time by one lookup of t, folded past
+    t2 (``fold``).  It holds no reference to the circuit.
 
     When ``_may_repeat`` holds, the hook also stops the run where it starts
     to repeat.  A visit is eligible when it comes after the last input
@@ -332,6 +334,7 @@ class _FaultFreeRun:
             comp, self.in_transitions, self.in_initial, self.t_end, config.epsilon, (), after_visit=after_visit
         )
         self.initial_values = run.initial_values
+        self.visit_times = frozenset(times)
         self._events = run.events
         self._folded: dict[float, _Seed] = {}  # snapshots past t2, by visit time
         # (time, signal id) of each X the run drives before T + settle, an
@@ -495,7 +498,10 @@ class _ProbeContext:
         with the record of the probe that stored it.  It maps a fault-free
         visit time t to the states (values, pend, pend_x, record) that
         those probes had at the end of their visit at t, at or after their
-        pulse end.  At such a visit the after-visit hook compares the
+        pulse end.  Whether t is a fault-free visit time is one lookup in
+        the run's ``visit_times``, of t folded by ``fold`` past t2: the
+        same answer as ``run.snapshot(t).time == t``, without building the
+        snapshot.  At such a visit the after-visit hook compares the
         probe's state with each one stored at t, by list and dict equality.
         At an equal one it stops and copies that record into the probe's
         own, which the states the probe stored before share; otherwise it
@@ -520,6 +526,7 @@ class _ProbeContext:
             return True  # the faulty run repeats that monitored X
         end = events[1][0]
         record = [None, -math.inf]  # [verdict, hit time]; None until known
+        visit_times, t2, fold = run.visit_times, run._t2, run.fold
 
         def after_visit(t, values, pend, pend_x):
             # the pulse lies in (seed time, end] and end < T + settle, so
@@ -528,7 +535,7 @@ class _ProbeContext:
                 return False
             if not pend_x and X not in values and self.matches(t, values, pend, pend_x):
                 return True  # converged, with no X live or pending
-            if memo is None or run.snapshot(t).time != t:
+            if memo is None or (t - fold(t) if t > t2 else t) not in visit_times:
                 return False
             states = memo.get(t)
             if states is None:

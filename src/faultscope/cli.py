@@ -319,8 +319,12 @@ def parse_sweep_spec(text: str) -> dict:
                 else:
                     spec["params"][key] = value
             elif key == "values":
+                if ranges[-1]:
+                    raise UsageError(f"sweep {section['name']!r} sets both values and from/to/step")
                 section["values"] = _parse_sweep_values(value)
             elif key in ("from", "to", "step"):
+                if section["values"] is not None:
+                    raise UsageError(f"sweep {section['name']!r} sets both values and from/to/step")
                 _number(value)
                 ranges[-1][key] = value
             else:
@@ -384,6 +388,9 @@ def cmd_sweep(args) -> int:
         raise UsageError("sweep needs one or two swept parameters")
     if len(set(names)) < len(names):
         raise UsageError(f"sweep parameter {names[0]!r} is swept twice")
+    for name in names:
+        if name in spec["params"]:
+            raise UsageError(f"sweep parameter {name!r} is both set and swept")
     for sweep in spec["sweeps"]:
         if not sweep["values"]:
             raise UsageError(f"sweep {sweep['name']!r} has no values")

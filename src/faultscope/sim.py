@@ -27,6 +27,12 @@ drive got corrupted).  This runs to a fixpoint over the dirty pending rules
 only, those that read or drive a signal changed since the last fixpoint, in
 passes of ascending rule id.
 
+A run may watch signals: it stops right after the step (or fixpoint) that
+drives a watched signal to X, since that decides both that the X happens and
+when.  The rest of that visit is not run, so a watched run's final values
+and guard values belong to a partly run visit; only its hit flag and time
+hold.
+
 Scheduling is edge-triggered: while a guard stays at 1 a rule never
 re-schedules an action it has already scheduled or applied.  Equal-time events
 are drained as one batch and processed in canonical (sorted signal name)
@@ -208,10 +214,12 @@ class _Compiled:
 
     Rules are numbered in the circuit's canonical order (target, up-rule
     first), so rule id order is target order.  Per rule: guard function
-    ``fns``, target signal id, action value, delay and label.  Per signal:
-    ``fan``, the rules whose guard reads it, ``own``, the rules that drive
-    it, ``affected``, both as a bitmask over rule ids, and ``step4``, its
-    step-4 handler (``_kernel``).
+    ``fns``, target signal id, action value, delay, label and ``bits``,
+    ``1 << rule id``.  Per signal: ``fan``, the rules whose guard reads it,
+    ``affected``, those and the rules that drive it, as a bitmask over rule
+    ids, ``against``, by its value (index ``value == 1.0``), the rules that
+    drive it to the other value, and ``step4``, its step-4 handler
+    (``_kernel``).
 
     Compiling validates the circuit first (``validate_circuit``) and then
     walks each guard once, through ``_guard_source``: the slots it fills
@@ -253,8 +261,9 @@ class _Compiled:
         "delays",
         "labels",
         "fan",
-        "own",
         "affected",
+        "against",
+        "bits",
         "step4",
         "initial",
         "d_min",
@@ -269,9 +278,10 @@ class _Compiled:
         self.n = len(self.names)
         self.rules = circuit.rules
 
-        fns, targets, bvals, delays, labels = [], [], [], [], []
+        fns, targets, bvals, delays, labels, bits = [], [], [], [], [], []
         fan: list[list[int]] = [[] for _ in range(self.n)]
-        own: list[list[int]] = [[] for _ in range(self.n)]
+        against = [([], []) for _ in range(self.n)]  # rules to 1, rules to 0
+        affected = [0] * self.n
         guard_shapes, guard_ids = [], []
         for rid, rule in enumerate(circuit.rules):
             label = f"{rule.target}{'+' if rule.value else '-'}"
@@ -282,20 +292,24 @@ class _Compiled:
             fns.append(_stamped(code, ids, f"<guard {label}>"))
             guard_shapes.append(source)
             guard_ids.append(ids)
-            targets.append(idx[rule.target])
+            tgt = idx[rule.target]
+            bit = 1 << rid
+            targets.append(tgt)
             bvals.append(float(rule.value))
             delays.append(rule.delay)
             labels.append(label)
-            own[idx[rule.target]].append(rid)
+            bits.append(bit)
+            against[tgt][not rule.value].append(rid)
+            affected[tgt] |= bit
             for sid in set(ids):
                 fan[sid].append(rid)
+                affected[sid] |= bit
         self.guard_shapes, self.guard_ids = tuple(guard_shapes), tuple(guard_ids)
         self.fns, self.targets, self.bvals = tuple(fns), tuple(targets), tuple(bvals)
-        self.delays, self.labels = tuple(delays), tuple(labels)
+        self.delays, self.labels, self.bits = tuple(delays), tuple(labels), tuple(bits)
         self.fan = tuple(map(tuple, fan))
-        self.own = tuple(map(tuple, own))
-        # a rule whose guard reads its own target is in both lists
-        self.affected = tuple(sum(1 << rid for rid in set(f + o)) for f, o in zip(fan, own))
+        self.affected = tuple(affected)
+        self.against = tuple((tuple(up), tuple(down)) for up, down in against)
         self.step4 = None
         self.d_min = min(delays) if delays else float("inf")
 
@@ -314,7 +328,7 @@ class _Compiled:
             for rid in readers:  # in _step4_source's order
                 tgt = self.targets[rid]
                 slots += self.guard_ids[rid]
-                slots += (rid, 1 << rid, tgt, self.delays[rid], n_rules + tgt)
+                slots += (rid, self.bits[rid], tgt, self.delays[rid], n_rules + tgt)
             handlers.append(_stamped(code, slots, f"<step4 {self.names[sid]}>"))
         self.step4 = tuple(handlers)
         return self.step4
@@ -392,17 +406,61 @@ class _Run:
     A recorded event is the tuple (time, signal id, value, cause).  ``time``
     is where the run stopped: the visit that hit a watched signal or whose
     ``after_visit`` returned True, or the first time at or past the
-    horizon."""
+    horizon.  A run that hit a watched signal stopped right after the step
+    that drove it to X: its ``values`` and ``gv`` are those of a partly run
+    visit, and only ``watch_hit`` and ``time`` hold."""
 
     __slots__ = ("values", "gv", "initial_values", "events", "watch_hit", "time")
 
-    def __init__(self):
-        self.values = None
-        self.gv = None
-        self.initial_values = None
-        self.events = None
-        self.watch_hit = False
-        self.time = -_INF
+    def __init__(self, values, gv, initial_values, events, watch_hit, time):
+        self.values = values
+        self.gv = gv
+        self.initial_values = initial_values
+        self.events = events
+        self.watch_hit = watch_hit
+        self.time = time
+
+
+def _cancel_unstable(comp, todo, t, values, pend, pend_mask, changed, watch, events) -> tuple[int, bool]:
+    """The handling of unstable guards at time t, to a fixpoint, from the
+    pending rules ``todo`` (a bitmask over rule ids) that read or drive a
+    signal changed since the last fixpoint; returns the new bitmask of the
+    pending rules and whether a ``watch`` signal went to X.
+
+    A rule whose pending action no longer has a solidly true guard is
+    mid-switching with a degraded drive: cancel the action and corrupt the
+    target.  Runs after every step that changed a signal a pending rule
+    reads or drives, so X generation does not depend on when the next
+    event happens to be scheduled.  Rules
+    are checked in passes of ascending rule id; a cancellation dirties the
+    pending rules of its target, a higher id for this pass, a lower one for
+    the next.  A change is written as the kernel writes one, and recorded
+    when ``events`` is a list.
+    """
+    fns, targets, bvals, affected, labels = comp.fns, comp.targets, comp.bvals, comp.affected, comp.labels
+    hit = False
+    later = 0  # the next pass
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        rid = bit.bit_length() - 1
+        tgt = targets[rid]
+        if fns[rid](values) != 1.0 and values[tgt] != bvals[rid]:
+            del pend[rid]
+            pend_mask ^= bit
+            if values[tgt] != X:
+                values[tgt] = X
+                changed.append(tgt)
+                if tgt in watch:
+                    hit = True
+                if events is not None:
+                    events.append((t, tgt, X, "unstable " + labels[rid]))
+                more = affected[tgt] & pend_mask
+                todo |= more & -(bit << 1)
+                later |= more & (bit - 1)
+        if not todo:
+            todo, later = later, 0
+    return pend_mask, hit
 
 
 def _kernel(
@@ -419,15 +477,25 @@ def _kernel(
 ) -> _Run:
     """Run the five-step loop over the visits before ``horizon``. Input
     transitions and externals are sorted (time, signal id, value) triples;
-    times are exact floats.
+    times are exact floats.  Those at or before a seed's time are skipped;
+    one at or past the horizon is never reached.
 
     Pending actions wait in a queue with one bucket per due time: a dict
     from the due time to its list of entries, and a heap of those due
-    times.  An entry is the rule id of a Boolean action, or ``n_rules +
-    signal id`` of an X action, so one sort of a bucket gives step 2's
-    order: Boolean actions by rule id, then X actions by signal id.  A
-    canceled action leaves its entry in its bucket, so its due time is
-    still visited, and the entry no longer matches the rule's due time.
+    times, over an infinite time that is never popped.  An entry is the
+    rule id of a Boolean action, or ``n_rules + signal id`` of an X
+    action, so one sort of a bucket gives step 2's order: Boolean actions
+    by rule id, then X actions by signal id.  A canceled action leaves its
+    entry in its bucket, so its due time is still visited, and the entry no
+    longer matches the rule's due time.  A run without a seed starts with
+    an empty bucket due at 0, its first visit.
+
+    A visit pays only for the steps it has: steps 1 and 3 run only when an
+    input transition or an external event is due, and the unstable-guard
+    fixpoint (``_cancel_unstable``) only after a step that changed a signal
+    read or driven by a pending rule.  Each value change ORs the rules it
+    dirties into one bitmask, so that this test is one AND with the
+    bitmask of the pending rules.
 
     Step 4 calls the handler (``_Compiled.step4``) of each signal changed
     during the visit, in the order of the changes, and at a run's first
@@ -446,22 +514,24 @@ def _kernel(
     its last snapshot to a later horizon records the same events, and has
     the same state after each visit, as one run to the later horizon.  It
     only skips the due times of actions canceled before the cut, visits at
-    which nothing changes.  The run stops as soon as a ``watch`` signal
-    changes to X and is flagged as hit; no ``watch`` signal may start at X,
-    in the initial values or the seed's.  At the end of every other visit
+    which nothing changes.  The run stops right after the step (or
+    fixpoint) that changes a ``watch`` signal to X, and is flagged as hit:
+    the rest of that visit is not run, so the run's final values and guard
+    values belong to a partly run visit, and only ``watch_hit`` and
+    ``time`` hold.  No ``watch`` signal may start at X, in the initial
+    values or the seed's.  At the end of every other visit
     it calls ``after_visit(t, values, pend, pend_x)`` with the visit's time
     and the state: the value list, and the due times of the pending Boolean
     actions by rule id and of the X actions by signal id.  The run stops
     when the hook returns True.  The hook must not change the state; it
     copies what it keeps.
     """
-    fns, targets, bvals, labels = comp.fns, comp.targets, comp.bvals, comp.labels
-    own, affected, n = comp.own, comp.affected, comp.n
-    n_rules = len(fns)
+    targets, bvals, labels = comp.targets, comp.bvals, comp.labels
+    against, affected, bits, n = comp.against, comp.affected, comp.bits, comp.n
+    n_rules = len(comp.fns)
     step4 = comp.step4
     if step4 is None and horizon > 0:  # a run with a visit to make
         step4 = comp.build_step4()
-    run = _Run()
 
     if seed is None:
         values = list(comp.initial)
@@ -471,19 +541,23 @@ def _kernel(
         pend: dict[int, float] = {}  # rule id -> due time of its Boolean action
         pend_x: dict[int, float] = {}  # signal id -> due time of an X action
         pend_mask = 0  # bitmask of the rule ids in pend
-        times: list[float] = []  # heap of the due times in queue
-        queue: dict[float, list[int]] = {}  # due time -> its entries
+        # the heap of the due times in queue, and the entries by due time;
+        # an empty bucket makes t = 0 the first visit
+        times: list[float] = [0.0]
+        queue: dict[float, list[int]] = {0.0: []}
+        changed = list(range(n))  # the first visit evaluates every guard
         start = -_INF
     else:
         values = seed.values[:]
-        gv, pend_mask, times, queue = seed.resume(fns)
+        gv, pend_mask, times, queue = seed.resume(comp.fns)
         pend = seed.pend.copy()
         pend_x = seed.pend_x.copy()
+        changed = []
         start = seed.time
+    times.append(_INF)  # stays last in the heap, and is never popped
 
-    events = run.events = [] if record else None
-    if record:
-        run.initial_values = values[:]
+    events = [] if record else None
+    initial_values = values[:] if record else None
 
     watch_hit = False
 
@@ -492,144 +566,128 @@ def _kernel(
     n_in = len(ins)
     k_in = bisect.bisect_right(ins, (start, _INF))
     t_in = ins[k_in][0] if k_in < n_in else _INF
-    exts = [e for e in externals if start < e[0] < horizon]
+    exts = externals
     n_ext = len(exts)
-    k_ext = 0
-    t_ext = exts[0][0] if exts else _INF
+    k_ext = bisect.bisect_right(exts, (start, _INF))
+    t_ext = exts[k_ext][0] if k_ext < n_ext else _INF
 
-    changed: list[int] = []  # signals changed during the current visit
-    t = 0.0
-    first_visit = seed is None
+    heappop, heappush = heapq.heappop, heapq.heappush
+    new_x: list[int] = []  # entries of the X actions step 4 schedules, all due at t_x
 
     # Every value change below is written inline, not through a helper, as a
     # call per event costs more than the write: the value, the changed list,
-    # the watch flag when the value is X, and the event when recording.
+    # the rules it dirties, the watch flag when the value is X, and the
+    # event when recording.  The unstable-guard fixpoint, which few visits
+    # run, writes its changes the same way in ``_cancel_unstable``.
     while True:
         # step 5 of the previous visit: advance to the earliest due time,
         # input transition or external event
-        if not first_visit:
-            t = times[0] if times else _INF
-            if t_in < t:
-                t = t_in
-            if t_ext < t:
-                t = t_ext
-        if t >= horizon:
-            break
-        if times and times[0] == t:
-            heapq.heappop(times)
+        t = times[0]
+        if t_in < t or t_ext < t:
+            t = t_in if t_in < t_ext else t_ext
+            batch = ()
+        elif t < horizon:
+            heappop(times)
             batch = queue.pop(t)
             batch.sort()
-        else:
-            batch = ()
-        changed.clear()
-        seen = 0  # changed[:seen] is handled by the last fixpoint
-
-        for step in (1, 2, 3):
-            if step == 1:
-                # step 1: input-trace transitions at t, in signal order
-                while t_in == t:
-                    _, sid, fv = ins[k_in]
-                    if values[sid] != fv:
-                        values[sid] = fv
-                        changed.append(sid)
-                        if fv == X and sid in watch:
-                            watch_hit = True
-                        if record:
-                            events.append((t, sid, fv, "in"))
-                    k_in += 1
-                    t_in = ins[k_in][0] if k_in < n_in else _INF
-            elif step == 2:
-                # step 2: apply the actions due at t, in the bucket's order
-                for e in batch:
-                    if e < n_rules:
-                        if pend.get(e) != t:
-                            continue  # canceled
-                        del pend[e]
-                        pend_mask ^= 1 << e
-                        sid, fv = targets[e], bvals[e]
-                        if values[sid] != fv:
-                            values[sid] = fv
-                            changed.append(sid)
-                            if record:
-                                events.append((t, sid, fv, labels[e]))
-                    else:
-                        sid = e - n_rules
-                        del pend_x[sid]  # X actions are never canceled
-                        if values[sid] != X:
-                            values[sid] = X
-                            changed.append(sid)
-                            if sid in watch:
-                                watch_hit = True
-                            if record:
-                                events.append((t, sid, X, "xprop"))
-            else:
-                # step 3: external events at t
-                while t_ext == t:
-                    _, sid, fv = exts[k_ext]
-                    if values[sid] != fv:
-                        values[sid] = fv
-                        changed.append(sid)
-                        if fv == X and sid in watch:
-                            watch_hit = True
-                        if record:
-                            events.append((t, sid, fv, "ext"))
-                    k_ext += 1
-                    t_ext = exts[k_ext][0] if k_ext < n_ext else _INF
-            if len(changed) == seen:
-                continue
-
-            # Unstable guards, after each step that changed a value.  A rule
-            # whose pending action no longer has a solidly true guard is
-            # mid-switching with a degraded drive: cancel the action and
-            # corrupt the target.  Runs to a fixpoint after every batch of
-            # value changes, so X generation does not depend on when the
-            # next event happens to be scheduled.  Only pending rules that
-            # read or drive a signal changed since the last fixpoint
-            # (changed[seen:]) can cancel.  They are checked in passes of
-            # ascending rule id; a cancellation dirties the pending rules of
-            # its target, a higher id for this pass, a lower one for the
-            # next.
+        if t >= horizon:
+            break
+        # Unstable guards (``_cancel_unstable``) after each of steps 1-3 that
+        # dirtied a pending rule; steps 1 and 3 only on a visit that has an
+        # input or external due.  A step that drives a watch signal to X
+        # decides the verdict and the time: the run ends right after it.
+        dirty = 0  # rules that read or drive a signal changed since the last fixpoint
+        if t_in == t:
+            # step 1: input-trace transitions at t, in signal order
+            while t_in == t:
+                _, sid, fv = ins[k_in]
+                if values[sid] != fv:
+                    values[sid] = fv
+                    changed.append(sid)
+                    dirty |= affected[sid]
+                    if fv == X and sid in watch:
+                        watch_hit = True
+                    if record:
+                        events.append((t, sid, fv, "in"))
+                k_in += 1
+                t_in = ins[k_in][0] if k_in < n_in else _INF
+            if watch_hit:
+                break
+            todo = dirty & pend_mask
+            if todo:
+                pend_mask, watch_hit = _cancel_unstable(comp, todo, t, values, pend, pend_mask, changed, watch, events)
+                if watch_hit:
+                    break
             dirty = 0
-            for sid in changed[seen:]:
-                dirty |= affected[sid]
-            todo = dirty & pend_mask  # this pass, as a bitmask over rule ids
-            later = 0  # the next pass
-            while todo:
-                bit = todo & -todo
-                todo ^= bit
-                rid = bit.bit_length() - 1
-                tgt = targets[rid]
-                if fns[rid](values) != 1.0 and values[tgt] != bvals[rid]:
-                    del pend[rid]
-                    pend_mask ^= bit
-                    if values[tgt] != X:
-                        values[tgt] = X
-                        changed.append(tgt)
-                        if tgt in watch:
-                            watch_hit = True
-                        if record:
-                            events.append((t, tgt, X, "unstable " + labels[rid]))
-                        dirty = affected[tgt] & pend_mask
-                        todo |= dirty & -(bit << 1)
-                        later |= dirty & (bit - 1)
-                if not todo:
-                    todo, later = later, 0
-            seen = len(changed)
+
+        # step 2: apply the actions due at t, in the bucket's order
+        for e in batch:
+            if e < n_rules:
+                if pend.get(e) != t:
+                    continue  # canceled
+                del pend[e]
+                pend_mask ^= bits[e]
+                sid, fv = targets[e], bvals[e]
+                if values[sid] != fv:
+                    values[sid] = fv
+                    changed.append(sid)
+                    dirty |= affected[sid]
+                    if record:
+                        events.append((t, sid, fv, labels[e]))
+            else:
+                sid = e - n_rules
+                del pend_x[sid]  # X actions are never canceled
+                if values[sid] != X:
+                    values[sid] = X
+                    changed.append(sid)
+                    dirty |= affected[sid]
+                    if sid in watch:
+                        watch_hit = True
+                    if record:
+                        events.append((t, sid, X, "xprop"))
+        if watch_hit:
+            break
+        todo = dirty & pend_mask
+        if todo:
+            pend_mask, watch_hit = _cancel_unstable(comp, todo, t, values, pend, pend_mask, changed, watch, events)
+            if watch_hit:
+                break
+
+        if t_ext == t:
+            # step 3: external events at t
+            dirty = 0
+            while t_ext == t:
+                _, sid, fv = exts[k_ext]
+                if values[sid] != fv:
+                    values[sid] = fv
+                    changed.append(sid)
+                    dirty |= affected[sid]
+                    if fv == X and sid in watch:
+                        watch_hit = True
+                    if record:
+                        events.append((t, sid, fv, "ext"))
+                k_ext += 1
+                t_ext = exts[k_ext][0] if k_ext < n_ext else _INF
+            if watch_hit:
+                break
+            todo = dirty & pend_mask
+            if todo:
+                pend_mask, watch_hit = _cancel_unstable(comp, todo, t, values, pend, pend_mask, changed, watch, events)
+                if watch_hit:
+                    break
 
         # step 4: re-evaluate the guards that read a changed signal, each
-        # signal's by its handler; the first visit evaluates every guard
+        # signal's by its handler
         t_x = t + epsilon
-        new_x = []  # entries of the X actions scheduled here, all due at t_x
-        for sid in range(n) if first_visit else changed:
+        for sid in changed:
             pend_mask = step4[sid](values, gv, pend, pend_x, queue, times, t, t_x, new_x, pend_mask)
-        first_visit = False
         # a changed target under a guard that stayed at X: propagate X
         for sid in changed:
             cur = values[sid]
             if cur == X or sid in pend_x:
                 continue
-            for rid in own[sid]:
-                if gv[rid] == X and cur != bvals[rid]:
+            for rid in against[sid][cur == 1.0]:
+                if gv[rid] == X:
                     pend_x[sid] = t_x
                     new_x.append(n_rules + sid)
                     break
@@ -637,18 +695,16 @@ def _kernel(
             bucket = queue.get(t_x)
             if bucket is None:
                 queue[t_x] = new_x
-                heapq.heappush(times, t_x)
+                heappush(times, t_x)
             else:
                 bucket += new_x
+            new_x = []
+        changed = []
 
-        if watch_hit or (after_visit is not None and after_visit(t, values, pend, pend_x)):
+        if after_visit is not None and after_visit(t, values, pend, pend_x):
             break
 
-    run.values = values
-    run.gv = gv
-    run.watch_hit = watch_hit
-    run.time = t
-    return run
+    return _Run(values, gv, initial_values, events, watch_hit, t)
 
 
 # --- public execution -------------------------------------------------------

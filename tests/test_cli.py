@@ -716,6 +716,17 @@ def test_sweeping_a_parameter_twice_is_usage_error(tmp_path, capsys):
         assert (code, out, err) == (1, "", "error: sweep parameter 'tokens' is swept twice\n"), argv
 
 
+def test_parameter_both_set_and_swept_is_usage_error(tmp_path, capsys):
+    """A parameter given a fixed value and swept used to run the sweep with
+    the fixed value silently dropped, one row per swept value."""
+    spec = tmp_path / "both.spec"
+    spec.write_text("generator = linear\nstages = 3\n[sweep.stages]\nvalues = 2\n")
+    flags = ["--generator", "linear", "--set", "stages=3", "--sweep", "stages=2"]
+    for argv in (flags, ["--spec", str(spec)]):
+        code, out, err = run(capsys, "sweep", *argv, "--until", "10")
+        assert (code, out, err) == (1, "", "error: sweep parameter 'stages' is both set and swept\n"), argv
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -734,10 +745,17 @@ def test_sweeping_a_parameter_twice_is_usage_error(tmp_path, capsys):
         ("generator = linear\n[sweep.stages]\nvalues = 3\nvalues = 4\n", "line 4: key 'values' is set twice"),
         ("generator = linear\n[sweep.stages]\nfrom = 1\nto = 3\nfrom = 2\nstep = 1\n",
          "line 5: key 'from' is set twice"),
+        ("generator = linear\n[sweep.stages]\nvalues = 2\nfrom = 3\nto = 4\nstep = 1\n",
+         "line 4: sweep 'stages' sets both values and from/to/step"),
+        ("generator = linear\n[sweep.stages]\nto = 4\nvalues = 2\n",
+         "line 4: sweep 'stages' sets both values and from/to/step"),
+        ("generator = linear\n[sweep.stages]\nvalues = 2\n[sweep.T]\nvalues = 10\nstep = 1\n",
+         "line 6: sweep 'T' sets both values and from/to/step"),
     ],
     ids=[
         "section", "no-equals", "sweep-key", "no-values", "no-generator", "T", "values", "range", "to",
-        "repeated-param", "repeated-values", "repeated-from",
+        "repeated-param", "repeated-values", "repeated-from", "values-then-range", "range-then-values",
+        "values-and-step",
     ],
 )
 def test_sweep_spec_errors(tmp_path, capsys, text, message):

@@ -111,3 +111,33 @@ def test_memo_saves_probe_visits(monkeypatch, make, T, probes, visits, without):
     report = analyze(circuit, {}, monitored, GAMMA, DELTA, SimConfig(T, 0.1))
     assert report.simulations == probes
     assert counted_visits == visits < without
+
+
+@pytest.mark.parametrize(
+    "make,T",
+    [
+        pytest.param(lambda: ring_pipeline(RingSpec(20, 9, 1, 5)), 200.0, id="ring20/9"),
+        pytest.param(lambda: multibit_linear_pipeline(MultiBitSpec(4, 3, 1, 5, 4, 4)), 500.0, id="mb4/500"),
+    ],
+)
+def test_visit_time_lookup_matches_snapshots(make, T):
+    """A probe's after-visit hook asks whether t is a fault-free visit time
+    by one lookup in ``visit_times``, of t folded past t2; the answer is
+    ``run.snapshot(t).time == t`` at every fault-free visit time, 0.1 after
+    each, and at both shifted by whole periods past t2, up to T + settle."""
+    circuit, monitored = make()
+    run = _ProbeContext(circuit, {}, SimConfig(T, 0.1), monitored).run
+
+    def lookup(t):  # as _ProbeContext.probe's after-visit hook asks
+        return (t - run.fold(t) if t > run._t2 else t) in run.visit_times
+
+    base = sorted(run.visit_times)
+    points = base + [t + 0.1 for t in base]
+    if run._period is not None:
+        shifts = range(1, int((run.t_end - run._t1) // run._period) + 1)
+        points += [t + k * run._period for k in shifts for t in points if run._t1 < t <= run._t2]
+    points = [t for t in points if t < run.t_end]
+    assert run._period is not None and max(points) > run._t2 + run._period
+    answers = [lookup(t) for t in points]
+    assert answers == [run.snapshot(t).time == t for t in points]
+    assert answers.count(True) > len(base) and answers.count(False) > len(base)

@@ -23,7 +23,7 @@ from faultscope import (
     make_trace,
     trace_value_at,
 )
-from faultscope.analysis import Glitch, _may_repeat, _ProbeContext, is_susceptible, make_transient
+from faultscope.analysis import Glitch, _may_repeat, _ProbeContext, faulty_execution, is_susceptible, make_transient
 from faultscope.generators import (
     MultiBitSpec,
     PipelineSpec,
@@ -157,6 +157,46 @@ def test_probe_engine_matches_plain_susceptibility():
                 slow = _full_run_verdict(circuit, ctx, inputs, signal, at, 0.1)
                 assert fast == slow, (signal, at)
                 checked += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_hit_time_is_the_first_monitored_x_of_the_full_run(seed):
+    """A probe stops right after the step that drives a monitored signal to
+    X, with the rest of that visit not run; its hit time is still the time
+    of the first monitored X of ``faulty_execution`` for the same glitch,
+    the full run to T + settle with the pulse overlaid, or -inf when that X
+    is the fault-free run's, before the pulse, and none when masked.
+    Random gate soups with integer delays, whose runs may repeat, and
+    pulses of both kinds, half of them on a grid of 0.05 so that many start
+    or end at a visit time."""
+    rng = random.Random(seed)
+    circuit = random_circuit(rng, delay=lambda r: float(r.randint(1, 5)))
+    T = float(rng.randrange(10, 40))
+    inputs = random_input_traces(rng, circuit, T)
+    cfg = SimConfig(T, 0.1)
+    monitored = monitored_for(rng, circuit)
+    contexts = {kind: _ProbeContext(circuit, inputs, cfg, monitored, kind) for kind in ("xpulse", "flip")}
+    for _ in range(8):
+        kind = rng.choice(sorted(contexts))
+        signal = rng.choice(sorted(circuit.signals))
+        width = rng.choice((0.1, 0.5, 2.0))
+        at = rng.choice((rng.randrange(int((T - width) * 20)) / 20, rng.uniform(0.0, T - width)))
+        glitch = Glitch(signal, at, width, kind)
+        ctx = contexts[kind]
+        try:
+            sus = ctx.probe(signal, at, width)
+        except ValueError:  # a flip-pulse on X
+            with pytest.raises(ValueError, match="nothing to flip"):
+                faulty_execution(circuit, inputs, glitch, cfg)
+            continue
+        faulty = faulty_execution(circuit, inputs, glitch, cfg)
+        xs = [-math.inf for m in monitored if faulty.traces[m].initial is Value.X]
+        xs += [ev.time for ev in faulty.events if ev.signal in monitored and ev.value is Value.X]
+        first = min(xs, default=None)
+        assert sus == (first is not None), (glitch, first)
+        expected = -math.inf if first is None or first < at else first
+        assert ctx.hit_time == expected, (glitch, ctx.hit_time, first)
 
 
 def test_probe_engine_seeding_matches_full_runs():
