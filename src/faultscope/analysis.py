@@ -26,7 +26,7 @@ reported in full.  Susceptible times are located per value region of the
 fault-free run (between two consecutive value-switching times).  The
 bisection (``_locate_window``) assumes that within a region they form a
 postfix, or, when the region start is susceptible and its end masked, a
-prefix, which the caller reports as a ``PostfixViolationWarning``; from the
+prefix, which the report lists in ``postfix_violations``; from the
 two ends and one bisection it finds the boundary to the resolution δ, far
 cheaper than a time grid.  A susceptible stretch inside a region with both
 ends masked is missed (ROADMAP item 4, pinned as an expected failure in the
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import bisect as _bisect_mod
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -67,7 +66,11 @@ FLIP_PULSE = "flip"
 
 
 class PostfixViolationWarning(UserWarning):
-    """Susceptible times in a region were not a postfix at the probe width."""
+    """Susceptible times in a region were not a postfix at the probe width.
+
+    Never raised: ``SensitivityReport.postfix_violations`` lists such
+    regions.  Kept only because the benchmark in bench/ still names it; it
+    goes when the benchmark counts that list instead."""
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,9 @@ class SensitivityReport:
     p_fail: float
     p_per_signal: Mapping[str, float]
     simulations: int
+    # (signal, region start, region end) of each prefix-shaped region
+    # (``_locate_window``), in injection and then region order
+    postfix_violations: tuple[tuple[str, float, float], ...]
 
 
 # --- fault construction -------------------------------------------------------
@@ -428,8 +434,9 @@ def _fault_free_run(circuit: Circuit, inputs: InputTraces | None, config: SimCon
 # after_visit hook calls it through self, so it counts the convergence
 # checks), the module global _kernel (it tells probes by their record=False
 # keyword, so only probes pass it: the fault-free run counts as a base run),
-# analyze, is_susceptible and value_regions, counts
-# PostfixViolationWarning, and outside this module wraps sim.execute,
+# analyze, is_susceptible and value_regions, counts PostfixViolationWarning
+# (never raised, so its analysis.postfix_violations reads 0; the report
+# lists those regions), and outside this module wraps sim.execute,
 # cli._GENERATORS, cli.main and the public generators, netlist, prs and
 # waveform functions it runs: keep these names and call shapes.
 class _ProbeContext:
@@ -631,7 +638,8 @@ class _Verdicts:
 
 def _windows_for_signal(ctx: _ProbeContext, signal: str, gamma: float, delta: float):
     """The windows of one signal, one value region at a time, the number of
-    real probes they took and the prefix-shaped regions (``_locate_window``).
+    real probes they took and the (signal, start, end) of its prefix-shaped
+    regions (``_locate_window``).
     Probing is its only effect, so any process may run it for the caller.
     Its real probes share one memo of kernel states, indexed by fault-free
     visit time (``_ProbeContext.probe``), dropped when the signal is done:
@@ -654,7 +662,7 @@ def _windows_for_signal(ctx: _ProbeContext, signal: str, gamma: float, delta: fl
     """
     run = ctx.run
     regions = run.regions
-    windows, prefixes = [], []  # SensitivityWindows, ValueRegions
+    windows, prefixes = [], []
     used: dict[float, _Verdicts] = {}  # per region at or before t2, by start
     memo: dict = {}  # by visit time, the states this signal's probes reached there
     probes = ctx.simulations
@@ -671,7 +679,7 @@ def _windows_for_signal(ctx: _ProbeContext, signal: str, gamma: float, delta: fl
             used[region.start] = probe
         start, end = _locate_window(probe, region, gamma, delta)
         if end < region.end:  # a prefix: see _locate_window
-            prefixes.append(region)
+            prefixes.append((signal, region.start, region.end))
         if start < end:
             windows.append(SensitivityWindow(signal, start, end))
     return windows, ctx.simulations - probes, prefixes
@@ -710,10 +718,15 @@ def _resolve_injection(circuit, monitored, injection_set):
 
 
 def _report(
-    ctx: _ProbeContext, per_signal: Mapping[str, Sequence[SensitivityWindow]], gamma: float, delta: float, simulations: int
+    ctx: _ProbeContext,
+    per_signal: Mapping[str, Sequence[SensitivityWindow]],
+    gamma: float,
+    delta: float,
+    simulations: int,
+    postfix_violations: tuple[tuple[str, float, float], ...],
 ) -> SensitivityReport:
     """Report on the query of the context from the windows of each injected
-    signal, in injection order."""
+    signal, in injection order, and the prefix-shaped regions."""
     config = ctx.run.config
     T = config.horizon
     windows = tuple(w for sig_windows in per_signal.values() for w in sig_windows)
@@ -736,6 +749,7 @@ def _report(
         p_fail=p_fail,
         p_per_signal=p_per_signal,
         simulations=simulations,
+        postfix_violations=postfix_violations,
     )
 
 
@@ -769,9 +783,8 @@ def analyze(
     signals, gamma or delta <= 0, a ``jobs`` that is not an integer >= 1),
     bisects the signals, one per task on a pool of ``jobs`` processes when
     ``jobs > 1`` (a fork-started worker shares the caller's fault-free run),
-    and then warns once per prefix-shaped region, in injection and region
-    order (``PostfixViolationWarning``): report and warnings are the same
-    for every ``jobs``.
+    and then lists each prefix-shaped region in ``postfix_violations``, in
+    injection and region order: the report is the same for every ``jobs``.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, int):
         raise ValueError(f"jobs must be an integer, got {jobs!r}")
@@ -790,11 +803,8 @@ def analyze(
         results = list(map(partial(_windows_for_signal, ctx), probed, repeat(gamma), repeat(delta)))
     found = {s: windows for s, (windows, _, _) in zip(probed, results)}
     per_signal = {s: [SensitivityWindow(s, 0.0, config.horizon)] if s in full else found[s] for s in injected}
-    for s, (_, _, prefixes) in zip(probed, results):
-        for r in prefixes:
-            message = f"susceptible times in region [{r.start}, {r.end}) at {s} do not form a postfix"
-            warnings.warn(message, PostfixViolationWarning)
-    return _report(ctx, per_signal, gamma, delta, sum(probes for _, probes, _ in results))
+    prefixes = tuple(p for _, _, sig_prefixes in results for p in sig_prefixes)
+    return _report(ctx, per_signal, gamma, delta, sum(probes for _, probes, _ in results), prefixes)
 
 
 def analyze_naive(
@@ -829,7 +839,7 @@ def analyze_naive(
                 start = None
         if start is not None:
             sig_windows.append(SensitivityWindow(s, start, T))
-    return _report(ctx, per_signal, gamma, step, ctx.simulations)
+    return _report(ctx, per_signal, gamma, step, ctx.simulations, ())
 
 
 def check_weights(injected: Sequence[str], weights: Mapping[str, float]) -> float:

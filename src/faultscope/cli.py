@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import typing
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -342,18 +341,15 @@ def parse_sweep_spec(text: str) -> dict:
 
 
 def _sweep_point(kind, spec, T, epsilon, gamma, delta):
-    """One grid point's row, and the warnings it raised, recorded in the
-    process that ran it, so that the caller shows them for every --jobs."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        circuit, monitored = _GENERATORS[kind][1](spec)
-        config = SimConfig(horizon=T, epsilon=epsilon)
-        report = analysis.analyze(circuit, {}, monitored, gamma=gamma, delta=delta, config=config)
-        row = {"p_fail": report.p_fail}
-        if kind == "ring":
-            execution = execute(circuit, {}, config)
-            row["throughput"] = measure_throughput(execution, "c1", spec.inv_delay)
-    return row, [w.message for w in caught]
+    """One grid point's row."""
+    circuit, monitored = _GENERATORS[kind][1](spec)
+    config = SimConfig(horizon=T, epsilon=epsilon)
+    report = analysis.analyze(circuit, {}, monitored, gamma=gamma, delta=delta, config=config)
+    row = {"p_fail": report.p_fail}
+    if kind == "ring":
+        execution = execute(circuit, {}, config)
+        row["throughput"] = measure_throughput(execution, "c1", spec.inv_delay)
+    return row
 
 
 def _parse_assignment(flag: str, text: str) -> tuple[str, str]:
@@ -411,15 +407,9 @@ def cmd_sweep(args) -> int:
     workers = min(args.jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, *zip(*tasks)))
+            rows = list(pool.map(_sweep_point, *zip(*tasks)))
     else:
-        results = [_sweep_point(*task) for task in tasks]
-    rows = [row for row, _ in results]
-    # re-raised here in point order: the filters of this process decide,
-    # and a message repeated by a later point shows as the filters say
-    for _, messages in results:
-        for message in messages:
-            warnings.warn(message)
+        rows = [_sweep_point(*task) for task in tasks]
 
     header = list(names) + ["p_fail"] + (["throughput"] if kind == "ring" else [])
     lines = [",".join(header)]
@@ -508,15 +498,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _warning_line(message, category, filename, lineno, line=None) -> str:
-    return f"warning: {message}\n"
-
-
 def main(argv=None) -> int:
     parser = build_parser()
-    # warnings still go through the warnings module, so a caller can filter
-    # or record them; shown, each is one line instead of two with the source
-    shown, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
@@ -535,8 +518,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    finally:
-        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

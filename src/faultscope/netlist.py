@@ -315,6 +315,7 @@ def report_to_dict(report: SensitivityReport) -> dict:
         "p_fail": report.p_fail,
         "p_per_signal": {s: report.p_per_signal[s] for s in sorted(report.p_per_signal)},
         "windows": [{"signal": w.signal, "start": w.start, "end": w.end} for w in report.windows],
+        "postfix_violations": [{"signal": s, "start": a, "end": b} for s, a, b in report.postfix_violations],
         "simulations": report.simulations,
     }
 
@@ -340,6 +341,7 @@ def read_report(text: str) -> SensitivityReport:
         p_fail=obj["p_fail"],
         p_per_signal=dict(obj["p_per_signal"]),
         simulations=obj["simulations"],
+        postfix_violations=tuple((r["signal"], r["start"], r["end"]) for r in obj["postfix_violations"]),
     )
 
 

@@ -52,9 +52,7 @@ def pipeline():
 @pytest.fixture(scope="module")
 def report(pipeline):
     circuit, monitored = pipeline
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return analyze(circuit, {}, monitored, 0.1, 0.01, CFG)
+    return analyze(circuit, {}, monitored, 0.1, 0.01, CFG)
 
 
 def test_p_fail_matches_published_value(report):
@@ -113,9 +111,7 @@ def test_simulation_budget(report, pipeline):
 
 def test_include_monitored_pins_probability_one(pipeline):
     circuit, monitored = pipeline
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = analyze(circuit, {}, monitored, 0.1, 0.05, CFG, injection_set=circuit.signals)
+    rep = analyze(circuit, {}, monitored, 0.1, 0.05, CFG, injection_set=circuit.signals)
     for m in monitored:
         assert rep.p_per_signal[m] == 1.0
     assert set(rep.injected) == set(circuit.signals)
@@ -123,9 +119,7 @@ def test_include_monitored_pins_probability_one(pipeline):
 
 def test_monitored_shortcut_emits_full_window(pipeline):
     circuit, monitored = pipeline
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = analyze(circuit, {}, monitored, 0.1, 0.05, CFG, injection_set=circuit.signals)
+    rep = analyze(circuit, {}, monitored, 0.1, 0.05, CFG, injection_set=circuit.signals)
     for m in monitored:
         wins = [w for w in rep.windows if w.signal == m]
         assert len(wins) == 1 and (wins[0].start, wins[0].end) == (0.0, CFG.horizon)
@@ -133,36 +127,29 @@ def test_monitored_shortcut_emits_full_window(pipeline):
 
 def test_naive_grid_agrees_with_bisection(pipeline):
     circuit, monitored = pipeline
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep_b = analyze(circuit, {}, monitored, 0.1, 0.01, CFG)
-        rep_n = analyze_naive(circuit, {}, monitored, 0.1, 0.25, CFG)
+    rep_b = analyze(circuit, {}, monitored, 0.1, 0.01, CFG)
+    rep_n = analyze_naive(circuit, {}, monitored, 0.1, 0.25, CFG)
     regions = value_regions(execute(circuit, {}, CFG))
     assert abs(rep_n.p_fail - rep_b.p_fail) <= 0.25 * len(regions) / CFG.horizon
 
 
 def test_naive_simulation_count_formula(pipeline):
     circuit, monitored = pipeline
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = analyze_naive(circuit, {}, monitored, 0.1, 0.25, CFG)
+    rep = analyze_naive(circuit, {}, monitored, 0.1, 0.25, CFG)
     assert rep.simulations == len(rep.injected) * math.ceil(CFG.horizon / 0.25)
 
 
 def test_repeated_injection_name_probed_once(pipeline):
     """A name given twice in the injection set is one injected signal: it
     used to be probed twice (84 simulations against 42, naive 128 against
-    64) and to warn twice per prefix region."""
+    64) and to list each prefix region twice."""
     circuit, monitored = pipeline
     for run, arg in ((analyze, 0.01), (analyze_naive, 0.5)):
-        reports = []
-        for names in (["c2"], ["c2", "c2"]):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                rep = run(circuit, {}, monitored, 0.1, arg, CFG, injection_set=names)
-            reports.append((write_report(rep), rep.simulations, [str(w.message) for w in caught]))
-        assert reports[1] == reports[0], run.__name__
-        assert reports[0][1] == {analyze: 42, analyze_naive: 64}[run]
+        once, twice = (
+            run(circuit, {}, monitored, 0.1, arg, CFG, injection_set=names) for names in (["c2"], ["c2", "c2"])
+        )
+        assert write_report(twice) == write_report(once), run.__name__
+        assert once.simulations == {analyze: 42, analyze_naive: 64}[run]
 
 
 def test_no_path_no_failures():
@@ -437,20 +424,24 @@ PREFIX_REGIONS = {
 
 @pytest.mark.parametrize("horizon,delta", sorted(PREFIX_REGIONS))
 def test_postfix_warnings_are_the_same_for_every_jobs(horizon, delta):
-    """Every jobs warns in the caller, once per prefix-shaped region, in
-    injection and then region order; a pool used to lose them all."""
+    """Every jobs lists each prefix-shaped region once, in injection and
+    then region order; a pool used to lose them all."""
     circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
-    messages = []
-    for jobs in (1, 2):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            analyze(circuit, {}, monitored, 0.1, delta, SimConfig(horizon, 0.1), jobs=jobs)
-        assert all(w.category is analysis.PostfixViolationWarning for w in caught)
-        messages.append([str(w.message) for w in caught])
-    expected = [
-        f"susceptible times in region [{a}, {b}) at c2 do not form a postfix" for a, b in PREFIX_REGIONS[horizon, delta]
+    found = [
+        analyze(circuit, {}, monitored, 0.1, delta, SimConfig(horizon, 0.1), jobs=jobs).postfix_violations
+        for jobs in (1, 2)
     ]
-    assert messages == [expected, expected]
+    expected = tuple(("c2", a, b) for a, b in PREFIX_REGIONS[horizon, delta])
+    assert found == [expected, expected]
+
+
+def test_analyze_raises_no_warning():
+    """A prefix-shaped region goes into the report, not to ``warnings``."""
+    circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = analyze(circuit, {}, monitored, 0.1, 0.05, SimConfig(100.0, 0.1))
+    assert len(report.postfix_violations) == 8
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers share the run only under fork")
@@ -475,7 +466,6 @@ def test_fork_workers_share_the_callers_run(pools, monkeypatch, tmp_path):
 
 SPAWN_SCRIPT = """
 import multiprocessing
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 from faultscope import SimConfig, analysis
@@ -494,7 +484,6 @@ class CountingPool(ProcessPoolExecutor):
 if __name__ == "__main__":
     multiprocessing.set_start_method("spawn")
     analysis.ProcessPoolExecutor = CountingPool
-    warnings.simplefilter("ignore")
     circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
     config = SimConfig(32.0, 0.1)
     reports = [write_report(analysis.analyze(circuit, {}, monitored, 0.1, 0.01, config, jobs=jobs)) for jobs in (1, 2)]
@@ -721,10 +710,8 @@ def test_analyses_count_their_own_probes_after_queries():
     for at in (1.0, 10.0, 20.0):
         is_susceptible(used, {}, monitored, Glitch("c2", at, 0.1), CFG)
     assert _kept_context(used).simulations == 3
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for run, probes in (
-            (lambda c: analyze(c, {}, monitored, 0.1, 0.05, CFG), 150),
-            (lambda c: analyze_naive(c, {}, monitored, 0.1, 1.0, CFG), 5 * 32),
-        ):
-            assert run(used).simulations == run(fresh).simulations == probes
+    for run, probes in (
+        (lambda c: analyze(c, {}, monitored, 0.1, 0.05, CFG), 150),
+        (lambda c: analyze_naive(c, {}, monitored, 0.1, 1.0, CFG), 5 * 32),
+    ):
+        assert run(used).simulations == run(fresh).simulations == probes

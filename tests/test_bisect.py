@@ -142,4 +142,26 @@ def test_susceptible_pulse_between_masked_region_ends():
 def test_analyze_finds_the_window_inside_a_region():
     circuit, monitored, cfg = _mb4_at_100()
     report = analyze(circuit, {}, monitored, GAMMA, 0.01, cfg, injection_set=["src.m1"])
-    assert any(w.start < 17.0 and w.end > 16.0 for w in report.windows)
+    assert any(w.start <= 16.75 < w.end for w in report.windows)
+
+
+# --- a pulse that straddles a switching time (ROADMAP item 12) ----------------------
+
+
+def test_straddling_pulse_is_susceptible():
+    """On linear-3 at T=32 a pulse on en1 at 3.95 overlaps the switching
+    time 4, the end of its value region, and is susceptible."""
+    circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+    ctx = _ProbeContext(circuit, {}, CFG, monitored)
+    assert any(r.start < 3.95 < r.end == 4.0 for r in ctx.run.regions)
+    assert is_susceptible(circuit, {}, monitored, Glitch("en1", 3.95, GAMMA), CFG)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 12: a pulse that starts within gamma of its region's end is never probed",
+)
+def test_analyze_finds_the_straddling_window():
+    circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+    report = analyze(circuit, {}, monitored, GAMMA, DELTA, CFG, injection_set=["en1"])
+    assert any(w.start <= 3.95 < w.end for w in report.windows)

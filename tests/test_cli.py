@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -226,9 +225,7 @@ def test_simulate_svg_of_mb4(tmp_path, capsys):
 
 def test_analyze_svg_of_lin3(lin3_file, tmp_path, capsys):
     svg = tmp_path / "lin3.svg"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code, out, _ = run(capsys, "analyze", "--circuit", lin3_file, "--until", "32", "--out-svg", str(svg))
+    code, out, _ = run(capsys, "analyze", "--circuit", lin3_file, "--until", "32", "--out-svg", str(svg))
     assert code == 0 and out == "P(fail) = 0.5425\n"
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == ANALYZE_LIN3_SVG_SHA256
 
@@ -331,12 +328,10 @@ def test_inject_and_simulate_bad_epsilon_exit_3(lin3_file, capsys):
 def test_analyze_prints_p_fail(lin3_file, tmp_path, capsys):
     rep = tmp_path / "rep.json"
     svg = tmp_path / "rep.svg"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code, out, _ = run(
-            capsys, "analyze", "--circuit", lin3_file, "--until", "32",
-            "--out-json", str(rep), "--out-svg", str(svg),
-        )
+    code, out, _ = run(
+        capsys, "analyze", "--circuit", lin3_file, "--until", "32",
+        "--out-json", str(rep), "--out-svg", str(svg),
+    )
     assert code == 0
     assert abs(float(out.split("=")[1]) - 0.54375) <= 0.01
     obj = json.loads(rep.read_text())
@@ -344,32 +339,26 @@ def test_analyze_prints_p_fail(lin3_file, tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
-def test_analyze_shows_each_warning_on_one_line(lin3_file, capsys):
-    """The installed command shows a warning as one ``warning:`` line; in
-    process, main still raises it through ``warnings``, so it can be
-    recorded, and leaves the warning format as it found it."""
+def test_analyze_lists_prefix_regions_in_the_report(lin3_file, tmp_path):
+    """The installed command puts the prefix-shaped regions into the report
+    and prints only the P(fail) line, with nothing on stderr."""
     src = os.path.dirname(os.path.dirname(analysis.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    rep = tmp_path / "rep.json"
     done = subprocess.run(
-        [sys.executable, "-m", "faultscope", "analyze", "--circuit", lin3_file, "--until", "32"],
+        [sys.executable, "-m", "faultscope", "analyze", "--circuit", lin3_file, "--until", "32", "--out-json", str(rep)],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    assert (done.returncode, done.stdout) == (0, "P(fail) = 0.5425\n")
-    assert done.stderr.splitlines() == [
-        f"warning: susceptible times in region [{r}) at c2 do not form a postfix" for r in ("19.0, 20.0", "30.0, 31.0")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "P(fail) = 0.5425\n", "")
+    assert json.loads(rep.read_text())["postfix_violations"] == [
+        {"signal": "c2", "start": 19.0, "end": 20.0},
+        {"signal": "c2", "start": 30.0, "end": 31.0},
     ]
-    shown = warnings.formatwarning
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run(capsys, "analyze", "--circuit", lin3_file, "--until", "32") == (0, "P(fail) = 0.5425\n", "")
-    assert [w.category for w in caught] == [analysis.PostfixViolationWarning] * 2
-    assert warnings.formatwarning is shown
 
 
-def test_sweep_warnings_do_not_depend_on_jobs():
-    """Each sweep point records its warnings where it runs, and the caller
-    shows them in point order, so ``--jobs 2`` prints what ``--jobs 1``
-    does: each of the two warnings once, though both points raise them."""
+def test_sweep_output_does_not_depend_on_jobs():
+    """``--jobs 2`` prints what ``--jobs 1`` does, and neither writes to
+    stderr."""
     src = os.path.dirname(os.path.dirname(analysis.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = ["sweep", "--generator", "linear", "--set", "stages=3", "--sweep", "source_delay=4,4.0", "--until", "32"]
@@ -380,17 +369,13 @@ def test_sweep_warnings_do_not_depend_on_jobs():
         )
         for jobs in ("1", "2")
     )
+    assert (one.returncode, one.stdout, one.stderr) == (0, "source_delay,p_fail\n4,0.5425\n4,0.5425\n", "")
     assert (two.returncode, two.stdout, two.stderr) == (one.returncode, one.stdout, one.stderr)
-    assert one.stdout == "source_delay,p_fail\n4,0.5425\n4,0.5425\n"
-    assert one.stderr.splitlines() == [
-        f"warning: susceptible times in region [{r}) at c2 do not form a postfix" for r in ("19.0, 20.0", "30.0, 31.0")
-    ]
+
 
 def test_analyze_naive_step_agrees(lin3_file, capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _, out_b, _ = run(capsys, "analyze", "--circuit", lin3_file, "--until", "32")
-        _, out_n, _ = run(capsys, "analyze", "--circuit", lin3_file, "--until", "32", "--naive-step", "0.25")
+    _, out_b, _ = run(capsys, "analyze", "--circuit", lin3_file, "--until", "32")
+    _, out_n, _ = run(capsys, "analyze", "--circuit", lin3_file, "--until", "32", "--naive-step", "0.25")
     pb = float(out_b.split("=")[1])
     pn = float(out_n.splitlines()[0].split("=")[1])
     assert abs(pb - pn) <= 0.05
@@ -399,9 +384,7 @@ def test_analyze_naive_step_agrees(lin3_file, capsys):
 def test_analyze_weights_uniform(lin3_file, tmp_path, capsys):
     wfile = tmp_path / "w.txt"
     wfile.write_text("src = 1\nc2 = 1\nen1 = 1\nen2 = 1\nen3 = 1\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code, out, _ = run(capsys, "analyze", "--circuit", lin3_file, "--until", "32", "--weights", str(wfile))
+    code, out, _ = run(capsys, "analyze", "--circuit", lin3_file, "--until", "32", "--weights", str(wfile))
     lines = out.strip().splitlines()
     assert code == 0 and len(lines) == 2
     assert abs(float(lines[0].split("=")[1]) - float(lines[1].split("=")[1])) < 1e-9
@@ -411,9 +394,7 @@ def test_analyze_weights_uniform(lin3_file, tmp_path, capsys):
 def test_analyze_non_finite_weight_exit_3(lin3_file, tmp_path, capsys, w):
     wfile = tmp_path / "w.txt"
     wfile.write_text(f"src = 1\nc2 = {w}\nen1 = 1\nen2 = 1\nen3 = 1\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code, out, err = run(capsys, "analyze", "--circuit", lin3_file, "--until", "32", "--weights", str(wfile))
+    code, out, err = run(capsys, "analyze", "--circuit", lin3_file, "--until", "32", "--weights", str(wfile))
     assert code == 3 and "weighted" not in out and "finite" in err
 
 
@@ -561,9 +542,7 @@ def test_sweep_single_point_equals_analyze(lin3_file, tmp_path, capsys):
     ])
     assert code == 0
     p_sweep = float(out.read_text().strip().splitlines()[1].split(",")[1])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _, out_a, _ = run(capsys, "analyze", "--circuit", lin3_file, "--until", "32")
+    _, out_a, _ = run(capsys, "analyze", "--circuit", lin3_file, "--until", "32")
     assert p_sweep == float(out_a.split("=")[1])
 
 
@@ -588,9 +567,7 @@ def test_analyze_jobs_deterministic(lin3_file, tmp_path, capsys, monkeypatch):
         reports = []
         for jobs in ("1", "2"):
             rep = tmp_path / f"{name}{jobs}.json"
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                code = main(["analyze", "--circuit", *argv, "--jobs", jobs, "--out-json", str(rep)])
+            code = main(["analyze", "--circuit", *argv, "--jobs", jobs, "--out-json", str(rep)])
             assert code == 0
             reports.append(rep.read_bytes())
         assert reports[0] == reports[1], name
@@ -612,9 +589,7 @@ def test_sweep_pool_has_at_most_one_worker_per_point(tmp_path, capsys, monkeypat
     flags = ["sweep", "--generator", "linear", "--set", "stages=3", "--until", "20", "--delta", "0.1"]
     outs = []
     for points, jobs in (("4", "3"), ("4,5", "3"), ("4,5", "1")):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code, out, _ = run(capsys, *flags, "--sweep", f"source_delay={points}", "--jobs", jobs)
+        code, out, _ = run(capsys, *flags, "--sweep", f"source_delay={points}", "--jobs", jobs)
         assert code == 0
         outs.append(out)
     assert pools == [2]

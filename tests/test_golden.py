@@ -105,13 +105,13 @@ def _report_digest(circuit, monitored, horizon):
 def test_linear3_report_bytes():
     digest, report = _report_digest(*linear_pipeline(PipelineSpec(3, 1, 5, 4, 4)), 32.0)
     assert (report.p_fail, len(report.windows), report.simulations) == (0.5425, 37, 150)
-    assert digest == "e0ae48c2f7e270dbf591c455bbd154a79f94651f6451219d229a4602eebb84b7"
+    assert digest == "67bb755bf00ce355363bf420b71510c6de6f6719f81bc548c1035d3c02b91a95"
 
 
 def test_mb1_report_bytes():
     digest, report = _report_digest(*multibit_linear_pipeline(MultiBitSpec(1, 2, 1, 5, 4, 4)), 30.0)
     assert (report.p_fail, len(report.windows), report.simulations) == (0.6426244212962963, 76, 279)
-    assert digest == "e583396651e23fa58f14c72f2c321408609fc66852015f8d746e5de44dd24dd5"
+    assert digest == "cc5438a9f51db9e51c0088308d48c121746c63552cd4df58f9af74d083fbcceb"
 
 
 def _execute_digest(circuit, horizon):

@@ -3,7 +3,6 @@
 import json
 import re
 import sys
-import warnings
 
 import pytest
 
@@ -292,18 +291,16 @@ def test_traces_roundtrip():
 @pytest.fixture(scope="module")
 def report():
     circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return analyze(circuit, {}, monitored, 0.1, 0.01, SimConfig(32.0, 0.1))
+    return analyze(circuit, {}, monitored, 0.1, 0.01, SimConfig(32.0, 0.1))
 
 
 def test_report_schema(report):
     obj = json.loads(write_report(report))
-    assert set(obj) == {"config", "p_fail", "p_per_signal", "windows", "simulations"}
+    assert set(obj) == {"config", "p_fail", "p_per_signal", "windows", "postfix_violations", "simulations"}
     assert set(obj["config"]) == {"T", "epsilon", "gamma", "delta", "settle", "monitored", "injected", "fault_kind"}
     assert obj["config"]["settle"] == report.settle
     assert obj["p_fail"] == report.p_fail
-    assert all(set(w) == {"signal", "start", "end"} for w in obj["windows"])
+    assert all(set(w) == {"signal", "start", "end"} for w in obj["windows"] + obj["postfix_violations"])
 
 
 def test_report_self_consistent(report):
@@ -315,6 +312,7 @@ def test_report_roundtrip(report):
     again = read_report(write_report(report))
     assert again.p_fail == report.p_fail
     assert again.windows == report.windows
+    assert again.postfix_violations == report.postfix_violations
     assert again.p_per_signal == dict(report.p_per_signal)
     assert again.settle == report.settle
     assert write_report(again) == write_report(report)
@@ -322,9 +320,7 @@ def test_report_roundtrip(report):
 
 def test_report_monitored_probability_one_when_included():
     circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = analyze(circuit, {}, monitored, 0.1, 0.05, SimConfig(32.0, 0.1), injection_set=circuit.signals)
+    rep = analyze(circuit, {}, monitored, 0.1, 0.05, SimConfig(32.0, 0.1), injection_set=circuit.signals)
     obj = report_to_dict(rep)
     for m in monitored:
         assert obj["p_per_signal"][m] == 1.0

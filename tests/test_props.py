@@ -6,7 +6,6 @@ import dataclasses
 import math
 import random
 import types
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,19 +143,17 @@ def test_probe_engine_matches_plain_susceptibility():
     full execution to T + settle with the pulse overlaid."""
     rng = random.Random(15)
     checked = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        while checked < 120:
-            circuit, inputs, cfg = _case(rng, horizon=20)
-            monitored = monitored_for(rng, circuit)
-            ctx = _ProbeContext(circuit, inputs, cfg, monitored)
-            for _ in range(6):
-                signal = rng.choice(sorted(circuit.signals))
-                at = rng.uniform(0.0, cfg.horizon - 0.11)
-                fast = ctx.probe(signal, at, 0.1)
-                slow = _full_run_verdict(circuit, ctx, inputs, signal, at, 0.1)
-                assert fast == slow, (signal, at)
-                checked += 1
+    while checked < 120:
+        circuit, inputs, cfg = _case(rng, horizon=20)
+        monitored = monitored_for(rng, circuit)
+        ctx = _ProbeContext(circuit, inputs, cfg, monitored)
+        for _ in range(6):
+            signal = rng.choice(sorted(circuit.signals))
+            at = rng.uniform(0.0, cfg.horizon - 0.11)
+            fast = ctx.probe(signal, at, 0.1)
+            slow = _full_run_verdict(circuit, ctx, inputs, signal, at, 0.1)
+            assert fast == slow, (signal, at)
+            checked += 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,15 +200,13 @@ def test_probe_engine_seeding_matches_full_runs():
     """Resuming from a snapshot reproduces the full run exactly: verdicts at
     late fault times equal fresh-run verdicts."""
     rng = random.Random(16)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(20):
-            circuit, inputs, cfg = _case(rng, horizon=30)
-            monitored = monitored_for(rng, circuit)
-            ctx = _ProbeContext(circuit, inputs, cfg, monitored)
-            for at in (cfg.horizon * 0.55, cfg.horizon * 0.9):
-                signal = rng.choice(sorted(circuit.signals))
-                assert ctx.probe(signal, at, 0.1) == _full_run_verdict(circuit, ctx, inputs, signal, at, 0.1)
+    for _ in range(20):
+        circuit, inputs, cfg = _case(rng, horizon=30)
+        monitored = monitored_for(rng, circuit)
+        ctx = _ProbeContext(circuit, inputs, cfg, monitored)
+        for at in (cfg.horizon * 0.55, cfg.horizon * 0.9):
+            signal = rng.choice(sorted(circuit.signals))
+            assert ctx.probe(signal, at, 0.1) == _full_run_verdict(circuit, ctx, inputs, signal, at, 0.1)
 
 
 def test_probe_engine_seeding_long_input_trace():
@@ -220,32 +215,30 @@ def test_probe_engine_seeding_long_input_trace():
     snapshot records the base run's suffix, and verdicts at late fault times
     equal full-run verdicts."""
     rng = random.Random(17)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(6):
-            circuit = random_circuit(rng, n_inputs=2)
-            T = 150.0
-            inputs = {}
-            for name in sorted(circuit.inputs):
-                initial = value = rng.choice((Value.ZERO, Value.ONE))
-                t, steps = 0.0, []
-                while (t := t + rng.randrange(4, 12) / 16.0) < T:
-                    value = Value.ONE if value is Value.ZERO else Value.ZERO
-                    steps.append((t, value))
-                assert len(steps) >= 200
-                inputs[name] = make_trace(initial, steps, horizon=float("inf"))
-            cfg = SimConfig(T, 0.1)
-            monitored = monitored_for(rng, circuit)
-            ctx = _ProbeContext(circuit, inputs, cfg, monitored)
-            base, run = _full_snapshot_run(ctx), ctx.run
-            for seed in (base.snapshots[len(base.snapshots) // 2], base.snapshots[-2]):
-                resumed = _kernel(
-                    run.comp, run.in_transitions, run.in_initial, run.t_end, 0.1, (), record=True, seed=seed
-                )
-                assert resumed.events == [ev for ev in base.events if ev[0] > seed.time]
-            for at in (T * 0.55, T * 0.9, rng.uniform(0.0, T - 0.2), rng.uniform(0.0, T - 0.2)):
-                signal = rng.choice(sorted(circuit.signals))
-                assert ctx.probe(signal, at, 0.1) == _full_run_verdict(circuit, ctx, inputs, signal, at, 0.1)
+    for _ in range(6):
+        circuit = random_circuit(rng, n_inputs=2)
+        T = 150.0
+        inputs = {}
+        for name in sorted(circuit.inputs):
+            initial = value = rng.choice((Value.ZERO, Value.ONE))
+            t, steps = 0.0, []
+            while (t := t + rng.randrange(4, 12) / 16.0) < T:
+                value = Value.ONE if value is Value.ZERO else Value.ZERO
+                steps.append((t, value))
+            assert len(steps) >= 200
+            inputs[name] = make_trace(initial, steps, horizon=float("inf"))
+        cfg = SimConfig(T, 0.1)
+        monitored = monitored_for(rng, circuit)
+        ctx = _ProbeContext(circuit, inputs, cfg, monitored)
+        base, run = _full_snapshot_run(ctx), ctx.run
+        for seed in (base.snapshots[len(base.snapshots) // 2], base.snapshots[-2]):
+            resumed = _kernel(
+                run.comp, run.in_transitions, run.in_initial, run.t_end, 0.1, (), record=True, seed=seed
+            )
+            assert resumed.events == [ev for ev in base.events if ev[0] > seed.time]
+        for at in (T * 0.55, T * 0.9, rng.uniform(0.0, T - 0.2), rng.uniform(0.0, T - 0.2)):
+            signal = rng.choice(sorted(circuit.signals))
+            assert ctx.probe(signal, at, 0.1) == _full_run_verdict(circuit, ctx, inputs, signal, at, 0.1)
 
 
 # --- the fault-free run --------------------------------------------------------------
@@ -264,23 +257,21 @@ def test_verdicts_near_horizon_and_both_pulse_kinds():
     random order give full-run verdicts."""
     rng = random.Random(18)
     checked = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        while checked < 160:
-            circuit, inputs, cfg = _case(rng, horizon=20, allow_x=rng.random() < 0.5)
-            monitored = monitored_for(rng, circuit)
-            kind = rng.choice(("xpulse", "flip"))
-            shared = _ProbeContext(circuit, inputs, cfg, monitored, fault_kind=kind)
-            for _ in range(4):
-                signal = rng.choice(sorted(circuit.signals))
-                at = cfg.horizon - 0.1 - rng.uniform(0.0, circuit.d_max)
-                if rng.random() < 0.3:
-                    at = rng.uniform(0.0, at)
-                fresh = _ProbeContext(circuit, inputs, cfg, monitored, fault_kind=kind)
-                slow = _verdict_or_error(_full_run_verdict, circuit, fresh, inputs, signal, at, 0.1, kind)
-                assert _verdict_or_error(fresh.probe, signal, at, 0.1) == slow, (signal, at, kind)
-                assert _verdict_or_error(shared.probe, signal, at, 0.1) == slow, (signal, at, kind)
-                checked += 1
+    while checked < 160:
+        circuit, inputs, cfg = _case(rng, horizon=20, allow_x=rng.random() < 0.5)
+        monitored = monitored_for(rng, circuit)
+        kind = rng.choice(("xpulse", "flip"))
+        shared = _ProbeContext(circuit, inputs, cfg, monitored, fault_kind=kind)
+        for _ in range(4):
+            signal = rng.choice(sorted(circuit.signals))
+            at = cfg.horizon - 0.1 - rng.uniform(0.0, circuit.d_max)
+            if rng.random() < 0.3:
+                at = rng.uniform(0.0, at)
+            fresh = _ProbeContext(circuit, inputs, cfg, monitored, fault_kind=kind)
+            slow = _verdict_or_error(_full_run_verdict, circuit, fresh, inputs, signal, at, 0.1, kind)
+            assert _verdict_or_error(fresh.probe, signal, at, 0.1) == slow, (signal, at, kind)
+            assert _verdict_or_error(shared.probe, signal, at, 0.1) == slow, (signal, at, kind)
+            checked += 1
 
 
 def test_monitored_x_only_after_horizon_makes_every_pulse_susceptible():
@@ -289,29 +280,27 @@ def test_monitored_x_only_after_horizon_makes_every_pulse_susceptible():
     itself re-converges before T."""
     rng = random.Random(19)
     found = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        while found < 12:
-            circuit, inputs, cfg = _case(rng, horizon=20, allow_x=True)
-            t_end = cfg.horizon + analysis._settle(circuit, cfg)
-            long_inputs = {name: dataclasses.replace(trace, horizon=t_end) for name, trace in inputs.items()}
-            base = execute(circuit, long_inputs, SimConfig(t_end, 0.1))
-            late = [
-                s
-                for s in sorted(circuit.driven)
-                if base.traces[s].initial is not Value.X
-                and any(v is Value.X for _, v in base.traces[s].transitions)
-                and min(t for t, v in base.traces[s].transitions if v is Value.X) >= cfg.horizon
-            ]
-            if not late:
-                continue
-            found += 1
-            for _ in range(4):
-                signal = rng.choice(sorted(circuit.signals))
-                at = rng.uniform(0.0, cfg.horizon - 0.11)
-                ctx = _ProbeContext(circuit, inputs, cfg, late[:1])
-                assert _full_run_verdict(circuit, ctx, inputs, signal, at, 0.1)
-                assert ctx.probe(signal, at, 0.1), (signal, at)
+    while found < 12:
+        circuit, inputs, cfg = _case(rng, horizon=20, allow_x=True)
+        t_end = cfg.horizon + analysis._settle(circuit, cfg)
+        long_inputs = {name: dataclasses.replace(trace, horizon=t_end) for name, trace in inputs.items()}
+        base = execute(circuit, long_inputs, SimConfig(t_end, 0.1))
+        late = [
+            s
+            for s in sorted(circuit.driven)
+            if base.traces[s].initial is not Value.X
+            and any(v is Value.X for _, v in base.traces[s].transitions)
+            and min(t for t, v in base.traces[s].transitions if v is Value.X) >= cfg.horizon
+        ]
+        if not late:
+            continue
+        found += 1
+        for _ in range(4):
+            signal = rng.choice(sorted(circuit.signals))
+            at = rng.uniform(0.0, cfg.horizon - 0.11)
+            ctx = _ProbeContext(circuit, inputs, cfg, late[:1])
+            assert _full_run_verdict(circuit, ctx, inputs, signal, at, 0.1)
+            assert ctx.probe(signal, at, 0.1), (signal, at)
 
 
 def test_lookups_and_regions_match_full_snapshot_run():
@@ -687,11 +676,9 @@ def test_decimal_delays_take_no_cycle():
     full = _full_snapshot_run(ctx)
     rng = random.Random(21)
     steps = ["probe"] * 4 + ["base_mon_x", "regions", "lookups"] + ["probe"] * 8
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for step in steps:
-            # probes of width 0.1 over a d_max of 0.5
-            _check_against_full_run(circuit, ctx, {}, full, rng, [step])
+    for step in steps:
+        # probes of width 0.1 over a d_max of 0.5
+        _check_against_full_run(circuit, ctx, {}, full, rng, [step])
     assert ctx.run._period is None
 
 
