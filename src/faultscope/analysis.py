@@ -75,7 +75,9 @@ class PostfixViolationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Glitch:
-    """A pulse of the given width injected at a signal at time ``at``."""
+    """A pulse of the given width injected at a signal at time ``at``; by
+    the model's pulse rule (``_check_pulse``) it starts in [0, T) with a
+    positive, finite width, and may end past T, even past T + settle."""
 
     signal: str
     at: float
@@ -152,6 +154,19 @@ def _pulse_values(kind: str, signal: str, value_at, at: float, end: float) -> tu
     return 1.0 - v, v
 
 
+def _check_pulse(width, at=0.0, horizon=math.inf, signal=None, signals=(), owner="circuit") -> None:
+    """The model's pulse rule, over whose pulses P(fail) is uniform: a
+    pulse on a signal of its ``owner`` starts in [0, T) and has a positive,
+    finite width, and a NaN fails each test.  Given the width alone, it
+    checks the width half, as ``analyze`` and ``analyze_naive`` check γ."""
+    if not 0 < width < math.inf:
+        raise ValueError(f"pulse width must be positive and finite, got {width}")
+    if not 0 <= at < horizon:
+        raise ValueError(f"pulse start must be in [0, {horizon}), got {at}")
+    if signal is not None and signal not in signals:
+        raise ValueError(f"pulse signal {signal!r} not in {owner}")
+
+
 def make_transient(
     signal: str,
     at: float,
@@ -161,15 +176,10 @@ def make_transient(
 ) -> tuple[ExternalEvent, ExternalEvent]:
     """Two external events forming a pulse at the signal, by the rule of the
     pulse kind (``_pulse_values``) on the fault-free execution's trace.  The
-    checks are written so that a NaN fails them."""
-    if not 0 <= at < math.inf:
-        raise ValueError(f"pulse start must be nonnegative and finite, got {at}")
-    if not 0 < width < math.inf:
-        raise ValueError(f"pulse width must be positive and finite, got {width}")
-    trace = base_execution.traces.get(signal)
-    if trace is None:
-        raise ValueError(f"pulse signal {signal!r} not in execution")
-    end = at + width
+    pulse obeys the model's pulse rule (``_check_pulse``) with the execution's
+    horizon as T: it starts in [0, T) and has a positive, finite width."""
+    _check_pulse(width, at, base_execution.horizon, signal, base_execution.traces, "execution")
+    trace, end = base_execution.traces[signal], at + width
     drive, restore = _pulse_values(kind, signal, lambda t: trace_value_at(trace, t).value, at, min(end, trace.horizon))
     return (ExternalEvent(at, signal, Value(drive)), ExternalEvent(end, signal, Value(restore)))
 
@@ -183,7 +193,8 @@ def is_susceptible(
 ) -> bool:
     """True iff the glitch makes a monitored signal attain X before T + settle.
 
-    The verdict is the one ``analyze`` finds for the same pulse.  The last
+    The glitch obeys the model's pulse rule (``_check_pulse``), as each pulse
+    ``analyze`` probes does, and gets the verdict ``analyze`` finds.  The last
     probe context built here is kept on the circuit, in one slot beside the
     fault-free run (``_fault_free_run``), and reused while it overlays the
     kept run and has the same monitored set and pulse kind.  So a later
@@ -191,7 +202,7 @@ def is_susceptible(
     before any kernel run.  The context holds no circuit, so the circuit
     and what it keeps form no reference cycle.
     """
-    _check_glitch(circuit, glitch, config)
+    _check_pulse(glitch.width, glitch.at, config.horizon, glitch.signal, circuit.signals)
     monitored = sorted(monitored)
     ctx = getattr(circuit, "_probe_context", None)
     if (
@@ -205,31 +216,17 @@ def is_susceptible(
     return ctx.probe(glitch.signal, glitch.at, glitch.width)
 
 
-def _check_glitch(circuit: Circuit, glitch: Glitch, config: SimConfig) -> None:
-    """A pulse of positive width within [0, T] on a signal of the circuit;
-    written so that a NaN fails each test."""
-    if not glitch.width > 0:
-        raise ValueError(f"pulse width must be positive, got {glitch.width}")
-    if not 0 <= glitch.at <= glitch.at + glitch.width <= config.horizon:
-        raise ValueError(
-            f"glitch [{glitch.at}, {glitch.at + glitch.width}) not within [0, {config.horizon}]"
-        )
-    if glitch.signal not in circuit.signals:
-        raise ValueError(f"glitch signal {glitch.signal!r} not in circuit")
-
-
-def faulty_execution(
-    circuit: Circuit, inputs: InputTraces, glitch: Glitch, config: SimConfig
-) -> Execution:
+def faulty_execution(circuit: Circuit, inputs: InputTraces, glitch: Glitch, config: SimConfig) -> Execution:
     """The full execution a verdict on the glitch is taken from: run to
     T + settle with the inputs held past T and the pulse overlaid, the pulse
-    read from the fault-free run as a probe reads it."""
-    _check_glitch(circuit, glitch, config)
+    read from the fault-free run as a probe reads it.  The glitch obeys the
+    model's pulse rule (``_check_pulse``); past T + settle it is not restored."""
+    _check_pulse(glitch.width, glitch.at, config.horizon, glitch.signal, circuit.signals)
     run = _fault_free_run(circuit, inputs, config)
     pulse = run.pulse_events(glitch.kind, run.comp.idx[glitch.signal], glitch.at, glitch.width)
-    long = replace(config, horizon=run.t_end)
     inputs = {name: replace(trace, horizon=run.t_end) for name, trace in (inputs or {}).items()}
-    return execute(circuit, inputs, long, [ExternalEvent(t, glitch.signal, Value(fv)) for t, _, fv in pulse])
+    events = [ExternalEvent(t, glitch.signal, Value(fv)) for t, _, fv in pulse if t < run.t_end]
+    return execute(circuit, inputs, replace(config, horizon=run.t_end), events)
 
 
 # --- value regions --------------------------------------------------------------
@@ -788,7 +785,8 @@ def analyze(
     """
     if isinstance(jobs, bool) or not isinstance(jobs, int):
         raise ValueError(f"jobs must be an integer, got {jobs!r}")
-    _require_positive(gamma=gamma, delta=delta, jobs=jobs)
+    _check_pulse(gamma)
+    _require_positive(delta=delta, jobs=jobs)
     monitored = sorted(monitored)
     injected = _resolve_injection(circuit, monitored, injection_set)
     ctx = _ProbeContext(circuit, inputs, config, monitored, fault_kind=fault_kind)
@@ -819,7 +817,8 @@ def analyze_naive(
 ) -> SensitivityReport:
     """Grid-scan reference: one pulse at every multiple of the step, for every
     injection signal.  Exactly |injected| * ceil(T/step) simulations."""
-    _require_positive(gamma=gamma, step=step)
+    _check_pulse(gamma)
+    _require_positive(step=step)
     monitored = sorted(monitored)
     injected = _resolve_injection(circuit, monitored, injection_set)
     ctx = _ProbeContext(circuit, inputs, config, monitored, fault_kind=fault_kind)

@@ -612,6 +612,37 @@ def test_kept_context_gives_a_fresh_contexts_verdicts(spec, horizon):
     assert True in verdicts and False in verdicts
 
 
+@pytest.mark.parametrize(
+    "spec, horizon",
+    [(PipelineSpec(3, 1, 5, 4, 4), 32.0), (PipelineSpec(3, 1, 5, 4, 4), 35.05), (MultiBitSpec(4, 3, 1, 5, 4, 4), 100.0)],
+    ids=["lin3/32", "lin3/35.05", "mb4/100"],
+)
+def test_is_susceptible_takes_every_pulse_analyze_probes(monkeypatch, spec, horizon):
+    """Every pulse ``analyze`` probes obeys the model's pulse rule, so
+    ``is_susceptible`` takes it, and gives it the verdict ``analyze`` got.
+    At T=35.05 on linear-3 the last region [35.0, 35.05) is shorter than
+    γ, and its pulses end past T."""
+    circuit, monitored = (linear_pipeline if isinstance(spec, PipelineSpec) else multibit_linear_pipeline)(spec)
+    config = SimConfig(horizon, 0.1)
+    probed = []
+    probe = _ProbeContext.probe
+
+    def recorded(self, signal, at, width, memo=None):
+        sus = probe(self, signal, at, width, memo=memo)
+        probed.append((signal, at, width, sus))
+        return sus
+
+    monkeypatch.setattr(_ProbeContext, "probe", recorded)
+    analyze(circuit, {}, monitored, gamma=0.1, delta=0.01, config=config)
+    monkeypatch.undo()
+    assert probed
+    for signal, at, width, sus in probed:
+        assert is_susceptible(circuit, {}, monitored, Glitch(signal, at, width), config) == sus, (signal, at)
+    if horizon == 35.05:
+        last = {signal: sus for signal, at, _, sus in probed if at == 35.0}
+        assert last == {"c2": True, "en1": True, "en2": True, "en3": False, "src": False}
+
+
 def test_queries_with_one_config_object_render_it_once(monkeypatch):
     """200 queries with one config object render it for the first run's key
     only: the kept run's own config needs no ``repr``, as ``SimConfig`` is

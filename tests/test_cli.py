@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -131,8 +132,51 @@ def test_inject_near_horizon_agrees_with_analyze(lin3_file, capsys):
 
 
 def test_inject_past_horizon_exit_3(lin3_file, capsys):
-    code, out, err = run(capsys, "inject", "--circuit", lin3_file, "--at", "en2@31.95:0.1", "--until", "32")
-    assert code == 3 and out == "" and "not within" in err
+    # a pulse starts in [0, T): one that starts before T and ends after it
+    # is probed as analyze probes it, and lies in analyze's en2 window [31, 32)
+    code, out, _ = run(capsys, "inject", "--circuit", lin3_file, "--at", "en2@31.95:0.1", "--until", "32")
+    assert code == 0 and out == "SUSCEPTIBLE\n"
+    code, out, err = run(capsys, "inject", "--circuit", lin3_file, "--at", "en2@32:0.1", "--until", "32")
+    assert code == 3 and out == "" and err == "error: pulse start must be in [0, 32.0), got 32.0\n"
+
+
+# pulses that end past T get analyze's verdict: c2 at 35.0 lies in analyze's
+# window [35.0, 35.05) at T=35.05, and c2 at 1 in its window [0, 4) at γ=40
+@pytest.mark.parametrize(
+    "at, until, verdict",
+    [
+        ("c2@31.95:0.1", "32", "MASKED"),
+        ("c2@1:40", "32", "SUSCEPTIBLE"),
+        ("c2@35:0.1", "35.05", "SUSCEPTIBLE"),
+        ("c2@31.999999:0.1", "32", "MASKED"),
+    ],
+)
+def test_inject_pulse_that_ends_past_T(lin3_file, capsys, at, until, verdict):
+    code, out, err = run(capsys, "inject", "--circuit", lin3_file, "--at", at, "--until", until)
+    assert code == 0 and out == verdict + "\n" and err == ""
+
+
+# the model's pulse rule: a start in [0, T), a positive, finite width and a
+# signal of the circuit; anything else exits 3 before a verdict (a NaN start
+# or width and an unknown signal have their own tests)
+@pytest.mark.parametrize("at", ["c2@-1:0.1", "c2@32:0.1", "c2@40:0.1", "c2@inf:0.1", "c2@10:0", "c2@10:-0.1", "c2@10:inf"])
+def test_inject_outside_the_pulse_rule_exit_3(lin3_file, capsys, at):
+    code, out, err = run(capsys, "inject", "--circuit", lin3_file, "--at", at, "--until", "32")
+    assert code == 3 and out == "" and err.startswith("error: pulse ")
+
+
+def test_inject_svg_of_a_pulse_past_the_settle_window(lin3_file, tmp_path, capsys):
+    # c2@1:80 ends at 81, past T + settle = 67: the run ends before the
+    # restore event, which execute is not handed, so it warns of nothing
+    svg = tmp_path / "long.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "inject", "--circuit", lin3_file, "--at", "c2@1:80", "--until", "32", "--out-svg", str(svg)
+        )
+    assert code == 0 and out == "SUSCEPTIBLE\n" and err == ""
+    text = svg.read_text()
+    assert text.startswith("<svg") and _x_on_monitored(text)
 
 
 def test_inject_unknown_signal_exit_3(lin3_file, capsys):

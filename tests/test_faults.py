@@ -1,5 +1,8 @@
 """Transient construction and susceptibility verdicts."""
 
+import math
+import warnings
+
 import pytest
 
 from faultscope import And, Circuit, ExternalEvent, Not, ProductionRule, SignalRef, SimConfig, Value, execute, make_trace
@@ -95,7 +98,63 @@ def test_glitch_on_monitored_signal_is_susceptible(pipeline):
 def test_glitch_outside_horizon_rejected(pipeline):
     circuit, monitored = pipeline
     with pytest.raises(ValueError):
-        is_susceptible(circuit, {}, monitored, Glitch("c2", 31.95, 0.1), CFG)
+        is_susceptible(circuit, {}, monitored, Glitch("c2", 32.0, 0.1), CFG)
+
+
+# the model's pulse rule, with T = 32 for all three callers: make_transient
+# takes its execution's horizon as T
+@pytest.mark.parametrize("caller", ["is_susceptible", "faulty_execution", "make_transient"])
+@pytest.mark.parametrize(
+    "signal, at, width, message",
+    [
+        ("c2", -0.5, 0.1, "start"),
+        ("c2", -0.0001, 0.1, "start"),
+        ("c2", 32.0, 0.1, "start"),
+        ("c2", 40.0, 0.1, "start"),
+        ("c2", math.nan, 0.1, "start"),
+        ("c2", math.inf, 0.1, "start"),
+        ("c2", -math.inf, 0.1, "start"),
+        ("c2", 10.0, 0.0, "width"),
+        ("c2", 10.0, -0.1, "width"),
+        ("c2", 10.0, math.nan, "width"),
+        ("c2", 10.0, math.inf, "width"),
+        ("nosuch", 10.0, 0.1, "signal"),
+    ],
+)
+def test_pulse_rule_rejects(pipeline, base, caller, signal, at, width, message):
+    circuit, monitored = pipeline
+    glitch = Glitch(signal, at, width)
+    calls = {
+        "is_susceptible": lambda: is_susceptible(circuit, {}, monitored, glitch, CFG),
+        "faulty_execution": lambda: faulty_execution(circuit, {}, glitch, CFG),
+        "make_transient": lambda: make_transient(signal, at, width, X_PULSE, base),
+    }
+    with pytest.raises(ValueError, match=f"^pulse {message} "):
+        calls[caller]()
+
+
+@pytest.mark.parametrize("at", [0.0, 31.95, math.nextafter(32.0, 0.0)])
+def test_pulse_rule_accepts_starts_in_0_T(pipeline, base, at):
+    # a pulse that starts just below T ends past it: all three take it, and
+    # the verdict is the full run's
+    circuit, monitored = pipeline
+    glitch = Glitch("en2", at, 0.1)
+    sus = is_susceptible(circuit, {}, monitored, glitch, CFG)
+    assert sus == _attains_x(faulty_execution(circuit, {}, glitch, CFG), monitored)
+    drive, restore = make_transient("en2", at, 0.1, X_PULSE, base)
+    assert (drive.at, drive.value, restore.at) == (at, Value.X, at + 0.1)
+
+
+def test_pulse_past_the_settle_window_is_never_restored(pipeline):
+    # settle is 35 here, so T + settle = 67; the pulse [1, 81) is X to the end
+    circuit, monitored = pipeline
+    glitch = Glitch("c2", 1.0, 80.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        faulty = faulty_execution(circuit, {}, glitch, CFG)
+    assert faulty.horizon == 67.0
+    assert faulty.traces["c2"].transitions[-1] == (1.0, Value.X)
+    assert is_susceptible(circuit, {}, monitored, glitch, CFG) and _attains_x(faulty, monitored)
 
 
 def test_empty_monitored_rejected(pipeline):
