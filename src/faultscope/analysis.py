@@ -57,7 +57,6 @@ from typing import Iterable, Mapping, Sequence
 from .prs import Circuit, CircuitInvalid, InputTraces, Value, monitor_violations, trace_value_at
 from .sim import X, Execution, ExternalEvent, SimConfig, _compiled, _kernel, _Seed, _setup_run, execute
 
-DEFAULT_EPSILON = 0.1
 DEFAULT_GAMMA = 0.1
 DEFAULT_DELTA = 0.01
 
@@ -157,14 +156,30 @@ def _pulse_values(kind: str, signal: str, value_at, at: float, end: float) -> tu
 def _check_pulse(width, at=0.0, horizon=math.inf, signal=None, signals=(), owner="circuit") -> None:
     """The model's pulse rule, over whose pulses P(fail) is uniform: a
     pulse on a signal of its ``owner`` starts in [0, T) and has a positive,
-    finite width, and a NaN fails each test.  Given the width alone, it
-    checks the width half, as ``analyze`` and ``analyze_naive`` check γ."""
+    finite width, large enough that at + width > at in floats, so that its
+    restore comes after its drive; a NaN fails each test.  ``_check_gamma``
+    applies it to γ at every start."""
     if not 0 < width < math.inf:
         raise ValueError(f"pulse width must be positive and finite, got {width}")
     if not 0 <= at < horizon:
         raise ValueError(f"pulse start must be in [0, {horizon}), got {at}")
+    if not at < at + width:
+        raise ValueError(f"pulse width {width} vanishes at start {at}: its end rounds to its start")
     if signal is not None and signal not in signals:
         raise ValueError(f"pulse signal {signal!r} not in {owner}")
+
+
+def _check_gamma(gamma: float, horizon: float) -> None:
+    """The pulse rule for a width γ at every start in [0, T), as
+    ``analyze`` and ``analyze_naive`` probe any of them.  Float spacing is
+    widest at the last start below T, and a γ of half that spacing ties
+    and rounds to even, so it vanishes at one of the last two starts.  A γ
+    that passes also keeps r1 - γ below every region end r1 <= T."""
+    _check_pulse(gamma)
+    if 0 < horizon < math.inf:  # otherwise no start, or the context rejects T
+        last = math.nextafter(horizon, 0.0)
+        for at in (last, math.nextafter(last, 0.0)):
+            _check_pulse(gamma, at, horizon)
 
 
 def make_transient(
@@ -756,7 +771,7 @@ def analyze(
     monitored: Iterable[str],
     gamma: float = DEFAULT_GAMMA,
     delta: float = DEFAULT_DELTA,
-    config: SimConfig = SimConfig(horizon=100.0),
+    config: SimConfig = SimConfig(),
     injection_set: Iterable[str] | None = None,
     fault_kind: str = X_PULSE,
     jobs: int = 1,
@@ -785,7 +800,7 @@ def analyze(
     """
     if isinstance(jobs, bool) or not isinstance(jobs, int):
         raise ValueError(f"jobs must be an integer, got {jobs!r}")
-    _check_pulse(gamma)
+    _check_gamma(gamma, config.horizon)
     _require_positive(delta=delta, jobs=jobs)
     monitored = sorted(monitored)
     injected = _resolve_injection(circuit, monitored, injection_set)
@@ -811,13 +826,13 @@ def analyze_naive(
     monitored: Iterable[str],
     gamma: float = DEFAULT_GAMMA,
     step: float = 0.25,
-    config: SimConfig = SimConfig(horizon=100.0),
+    config: SimConfig = SimConfig(),
     injection_set: Iterable[str] | None = None,
     fault_kind: str = X_PULSE,
 ) -> SensitivityReport:
     """Grid-scan reference: one pulse at every multiple of the step, for every
     injection signal.  Exactly |injected| * ceil(T/step) simulations."""
-    _check_pulse(gamma)
+    _check_gamma(gamma, config.horizon)
     _require_positive(step=step)
     monitored = sorted(monitored)
     injected = _resolve_injection(circuit, monitored, injection_set)

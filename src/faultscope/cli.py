@@ -31,11 +31,6 @@ from .generators import (
     ring_pipeline,
 )
 
-DEFAULT_EPSILON = analysis.DEFAULT_EPSILON
-DEFAULT_GAMMA = analysis.DEFAULT_GAMMA
-DEFAULT_DELTA = analysis.DEFAULT_DELTA
-
-
 class UsageError(ValueError):
     """A usage error, or a parse error of a sweep spec file: exit 1."""
 
@@ -437,8 +432,12 @@ def build_parser() -> _Parser:
     jobs_default = os.environ.get("FAULTSCOPE_JOBS", "1")
 
     def common_sim(p):
-        p.add_argument("--until", type=float, default=100.0, help="execution horizon T (default 100)")
-        p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help="X propagation delay (default 0.1)")
+        p.add_argument(
+            "--until", type=float, default=SimConfig.horizon, help="execution horizon T (default %(default)s)"
+        )
+        p.add_argument(
+            "--epsilon", type=float, default=SimConfig.epsilon, help="X propagation delay (default %(default)s)"
+        )
 
     p = sub.add_parser("validate", help="parse and validate a netlist")
     p.add_argument("--circuit", required=True)
@@ -466,8 +465,10 @@ def build_parser() -> _Parser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--traces")
     common_sim(p)
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA, help="pulse width (default 0.1)")
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="bisection resolution (default 0.01)")
+    p.add_argument("--gamma", type=float, default=analysis.DEFAULT_GAMMA, help="pulse width (default %(default)s)")
+    p.add_argument(
+        "--delta", type=float, default=analysis.DEFAULT_DELTA, help="bisection resolution (default %(default)s)"
+    )
     p.add_argument("--monitor")
     p.add_argument("--include-monitored", action="store_true", help="also inject at monitored signals")
     p.add_argument("--naive-step", type=float, help="use the grid scan at this step instead of bisection")
@@ -489,8 +490,8 @@ def build_parser() -> _Parser:
     p.add_argument("--set", action="append", metavar="PARAM=VALUE")
     p.add_argument("--sweep", action="append", metavar="PARAM=V1,V2,... or PARAM=FROM:TO:STEP")
     common_sim(p)
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    p.add_argument("--gamma", type=float, default=analysis.DEFAULT_GAMMA)
+    p.add_argument("--delta", type=float, default=analysis.DEFAULT_DELTA)
     p.add_argument("--jobs", type=_jobs, default=jobs_default)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sweep)
@@ -512,10 +513,7 @@ def main(argv=None) -> int:
     except (CircuitInvalid, GenerationError) as exc:
         print(f"invalid circuit: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

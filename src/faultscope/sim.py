@@ -19,11 +19,12 @@ An execution advances through visited time points. At each visit:
     canceled action stays queued, so its due time is still visited, with
     nothing left to apply.
 
-Each of steps 1-3 that changed a value is followed by the handling of
-unstable guards: a pending Boolean action whose guard no longer evaluates to
-true while the target does not yet hold the action's value is canceled and
-the target is driven to X immediately (the gate was mid-switching and its
-drive got corrupted).  This runs to a fixpoint over the dirty pending rules
+Steps 1 and 3 are one step function applied to two streams, the input
+transitions and the external events.  Each of steps 1-3 that changed a value
+is followed by the handling of unstable guards: a pending Boolean action
+whose guard no longer evaluates to true while the target does not yet hold
+the action's value is canceled and the target is driven to X immediately
+(the gate was mid-switching and its drive got corrupted).  This runs to a fixpoint over the dirty pending rules
 only, those that read or drive a signal changed since the last fixpoint, in
 passes of ascending rule id.
 
@@ -73,9 +74,10 @@ _VALUES = {v.value: v for v in Value}
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Execution horizon and X propagation delay (0 < epsilon < d_min)."""
+    """Execution horizon and X propagation delay (0 < epsilon < d_min); the
+    defaults here are those of every command and API entry point."""
 
-    horizon: float
+    horizon: float = 100.0
     epsilon: float = 0.1
 
 
@@ -463,6 +465,36 @@ def _cancel_unstable(comp, todo, t, values, pend, pend_mask, changed, watch, eve
     return pend_mask, hit
 
 
+def _apply_due(comp, stream, k, t, cause, values, pend, pend_mask, changed, watch, events) -> tuple[int, int, bool]:
+    """Step 1 (input transitions, ``cause`` "in") or step 3 (external
+    events, "ext") at time t: apply the entries of the sorted (time, signal
+    id, value) ``stream`` from cursor ``k`` on that are due at t, then the
+    handling of unstable guards when they dirtied a pending rule.  Returns
+    the cursor past them, the new bitmask of the pending rules and whether a
+    ``watch`` signal went to X; a hit skips the fixpoint, as the run ends
+    there.  A change is written and recorded as the kernel writes one."""
+    affected = comp.affected
+    n = len(stream)
+    dirty = 0  # the rules that read or drive a signal changed here
+    hit = False
+    while k < n and stream[k][0] == t:
+        _, sid, fv = stream[k]
+        k += 1
+        if values[sid] == fv:
+            continue
+        values[sid] = fv
+        changed.append(sid)
+        dirty |= affected[sid]
+        if fv == X and sid in watch:
+            hit = True
+        if events is not None:
+            events.append((t, sid, fv, cause))
+    todo = dirty & pend_mask
+    if todo and not hit:
+        pend_mask, hit = _cancel_unstable(comp, todo, t, values, pend, pend_mask, changed, watch, events)
+    return k, pend_mask, hit
+
+
 def _kernel(
     comp: _Compiled,
     input_transitions: Sequence[tuple[float, int, float]],
@@ -491,11 +523,12 @@ def _kernel(
     an empty bucket due at 0, its first visit.
 
     A visit pays only for the steps it has: steps 1 and 3 run only when an
-    input transition or an external event is due, and the unstable-guard
-    fixpoint (``_cancel_unstable``) only after a step that changed a signal
-    read or driven by a pending rule.  Each value change ORs the rules it
-    dirties into one bitmask, so that this test is one AND with the
-    bitmask of the pending rules.
+    input transition or an external event is due, both through one step
+    function (``_apply_due``) that writes a stream's due entries and settles
+    them, and the unstable-guard fixpoint (``_cancel_unstable``) only after
+    a step that changed a signal read or driven by a pending rule.  Each
+    value change ORs the rules it dirties into one bitmask, so that this
+    test is one AND with the bitmask of the pending rules.
 
     Step 4 calls the handler (``_Compiled.step4``) of each signal changed
     during the visit, in the order of the changes, and at a run's first
@@ -574,11 +607,13 @@ def _kernel(
     heappop, heappush = heapq.heappop, heapq.heappush
     new_x: list[int] = []  # entries of the X actions step 4 schedules, all due at t_x
 
-    # Every value change below is written inline, not through a helper, as a
+    # Step 2, which every visit runs, writes its value changes inline, as a
     # call per event costs more than the write: the value, the changed list,
     # the rules it dirties, the watch flag when the value is X, and the
-    # event when recording.  The unstable-guard fixpoint, which few visits
-    # run, writes its changes the same way in ``_cancel_unstable``.
+    # event when recording.  Steps 1 and 3 write theirs the same way in
+    # ``_apply_due``, one call per visit that has an input or external due,
+    # not one per event; the unstable-guard fixpoint, which few visits run,
+    # in ``_cancel_unstable``.
     while True:
         # step 5 of the previous visit: advance to the earliest due time,
         # input transition or external event
@@ -593,34 +628,20 @@ def _kernel(
         if t >= horizon:
             break
         # Unstable guards (``_cancel_unstable``) after each of steps 1-3 that
-        # dirtied a pending rule; steps 1 and 3 only on a visit that has an
-        # input or external due.  A step that drives a watch signal to X
-        # decides the verdict and the time: the run ends right after it.
-        dirty = 0  # rules that read or drive a signal changed since the last fixpoint
-        if t_in == t:
-            # step 1: input-trace transitions at t, in signal order
-            while t_in == t:
-                _, sid, fv = ins[k_in]
-                if values[sid] != fv:
-                    values[sid] = fv
-                    changed.append(sid)
-                    dirty |= affected[sid]
-                    if fv == X and sid in watch:
-                        watch_hit = True
-                    if record:
-                        events.append((t, sid, fv, "in"))
-                k_in += 1
-                t_in = ins[k_in][0] if k_in < n_in else _INF
+        # dirtied a pending rule; steps 1 and 3, through ``_apply_due``, only
+        # on a visit that has an input or external due.  A step that drives a
+        # watch signal to X decides the verdict and the time: the run ends
+        # right after it.
+        if t_in == t:  # step 1: input-trace transitions at t, in signal order
+            k_in, pend_mask, watch_hit = _apply_due(
+                comp, ins, k_in, t, "in", values, pend, pend_mask, changed, watch, events
+            )
             if watch_hit:
                 break
-            todo = dirty & pend_mask
-            if todo:
-                pend_mask, watch_hit = _cancel_unstable(comp, todo, t, values, pend, pend_mask, changed, watch, events)
-                if watch_hit:
-                    break
-            dirty = 0
+            t_in = ins[k_in][0] if k_in < n_in else _INF
 
         # step 2: apply the actions due at t, in the bucket's order
+        dirty = 0  # the rules that read or drive a signal it changed
         for e in batch:
             if e < n_rules:
                 if pend.get(e) != t:
@@ -645,36 +666,19 @@ def _kernel(
                         watch_hit = True
                     if record:
                         events.append((t, sid, X, "xprop"))
+        todo = dirty & pend_mask
+        if todo and not watch_hit:
+            pend_mask, watch_hit = _cancel_unstable(comp, todo, t, values, pend, pend_mask, changed, watch, events)
         if watch_hit:
             break
-        todo = dirty & pend_mask
-        if todo:
-            pend_mask, watch_hit = _cancel_unstable(comp, todo, t, values, pend, pend_mask, changed, watch, events)
-            if watch_hit:
-                break
 
-        if t_ext == t:
-            # step 3: external events at t
-            dirty = 0
-            while t_ext == t:
-                _, sid, fv = exts[k_ext]
-                if values[sid] != fv:
-                    values[sid] = fv
-                    changed.append(sid)
-                    dirty |= affected[sid]
-                    if fv == X and sid in watch:
-                        watch_hit = True
-                    if record:
-                        events.append((t, sid, fv, "ext"))
-                k_ext += 1
-                t_ext = exts[k_ext][0] if k_ext < n_ext else _INF
+        if t_ext == t:  # step 3: external events at t
+            k_ext, pend_mask, watch_hit = _apply_due(
+                comp, exts, k_ext, t, "ext", values, pend, pend_mask, changed, watch, events
+            )
             if watch_hit:
                 break
-            todo = dirty & pend_mask
-            if todo:
-                pend_mask, watch_hit = _cancel_unstable(comp, todo, t, values, pend, pend_mask, changed, watch, events)
-                if watch_hit:
-                    break
+            t_ext = exts[k_ext][0] if k_ext < n_ext else _INF
 
         # step 4: re-evaluate the guards that read a changed signal, each
         # signal's by its handler
@@ -762,7 +766,7 @@ def _setup_run(circuit: Circuit, inputs: InputTraces | None, config: SimConfig, 
 def execute(
     circuit: Circuit,
     inputs: InputTraces | None = None,
-    config: SimConfig = SimConfig(horizon=100.0),
+    config: SimConfig = SimConfig(),
     externals: Iterable[ExternalEvent] = (),
 ) -> Execution:
     """Execute the circuit against input traces and external events.

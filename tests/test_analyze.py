@@ -613,15 +613,22 @@ def test_kept_context_gives_a_fresh_contexts_verdicts(spec, horizon):
 
 
 @pytest.mark.parametrize(
-    "spec, horizon",
-    [(PipelineSpec(3, 1, 5, 4, 4), 32.0), (PipelineSpec(3, 1, 5, 4, 4), 35.05), (MultiBitSpec(4, 3, 1, 5, 4, 4), 100.0)],
-    ids=["lin3/32", "lin3/35.05", "mb4/100"],
+    "spec, horizon, gamma",
+    [
+        (PipelineSpec(3, 1, 5, 4, 4), 32.0, 0.1),
+        (PipelineSpec(3, 1, 5, 4, 4), 35.05, 0.1),
+        (MultiBitSpec(4, 3, 1, 5, 4, 4), 100.0, 0.1),
+        (PipelineSpec(3, 1, 5, 4, 4), 32.0, 2.0**-48),
+    ],
+    ids=["lin3/32", "lin3/35.05", "mb4/100", "lin3/32/gamma=2^-48"],
 )
-def test_is_susceptible_takes_every_pulse_analyze_probes(monkeypatch, spec, horizon):
+def test_is_susceptible_takes_every_pulse_analyze_probes(monkeypatch, spec, horizon, gamma):
     """Every pulse ``analyze`` probes obeys the model's pulse rule, so
     ``is_susceptible`` takes it, and gives it the verdict ``analyze`` got.
     At T=35.05 on linear-3 the last region [35.0, 35.05) is shorter than
-    γ, and its pulses end past T."""
+    γ, and its pulses end past T.  2^-48 is the smallest γ analyze takes
+    at T=32: it is just over half the float spacing below T, so each probed
+    pulse still ends after it starts."""
     circuit, monitored = (linear_pipeline if isinstance(spec, PipelineSpec) else multibit_linear_pipeline)(spec)
     config = SimConfig(horizon, 0.1)
     probed = []
@@ -633,7 +640,7 @@ def test_is_susceptible_takes_every_pulse_analyze_probes(monkeypatch, spec, hori
         return sus
 
     monkeypatch.setattr(_ProbeContext, "probe", recorded)
-    analyze(circuit, {}, monitored, gamma=0.1, delta=0.01, config=config)
+    analyze(circuit, {}, monitored, gamma=gamma, delta=0.01, config=config)
     monkeypatch.undo()
     assert probed
     for signal, at, width, sus in probed:

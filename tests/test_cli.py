@@ -131,6 +131,35 @@ def test_inject_near_horizon_agrees_with_analyze(lin3_file, capsys):
     assert code == 0 and out.strip() == "SUSCEPTIBLE"
 
 
+@pytest.mark.parametrize("monitor, p_fail", [("c1,c3", "0.5425"), ("c3", "0.6177083333333333")])
+def test_analyze_monitor_flag(lin3_file, capsys, monitor, p_fail):
+    # c1,c3 is the netlist's own monitor line, so it gives the same P(fail)
+    code, out, _ = run(capsys, "analyze", "--circuit", lin3_file, "--until", "32", "--monitor", monitor)
+    assert code == 0 and out == f"P(fail) = {p_fail}\n"
+
+
+def test_inject_monitor_flag(lin3_file, capsys):
+    argv = ["inject", "--circuit", lin3_file, "--until", "32", "--monitor", "c3", "--at", "c2@10:0.1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == "SUSCEPTIBLE\n"
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["inject", "--at", "c2@10:0.1"]])
+def test_no_monitored_signals_exit_1(lin3_file, tmp_path, capsys, command):
+    # neither a monitor line in the netlist nor --monitor
+    path = tmp_path / "nomonitor.prs"
+    with open(lin3_file, encoding="utf-8") as fh:
+        path.write_text("".join(line for line in fh if not line.startswith("monitor")))
+    code, _, err = run(capsys, *command, "--circuit", str(path), "--until", "32")
+    assert code == 1 and err.startswith("error: no monitored signals")
+
+
+def test_missing_circuit_file_exit_3(tmp_path, capsys):
+    missing = tmp_path / "missing.prs"
+    code, _, err = run(capsys, "validate", "--circuit", str(missing))
+    assert code == 3 and err.startswith("error: ") and "missing.prs" in err
+
+
 def test_inject_past_horizon_exit_3(lin3_file, capsys):
     # a pulse starts in [0, T): one that starts before T and ends after it
     # is probed as analyze probes it, and lies in analyze's en2 window [31, 32)
@@ -493,6 +522,19 @@ def test_generate_ring_no_bubble_exit_2(capsys):
     assert code == 2 and "bubble" in err
 
 
+def test_generate_ring_too_few_stages_exit_2(capsys):
+    code, _, err = run(capsys, "generate", "ring", "2")
+    assert code == 2 and err == "invalid circuit: a ring needs at least 3 stages, got 2\n"
+
+
+def test_generate_multibit_odd_bit_count(tmp_path, capsys):
+    # 3 bits: each completion tree pairs two bits and carries the third up a level
+    path = tmp_path / "mb3.prs"
+    assert main(["generate", "multibit", "3", "3", "1", "5", "4", "4", "--out", str(path)]) == 0
+    assert run(capsys, "validate", "--circuit", str(path)) == (0, "ok\n", "")
+    assert run(capsys, "simulate", "--circuit", str(path), "--until", "100") == (0, "218 events until T=100\n", "")
+
+
 def test_generate_multibit_single_bit(capsys):
     code, out, _ = run(capsys, "generate", "multibit", "1")
     assert code == 0 and "cd1" in out
@@ -644,7 +686,8 @@ def test_help_documents_defaults(capsys):
     with pytest.raises(SystemExit):
         main(["analyze", "--help"])
     out = capsys.readouterr().out
-    assert "0.1" in out and "0.01" in out
+    for default in (SimConfig.horizon, SimConfig.epsilon, analysis.DEFAULT_GAMMA, analysis.DEFAULT_DELTA):
+        assert f"(default {default})" in out
 
 
 def test_presets_parse():

@@ -6,7 +6,16 @@ import warnings
 import pytest
 
 from faultscope import And, Circuit, ExternalEvent, Not, ProductionRule, SignalRef, SimConfig, Value, execute, make_trace
-from faultscope.analysis import FLIP_PULSE, X_PULSE, Glitch, faulty_execution, is_susceptible, make_transient
+from faultscope.analysis import (
+    FLIP_PULSE,
+    X_PULSE,
+    Glitch,
+    analyze,
+    analyze_naive,
+    faulty_execution,
+    is_susceptible,
+    make_transient,
+)
 from faultscope.generators import PipelineSpec, linear_pipeline
 
 CFG = SimConfig(horizon=32.0, epsilon=0.1)
@@ -118,6 +127,9 @@ def test_glitch_outside_horizon_rejected(pipeline):
         ("c2", 10.0, -0.1, "width"),
         ("c2", 10.0, math.nan, "width"),
         ("c2", 10.0, math.inf, "width"),
+        # positive, but at + width == at in floats: drive and restore coincide
+        ("c2", 10.0, 1e-20, "width"),
+        ("c2", 31.0, 1e-15, "width"),
         ("nosuch", 10.0, 0.1, "signal"),
     ],
 )
@@ -143,6 +155,16 @@ def test_pulse_rule_accepts_starts_in_0_T(pipeline, base, at):
     assert sus == _attains_x(faulty_execution(circuit, {}, glitch, CFG), monitored)
     drive, restore = make_transient("en2", at, 0.1, X_PULSE, base)
     assert (drive.at, drive.value, restore.at) == (at, Value.X, at + 0.1)
+
+
+@pytest.mark.parametrize("gamma", [1e-20, 2.0**-49])
+@pytest.mark.parametrize("caller", [analyze, analyze_naive])
+def test_analyze_rejects_a_gamma_that_vanishes_at_a_start(pipeline, caller, gamma):
+    # 2^-49 is half the float spacing just below T = 32: it survives the
+    # last start below T by rounding to even, and vanishes at the one before
+    circuit, monitored = pipeline
+    with pytest.raises(ValueError, match=r"^pulse width \S+ vanishes at start 31\.99"):
+        caller(circuit, {}, monitored, gamma=gamma, config=CFG)
 
 
 def test_pulse_past_the_settle_window_is_never_restored(pipeline):

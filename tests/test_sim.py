@@ -115,6 +115,11 @@ def test_externals_beyond_horizon_warn_and_ignore():
     assert count_events(ex) == 0
 
 
+def test_external_on_undeclared_signal_rejected():
+    with pytest.raises(ValueError, match="^external event targets undeclared signal 'nosuch'$"):
+        execute(inverter(), {"i": make_trace(Value.ZERO)}, CFG, externals=[ExternalEvent(1.0, "nosuch", Value.X)])
+
+
 @pytest.mark.parametrize("at", [float("nan"), float("inf"), -1.0])
 def test_external_time_must_be_finite_and_nonnegative(at):
     # before, an event at nan was dropped without a word
