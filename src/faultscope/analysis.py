@@ -49,13 +49,13 @@ from __future__ import annotations
 import bisect as _bisect_mod
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .prs import Circuit, CircuitInvalid, InputTraces, Value, monitor_violations, trace_value_at
-from .sim import X, Execution, ExternalEvent, SimConfig, _compiled, _kernel, _Seed, _setup_run, execute
+from .sim import X, Execution, ExternalEvent, SimConfig, _build_execution, _compiled, _kernel, _Seed, _setup_run
 
 DEFAULT_GAMMA = 0.1
 DEFAULT_DELTA = 0.01
@@ -232,16 +232,16 @@ def is_susceptible(
 
 
 def faulty_execution(circuit: Circuit, inputs: InputTraces, glitch: Glitch, config: SimConfig) -> Execution:
-    """The full execution a verdict on the glitch is taken from: run to
-    T + settle with the inputs held past T and the pulse overlaid, the pulse
-    read from the fault-free run as a probe reads it.  The glitch obeys the
-    model's pulse rule (``_check_pulse``); past T + settle it is not restored."""
+    """The full execution a verdict on the glitch is taken from: the kernel
+    call the glitch's probe makes on the kept fault-free run, with the same
+    pulse events, but from t = 0 and recorded to T + settle.  The glitch
+    obeys the model's pulse rule (``_check_pulse``); past T + settle it is
+    not restored."""
     _check_pulse(glitch.width, glitch.at, config.horizon, glitch.signal, circuit.signals)
     run = _fault_free_run(circuit, inputs, config)
     pulse = run.pulse_events(glitch.kind, run.comp.idx[glitch.signal], glitch.at, glitch.width)
-    inputs = {name: replace(trace, horizon=run.t_end) for name, trace in (inputs or {}).items()}
-    events = [ExternalEvent(t, glitch.signal, Value(fv)) for t, _, fv in pulse if t < run.t_end]
-    return execute(circuit, inputs, replace(config, horizon=run.t_end), events)
+    faulty = _kernel(run.comp, run.in_transitions, run.in_initial, run.t_end, run.config.epsilon, pulse)
+    return _build_execution(run.comp, faulty, run.t_end)
 
 
 # --- value regions --------------------------------------------------------------
@@ -445,7 +445,8 @@ def _fault_free_run(circuit: Circuit, inputs: InputTraces | None, config: SimCon
 # by keyword), wraps _ProbeContext.matches (a probe's
 # after_visit hook calls it through self, so it counts the convergence
 # checks), the module global _kernel (it tells probes by their record=False
-# keyword, so only probes pass it: the fault-free run counts as a base run),
+# keyword, so only probes pass it; any other call counts as a base run,
+# faulty_execution's too, though no workload makes one),
 # analyze, is_susceptible and value_regions, counts PostfixViolationWarning
 # (never raised, so its analysis.postfix_violations reads 0; the report
 # lists those regions), and outside this module wraps sim.execute,

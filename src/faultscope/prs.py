@@ -111,6 +111,8 @@ def guard_signals(expr: GuardExpr) -> frozenset:
         return frozenset((expr.name,))
     if isinstance(expr, Not):
         return guard_signals(expr.child)
+    if not isinstance(expr, (And, Or)):
+        raise TypeError(f"not a guard expression: {expr!r}")
     out = frozenset()
     for c in expr.children:
         out |= guard_signals(c)

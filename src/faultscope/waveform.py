@@ -34,11 +34,11 @@ def _fmt(x: float) -> str:
 
 
 def _tick_step(span: float) -> float:
-    if span <= 0:
-        return 1.0
+    """The grid step for an axis of length ``span`` > 0: the least of 1, 2,
+    5 and 10 times a power of ten that is at least a tenth of the span."""
     raw = span / 10.0
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
+    for mult in (1.0, 2.0, 5.0):
         if raw <= mult * mag:
             return mult * mag
     return 10.0 * mag

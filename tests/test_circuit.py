@@ -167,6 +167,44 @@ def test_nested_guards_of_one_kind_keep_their_parentheses():
     assert str(Not(And(a, b))) == "!(a & b)"
 
 
+@pytest.mark.parametrize("kind", [And, Or])
+def test_one_child_is_not_a_gate(kind):
+    with pytest.raises(ValueError, match=f"^{kind.__name__} needs at least two children$"):
+        kind(SignalRef("a"))
+
+
+@pytest.mark.parametrize(
+    "guard,name",
+    [("a", "a"), (Not("a"), "a"), (And(SignalRef("a"), "b"), "b")],
+    ids=["str", "under-not", "under-and"],
+)
+def test_non_guard_is_a_type_error_everywhere(guard, name):
+    """A rule whose guard is not a guard expression fails with one
+    TypeError in validation, in execution and in evaluation."""
+    c = Circuit(inputs={"a"}, locals=(), outputs={"o"}, initial={"o": Value.ZERO}, rules=[ProductionRule(guard, "o", 1, 1.0)])
+    entries = [
+        lambda: validate_circuit(c),
+        lambda: execute(c, {"a": make_trace(Value.ZERO, horizon=1.0)}, SimConfig(1.0, 0.1)),
+        lambda: eval_guard(guard, {"a": Value.ONE, "b": Value.ONE}),
+    ]
+    for entry in entries:
+        with pytest.raises(TypeError, match=f"^not a guard expression: '{name}'$"):
+            entry()
+
+
+def test_exclusion_skips_a_guard_over_an_undeclared_signal():
+    """The undeclared signal is reported once, as unknown-signal: the
+    exclusion check does not assign it."""
+    c = Circuit(
+        inputs={"i"},
+        locals=(),
+        outputs={"o"},
+        initial={"o": Value.ZERO},
+        rules=[ProductionRule(SignalRef("ghost"), "o", 1, 1.0), ProductionRule(SignalRef("i"), "o", 0, 1.0)],
+    )
+    assert [(v.kind, v.subject) for v in validate_circuit(c)] == [("unknown-signal", "ghost")]
+
+
 def test_zero_delay_rejected():
     """A zero delay, and an infinite one, which analyzed to settle = inf."""
     for delay in (0.0, float("inf")):

@@ -335,22 +335,43 @@ def test_trace_row_with_non_finite_time_rejected(inv_file, tmp_path, capsys, tim
 
 
 @pytest.mark.parametrize(
-    "rows,line",
+    "rows,message",
     [
-        ("i,0,0\n", 1),  # no header
-        ("signal,time,value\ni,5,1\n", 2),  # no time-0 row
-        ("signal,time,value\ni,0,0\ni,5,1\ni,3,0\n", 4),  # unsorted
-        ("# comment\nsignal,time,value\n\ni,0,0\ni,5,1\ni,5,0\n", 6),  # duplicate
-        ("signal,time,value\ni,0,0\ni,5,0\n", 3),  # no change of value
+        ("i,0,0\n", "line 1: trace CSV must start with header 'signal,time,value'"),
+        ("signal,time,value\ni,5,1\n", "line 2: trace for 'i' must start with a time-0 row"),
+        ("signal,time,value\ni,0,0\ni,5,1\ni,3,0\n", "line 4: trace for 'i' has unsorted or duplicate time 3.0"),
+        (
+            "# comment\nsignal,time,value\n\ni,0,0\ni,5,1\ni,5,0\n",
+            "line 6: trace for 'i' has unsorted or duplicate time 5.0",
+        ),
+        ("signal,time,value\ni,0,0\ni,5,0\n", "line 3: trace for 'i' does not change its value (0) at time 5.0"),
+        ("signal,time,value\ni,0\n", "line 2: expected 'signal,time,value', got 'i,0'"),
+        ("signal,time,value\n1i,0,0\n", "line 2: bad signal name '1i'"),
+        ("signal,time,value\ni,abc,0\n", "line 2: bad time 'abc'"),
     ],
-    ids=["header", "time-0", "unsorted", "duplicate", "no-change"],
+    ids=["header", "time-0", "unsorted", "duplicate", "no-change", "row", "name", "time"],
 )
-def test_whole_trace_errors_exit_1_with_line(inv_file, tmp_path, capsys, rows, line):
-    # before, these exited 3 with no line number
+def test_whole_trace_errors_exit_1_with_line(inv_file, tmp_path, capsys, rows, message):
+    # before, the whole-trace errors exited 3 with no line number
     traces = tmp_path / "bad.csv"
     traces.write_text(rows)
     code, out, err = run(capsys, "simulate", "--circuit", inv_file, "--traces", str(traces), "--until", "10")
-    assert code == 1 and out == "" and f"line {line}:" in err
+    assert (code, out, err) == (1, "", f"parse error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("circuit 1bad\noutputs o\n", "line 1: bad circuit name '1bad'"),
+        ("circuit c\noutputs o\ninit o 1\n", "line 3: expected 'init <signal> = 0|1|X'"),
+        ("circuit c\noutputs o\ninit 1o = 1\n", "line 3: bad signal name '1o'"),
+    ],
+    ids=["circuit-name", "init-line", "init-name"],
+)
+def test_netlist_errors_exit_1_with_line(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.prs"
+    bad.write_text(text)
+    assert run(capsys, "validate", "--circuit", str(bad)) == (1, "", f"parse error: {message}\n")
 
 
 @pytest.mark.parametrize("at", ["c2@10:0.1", "c2@22:0.1", "en2@31.5:0.1"])
@@ -525,6 +546,18 @@ def test_generate_ring_no_bubble_exit_2(capsys):
 def test_generate_ring_too_few_stages_exit_2(capsys):
     code, _, err = run(capsys, "generate", "ring", "2")
     assert code == 2 and err == "invalid circuit: a ring needs at least 3 stages, got 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["ring", "20", "1", "0", "5"], "inv_delay must be positive"),
+        (["multibit", "2", "0"], "need at least one stage, got 0"),
+        (["multibit", "2", "3", "1", "0"], "mce_delay must be positive"),
+    ],
+)
+def test_generate_bad_spec_exit_2(capsys, argv, message):
+    assert run(capsys, "generate", *argv) == (2, "", f"invalid circuit: {message}\n")
 
 
 def test_generate_multibit_odd_bit_count(tmp_path, capsys):

@@ -319,6 +319,12 @@ def test_throughput_constant_signal_is_zero():
     assert measure_throughput(ex, "c1", 1.0) == 0.0
 
 
+def test_throughput_at_zero_horizon_is_zero():
+    """A T=0 execution passes no token: no rate over no time."""
+    circuit, _ = ring_pipeline(RingSpec(3, 1, 1, 5))
+    assert measure_throughput(execute(circuit, {}, SimConfig(0.0, 0.1)), "c1", 1.0) == 0.0
+
+
 def test_throughput_arithmetic():
     circuit, _ = ring_pipeline(RingSpec(3, 1, 1, 5))
     ex = execute(circuit, {}, SimConfig(100.0, 0.1))

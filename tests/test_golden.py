@@ -9,7 +9,7 @@ event lists and report bytes exactly.
 
 import hashlib
 
-from faultscope import And, Circuit, Not, ProductionRule, SignalRef, SimConfig, Value, execute, make_trace
+from faultscope import And, Circuit, Not, ProductionRule, SignalRef, SimConfig, Value, cli, execute, make_trace
 from faultscope.analysis import analyze
 from faultscope.generators import (
     MultiBitSpec,
@@ -19,7 +19,7 @@ from faultscope.generators import (
     multibit_linear_pipeline,
     ring_pipeline,
 )
-from faultscope.netlist import write_report
+from faultscope.netlist import serialize_circuit, write_report
 
 
 def _pass_order_circuit():
@@ -137,4 +137,16 @@ def test_ring20_execute_events():
     assert _execute_digest(circuit, 200.0) == (
         132,
         "90b7dd72d3c72318a33962bbadbc1c62e2266cb32bf0f3cd24a5873f2cd2e046",
+    )
+
+
+def test_linear3_inject_svg_bytes(tmp_path, capsys):
+    """The picture of the run the verdict is taken from: inject --out-svg
+    on linear-3, c2@10:0.1 at T=32."""
+    circuit, svg = tmp_path / "lin3.prs", tmp_path / "fault.svg"
+    circuit.write_text(serialize_circuit(*linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))))
+    argv = ["inject", "--circuit", str(circuit), "--at", "c2@10:0.1", "--until", "32", "--out-svg", str(svg)]
+    assert cli.main(argv) == 0 and capsys.readouterr().out == "SUSCEPTIBLE\n"
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+        "bd3d18e7749d018c46dd05a2f5da4346d49297511b61f4552f315d1b93966142"
     )

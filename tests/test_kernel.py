@@ -193,6 +193,21 @@ def test_step4_compiles_once_per_fan_out_shape(monkeypatch):
     assert [h.__code__.co_filename for h in comp.step4] == [f"<step4 {name}>" for name in comp.names]
 
 
+def test_full_shape_caches_drop_the_oldest(monkeypatch):
+    """With room for one shape per cache, each new shape evicts the one
+    before it, and two circuits of different shapes, each run twice, give
+    the events they give with the caches intact."""
+    builds = [lambda: linear_pipeline(PipelineSpec(3, 1, 5, 4, 4)), lambda: ring_pipeline(RingSpec(6, 2, 1, 5))]
+    cfg = SimConfig(40.0, 0.1)
+    want = [execute(build()[0], {}, cfg).events for build in builds]
+    monkeypatch.setattr(sim, "_SHAPES_MAX", 1)
+    calls = _counting_compile(monkeypatch)
+    for build, events in [*zip(builds, want), *zip(builds, want)]:
+        assert execute(build()[0], {}, cfg).events == events
+        assert len(sim._GUARD_SHAPES) == len(sim._STEP4_SHAPES) == 1
+    assert len(calls) > len(set(calls))  # an evicted shape is compiled again
+
+
 def test_step4_handlers_of_one_shape_schedule_their_own_readers(monkeypatch):
     """The handlers of a and c share their code, and each evaluates and
     schedules its own readers: x's rules for a, y's for c, with y's delay."""

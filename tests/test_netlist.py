@@ -387,6 +387,16 @@ def test_svg_time_axis_ends_at_the_horizon(horizon):
     assert labels[-1] == pytest.approx(horizon) and labels[-1] <= horizon
 
 
+def test_svg_grid_step_of_ten():
+    """The grid steps by the least of 1, 2, 5 and 10 times a power of ten
+    that is at least a tenth of T: at T=80 none of 1, 2 and 5 is, and the
+    step is 10."""
+    circuit, _ = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+    svg = render_waveform(execute(circuit, {}, SimConfig(80.0, 0.1)))
+    labels = [float(x) for x in re.findall(r'text-anchor="middle">([^<]*)</text>', svg)]
+    assert labels == [10.0 * k for k in range(9)]
+
+
 def test_svg_renders_glitched_trace():
     circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
     base = execute(circuit, {}, SimConfig(32.0, 0.1))

@@ -3,6 +3,7 @@ monotonicity of X, and probe-engine equivalence."""
 
 import bisect
 import dataclasses
+import inspect
 import math
 import random
 import types
@@ -22,7 +23,15 @@ from faultscope import (
     make_trace,
     trace_value_at,
 )
-from faultscope.analysis import Glitch, _may_repeat, _ProbeContext, faulty_execution, is_susceptible, make_transient
+from faultscope.analysis import (
+    Glitch,
+    _may_repeat,
+    _ProbeContext,
+    _settle,
+    faulty_execution,
+    is_susceptible,
+    make_transient,
+)
 from faultscope.generators import (
     MultiBitSpec,
     PipelineSpec,
@@ -35,7 +44,7 @@ from faultscope.generators import (
 )
 from faultscope.netlist import serialize_circuit
 from faultscope.sim import X, _kernel
-from util import logged_kernel, monitored_for, random_circuit, random_input_traces
+from util import logged_kernel, monitored_for, random_circuit, random_delay, random_input_traces
 
 N_QUICK = 30
 
@@ -196,6 +205,41 @@ def test_hit_time_is_the_first_monitored_x_of_the_full_run(seed):
         assert ctx.hit_time == expected, (glitch, ctx.hit_time, first)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_faulty_execution_is_the_full_run_with_the_pulse(seed):
+    """``faulty_execution`` is the execution to T + settle with the inputs
+    held past T and the pulse overlaid as two external events, those before
+    T + settle, the pulse read from that run's fault-free execution.
+    Random gate soups with inputs that may carry X, on integer delays,
+    whose runs repeat, or random ones; X- and flip-pulses whose ends fall
+    before T, past T and past T + settle."""
+    rng = random.Random(seed)
+    delay = rng.choice((random_delay, lambda r: float(r.randint(1, 5))))
+    circuit = random_circuit(rng, n_inputs=rng.randint(1, 2), delay=delay)
+    T = float(rng.randrange(10, 40))
+    inputs = random_input_traces(rng, circuit, T, allow_x=rng.random() < 0.5)
+    cfg = SimConfig(T, 0.1)
+    t_end = T + _settle(circuit, cfg)
+    held = {name: dataclasses.replace(trace, horizon=t_end) for name, trace in inputs.items()}
+    full = SimConfig(t_end, cfg.epsilon)
+    base = execute(circuit, held, full)
+    for _ in range(6):
+        kind = rng.choice(("xpulse", "flip"))
+        signal = rng.choice(sorted(circuit.signals))
+        at = rng.choice((rng.randrange(int(T * 20)) / 20, rng.uniform(0.0, T - 0.01)))
+        width = rng.choice((0.1, T - at + rng.uniform(0.0, 1.0), t_end - at + rng.choice((0.0, 5.0))))
+        glitch = Glitch(signal, at, width, kind)
+        try:
+            pulse = make_transient(signal, at, width, kind, base)
+        except ValueError:  # a flip-pulse on X
+            with pytest.raises(ValueError, match="nothing to flip"):
+                faulty_execution(circuit, inputs, glitch, cfg)
+            continue
+        reference = execute(circuit, held, full, [ev for ev in pulse if ev.at < t_end])
+        assert faulty_execution(circuit, inputs, glitch, cfg) == reference, glitch
+
+
 def test_probe_engine_seeding_matches_full_runs():
     """Resuming from a snapshot reproduces the full run exactly: verdicts at
     late fault times equal fresh-run verdicts."""
@@ -346,14 +390,15 @@ def test_base_mon_x_counts_initial_x():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The keyword arguments of every _kernel call the analysis makes, with
-    its last visit."""
+    """The arguments of every _kernel call the analysis makes, by parameter
+    name, with its last visit."""
     calls = []
+    signature = inspect.signature(_kernel)
 
     def spy(*args, **kwargs):
         run, visits = logged_kernel(*args, **kwargs)
         last = visits.visit_times[-1] if visits.visit_times else None
-        calls.append({**kwargs, "last": last})
+        calls.append({**signature.bind(*args, **kwargs).arguments, "last": last})
         return run
 
     monkeypatch.setattr(analysis, "_kernel", spy)
@@ -361,7 +406,8 @@ def kernel_calls(monkeypatch):
 
 
 def _base_runs(calls):
-    return [c for c in calls if c.get("record", True) is not False]
+    """The fault-free runs among the calls: those with no externals."""
+    return [c for c in calls if not c["externals"]]
 
 
 def _assert_base_runs_once_up_to(calls, t):
@@ -463,26 +509,41 @@ def test_queries_share_the_base_run_of_equal_inputs(kernel_calls):
     assert len(_base_runs(kernel_calls)) == 3
 
 
+def _run_args(call):
+    """What a probe runs on: the kept run's compiled circuit, inputs, T +
+    settle and epsilon, and its pulse events."""
+    return [call[k] for k in ("comp", "input_transitions", "input_initial", "horizon", "epsilon", "externals")]
+
+
 def test_inject_svg_runs_the_base_once(kernel_calls, tmp_path):
-    """faultscope inject --out-svg takes its verdict and its picture's pulse
-    from one fault-free run."""
+    """faultscope inject --out-svg takes its verdict and its picture from
+    one fault-free run: the picture is the probe's kernel call again, with
+    the same pulse and horizon, recorded."""
     path = tmp_path / "lin3.prs"
     path.write_text(serialize_circuit(*_lin3()))
     svg = tmp_path / "f.svg"
     argv = ["inject", "--circuit", str(path), "--at", "c2@10:0.1", "--until", "32", "--out-svg", str(svg)]
     assert cli.main(argv) == 0
     _assert_base_runs_once_up_to(kernel_calls, LIN3_T2)
+    probe, picture = [c for c in kernel_calls if c["externals"]]
+    assert probe["record"] is False and "record" not in picture
+    assert _run_args(picture) == _run_args(probe)
 
 
 def test_faulty_execution_reads_the_query_run(kernel_calls):
     """faulty_execution after a query on the same circuit, inputs and config
-    makes no fault-free run of its own."""
+    makes no fault-free run of its own: one kernel call over the kept run,
+    with the probe's pulse as its externals, recorded to T + settle."""
     circuit, monitored = _lin3()
     glitch = Glitch("c2", 10.0, 0.1)
     assert is_susceptible(circuit, {}, monitored, glitch, LIN3_CFG)
+    [probe] = [c for c in kernel_calls if c["externals"]]
     kernel_calls.clear()
     faulty = analysis.faulty_execution(circuit, {}, glitch, LIN3_CFG)
-    assert kernel_calls == []
+    assert _base_runs(kernel_calls) == []
+    [call] = kernel_calls
+    assert _run_args(call) == _run_args(probe) and "record" not in call
+    assert call["horizon"] == faulty.horizon == LIN3_CFG.horizon + _settle(circuit, LIN3_CFG)
     assert any(e.signal in monitored and e.value is Value.X for e in faulty.events)
 
 
