@@ -32,9 +32,12 @@ cheaper than a time grid.  A susceptible stretch inside a region with both
 ends masked is missed (ROADMAP item 4, pinned as an expected failure in the
 tests).  On a run that repeats, a region more than one period past t1
 replays the verdicts of the region it folds onto (``_windows_for_signal``).
-A probe runs the kernel with one after-visit hook, which stops it where it
-re-converges to the fault-free run and, given a memo, where it meets a state
-an earlier probe reached; it keeps its verdict and hit time in one record.
+A probe runs the kernel with one after-visit hook, which stops it where its
+state is equal to the fault-free state and, given a memo, where it meets a
+state an earlier probe reached; it keeps its verdict and hit time in one
+record.  Both stops are exact for the same reason: the kernel's future
+follows from its time and state, so an equal state has an equal future,
+whether or not it holds an X.
 The probes of one signal's bisection share such a memo of the kernel states
 they reached at fault-free visit times after their pulse ended, each with
 the record of the probe that stored it, indexed by that time: probes at
@@ -444,7 +447,8 @@ def _fault_free_run(circuit: Circuit, inputs: InputTraces | None, config: SimCon
 # memo=None) and reads its positional arguments (a bisection passes its memo
 # by keyword), wraps _ProbeContext.matches (a probe's
 # after_visit hook calls it through self, so it counts the convergence
-# checks), the module global _kernel (it tells probes by their record=False
+# checks: one per visit from the pulse end on with no X action pending,
+# whether or not a value is X), the module global _kernel (it tells probes by their record=False
 # keyword, so only probes pass it; any other call counts as a base run,
 # faulty_execution's too, though no workload makes one),
 # analyze, is_susceptible and value_regions, counts PostfixViolationWarning
@@ -462,8 +466,8 @@ class _ProbeContext:
     A probe resumes from the snapshot of the last visit before the pulse
     and stops as soon as a monitored signal attains X (susceptible), or,
     from the pulse end on, where its one after-visit hook finds the state
-    re-converged to the fault-free run with no X left in flight or, given a
-    memo, equal to a state that an earlier probe of the memo reached.  A
+    equal to the fault-free state or, given a memo, equal to a state that
+    an earlier probe of the memo reached.  A
     re-converged probe is susceptible when the fault-free run drives a
     monitored signal to X later (``base_mon_x`` says whether it ever does),
     and a pulse after such an X is susceptible with no probe run.  A pulse
@@ -501,8 +505,11 @@ class _ProbeContext:
         self.hit_time = -math.inf
 
     def matches(self, t: float, values, pend, pend_x) -> bool:
+        """Whether the state at the end of a visit at t equals the fault-free
+        state there.  Values go first: list equality passes the shared floats
+        by identity and stops at the first signal that differs."""
         snap = self.run.snapshot(t)
-        return snap is not None and snap.pend == pend and snap.pend_x == pend_x and snap.values == values
+        return snap is not None and snap.values == values and snap.pend == pend and snap.pend_x == pend_x
 
     def probe(self, signal: str, at: float, width: float, memo: dict | None = None) -> bool:
         """Susceptibility verdict for one pulse; counts one simulation and
@@ -553,8 +560,8 @@ class _ProbeContext:
             # from the visit at end on both externals are applied
             if t < end:
                 return False
-            if not pend_x and X not in values and self.matches(t, values, pend, pend_x):
-                return True  # converged, with no X live or pending
+            if not pend_x and self.matches(t, values, pend, pend_x):
+                return True  # equal to the fault-free state: its future too
             if memo is None or (t - fold(t) if t > t2 else t) not in visit_times:
                 return False
             states = memo.get(t)

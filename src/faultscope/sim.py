@@ -70,6 +70,7 @@ from .prs import (
 
 X = 0.5  # numeric encoding used throughout the kernel
 _VALUES = {v.value: v for v in Value}
+_SHARED = {v.value: v.value for v in Value}  # any equal float -> the shared one
 
 
 @dataclass(frozen=True)
@@ -357,8 +358,9 @@ class _Seed:
     and is built on the first resume, then kept: the guard values, which
     equal every guard evaluated on ``values``, the bitmask of the pending
     rules, and a template of the queue of the pending actions (``_kernel``):
-    their distinct due times in ascending order, a valid heap, and by due
-    time the tuple of its entries.
+    their distinct due times in ascending order, a valid heap, and the
+    (due time, tuple of its entries) pairs, from which each resume builds
+    its own lists.
     """
 
     __slots__ = ("time", "values", "pend", "pend_x", "_gv", "_pend_mask", "_times", "_batches")
@@ -381,7 +383,7 @@ class _Seed:
             values = self.values
             # kept for every later resume, so hold the three shared floats,
             # not the new float a negated guard returns
-            self._gv = [_VALUES[fn(values)].value for fn in fns]
+            self._gv = [_SHARED[fn(values)] for fn in fns]
             self._pend_mask = sum(1 << rid for rid in self.pend)
             queue: dict[float, list[int]] = {}
             for rid, due in self.pend.items():
@@ -389,8 +391,8 @@ class _Seed:
             for sid, due in self.pend_x.items():
                 queue.setdefault(due, []).append(len(fns) + sid)
             self._times = sorted(queue)
-            self._batches = tuple(tuple(queue[due]) for due in self._times)
-        return self._gv[:], self._pend_mask, self._times[:], dict(zip(self._times, map(list, self._batches)))
+            self._batches = tuple((due, tuple(queue[due])) for due in self._times)
+        return self._gv[:], self._pend_mask, self._times[:], {due: [*batch] for due, batch in self._batches}
 
     def shifted(self, d: float) -> "_Seed":
         """The same state ``d`` time units later: every due time moves by d."""

@@ -549,7 +549,8 @@ def test_probes_exit_early_on_reconvergence(monkeypatch):
     """A masked probe stops at the first visit, from its pulse's restore on,
     whose state is the fault-free one.  Verdicts and probe counts would not
     show a lost exit, so the convergence checks are counted: on the 3-stage
-    pipeline, the 150 probes make 71 checks, and 68 of them match."""
+    pipeline, the 150 probes make 80 checks, one per visit with no X action
+    pending (9 of them on states that hold an X), and 68 of them match."""
     checks = []
     matches = _ProbeContext.matches
 
@@ -561,7 +562,7 @@ def test_probes_exit_early_on_reconvergence(monkeypatch):
     circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
     report = analyze(circuit, {}, monitored, 0.1, 0.05, CFG)
     assert report.simulations == 150
-    assert (len(checks), checks.count(True)) == (71, 68)
+    assert (len(checks), checks.count(True)) == (80, 68)
 
 
 def test_kept_run_does_not_keep_its_circuit_alive():
