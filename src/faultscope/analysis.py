@@ -37,14 +37,14 @@ state is equal to the fault-free state and, given a memo, where it meets a
 state an earlier probe reached; it keeps its verdict and hit time in one
 record.  Both stops are exact for the same reason: the kernel's future
 follows from its time and state, so an equal state has an equal future,
-whether or not it holds an X.
-The probes of one signal's bisection share such a memo of the kernel states
-they reached at fault-free visit times after their pulse ended, each with
-the record of the probe that stored it, indexed by that time: probes at
-nearby times often meet in one state, and a probe compares its state at
-such a time with the few stored there and stops at an equal one with its
-record, exactly (``_ProbeContext.probe``).  The grid scan is kept as
-``analyze_naive``, without the memo, and doubles as the test oracle.
+whether or not it holds an X.  The probes of one signal's bisection share
+such a memo of the kernel states they reached at fault-free visit times
+after their pulse ended, each with the record of the probe that stored it,
+indexed by that time: probes at nearby times often meet in one state, and a
+probe compares its state at such a time with the few stored there and stops
+at an equal one with its record, exactly (``_ProbeContext.probe``).  The
+grid scan is kept as ``analyze_naive``, without the memo, and doubles as
+the test oracle.
 """
 
 from __future__ import annotations
@@ -445,11 +445,11 @@ def _fault_free_run(circuit: Circuit, inputs: InputTraces | None, config: SimCon
 
 # The benchmark in bench/ wraps _ProbeContext.probe(signal, at, width,
 # memo=None) and reads its positional arguments (a bisection passes its memo
-# by keyword), wraps _ProbeContext.matches (a probe's
-# after_visit hook calls it through self, so it counts the convergence
-# checks: one per visit from the pulse end on with no X action pending,
-# whether or not a value is X), the module global _kernel (it tells probes by their record=False
-# keyword, so only probes pass it; any other call counts as a base run,
+# by keyword), wraps _ProbeContext.matches (a probe's after_visit hook calls
+# it through self, so it counts the convergence checks: one per visit from
+# the pulse end on with no X action pending, whether or not a value is X),
+# the module global _kernel (it tells probes by their record=False keyword,
+# so only probes pass it; any other call counts as a base run,
 # faulty_execution's too, though no workload makes one),
 # analyze, is_susceptible and value_regions, counts PostfixViolationWarning
 # (never raised, so its analysis.postfix_violations reads 0; the report
@@ -467,11 +467,11 @@ class _ProbeContext:
     and stops as soon as a monitored signal attains X (susceptible), or,
     from the pulse end on, where its one after-visit hook finds the state
     equal to the fault-free state or, given a memo, equal to a state that
-    an earlier probe of the memo reached.  A
-    re-converged probe is susceptible when the fault-free run drives a
-    monitored signal to X later (``base_mon_x`` says whether it ever does),
-    and a pulse after such an X is susceptible with no probe run.  A pulse
-    before it can still mask it, so the fault-free X alone decides nothing.
+    an earlier probe of the memo reached.  A re-converged probe is
+    susceptible when the fault-free run drives a monitored signal to X
+    later (``base_mon_x`` says whether it ever does), and a pulse after
+    such an X is susceptible with no probe run.  A pulse before it can
+    still mask it, so the fault-free X alone decides nothing.
     Verdicts are identical to re-running the full execution to T + settle
     with the pulse overlaid.  The context keeps no memo:
     ``_windows_for_signal`` makes one per signal, so ``is_susceptible`` and

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
@@ -160,8 +161,11 @@ class ProductionRule:
 
 
 def _action(rule: ProductionRule) -> tuple:
-    """A rule's place in a circuit's canonical order, short of its guard."""
-    return (rule.target, -rule.value)
+    """A rule's place in a circuit's canonical order, short of its guard:
+    by target, the up-rule first.  It compares the value only with 1, so a
+    rule with any other value, however typed, still orders, and validation
+    reports it."""
+    return (rule.target, rule.value != 1)
 
 
 @dataclass(frozen=True)
@@ -306,7 +310,8 @@ def validate_circuit(circuit: Circuit) -> list[Violation]:
         if rule.target not in driven:
             which = "an input" if rule.target in circuit.inputs else "undeclared"
             out.append(Violation("bad-target", rule.target, f"rule targets {which} signal: {rule}"))
-        if not 0 < rule.delay < float("inf"):
+        # float and int first: they pass without the slower check on the ABC
+        if not (isinstance(rule.delay, (float, int, numbers.Real)) and 0 < rule.delay < float("inf")):
             out.append(Violation("bad-delay", rule.target, f"delay must be positive and finite: {rule}"))
         if rule.value not in (0, 1):
             out.append(Violation("bad-action", rule.target, f"action value must be 0 or 1: {rule}"))
@@ -315,7 +320,9 @@ def validate_circuit(circuit: Circuit) -> list[Violation]:
             out.append(Violation("unknown-signal", s, f"guard references undeclared signal in: {rule}"))
         by_action.setdefault((rule.target, rule.value), []).append((rule, support))
 
-    for (target, value), rules in sorted(by_action.items()):
+    # the values are those of the rules, so sort them as text: an action
+    # that is not 0 or 1 may not compare with one that is
+    for (target, value), rules in sorted(by_action.items(), key=lambda item: (item[0][0], str(item[0][1]))):
         if len(rules) > 1:
             out.append(Violation("duplicate-rule", target, f"{len(rules)} rules set {target}={value}"))
 

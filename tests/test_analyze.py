@@ -565,6 +565,23 @@ def test_probes_exit_early_on_reconvergence(monkeypatch):
     assert (len(checks), checks.count(True)) == (80, 68)
 
 
+@pytest.mark.parametrize(
+    "epsilon,below,at",
+    [(0.1, (1.0, 0.56875), (0.86875, 0.5425)), (0.05, (1.0, 0.56875), (0.871875, 0.543125))],
+    ids=["eps0.1", "eps0.05"],
+)
+def test_c2_jumps_at_a_pulse_width_of_epsilon(epsilon, below, at):
+    """ROADMAP item 13, pinned: on the 3-stage pipeline at T=32 with
+    delta=0.005, a pulse on c2 narrower than epsilon always fails, and one
+    of width epsilon is masked about 13 % of the time.  The jump follows
+    epsilon, not the width 0.1.  Each pair is (c2's P, P(fail)), at
+    gamma = epsilon - 0.001 and at gamma = epsilon."""
+    for gamma, expected in ((epsilon - 0.001, below), (epsilon, at)):
+        circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+        report = analyze(circuit, {}, monitored, gamma, 0.005, SimConfig(32.0, epsilon))
+        assert (report.p_per_signal["c2"], report.p_fail) == pytest.approx(expected, abs=1e-12), gamma
+
+
 def test_kept_run_does_not_keep_its_circuit_alive():
     """The run and the probe context a circuit keeps hold no reference back
     to it, so reference counting alone frees all three."""

@@ -268,20 +268,27 @@ def test_circuit_invalid_survives_pickling():
     [
         ("bad-name", "bad-name on o-1: signal names must match [A-Za-z_][A-Za-z0-9_.]*"),
         ("bad-action", "bad-action on o: action value must be 0 or 1: i -> o = 2 [1.0]"),
+        ("bad-action-text", "bad-action on o: action value must be 0 or 1: i -> o = 1 [1.0]"),
+        ("bad-delay-text", "bad-delay on o: delay must be positive and finite: i -> o = 1 ['1.0']"),
         ("unknown-signal", "unknown-signal on ghost: guard references undeclared signal in: ghost -> o = 1 [1.0]"),
     ],
-    ids=["bad-name", "bad-action", "unknown-signal"],
+    ids=["bad-name", "bad-action", "bad-action-text", "bad-delay-text", "unknown-signal"],
 )
 def test_library_built_circuit_violations(case, text):
-    """Each violation on a circuit built in code, with its text."""
-    out, guard, value = "o", SignalRef("i"), 1
+    """Each violation on a circuit built in code, with its text; a string
+    action or delay is reported, not left to fail in Python's words."""
+    out, guard, value, delay = "o", SignalRef("i"), 1, 1.0
     if case == "bad-name":
         out = "o-1"
     elif case == "bad-action":
         value = 2
+    elif case == "bad-action-text":
+        value = "1"
+    elif case == "bad-delay-text":
+        delay = "1.0"
     else:
         guard = SignalRef("ghost")
-    c = Circuit(inputs={"i"}, locals=set(), outputs={out}, initial={out: Value.ZERO}, rules=[ProductionRule(guard, out, value, 1.0)])
+    c = Circuit(inputs={"i"}, locals=set(), outputs={out}, initial={out: Value.ZERO}, rules=[ProductionRule(guard, out, value, delay)])
     assert [str(v) for v in validate_circuit(c)] == [text]
     with pytest.raises(CircuitInvalid, match="^" + re.escape(text) + "$"):
         execute(c, {"i": make_trace(Value.ZERO, horizon=1.0)}, SimConfig(1.0, 0.1))

@@ -1,11 +1,13 @@
 """Invariants the incremental kernel relies on: rule numbering, the guard
 value cache, and compiled guards against the Kleene reference."""
 
+import math
 import random
 
 from hypothesis import given, strategies as st
 
-from faultscope import And, Circuit, Not, Or, ProductionRule, SignalRef, SimConfig, Value, eval_guard, execute, make_trace, sim
+from faultscope import And, Circuit, Not, Or, ProductionRule, SignalRef, SimConfig, Value, analysis, eval_guard, execute, make_trace, sim
+from faultscope.analysis import _ProbeContext
 from faultscope.generators import (
     MultiBitSpec,
     PipelineSpec,
@@ -15,7 +17,7 @@ from faultscope.generators import (
     ring_pipeline,
 )
 from faultscope.netlist import parse_circuit, serialize_circuit
-from faultscope.sim import X, _compiled, _kernel, _prepare_inputs
+from faultscope.sim import X, _compiled, _kernel, _prepare_inputs, _Seed
 from test_golden import _pass_order_circuit
 from util import logged_kernel, random_circuit, random_input_traces
 
@@ -260,3 +262,52 @@ def test_visit_times_of_the_queue():
         seed = base.snapshots[base.visit_times.index(at)]
         _, resumed = logged_kernel(comp, in_transitions, in_initial, 15.0, 0.1, (), seed=seed)
         assert resumed.visit_times == times
+
+
+def test_resumed_queue_is_a_private_copy(monkeypatch):
+    """Each resume builds its own queue from the seed's template.  Two
+    probes on linear-3 at T=32 resume from the snapshot at 15, whose
+    template queues an action due at 20.  The first (en2 at 19, width 2)
+    appends rule 9 to the bucket at 20 at its visit at 19.  Afterwards the
+    template is still the one a fresh seed builds, and the second probe
+    (en3 at 19, width 2) gives the verdict and visits of the same probe on
+    a fresh circuit.  An entry leaked into a shared bucket would pass as a
+    canceled action, so neither verdicts nor visit counts would show it."""
+    visits, appended = [], []
+    kernel = analysis._kernel
+
+    def counting(*args, **kwargs):
+        if kwargs.get("record", True):  # the fault-free run
+            return kernel(*args, **kwargs)
+        seed, hook = kwargs["seed"], kwargs["after_visit"]
+        seed_dues = {*seed.pend.values(), *seed.pend_x.values()}
+
+        def counted(t, values, pend, pend_x):
+            visits.append(t)
+            appended.extend(
+                (rid, due) for rid, due in pend.items() if t < due in seed_dues and seed.pend.get(rid) != due
+            )
+            return hook(t, values, pend, pend_x)
+
+        kwargs["after_visit"] = counted
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_kernel", counting)
+
+    def context():  # on a new circuit, so with its own fault-free run
+        circuit, monitored = linear_pipeline(PipelineSpec(3, 1, 5, 4, 4))
+        return _ProbeContext(circuit, {}, SimConfig(32.0, 0.1), monitored)
+
+    def probe(ctx, signal):
+        visits.clear()
+        sus = ctx.probe(signal, 19.0, 2.0)
+        return sus, ctx.hit_time, visits[:]
+
+    ctx = context()
+    seed = ctx.run.snapshot(math.nextafter(19.0, -math.inf))
+    assert seed.time == 15.0
+    assert probe(ctx, "en2") == (False, -math.inf, [19.0, 20.0, 21.0])
+    assert appended == [(9, 20.0)]
+    fns = ctx.run.comp.fns
+    assert seed.resume(fns) == _Seed(seed.time, seed.values, seed.pend, seed.pend_x).resume(fns)
+    assert probe(ctx, "en3") == probe(context(), "en3") == (False, -math.inf, [19.0, 20.0, 21.0])

@@ -165,6 +165,17 @@ def test_probe_engine_matches_plain_susceptibility():
             checked += 1
 
 
+def _first_monitored_x(circuit, inputs, glitch, cfg, monitored):
+    """The hit time a probe of the glitch should report, from the full run
+    to T + settle with the pulse overlaid: its first monitored X, -inf when
+    that X is before the pulse, None when there is none."""
+    faulty = faulty_execution(circuit, inputs, glitch, cfg)
+    xs = [-math.inf for m in monitored if faulty.traces[m].initial is Value.X]
+    xs += [ev.time for ev in faulty.events if ev.signal in monitored and ev.value is Value.X]
+    first = min(xs, default=None)
+    return first if first is None or first >= glitch.at else -math.inf
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_hit_time_is_the_first_monitored_x_of_the_full_run(seed):
@@ -196,13 +207,45 @@ def test_hit_time_is_the_first_monitored_x_of_the_full_run(seed):
             with pytest.raises(ValueError, match="nothing to flip"):
                 faulty_execution(circuit, inputs, glitch, cfg)
             continue
-        faulty = faulty_execution(circuit, inputs, glitch, cfg)
-        xs = [-math.inf for m in monitored if faulty.traces[m].initial is Value.X]
-        xs += [ev.time for ev in faulty.events if ev.signal in monitored and ev.value is Value.X]
-        first = min(xs, default=None)
+        first = _first_monitored_x(circuit, inputs, glitch, cfg, monitored)
         assert sus == (first is not None), (glitch, first)
-        expected = -math.inf if first is None or first < at else first
-        assert ctx.hit_time == expected, (glitch, ctx.hit_time, first)
+        assert ctx.hit_time == (-math.inf if first is None else first), (glitch, ctx.hit_time, first)
+
+
+def test_probes_stop_at_fault_free_states_that_hold_an_x(monkeypatch):
+    """A probe stops where its state equals the fault-free state, also when
+    that state holds an X: the future follows from the state either way.
+    On input-free gate soups whose fault-free run drives a signal to X,
+    every verdict and hit time is that of the full faulty execution, and
+    some probes do stop at a state that holds an X."""
+    matches = _ProbeContext.matches
+    x_stops = []
+
+    def counted(self, t, values, pend, pend_x):
+        hit = matches(self, t, values, pend, pend_x)
+        if hit and X in values:
+            x_stops.append(t)
+        return hit
+
+    monkeypatch.setattr(_ProbeContext, "matches", counted)
+    rng = random.Random(5)
+    cfg = SimConfig(30.0, 0.1)
+    cases = 0
+    while cases < 40:
+        circuit = random_circuit(rng, n_inputs=0)
+        monitored = monitored_for(rng, circuit)
+        ctx = _ProbeContext(circuit, {}, cfg, monitored)
+        if not ctx.run.x_events:
+            continue
+        cases += 1
+        for _ in range(10):
+            signal = rng.choice(sorted(circuit.signals))
+            at = rng.uniform(0.0, cfg.horizon - 0.1)
+            sus = ctx.probe(signal, at, 0.1)
+            assert sus == _full_run_verdict(circuit, ctx, {}, signal, at, 0.1), (signal, at)
+            first = _first_monitored_x(circuit, {}, Glitch(signal, at, 0.1), cfg, monitored)
+            assert ctx.hit_time == (-math.inf if first is None else first), (signal, at)
+    assert x_stops
 
 
 @settings(max_examples=60, deadline=None)
