@@ -45,6 +45,35 @@ probe compares its state at such a time with the few stored there and stops
 at an equal one with its record, exactly (``_ProbeContext.probe``).  The
 grid scan is kept as ``analyze_naive``, without the memo, and doubles as
 the test oracle.
+
+A pulse that dies at its first gate decides more than its own verdict.  The
+local rules R(s) of the pulsed signal s are the rules that read or drive
+it; its local signals S(s) are s and the targets and guard supports of
+R(s).  A local gap of s is a stretch between two fault-free visits that
+touch a value or X entry of S(s), or a pending entry of R(s)
+(``_FaultFreeRun.local_gaps``).  A probe certifies its gap when its pulse
+[a, e] lies inside it, its drive visit leaves the pending actions those of
+the fault-free run (a clean drive), and its first convergence check, at e,
+matches.  A later probe of the same memo inside a certified gap then takes
+its record with no kernel run.  This is exact:
+
+- nothing outside R(s) reads s;
+- so a clean drive leaves the probe different from the fault-free run only
+  at s and at the guard values of R(s);
+- no visit inside the gap evaluates a rule of R(s) or writes a signal of
+  S(s), so the difference stays there, unread, up to the restore;
+- what the restore does depends only on the values of S(s) and the pending
+  entries of R(s) and X entries of S(s), which are the same anywhere in the
+  gap.
+
+So every pulse in the gap is restored into the fault-free state, as the
+certifying one was, and sees on the way every monitored X the fault-free
+run drives.  Its record is susceptible iff the fault-free run drives a
+monitored X after the seed, with the first such X as the hit time: not the
+first one after e, since one may fall inside [a, e].  The same argument
+makes a clean drive a property of the gap, so a drive that is not clean
+marks its gap as one that certifies nothing.  The certificates live in the
+memo and go with it, so ``is_susceptible`` and ``analyze_naive`` have none.
 """
 
 from __future__ import annotations
@@ -315,6 +344,12 @@ class _FaultFreeRun:
     period after the other.  A time past t2 is therefore read folded into
     the stretch (``fold``): the visits, snapshots, events and value regions
     there are those at t - k·p, shifted by k·p.
+
+    For the local-gap certificates of ``_ProbeContext.probe``, the run
+    records for each visit which signals changed value or X entry and which
+    pending entries changed (``_touches``).  It builds this once, from its
+    events and snapshots, at the first ``local_gaps`` call; the gaps of one
+    signal are built from it for each memo and dropped with the memo.
     """
 
     def __init__(self, circuit: Circuit, inputs: InputTraces, config: SimConfig, key: tuple[str, str]):
@@ -364,6 +399,7 @@ class _FaultFreeRun:
             (t, sid) for t, sid, fv, _ in self._events if fv == X
         ]
         self._regions: list[ValueRegion] | None = None
+        self._touched: list[tuple[int, int]] | None = None  # by visit (``_touches``)
 
     def fold(self, t: float) -> float:
         """The k·p that folds a time t past t2 into the stretch (t1, t2];
@@ -395,6 +431,86 @@ class _FaultFreeRun:
         if folded is None:
             folded = self._folded[key] = snap.shifted(shift)
         return folded
+
+    def last_visit(self, t: float):
+        """(i, k·p, snapshot) of the last fault-free visit at or before a
+        time t below T + settle: the index i of the kept visit that t folds
+        onto (``fold``), k·p and the snapshot, the one ``snapshot`` gives;
+        (-1, 0.0, None) before the first visit.  It repeats ``snapshot``'s
+        lookup rather than sharing it, as convergence checks call
+        ``snapshot`` once per visit."""
+        if t <= self._t2:
+            i = _bisect_mod.bisect_right(self._times, t) - 1
+            return i, 0.0, self._snaps[i] if i >= 0 else None
+        shift = self.fold(t)
+        i = _bisect_mod.bisect_right(self._times, t - shift) - 1
+        snap = self._snaps[i]
+        key = snap.time + shift
+        folded = self._folded.get(key)
+        if folded is None:
+            folded = self._folded[key] = snap.shifted(shift)
+        return i, shift, folded
+
+    def local_gaps(self, sid: int) -> list[float]:
+        """The local gaps of signal ``sid``: for each kept visit i, the time
+        of the first visit after it that touches the signal's local state,
+        and last -inf, which index -1 (no visit before the pulse) reads.
+
+        The local rules R(s) of a signal s read or drive it; its local
+        signals S(s) are s and the targets and guard supports of R(s).  A
+        visit touches the local state when it changes a value or an X entry
+        of S(s), or a pending entry of R(s), or has an input transition on
+        S(s), which may write s in a probe even where it changes nothing
+        here.  Past t2 the visits of (t1, t2] repeat, so a visit in the
+        last stretch is followed by the first one there that touches the
+        state, a period later, or by none (inf); read such a gap end at a
+        visit folded by k·p as ``local_gaps(sid)[i] + k·p``.  The visits
+        that touch each signal and pending entry are found once, from the
+        run's events, input transitions and snapshots (``_touches``)."""
+        if self._touched is None:
+            self._touched = self._touches()
+        comp = self.comp
+        rules = comp.affected[sid]  # R(s), as a bitmask over rule ids
+        signals = 1 << sid  # S(s)
+        for rid in (*comp.fan[sid], *comp.against[sid][0], *comp.against[sid][1]):
+            signals |= 1 << comp.targets[rid]
+            for u in comp.guard_ids[rid]:
+                signals |= 1 << u
+        times = self._times
+        touched = [k for k, (sigs, rids) in enumerate(self._touched) if sigs & signals or rids & rules]
+        gaps: list[float] = []
+        prev = 0
+        for k in touched:
+            gaps += [times[k]] * (k - prev)
+            prev = k
+        last = math.inf
+        if self._period is not None:
+            again = _bisect_mod.bisect_right(touched, _bisect_mod.bisect_left(times, self._t1))
+            if again < len(touched):
+                last = times[touched[again]] + self._period
+        gaps += [last] * (len(times) - prev)
+        gaps.append(-math.inf)
+        return gaps
+
+    def _touches(self) -> list[tuple[int, int]]:
+        """For each kept visit, the bitmask of the signals whose value or X
+        entry it changed or that have an input transition at it, and the
+        bitmask of the rules whose pending entry it changed."""
+        index = {t: k for k, t in enumerate(self._times)}
+        sigs = [0] * len(self._times)
+        for t, sid, *_ in (*self._events, *self.in_transitions):
+            sigs[index[t]] |= 1 << sid
+        touches = []
+        bits, pend, pend_x = self.comp.bits, {}, {}
+        for sig, snap in zip(sigs, self._snaps):
+            rids = 0
+            for rid, _ in snap.pend.items() ^ pend.items():
+                rids |= bits[rid]
+            for u, _ in snap.pend_x.items() ^ pend_x.items():
+                sig |= 1 << u
+            touches.append((sig, rids))
+            pend, pend_x = snap.pend, snap.pend_x
+        return touches
 
     @property
     def regions(self) -> list[ValueRegion]:
@@ -450,7 +566,9 @@ def _fault_free_run(circuit: Circuit, inputs: InputTraces | None, config: SimCon
 # the pulse end on with no X action pending, whether or not a value is X),
 # the module global _kernel (it tells probes by their record=False keyword,
 # so only probes pass it; any other call counts as a base run,
-# faulty_execution's too, though no workload makes one),
+# faulty_execution's too, though no workload makes one; a probe in a
+# certified local gap makes no _kernel call and no matches call, so it
+# counts in neither sim.kernel.probe_calls nor analysis.converge_check_calls),
 # analyze, is_susceptible and value_regions, counts PostfixViolationWarning
 # (never raised, so its analysis.postfix_violations reads 0; the report
 # lists those regions), and outside this module wraps sim.execute,
@@ -471,7 +589,10 @@ class _ProbeContext:
     susceptible when the fault-free run drives a monitored signal to X
     later (``base_mon_x`` says whether it ever does), and a pulse after
     such an X is susceptible with no probe run.  A pulse before it can
-    still mask it, so the fault-free X alone decides nothing.
+    still mask it, so the fault-free X alone decides nothing.  Given a memo,
+    a probe whose pulse lies in a local gap that an earlier probe of the
+    memo certified takes that gap's record with no kernel run (see the
+    module docstring).
     Verdicts are identical to re-running the full execution to T + settle
     with the pulse overlaid.  The context keeps no memo:
     ``_windows_for_signal`` makes one per signal, so ``is_susceptible`` and
@@ -501,6 +622,10 @@ class _ProbeContext:
         # the times at which the fault-free run drives a monitored signal to X
         self.mon_x_times = [t for t, sid in run.x_events if sid in self.mon_ids]
         self.base_mon_x = bool(self.mon_x_times)
+        # the record of a probe in a certified local gap (``probe``): it
+        # meets every fault-free monitored X after its seed, and a probe
+        # whose seed comes after the first one stops before it needs this
+        self.gap_record = (True, self.mon_x_times[0]) if self.base_mon_x else (False, -math.inf)
         self.simulations = 0
         self.hit_time = -math.inf
 
@@ -541,26 +666,61 @@ class _ProbeContext:
         or none.  Storing only at fault-free visit times keeps the states
         few, a handful per time, and the ones that recur, as probes at
         nearby times meet there.
+
+        The memo also holds, under the key ``signal``, the signal's local
+        gaps (``_FaultFreeRun.local_gaps``) and what earlier probes found
+        about each: certified, or not clean at the drive (see the module
+        docstring).  A probe finds its gap, by the end of the first visit
+        that touches the local state after its seed, from the seed's visit
+        index, with no second bisect.  In a certified gap it returns that
+        gap's record and makes no kernel run; otherwise, when its pulse lies
+        in a gap not yet known, the hook compares the pending actions after
+        the drive visit with the fault-free ones, and at the first
+        convergence check, at the pulse end, certifies the gap after a clean
+        drive.
         """
         self.simulations += 1
         run = self.run
-        events = run.pulse_events(self.fault_kind, run.comp.idx[signal], at, width)
+        sid = run.comp.idx[signal]
+        events = run.pulse_events(self.fault_kind, sid, at, width)
         # resume from the last fault-free visit before the pulse: on float
         # times, the last one at or before the next float down
-        seed = run.snapshot(math.nextafter(at, -math.inf))
+        i, shift, seed = run.last_visit(math.nextafter(at, -math.inf))
         if self.base_mon_x and self.mon_x_times[0] <= (-math.inf if seed is None else seed.time):
             self.hit_time = -math.inf
             return True  # the faulty run repeats that monitored X
         end = events[1][0]
+        gap = None  # the end of the local gap this probe may certify
+        if memo is not None:
+            local = memo.get(signal)
+            if local is None:
+                local = memo[signal] = (run.local_gaps(sid), {})
+            gaps, certified = local
+            edge = gaps[i] + shift
+            if end < edge:
+                known = certified.get(edge)
+                if known:
+                    sus, self.hit_time = self.gap_record
+                    return sus
+                if known is None:
+                    gap = edge
         record = [None, -math.inf]  # [verdict, hit time]; None until known
         visit_times, t2, fold = run.visit_times, run._t2, run.fold
 
         def after_visit(t, values, pend, pend_x):
+            nonlocal gap
             # the pulse lies in (seed time, end] and end < T + settle, so
             # from the visit at end on both externals are applied
             if t < end:
+                if gap is not None and t == at:  # the drive visit
+                    snap = run.snapshot(at)
+                    if pend != snap.pend or pend_x != snap.pend_x:
+                        certified[gap] = False
+                        gap = None
                 return False
             if not pend_x and self.matches(t, values, pend, pend_x):
+                if gap is not None and t == end:
+                    certified[gap] = True  # the first check, after a clean drive
                 return True  # equal to the fault-free state: its future too
             if memo is None or (t - fold(t) if t > t2 else t) not in visit_times:
                 return False
@@ -662,9 +822,10 @@ def _windows_for_signal(ctx: _ProbeContext, signal: str, gamma: float, delta: fl
     regions (``_locate_window``).
     Probing is its only effect, so any process may run it for the caller.
     Its real probes share one memo of kernel states, indexed by fault-free
-    visit time (``_ProbeContext.probe``), dropped when the signal is done:
-    each entry holds a whole state, so the memo's size follows the probes
-    of one signal, not of the analysis.
+    visit time, with the signal's local gaps and their certificates
+    (``_ProbeContext.probe``), dropped when the signal is done: each entry
+    holds a whole state, so the memo's size follows the probes of one
+    signal, not of the analysis.
 
     A region that starts past t2, except the last, which T may cut, is the
     region k·p earlier shifted by k·p, with k·p = ``fold(start)``: the
@@ -684,7 +845,9 @@ def _windows_for_signal(ctx: _ProbeContext, signal: str, gamma: float, delta: fl
     regions = run.regions
     windows, prefixes = [], []
     used: dict[float, _Verdicts] = {}  # per region at or before t2, by start
-    memo: dict = {}  # by visit time, the states this signal's probes reached there
+    # by visit time, the states this signal's probes reached there; by the
+    # signal, its local gaps and their certificates
+    memo: dict = {}
     probes = ctx.simulations
     for region in regions:
         replay: Sequence[bool] = ()

@@ -157,7 +157,7 @@ class ProductionRule:
     delay: float
 
     def __str__(self) -> str:
-        return f"{self.guard} -> {self.target} = {self.value} [{self.delay!r}]"
+        return f"{self.guard} -> {self.target} = {self.value!r} [{self.delay!r}]"
 
 
 def _action(rule: ProductionRule) -> tuple:

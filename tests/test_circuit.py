@@ -268,7 +268,7 @@ def test_circuit_invalid_survives_pickling():
     [
         ("bad-name", "bad-name on o-1: signal names must match [A-Za-z_][A-Za-z0-9_.]*"),
         ("bad-action", "bad-action on o: action value must be 0 or 1: i -> o = 2 [1.0]"),
-        ("bad-action-text", "bad-action on o: action value must be 0 or 1: i -> o = 1 [1.0]"),
+        ("bad-action-text", "bad-action on o: action value must be 0 or 1: i -> o = '1' [1.0]"),
         ("bad-delay-text", "bad-delay on o: delay must be positive and finite: i -> o = 1 ['1.0']"),
         ("unknown-signal", "unknown-signal on ghost: guard references undeclared signal in: ghost -> o = 1 [1.0]"),
     ],

@@ -2,6 +2,7 @@
 the one a probe without it gives, and it saves kernel visits."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,47 +22,98 @@ from util import monitored_for, random_circuit, random_delay, random_input_trace
 GAMMA, DELTA = 0.1, 0.05
 
 
-def _check_memo_is_exact(circuit, inputs, monitored, cfg):
+def _check_memo_is_exact(circuit, inputs, monitored, horizon, kind="xpulse", gamma=GAMMA, epsilon=0.1):
     """Bisect every injected signal with the memo, checking each of its
     probes against a probe without one on a second context, and check that
     the windows, real-probe counts and prefix-shaped regions are those of a
-    bisection without the memo.  Returns the number of probes checked."""
-    memoized = _ProbeContext(circuit, inputs, cfg, monitored)
-    plain = _ProbeContext(circuit, inputs, cfg, monitored)
+    bisection without the memo, or that both raise the same error (a
+    flip-pulse where the signal is X).  Returns the number of probes
+    checked and the number of them that made no ``_kernel`` call where the
+    probe without the memo made one: those decided by a local-gap
+    certificate."""
+    cfg = SimConfig(horizon, epsilon)
+    memoized = _ProbeContext(circuit, inputs, cfg, monitored, kind)
+    plain = _ProbeContext(circuit, inputs, cfg, monitored, kind)
     with_memo, without = memoized.probe, plain.probe
-    checked = []
+    checked, certified = [], []
+    calls = 0
+    kernel = analysis._kernel
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return kernel(*args, **kwargs)
 
     def probe(signal, at, width, memo=None):
         assert memo is not None
+        before = calls
         sus = with_memo(signal, at, width, memo=memo)
+        ran = calls > before
         assert (sus, memoized.hit_time) == (without(signal, at, width), plain.hit_time), (signal, at)
         checked.append(at)
+        if not ran and calls > before:
+            certified.append(at)
         return sus
+
+    def windows(ctx, signal):
+        try:
+            return _windows_for_signal(ctx, signal, gamma, DELTA)
+        except ValueError as e:
+            return str(e)
 
     memoized.probe = probe
     plain.probe = lambda signal, at, width, memo=None: without(signal, at, width)
-    for signal in sorted(circuit.signals - set(monitored)):
-        assert _windows_for_signal(memoized, signal, GAMMA, DELTA) == _windows_for_signal(
-            plain, signal, GAMMA, DELTA
-        ), signal
-    return len(checked)
+    with mock.patch.object(analysis, "_kernel", counting):
+        for signal in sorted(circuit.signals - set(monitored)):
+            assert windows(memoized, signal) == windows(plain, signal), signal
+    return len(checked), len(certified)
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), integer_delays=st.booleans())
-@example(seed=722, integer_delays=False)
-def test_memo_is_exact_on_random_circuits(seed, integer_delays):
-    """Random gate soups under random input traces; with integer delays the
-    run may repeat once the inputs stop at T, so probes key states at folded
-    visit times too.  In the pinned example, the pulse of d0 at the visit
-    7.6875 meets there the state that the probe at 4.0625 left, d0 at X
-    included, but its own restore is still to come: a key taken before the
-    pulse end takes the earlier, susceptible verdict for this masked one."""
-    rng = random.Random(seed)
-    circuit = random_circuit(rng, delay=(lambda r: float(r.randint(1, 5))) if integer_delays else random_delay)
-    T = float(rng.randrange(10, 40))
-    inputs = random_input_traces(rng, circuit, T)
-    _check_memo_is_exact(circuit, inputs, monitored_for(rng, circuit), SimConfig(T, 0.1))
+def test_memo_is_exact_on_random_circuits():
+    """Random gate soups under random input traces, X-pulses and
+    flip-pulses, with ε = 0.1 or, under delays down to 1/16, half the
+    shortest delay, and γ below, at or above ε; inputs may carry X.  With
+    integer delays the run may repeat once the inputs stop at T, so probes
+    key states and local gaps at folded visit times too.  In the pinned
+    example, the pulse of d0 at the visit 7.6875 meets there the state that
+    the probe at 4.0625 left, d0 at X included, but its own restore is
+    still to come: a key taken before the pulse end takes the earlier,
+    susceptible verdict for this masked one.  In the second, no rule reads
+    the input i0, so every pulse on it certifies its gap; the pulse at
+    8.2125 ends at 8.3125, where the fault-free run drives d2 to X, so a
+    certified probe's hit time is the first monitored X after its seed,
+    not the first one after its pulse end.  Local-gap certificates must
+    decide some probes over the draws, or a certificate that never fires
+    would pass."""
+    certified = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        delays=st.sampled_from(["integer", "sixteenths", "short"]),
+        kind=st.sampled_from(["xpulse", "flip"]),
+        width=st.sampled_from(["below", "at", "above"]),
+        x_inputs=st.booleans(),
+    )
+    @example(seed=722, delays="sixteenths", kind="xpulse", width="at", x_inputs=False)
+    @example(seed=3, delays="sixteenths", kind="xpulse", width="at", x_inputs=False)
+    def check(seed, delays, kind, width, x_inputs):
+        rng = random.Random(seed)
+        delay = {
+            "integer": lambda r: float(r.randint(1, 5)),
+            "sixteenths": random_delay,
+            "short": lambda r: r.randrange(1, 81) / 16.0,
+        }[delays]
+        circuit = random_circuit(rng, delay=delay)
+        T = float(rng.randrange(10, 40))
+        inputs = random_input_traces(rng, circuit, T, allow_x=x_inputs)
+        epsilon = min(0.1, min(r.delay for r in circuit.rules) / 2)
+        gamma = {"below": epsilon / 2, "at": epsilon, "above": epsilon + 0.1}[width]
+        _, fired = _check_memo_is_exact(circuit, inputs, monitored_for(rng, circuit), T, kind, gamma, epsilon)
+        certified.append(fired)
+
+    check()
+    assert sum(certified) > 0, certified
 
 
 @pytest.mark.parametrize(
@@ -75,22 +127,23 @@ def test_memo_is_exact_on_random_circuits(seed, integer_delays):
 )
 def test_memo_is_exact_on_presets(make, T):
     circuit, monitored = make()
-    assert _check_memo_is_exact(circuit, {}, monitored, SimConfig(T, 0.1)) > 0
+    assert _check_memo_is_exact(circuit, {}, monitored, T)[0] > 0
 
 
 @pytest.mark.parametrize(
     "make,T,probes,visits,without",
     [
-        pytest.param(lambda: ring_pipeline(RingSpec(20, 9, 1, 5)), 200.0, 3829, 45035, 104903, id="ring20/9"),
+        pytest.param(lambda: ring_pipeline(RingSpec(20, 9, 1, 5)), 200.0, 3829, 44951, 104903, id="ring20/9"),
         pytest.param(
-            lambda: multibit_linear_pipeline(MultiBitSpec(4, 3, 1, 5, 4, 4)), 500.0, 14698, 59866, 104766, id="mb4/500"
+            lambda: multibit_linear_pipeline(MultiBitSpec(4, 3, 1, 5, 4, 4)), 500.0, 14698, 50648, 104766, id="mb4/500"
         ),
     ],
 )
 def test_memo_saves_probe_visits(monkeypatch, make, T, probes, visits, without):
     """The probes and probe-kernel visits of one analysis, pinned, against
     the visits the same probes make without the memo; a memo that misses
-    a state an earlier probe reached makes more visits."""
+    a state an earlier probe reached, or a local gap an earlier probe
+    certified, makes more visits."""
     counted_visits = 0
     kernel = analysis._kernel
 
@@ -111,6 +164,34 @@ def test_memo_saves_probe_visits(monkeypatch, make, T, probes, visits, without):
     report = analyze(circuit, {}, monitored, GAMMA, DELTA, SimConfig(T, 0.1))
     assert report.simulations == probes
     assert counted_visits == visits < without
+
+
+@pytest.mark.parametrize(
+    "make,T,probes,certified",
+    [
+        pytest.param(lambda: linear_pipeline(PipelineSpec(3, 1, 5, 4, 4)), 32.0, 150, 16, id="linear-3/32"),
+        pytest.param(
+            lambda: multibit_linear_pipeline(MultiBitSpec(4, 3, 1, 5, 4, 4)), 500.0, 14698, 4609, id="mb4/500"
+        ),
+    ],
+)
+def test_certificates_decide_probes_without_a_kernel_run(monkeypatch, make, T, probes, certified):
+    """The probes of one analysis that a local-gap certificate decides, with
+    no ``_kernel`` call, pinned: verdicts would not show a certificate that
+    stopped firing.  Neither fault-free run drives a monitored X, so every
+    other probe runs the kernel."""
+    runs = 0
+    kernel = analysis._kernel
+
+    def counting(*args, **kwargs):
+        nonlocal runs
+        runs += kwargs.get("record", True) is False
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_kernel", counting)
+    circuit, monitored = make()
+    report = analyze(circuit, {}, monitored, GAMMA, DELTA, SimConfig(T, 0.1))
+    assert (report.simulations, report.simulations - runs) == (probes, certified)
 
 
 @pytest.mark.parametrize(
