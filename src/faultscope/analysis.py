@@ -315,8 +315,9 @@ class _FaultFreeRun:
 
     Construction sets the run up and checks it as ``execute`` does, and
     runs it to T + settle.  Its ``after_visit`` hook keeps the time of each
-    visit and a state snapshot at its end, from which fault-free values are
-    read; ``visit_times`` holds the same times as a frozenset, so that a
+    visit and a state snapshot at its end, which records the visit's index
+    (``_Seed.index``); ``snapshot`` is the one lookup of a kept visit by
+    time.  ``visit_times`` holds the same times as a frozenset, so that a
     probe asks whether t is a visit time by one lookup of t, folded past
     t2 (``fold``).  It holds no reference to the circuit.
 
@@ -371,8 +372,8 @@ class _FaultFreeRun:
         after = self.in_transitions[-1][0] if self.in_transitions else -math.inf
 
         def after_visit(t, values, pend, pend_x):
+            snaps.append(_Seed(t, values[:], pend.copy(), pend_x.copy(), len(times)))
             times.append(t)
-            snaps.append(_Seed(t, values[:], pend.copy(), pend_x.copy()))
             if seen is None or t <= after:
                 return False
             eligible = t.is_integer() and not pend_x and X not in values
@@ -392,7 +393,7 @@ class _FaultFreeRun:
         self.initial_values = run.initial_values
         self.visit_times = frozenset(times)
         self._events = run.events
-        self._folded: dict[float, _Seed] = {}  # snapshots past t2, by visit time
+        self._folded: dict[tuple[int, float], _Seed] = {}  # snapshots past t2, by (index, k·p)
         # (time, signal id) of each X the run drives before T + settle, an
         # initial X at -inf; past t2 the run repeats (t1, t2], which has no X
         self.x_events = [(-math.inf, sid) for sid, fv in enumerate(self.initial_values) if fv == X] + [
@@ -416,8 +417,10 @@ class _FaultFreeRun:
 
         The run has no visit at or past T + settle.  Past t2 the snapshot
         is the one at t folded by k·p (``fold``) with its due times moved
-        by k·p, made when first read and then kept, so a probe resumed from
-        it keeps its guard values.
+        by k·p, made when first read and then kept by (index, k·p), so a
+        probe resumed from it keeps its guard values and its k·p is
+        ``time - _times[index]`` (exact: integers below 2**52), even at
+        t2 + k·p, whose state is also that of t1 + (k+1)·p.
         """
         if t <= self._t2:
             i = _bisect_mod.bisect_right(self._times, t) - 1
@@ -425,36 +428,15 @@ class _FaultFreeRun:
         if t >= self.t_end:
             t = math.nextafter(self.t_end, -math.inf)
         shift = self.fold(t)
-        snap = self._snaps[_bisect_mod.bisect_right(self._times, t - shift) - 1]
-        key = snap.time + shift
+        key = _bisect_mod.bisect_right(self._times, t - shift) - 1, shift
         folded = self._folded.get(key)
         if folded is None:
-            folded = self._folded[key] = snap.shifted(shift)
+            folded = self._folded[key] = self._snaps[key[0]].shifted(shift)
         return folded
-
-    def last_visit(self, t: float):
-        """(i, k·p, snapshot) of the last fault-free visit at or before a
-        time t below T + settle: the index i of the kept visit that t folds
-        onto (``fold``), k·p and the snapshot, the one ``snapshot`` gives;
-        (-1, 0.0, None) before the first visit.  It repeats ``snapshot``'s
-        lookup rather than sharing it, as convergence checks call
-        ``snapshot`` once per visit."""
-        if t <= self._t2:
-            i = _bisect_mod.bisect_right(self._times, t) - 1
-            return i, 0.0, self._snaps[i] if i >= 0 else None
-        shift = self.fold(t)
-        i = _bisect_mod.bisect_right(self._times, t - shift) - 1
-        snap = self._snaps[i]
-        key = snap.time + shift
-        folded = self._folded.get(key)
-        if folded is None:
-            folded = self._folded[key] = snap.shifted(shift)
-        return i, shift, folded
 
     def local_gaps(self, sid: int) -> list[float]:
         """The local gaps of signal ``sid``: for each kept visit i, the time
-        of the first visit after it that touches the signal's local state,
-        and last -inf, which index -1 (no visit before the pulse) reads.
+        of the first visit after it that touches the signal's local state.
 
         The local rules R(s) of a signal s read or drive it; its local
         signals S(s) are s and the targets and guard supports of R(s).  A
@@ -463,8 +445,9 @@ class _FaultFreeRun:
         S(s), which may write s in a probe even where it changes nothing
         here.  Past t2 the visits of (t1, t2] repeat, so a visit in the
         last stretch is followed by the first one there that touches the
-        state, a period later, or by none (inf); read such a gap end at a
-        visit folded by k·p as ``local_gaps(sid)[i] + k·p``.  The visits
+        state, a period later, or by none (inf); read the gap end after a
+        snapshot ``seed`` as ``local_gaps(sid)[seed.index] + k·p``, with
+        its k·p = ``seed.time - _times[seed.index]``.  The visits
         that touch each signal and pending entry are found once, from the
         run's events, input transitions and snapshots (``_touches``)."""
         if self._touched is None:
@@ -489,7 +472,6 @@ class _FaultFreeRun:
             if again < len(touched):
                 last = times[touched[again]] + self._period
         gaps += [last] * (len(times) - prev)
-        gaps.append(-math.inf)
         return gaps
 
     def _touches(self) -> list[tuple[int, int]]:
@@ -671,13 +653,13 @@ class _ProbeContext:
         gaps (``_FaultFreeRun.local_gaps``) and what earlier probes found
         about each: certified, or not clean at the drive (see the module
         docstring).  A probe finds its gap, by the end of the first visit
-        that touches the local state after its seed, from the seed's visit
-        index, with no second bisect.  In a certified gap it returns that
-        gap's record and makes no kernel run; otherwise, when its pulse lies
-        in a gap not yet known, the hook compares the pending actions after
-        the drive visit with the fault-free ones, and at the first
-        convergence check, at the pulse end, certifies the gap after a clean
-        drive.
+        that touches the local state after its seed, from the index the
+        seed carries (``_Seed.index``), with no second bisect.  In a
+        certified gap it returns that gap's record and makes no kernel run;
+        otherwise, when its pulse lies in a gap not yet known, the hook
+        compares the pending actions after the drive visit with the
+        fault-free ones, and at the first convergence check, at the pulse
+        end, certifies the gap after a clean drive.
         """
         self.simulations += 1
         run = self.run
@@ -685,7 +667,7 @@ class _ProbeContext:
         events = run.pulse_events(self.fault_kind, sid, at, width)
         # resume from the last fault-free visit before the pulse: on float
         # times, the last one at or before the next float down
-        i, shift, seed = run.last_visit(math.nextafter(at, -math.inf))
+        seed = run.snapshot(math.nextafter(at, -math.inf))
         if self.base_mon_x and self.mon_x_times[0] <= (-math.inf if seed is None else seed.time):
             self.hit_time = -math.inf
             return True  # the faulty run repeats that monitored X
@@ -696,7 +678,7 @@ class _ProbeContext:
             if local is None:
                 local = memo[signal] = (run.local_gaps(sid), {})
             gaps, certified = local
-            edge = gaps[i] + shift
+            edge = -math.inf if seed is None else gaps[seed.index] + (seed.time - run._times[seed.index])
             if end < edge:
                 known = certified.get(edge)
                 if known:
@@ -775,12 +757,11 @@ def _locate_window(probe, region: ValueRegion, gamma: float, delta: float):
     """
     r0, r1 = region.start, region.end
     hi_cap = r1 - gamma
-    if hi_cap <= r0:
-        return (r0, r1) if probe(r0) else (r1, r1)
     lo_sus = probe(r0)
-    hi_sus = probe(hi_cap)
-    if lo_sus == hi_sus:
+    # a region no longer than gamma has one endpoint to probe
+    if hi_cap <= r0 or probe(hi_cap) == lo_sus:
         return (r0, r1) if lo_sus else (r1, r1)
+    hi_sus = not lo_sus
     lo, hi = r0, hi_cap
     while hi - lo > delta:
         mid = (lo + hi) / 2.0
@@ -959,7 +940,9 @@ def analyze(
     The injection set defaults to every signal except the monitored ones.
     Under X-pulses a monitored signal in the injection set is susceptible at
     every time by definition (the pulse itself drives it to X), so it gets a
-    full window without probing; under flip-pulses it is probed.
+    full window without probing; under flip-pulses it is probed.  The first
+    probed flip-pulse on a signal that is X in the fault-free run raises
+    ``ValueError`` ("... pre-fault value is X, nothing to flip"): no report.
 
     For every ``jobs`` the caller checks the whole query before the first
     kernel run (what ``execute`` rejects, unknown monitored or injection

@@ -216,7 +216,8 @@ def _float_param(kind: str, name: str, value) -> float:
 
 def _generator_spec(kind: str, params: dict):
     """The generator spec built from params, each converted to its field's
-    type."""
+    type, and checked: an unknown or missing parameter is a usage error, a
+    spec its generator rejects a ``GenerationError``."""
     spec_cls, _, fields = _GENERATORS[kind]
     types = typing.get_type_hints(spec_cls)
     kwargs = {}
@@ -224,7 +225,12 @@ def _generator_spec(kind: str, params: dict):
         if name not in fields:
             raise UsageError(f"unknown {kind} parameter {name!r} (expected {', '.join(fields)})")
         kwargs[name] = (_int_param if types[name] is int else _float_param)(kind, name, value)
-    return spec_cls(**kwargs)
+    for field in dataclasses.fields(spec_cls):
+        if field.name not in kwargs and field.default is dataclasses.MISSING:
+            raise UsageError(f"missing {kind} parameter {field.name!r}")
+    spec = spec_cls(**kwargs)
+    spec.check()
+    return spec
 
 
 def cmd_generate(args) -> int:
@@ -394,7 +400,8 @@ def cmd_sweep(args) -> int:
     delta = spec.get("delta", args.delta)
 
     points = list(itertools.product(*(s["values"] for s in spec["sweeps"])))
-    # every point's parameters are checked before the first analysis runs
+    # every point's spec is built and checked before the first analysis
+    # runs or a pool starts
     specs = [_generator_spec(kind, {**spec["params"], **dict(zip(names, point))}) for point in points]
     tasks = [(kind, point_spec, T, epsilon, gamma, delta) for point_spec in specs]
 

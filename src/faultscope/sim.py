@@ -354,22 +354,25 @@ class _Seed:
     """Kernel state at the end of one visit, for resuming a run mid-way.
 
     ``pend`` maps rule ids and ``pend_x`` signal ids to the due times of
-    their pending actions.  The rest of the kernel state follows from these
-    and is built on the first resume, then kept: the guard values, which
-    equal every guard evaluated on ``values``, the bitmask of the pending
-    rules, and a template of the queue of the pending actions (``_kernel``):
-    their distinct due times in ascending order, a valid heap, and the
-    (due time, tuple of its entries) pairs, from which each resume builds
-    its own lists.
+    their pending actions.  ``index`` is the position of the visit in the
+    run that kept the snapshot (``analysis._FaultFreeRun``), that of the
+    visit it folds onto for a snapshot shifted past the repeat, or -1.  The
+    rest of the kernel state follows from these and is built on the first
+    resume, then kept: the guard values, which equal every guard evaluated
+    on ``values``, the bitmask of the pending rules, and a template of the
+    queue of the pending actions (``_kernel``): their distinct due times in
+    ascending order, a valid heap, and the (due time, tuple of its entries)
+    pairs, from which each resume builds its own lists.
     """
 
-    __slots__ = ("time", "values", "pend", "pend_x", "_gv", "_pend_mask", "_times", "_batches")
+    __slots__ = ("time", "values", "pend", "pend_x", "index", "_gv", "_pend_mask", "_times", "_batches")
 
-    def __init__(self, time, values, pend, pend_x):
+    def __init__(self, time, values, pend, pend_x, index=-1):
         self.time = time
         self.values = values  # list of floats
         self.pend = pend  # dict rule id -> due
         self.pend_x = pend_x  # dict signal id -> due
+        self.index = index
         self._gv = None
         self._pend_mask = 0
         self._times = None
@@ -395,12 +398,14 @@ class _Seed:
         return self._gv[:], self._pend_mask, self._times[:], {due: [*batch] for due, batch in self._batches}
 
     def shifted(self, d: float) -> "_Seed":
-        """The same state ``d`` time units later: every due time moves by d."""
+        """The same state ``d`` time units later: every due time moves by d,
+        and the index stays."""
         return _Seed(
             self.time + d,
             self.values,
             {rid: due + d for rid, due in self.pend.items()},
             {sid: due + d for sid, due in self.pend_x.items()},
+            self.index,
         )
 
 

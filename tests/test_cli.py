@@ -876,11 +876,42 @@ def test_sweep_spec_errors(tmp_path, capsys, text, message):
         (["--generator", "linear", "--sweep", "stages=1:3"], "expected FROM:TO:STEP, got '1:3'"),
         (["--generator", "linear", "--set", "source_delay=3", "--set", "source_delay=4", "--sweep", "stages=3"],
          "--set sets 'source_delay' twice"),
+        (["--generator", "ring", "--sweep", "tokens=1,2"], "missing ring parameter 'stages'"),
     ],
-    ids=["no-source", "unknown-parameter", "zero-step", "negative-step", "not-a-number", "not-a-range", "repeated-set"],
+    ids=[
+        "no-source", "unknown-parameter", "zero-step", "negative-step", "not-a-number", "not-a-range", "repeated-set",
+        "missing-parameter",
+    ],
 )
 def test_sweep_usage_errors(capsys, argv, message):
     assert run(capsys, "sweep", *argv, "--until", "10") == (1, "", f"error: {message}\n")
+
+
+def test_generate_missing_parameter(tmp_path, capsys):
+    """A generator parameter with no default must be given, on the command
+    line or in a spec file."""
+    spec = tmp_path / "ring.spec"
+    spec.write_text("generator = ring\n[sweep.tokens]\nvalues = 1\n")
+    for argv in (["generate", "ring"], ["sweep", "--spec", str(spec), "--until", "10"]):
+        assert run(capsys, *argv) == (1, "", "error: missing ring parameter 'stages'\n"), argv
+
+
+def test_sweep_checks_every_point_before_the_first_analysis(capsys, monkeypatch):
+    """A point its generator rejects fails the sweep before any point is
+    analyzed, wherever it lies in the grid."""
+    calls = 0
+    analyze = analysis.analyze
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return analyze(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "analyze", counted)
+    argv = ["sweep", "--generator", "ring", "--set", "stages=20", "--sweep", "tokens=1,10", "--until", "2000"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and "no bubble" in err
+    assert calls == 0
 
 
 def test_sweep_unknown_generator_is_usage_error(tmp_path, capsys):

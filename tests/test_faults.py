@@ -227,3 +227,12 @@ def test_flip_on_x_rejected_by_probe():
     # also where the fault-free run already has X on a monitored signal
     with pytest.raises(ValueError, match="nothing to flip"):
         is_susceptible(X_START, inputs, {"a"}, Glitch("a", 0.2, 0.1, FLIP_PULSE), cfg)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_flip_analysis_on_x_raises(jobs):
+    """A flip-pulse analysis stops at the first probed pulse on a signal that
+    is X in the fault-free run, and gives no report, for every ``jobs``."""
+    inputs = {"i": make_trace(Value.ZERO)}
+    with pytest.raises(ValueError, match=r"^flip-pulse at a@0\.0: pre-fault value is X, nothing to flip$"):
+        analyze(X_START, inputs, {"o"}, config=SimConfig(horizon=4.0, epsilon=0.1), fault_kind=FLIP_PULSE, jobs=jobs)

@@ -1,6 +1,7 @@
 """The probe memo of one signal's bisection: every verdict and hit time is
 the one a probe without it gives, and it saves kernel visits."""
 
+import math
 import random
 from unittest import mock
 
@@ -222,3 +223,35 @@ def test_visit_time_lookup_matches_snapshots(make, T):
     answers = [lookup(t) for t in points]
     assert answers == [run.snapshot(t).time == t for t in points]
     assert answers.count(True) > len(base) and answers.count(False) > len(base)
+
+
+@pytest.mark.parametrize(
+    "make,T",
+    [
+        pytest.param(lambda: ring_pipeline(RingSpec(20, 9, 1, 5)), 200.0, id="ring20/9"),
+        pytest.param(lambda: multibit_linear_pipeline(MultiBitSpec(4, 3, 1, 5, 4, 4)), 500.0, id="mb4/500"),
+    ],
+)
+def test_snapshots_carry_their_visit_index(make, T):
+    """Every kept snapshot's ``index`` is its position in the run.  Past t2,
+    the snapshot ``snapshot(t)`` gives keeps the index of the visit it folds
+    onto, so ``time - _times[index]`` is ``fold(t)``, from which a probe
+    reads its local gap end; its state is that kept visit's, shifted."""
+    circuit, monitored = make()
+    run = _ProbeContext(circuit, {}, SimConfig(T, 0.1), monitored).run
+    assert [snap.index for snap in run._snaps] == list(range(len(run._times)))
+    assert run._period is not None and run._t2 < T
+    stretch = [t for t in run._times if run._t1 < t <= run._t2]
+    shifts = range(1, int((T - run._t1) // run._period) + 1)
+    starts = [t + k * run._period for k in shifts for t in stretch]
+    starts += [math.nextafter(t, -math.inf) for t in starts] + [t + 0.05 for t in starts]
+    starts = [t for t in starts if run._t2 < t < T]
+    assert len(starts) > len(stretch)
+    for t in starts:
+        snap = run.snapshot(t)
+        shift = run.fold(t)
+        assert snap.time - run._times[snap.index] == shift > 0, t
+        kept = run._snaps[snap.index]
+        assert snap.values == kept.values, t
+        assert snap.pend == {rid: due + shift for rid, due in kept.pend.items()}, t
+        assert snap.pend_x == {sid: due + shift for sid, due in kept.pend_x.items()}, t
